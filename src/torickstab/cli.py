@@ -73,12 +73,6 @@ def _write_trace_csv(path, result):
                             + [repr(float(obj)), repr(float(step))])
 
 
-def _affine_basis(dim):
-    return [AffineFunction.constant(dim, 1)] + [
-        AffineFunction.coordinate(dim, i) for i in range(dim)
-    ]
-
-
 # -- commands ----------------------------------------------------------------------
 
 
@@ -110,7 +104,7 @@ def cmd_futaki(args):
     v = jsonio.weight_from_json(_load_json(args.v, "v"), p.dim, "v")
     w = jsonio.weight_from_json(_load_json(args.w, "w"), p.dim, "w")
     if args.all_affine:
-        directions = _affine_basis(p.dim)
+        directions = invariants._affine_basis(p.dim)
     elif args.direction is not None:
         directions = [jsonio.affine_from_json(
             _load_json(args.direction, "direction"), p.dim, "direction")]
@@ -357,7 +351,7 @@ def _suite_futaki(grid_resolution):
         vv, ww = soliton_weight_pair(v, m)
         u = toricmetrics.SymplecticPotential(p)
         grid = toricmetrics.GridSpec(resolution=grid_resolution)
-        for d, ell in enumerate(_affine_basis(p.dim)):
+        for d, ell in enumerate(invariants._affine_basis(p.dim)):
             fb = invariants.futaki_boundary(p, vv, ww, ell)
             zeta = list(ell.zeta) if not ell.is_constant() else [0] * p.dim
             ff = invariants.futaki_fano(p, vv, zeta)
@@ -503,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["quadrature", "futaki", "identities", "all"])
     sp.add_argument("--grid", type=int, default=100,
                     help="points-per-axis equivalent for the metric oracle")
-    sp.add_argument("--margin", type=float, default=1e-3)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify)
     return parser

@@ -314,7 +314,6 @@ class Facet:
     origin: tuple
     basis: tuple  # r x (r-1) integer matrix, rows indexed by ambient coords
     subpolytope: object  # DelzantPolytope of dim r-1, or None when r == 1
-    vertex_indices: tuple
 
     @property
     def ambient_dim(self):
@@ -369,7 +368,7 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
     incident = [i for i in range(len(p.vertices)) if j in p.facet_adjacency[i]]
     origin = p.vertices[incident[0]]  # vertices are sorted, so this is lex-min
     if p.dim == 1:
-        return Facet(origin, (), None, tuple(incident))
+        return Facet(origin, (), None)
     v_mat = xla.unimodular_completion(h.normal)
     basis = tuple(tuple(v_mat[i][k] for k in range(1, p.dim)) for i in range(p.dim))
     sub_halfspaces = []
@@ -397,4 +396,4 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
         if key not in uniq or hs.offset < uniq[key].offset:
             uniq[key] = hs
     sub = DelzantPolytope(list(uniq.values()))
-    return Facet(origin, basis, sub, tuple(incident))
+    return Facet(origin, basis, sub)

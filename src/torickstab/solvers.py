@@ -28,6 +28,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
 BOUNDARY_FRACTION = 0.95  # Reeb steps keep >= 5% of the previous boundary margin
+NOISE_ULPS = 4  # ulps of |F| granted to the Armijo test on top of F's error estimate
 
 
 @dataclass
@@ -68,16 +69,18 @@ def _moment_weights(dim: int):
     return ones[0], lin, quad
 
 
-def _newton_loop(polytope, objective_parts, feasible, limit_step, tol, max_iter):
+def _newton_loop(polytope, objective, derivatives, feasible, limit_step, tol, max_iter):
     """Shared damped-Newton driver.
 
-    objective_parts(xi) returns (F, grad, hess); feasible(xi) says whether xi
-    is admissible; limit_step(xi, direction) caps the initial step length.
+    objective(xi) returns (F, error estimate of F); derivatives(xi) returns
+    (grad, hess) and is called only at accepted iterates; feasible(xi) says
+    whether xi is admissible; limit_step(xi, direction) caps the initial step.
     """
     r = polytope.dim
     xi = np.zeros(r)
     trace = []
-    f_val, grad, hess = objective_parts(xi)
+    f_val, f_err = objective(xi)
+    grad, hess = derivatives(xi)
     min_eig = float(np.linalg.eigvalsh(hess)[0])
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
@@ -90,14 +93,16 @@ def _newton_loop(polytope, objective_parts, feasible, limit_step, tol, max_iter)
             )
         step = np.linalg.solve(hess, -grad)
         t = limit_step(xi, step)
-        # Armijo backtracking on the exact objective
+        # Armijo backtracking on F; a decrease below F's own noise (cubature
+        # error plus a few ulps) cannot be resolved and is not asked for
         slope = float(grad @ step)
+        noise = f_err + NOISE_ULPS * np.spacing(abs(f_val))
         accepted = False
         for _ in range(60):
             cand = xi + t * step
             if feasible(cand):
-                f_new, g_new, h_new = objective_parts(cand)
-                if f_new <= f_val + ARMIJO_C * t * slope:
+                f_new, err_new = objective(cand)
+                if f_new <= f_val + ARMIJO_C * t * slope + noise:
                     accepted = True
                     break
             t *= 0.5
@@ -107,7 +112,8 @@ def _newton_loop(polytope, objective_parts, feasible, limit_step, tol, max_iter)
                 result=SolverResult(tuple(xi), f_val, gnorm, min_eig, it, trace,
                                     converged=False),
             )
-        xi, f_val, grad, hess = cand, f_new, g_new, h_new
+        xi, f_val, f_err = cand, f_new, err_new
+        grad, hess = derivatives(xi)
         min_eig = float(np.linalg.eigvalsh(hess)[0])
         trace_step = t
     gnorm = float(np.linalg.norm(grad))
@@ -127,24 +133,29 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
     _, lin, quad = _moment_weights(r)
     qtol = tol * 1e-2  # moments two orders tighter than the solver
 
-    def parts(xi):
-        e = WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
-        base = p * e
-        f = integrate_weighted(polytope, base, tol=qtol).value
+    def base(xi):
+        return p * WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
+
+    def objective(xi):
+        res = integrate_weighted(polytope, base(xi), tol=qtol)
+        return res.value, res.error_estimate
+
+    def derivatives(xi):
+        b = base(xi)
         g = np.array([
-            integrate_weighted(polytope, base * lin[i], tol=qtol).value
+            integrate_weighted(polytope, b * lin[i], tol=qtol).value
             for i in range(r)
         ])
         h = np.empty((r, r))
         for i in range(r):
             for j in range(i, r):
                 h[i, j] = h[j, i] = integrate_weighted(
-                    polytope, base * quad[i][j], tol=qtol
+                    polytope, b * quad[i][j], tol=qtol
                 ).value
-        return f, g, h
+        return g, h
 
-    return _newton_loop(polytope, parts, lambda xi: True, lambda xi, d: 1.0,
-                        tol, max_iter)
+    return _newton_loop(polytope, objective, derivatives, lambda xi: True,
+                        lambda xi, d: 1.0, tol, max_iter)
 
 
 def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
@@ -180,13 +191,17 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
             t *= 0.5
         return t
 
-    def parts(xi):
+    def base(xi, e):
         aff = AffineFunction([frac(float(z)) for z in xi], 1)
-        pw = lambda e: WeightFn.affine_power(aff, frac(e))
-        base0 = p * pw(-s)
-        base1 = p * pw(-s - 1)
-        base2 = p * pw(-s - 2)
-        f = integrate_weighted(polytope, base0, tol=qtol).value
+        return p * WeightFn.affine_power(aff, frac(e))
+
+    def objective(xi):
+        res = integrate_weighted(polytope, base(xi, -s), tol=qtol)
+        return res.value, res.error_estimate
+
+    def derivatives(xi):
+        base1 = base(xi, -s - 1)
+        base2 = base(xi, -s - 2)
         g = -s * np.array([
             integrate_weighted(polytope, base1 * lin[i], tol=qtol).value
             for i in range(r)
@@ -197,6 +212,7 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
                 h[i, j] = h[j, i] = s * (s + 1) * integrate_weighted(
                     polytope, base2 * quad[i][j], tol=qtol
                 ).value
-        return f, g, h
+        return g, h
 
-    return _newton_loop(polytope, parts, feasible, limit_step, tol, max_iter)
+    return _newton_loop(polytope, objective, derivatives, feasible, limit_step,
+                        tol, max_iter)

@@ -18,7 +18,7 @@ from .errors import NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial
 from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import GM_ORDER_HIGH, GM_ORDER_LOW, gm_rule
+from .quadrature import GM_ORDER_HIGH, GM_ORDER_LOW, _bisect_all, gm_rule
 from .weights import as_weight
 
 DEFAULT_FD_STEP = 1e-4
@@ -242,31 +242,6 @@ def _refined_nodes(polytope: DelzantPolytope, resolution: int, order: int):
     nodes = np.einsum("pk,skr->spr", pts, verts).reshape(-1, r)
     weights = (scale[:, None] * wts[None, :]).reshape(-1)
     return nodes, weights
-
-
-def _bisect_all(verts):
-    """Longest-edge bisection of every simplex in the batch."""
-    s, k, r = verts.shape
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    d2 = np.stack([np.sum((verts[:, i] - verts[:, j]) ** 2, axis=1)
-                   for i, j in pairs], axis=1)
-    best = np.argmax(d2, axis=1)
-    out = np.empty((2 * s, k, r))
-    for idx, (i, j) in enumerate(pairs):
-        mask = best == idx
-        if not mask.any():
-            continue
-        v = verts[mask]
-        mid = 0.5 * (v[:, i] + v[:, j])
-        a = v.copy()
-        a[:, i] = mid
-        b = v.copy()
-        b[:, j] = mid
-        cnt = mask.sum()
-        pos = np.flatnonzero(mask)
-        out[2 * pos] = a
-        out[2 * pos + 1] = b
-    return out
 
 
 def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,

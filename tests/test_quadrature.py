@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickstab.errors import MaxDepthExceeded, SingularOnDomain
 from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
 from torickstab.polytope import AffineFunction, Simplex
 from torickstab.quadrature import (
     _adaptive,
+    _bisect_all,
     exp_affine_simplex_exact,
     exp_divided_difference,
     gm_rule,
@@ -200,3 +203,70 @@ def test_simplex_integral_vs_poly_path():
     for alpha, c in poly.coeffs.items():
         total += c * integrate_monomial_simplex(STD2, alpha)
     assert direct == total
+
+
+def test_odd_integrand_stops_relative_to_abs_mass(square):
+    # x1 * e^{x2} is odd on [-1, 1]^2, so its integral is 0 and a stop rule
+    # relative to |value| could only be met by the absolute floor; relative to
+    # int |f| = 2 sinh(1) it is met after a few rounds
+    f = WeightFn.from_polynomial(Polynomial.linear([1, 0])) * WeightFn.exp_affine([0, 1], 0)
+    res = integrate_weighted(square, f)
+    assert res.converged
+    assert abs(res.value) <= 1e-14
+    assert res.error_estimate <= 1e-12 * 2 * math.sinh(1.0)
+    assert res.subdivisions <= 64
+
+
+# the segment and the five canonical Fano polygons
+POLYGONS = [
+    make_polytope(((1,), 1), ((-1,), 1)),
+    make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)),
+    make_polytope(((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)),
+    make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1)),
+    make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1), ((-1, 0), 1)),
+    make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1), ((-1, 0), 1),
+                  ((1, 1), 1)),
+]
+
+
+@st.composite
+def _polygon_and_poly(draw):
+    p = draw(st.sampled_from(POLYGONS))
+    degree = draw(st.integers(8, 12))
+    # one term of full degree, beyond the degree 9 of the higher rule, forces refinement
+    top = draw(st.lists(st.integers(0, degree), min_size=p.dim - 1, max_size=p.dim - 1))
+    cuts = sorted(top)
+    alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+    coeffs = {alpha: Fraction(draw(st.sampled_from([-9, -5, -1, 1, 4, 9])), 7)}
+    for _ in range(draw(st.integers(0, 4))):
+        beta = tuple(draw(st.lists(st.integers(0, degree), min_size=p.dim, max_size=p.dim)))
+        if sum(beta) <= degree:
+            coeffs[beta] = Fraction(draw(st.integers(-9, 9)), 7)
+    return p, Polynomial(p.dim, coeffs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_polygon_and_poly())
+def test_adaptive_matches_exact_on_high_degree_polynomials(case):
+    p, poly = case
+    exact = float(integrate_poly(p, poly))
+    res = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14, 40)
+    assert res.value == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_bisect_all_halves_the_longest_edge():
+    rng = np.random.default_rng(7)
+    for k in (2, 3, 4):
+        verts = rng.random((50, k, k - 1))
+        kids = _bisect_all(verts)
+        rows = np.arange(len(verts))
+        # each child moves exactly one vertex, to the midpoint of the longest edge
+        changed_a = (kids[0::2] != verts).any(axis=2)
+        changed_b = (kids[1::2] != verts).any(axis=2)
+        assert (changed_a.sum(axis=1) == 1).all() and (changed_b.sum(axis=1) == 1).all()
+        moved_a, moved_b = changed_a.argmax(axis=1), changed_b.argmax(axis=1)
+        a, b = verts[rows, moved_a], verts[rows, moved_b]
+        assert np.allclose(kids[2 * rows, moved_a], 0.5 * (a + b), rtol=0, atol=1e-15)
+        assert np.allclose(kids[2 * rows + 1, moved_b], 0.5 * (a + b), rtol=0, atol=1e-15)
+        edges = np.linalg.norm(verts[:, :, None] - verts[:, None, :], axis=3)
+        assert np.array_equal(np.linalg.norm(a - b, axis=1), edges.max(axis=(1, 2)))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from torickstab.errors import MaxIterations, OriginNotInterior
-from torickstab.invariants import futaki_fano
+from torickstab.invariants import futaki_boundary, futaki_fano
+from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
+from torickstab.quadrature import integrate_weighted
 from torickstab.solvers import msy_reeb, tian_zhu_soliton
 from torickstab.weights import WeightFn
 
@@ -119,3 +121,51 @@ def test_max_iterations_carries_partial_result(interval):
     partial = info.value.result
     assert partial is not None and not partial.converged
     assert len(partial.trace) >= 1
+
+
+def _reeb_s2_gradient_factor(xi):
+    """int_{-1}^{1} x (x + 2) (xi x + 1)^{-3} dx via u = xi x + 1."""
+
+    def F(u):
+        return math.log(u) - (2 * xi - 2) / u - (1 - 2 * xi) / (2 * u * u)
+
+    return (F(1.0 + xi) - F(1.0 - xi)) / xi ** 3
+
+
+def test_reeb_converges_below_objective_noise(interval):
+    # near the optimum the Armijo decrease of V falls below V's own cubature
+    # error and roundoff; the line search must accept such steps, not stall
+    res = msy_reeb(interval, _p_affine(), 2)
+    assert res.converged
+    oracle = _bisect(_reeb_s2_gradient_factor, 1e-3, 1.0 - 1e-3, increasing=False)
+    assert res.xi0[0] == pytest.approx(oracle, abs=1e-10)
+    bl2p2 = make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1),
+                          ((-1, 0), 1))
+    res = msy_reeb(bl2p2, WeightFn.exp_affine([Fraction(3, 10), 0], 0), 3)
+    assert res.converged and res.iterations < 10
+
+
+def test_reeb_f1_at_defaults_is_sasaki_einstein(f1):
+    res = msy_reeb(f1, WeightFn.constant(2, 1), 3)
+    assert res.converged
+    ell0 = AffineFunction([Fraction(z).limit_denominator(10 ** 15) for z in res.xi0], 1)
+    v = WeightFn.affine_power(ell0, -3)
+    w = WeightFn.affine_power(ell0, -4, coeff=4)
+    basis = [AffineFunction.constant(2, 1)] + [AffineFunction.coordinate(2, i)
+                                               for i in range(2)]
+    for ell in basis:
+        assert abs(futaki_boundary(f1, v, w, ell, tol=1e-9).value) <= 1e-6
+
+
+def test_p3_soliton_meets_moment_residual():
+    p3 = make_polytope(((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1))
+    p_weight = WeightFn.affine_power(AffineFunction([1, 0, 0], 2), 1)
+    res = tian_zhu_soliton(p3, p_weight)
+    assert res.converged
+    base = p_weight * WeightFn.exp_affine(
+        [Fraction(z).limit_denominator(10 ** 15) for z in res.xi0], 0)
+    scale = max(1.0, integrate_weighted(p3, base, tol=1e-10).value)
+    for i in range(3):
+        x_i = WeightFn.from_polynomial(Polynomial.linear([int(j == i) for j in range(3)]))
+        moment = integrate_weighted(p3, base * x_i, tol=1e-10, abs_floor=1e-13 * scale)
+        assert abs(moment.value) / scale <= 1e-8
