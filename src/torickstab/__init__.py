@@ -53,8 +53,6 @@ from .polytope import (
     DelzantPolytope,
     HalfSpace,
     Simplex,
-    from_halfspaces,
-    is_canonical_fano,
 )
 from .quadrature import (
     QuadratureResult,

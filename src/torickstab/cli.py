@@ -170,23 +170,29 @@ def _solver_inputs(args):
     return p, weight, echo, 0
 
 
-def cmd_soliton(args):
-    started = time.monotonic()
-    p, weight, echo, _ = _solver_inputs(args)
+def _run_solver(command, echo, solve, args, started):
+    """Run `solve()` and report its result, or the partial result and exit 3
+    when it hits the iteration cap; `--csv` writes the trace on success."""
     try:
-        result = solvers.tian_zhu_soliton(p, weight, tol=args.tol,
-                                          max_iter=args.max_iter)
+        result = solve()
     except MaxIterations as e:
-        _emit(_report("soliton", echo, {
+        _emit(_report(command, echo, {
             "error": str(e),
             "partial": jsonio.solver_result_to_json(e.result) if e.result else None,
         }, started=started), args)
         return EXIT_SOLVER
     if args.csv:
         _write_trace_csv(args.csv, result)
-    _emit(_report("soliton", echo, jsonio.solver_result_to_json(result),
+    _emit(_report(command, echo, jsonio.solver_result_to_json(result),
                   started=started), args)
     return EXIT_OK
+
+
+def cmd_soliton(args):
+    started = time.monotonic()
+    p, weight, echo, _ = _solver_inputs(args)
+    return _run_solver("soliton", echo, lambda: solvers.tian_zhu_soliton(
+        p, weight, tol=args.tol, max_iter=args.max_iter), args, started)
 
 
 def cmd_reeb(args):
@@ -194,19 +200,8 @@ def cmd_reeb(args):
     p, weight, echo, n_base = _solver_inputs(args)
     s = args.s if args.s is not None else p.dim + n_base + 1
     echo["s"] = s
-    try:
-        result = solvers.msy_reeb(p, weight, s, tol=args.tol, max_iter=args.max_iter)
-    except MaxIterations as e:
-        _emit(_report("reeb", echo, {
-            "error": str(e),
-            "partial": jsonio.solver_result_to_json(e.result) if e.result else None,
-        }, started=started), args)
-        return EXIT_SOLVER
-    if args.csv:
-        _write_trace_csv(args.csv, result)
-    _emit(_report("reeb", echo, jsonio.solver_result_to_json(result),
-                  started=started), args)
-    return EXIT_OK
+    return _run_solver("reeb", echo, lambda: solvers.msy_reeb(
+        p, weight, s, tol=args.tol, max_iter=args.max_iter), args, started)
 
 
 def _parse_factor(text: str) -> fibration.BaseFactor:
@@ -266,21 +261,11 @@ def cmd_fibration(args):
         v = 1
         if args.v is not None:
             v = jsonio.weight_from_json(_load_json(args.v, "v"), spec.fiber.dim, "v")
-        try:
-            result = fibration.pv_soliton_pipeline(
-                spec, v, tol=args.tol, max_iter=args.max_iter,
-                reeb=args.subcommand == "reeb", s=args.s)
-        except MaxIterations as e:
-            _emit(_report(f"fibration {args.subcommand}", echo, {
-                "error": str(e),
-                "partial": jsonio.solver_result_to_json(e.result) if e.result else None,
-            }, started=started), args)
-            return EXIT_SOLVER
-        if args.csv:
-            _write_trace_csv(args.csv, result)
-        _emit(_report(f"fibration {args.subcommand}", echo,
-                      jsonio.solver_result_to_json(result), started=started), args)
-        return EXIT_OK
+        return _run_solver(f"fibration {args.subcommand}", echo,
+                           lambda: fibration.pv_soliton_pipeline(
+                               spec, v, tol=args.tol, max_iter=args.max_iter,
+                               reeb=args.subcommand == "reeb", s=args.s),
+                           args, started)
     raise SchemaError("subcommand", f"unknown fibration subcommand {args.subcommand!r}")
 
 

@@ -333,15 +333,6 @@ class Facet:
         return self.subpolytope.volume()
 
 
-def from_halfspaces(halfspaces) -> DelzantPolytope:
-    """Build and validate a Delzant polytope from half-space data."""
-    return DelzantPolytope(halfspaces)
-
-
-def is_canonical_fano(p: DelzantPolytope) -> bool:
-    return p.is_canonical_fano()
-
-
 def _triangulate(p: DelzantPolytope, root_index=0):
     if p.dim == 1:
         return [Simplex(p.vertices)]

@@ -1,15 +1,20 @@
 """Explicit toric metrics as numerical oracles for the curvature integrals.
 
 A symplectic potential (Guillemin, optionally plus a polynomial bump) defines
-a toric Kahler metric through the inverse Hessian H. Scalar curvature and its
-weighted variants are evaluated by central finite differences on the analytic
-H, and the Futaki integrand is integrated over a refined triangulation.
+a toric Kahler metric through the inverse Hessian H. `futaki_numeric` takes
+the weighted scalar curvature Scal_v = -sum_ij d_i d_j (v H_ij) in closed form
+from the analytic third and fourth derivatives of the potential (Abreu's
+formula, one Hessian inverse per node) and integrates the Futaki integrand
+over a refined triangulation. `scal`, `scal_v_direct` and `scal_v_divergence`
+evaluate the same curvatures by central finite differences of H; they are the
+independent oracle for the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import ceil, factorial, log2
 
 import numpy as np
@@ -18,7 +23,7 @@ from .errors import NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial
 from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import GM_ORDER_HIGH, GM_ORDER_LOW, _bisect_all, gm_rule
+from .quadrature import EVAL_CHUNK, GM_ORDER_HIGH, GM_ORDER_LOW, _bisect_all, gm_rule
 from .weights import as_weight
 
 DEFAULT_FD_STEP = 1e-4
@@ -27,7 +32,12 @@ FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the marg
 
 @dataclass
 class GridSpec:
-    """Evaluation grid: per-axis resolution, interior margin, FD step."""
+    """Evaluation grid: per-axis resolution, interior margin, FD step.
+
+    `futaki_numeric` reads only `resolution`. `margin` and `h` parameterise
+    the finite-difference oracle (`scal`, `scal_v_direct`,
+    `scal_v_divergence`).
+    """
 
     resolution: int = 400
     margin: float = 1e-3
@@ -56,11 +66,11 @@ class SymplecticPotential:
         if bump is not None:
             if bump.dim != r:
                 raise ValueError("bump dimension does not match the polytope")
-            self._bump_hess = [[bump.partial(i).partial(j) for j in range(r)]
-                               for i in range(r)]
+            # second to fourth partials of the bump, one per sorted index tuple
+            self._bump_partials = {k: _symmetric_partials(bump, k) for k in (2, 3, 4)}
             self._validate(check_grid)
         else:
-            self._bump_hess = None
+            self._bump_partials = None
 
     @property
     def kind(self) -> str:
@@ -91,15 +101,36 @@ class SymplecticPotential:
         if L.min() <= 0:
             raise TooCloseToBoundary("potential Hessian needs interior points")
         out = 0.5 * np.einsum("nf,fi,fj->nij", 1.0 / L, self.normals, self.normals)
-        if self._bump_hess is not None:
-            r = x.shape[1]
-            for i in range(r):
-                for j in range(r):
-                    out[:, i, j] += self._bump_hess[i][j].eval(x)
+        if self._bump_partials is not None:
+            out += _eval_symmetric(self._bump_partials[2], x)
         return out
 
     def normal_scale(self) -> float:
         return float(np.max(np.linalg.norm(self.normals, axis=1)))
+
+
+def _symmetric_partials(poly: Polynomial, order: int):
+    """Partial derivatives of the given order, keyed by sorted index tuple."""
+    out = {}
+    for idx in combinations_with_replacement(range(poly.dim), order):
+        d = poly
+        for i in idx:
+            d = d.partial(i)
+        out[idx] = d
+    return out
+
+
+def _eval_symmetric(partials, x):
+    """Evaluate a `_symmetric_partials` table at x (N, r) into the full
+    symmetric tensor (N, r, ..., r)."""
+    n, r = x.shape
+    order = len(next(iter(partials)))
+    out = np.empty((n,) + (r,) * order)
+    for idx, d in partials.items():
+        val = d.eval(x)
+        for perm in set(permutations(idx)):
+            out[(slice(None),) + perm] = val
+    return out
 
 
 def scaled_bump(polytope: DelzantPolytope, poly: Polynomial,
@@ -227,6 +258,54 @@ def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
     return float(out[0]) if single else out
 
 
+def _scal_v_abreu(u: SymplecticPotential, v, x):
+    """Weighted scalar curvature -sum_ij d_i d_j (v H_ij) in closed form; (N,).
+
+    With G = Hess u, H = G^-1 and the symmetric tensors T = d^3 u, D = d^4 u,
+    the identities d_k H = -H G_k H and
+    d_k d_l H = H G_k H G_l H + H G_l H G_k H - H G_kl H give, with
+    t_c = sum_ab H_ab T_abc,
+      d_j = sum_i d_i H_ij = -(H t)_j,
+      sum_ij d_i d_j H_ij = t.H t + |T|_H^2 - <D, H x H>,
+      Scal_v = -(v sum_ij d_i d_j H_ij + 2 <grad v, d> + <H, Hess v>).
+    The Guillemin parts T = -1/2 sum_f u_f^(x3) / L_f^2 and
+    D = sum_f u_f^(x4) / L_f^3 enter through Q = U H U^T and q_f = Q_ff:
+    t = -1/2 sum_f q_f u_f / L_f^2, |T|_H^2 = 1/4 sum_fg Q_fg^3 / (L_f^2 L_g^2)
+    and <D, H x H> = sum_f q_f^2 / L_f^3. Near a facet q_f is O(L_f), so this
+    keeps the roundoff at O(eps / L^2) where contracting the tensors entry by
+    entry loses O(eps / L^3). A bump adds its bounded third and fourth
+    derivatives. `v` is a weight; x is (N, r) with interior points.
+    """
+    n, r = x.shape
+    normals = u.normals
+    H = np.linalg.inv(u.hess(x))
+    L = u.facet_values(x)
+    alpha = -0.5 / L ** 2
+    pairs = np.einsum("fa,gb->abfg", normals, normals).reshape(r * r, -1)
+    Q = np.einsum("nk,kg->ng", H.reshape(n, r * r), pairs).reshape(
+        n, len(normals), len(normals))
+    q = np.einsum("nff->nf", Q)
+    t = np.einsum("nf,fi->ni", alpha * q, normals)
+    norm_t = np.einsum("nfg,nf,ng->n", Q * Q * Q, alpha, alpha)
+    trace_d = np.einsum("nf,nf->n", q * q, 1.0 / (L * L * L))
+    if u.bump is not None:
+        bump_t = _eval_symmetric(u._bump_partials[3], x).reshape(n, r, r * r)
+        bump_d = _eval_symmetric(u._bump_partials[4], x).reshape(n, r * r, r * r)
+        # H x H at ((i, j), (a, b)) is H_ia H_jb
+        hh = (H[:, :, None, :, None] * H[:, None, :, None, :]).reshape(n, r * r, r * r)
+        guillemin_t = np.einsum("nf,fi,fj,fk->nijk", alpha, normals, normals, normals,
+                                optimize=True).reshape(n, r, r * r)
+        t += np.einsum("nk,nkc->nc", H.reshape(n, r * r), bump_t.reshape(n, r * r, r))
+        # |T|_H^2 gains <T_bump, 2 T_Guillemin + T_bump>_H
+        norm_t += np.einsum("nak,nak->n", H @ bump_t, (2.0 * guillemin_t + bump_t) @ hh)
+        trace_d += np.einsum("nkl,nkl->n", hh, bump_d)
+    ht = np.einsum("nij,nj->ni", H, t)
+    second = np.einsum("ni,ni->n", t, ht) + norm_t - trace_d
+    return -(v.eval(x) * second
+             - 2.0 * np.einsum("ni,ni->n", v.grad(x), ht)
+             + np.einsum("nij,nij->n", H, v.hess(x)))
+
+
 def _refined_nodes(polytope: DelzantPolytope, resolution: int, order: int):
     """Cubature nodes and weights on a uniformly bisected triangulation sized
     so the total node count is at least resolution^dim."""
@@ -248,22 +327,29 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
                    ell: AffineFunction, grid: GridSpec = None) -> FutakiReport:
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
-    Integration uses the embedded cubature pair on a refined triangulation
-    whose nodes are strictly interior, so no boundary truncation is needed;
-    the error estimate is the discrepancy between the paired rules.
+    Scal_v is taken in closed form from the potential's derivatives, at the
+    nodes of the embedded cubature pair on a refined triangulation whose
+    nodes are strictly interior, so no boundary truncation is needed. Only
+    `grid.resolution` is read. The error estimate is the discrepancy between
+    the paired rules; with no finite-difference truncation left it is the
+    whole error of the value down to the roundoff floor.
     """
     if grid is None:
         grid = GridSpec()
     v = as_weight(v, polytope.dim)
     w = as_weight(w, polytope.dim)
 
-    def integrand(x):
-        return (scal_v_divergence(u, v, x, h=grid.h) - w.eval(x)) * ell.eval(x)
+    def integral(order):
+        nodes, wts = _refined_nodes(polytope, grid.resolution, order)
+        total = 0.0
+        for i in range(0, len(nodes), EVAL_CHUNK):
+            x = nodes[i:i + EVAL_CHUNK]
+            f = (_scal_v_abreu(u, v, x) - w.eval(x)) * ell.eval(x)
+            total += float(wts[i:i + EVAL_CHUNK] @ f)
+        return total
 
-    nodes_hi, wts_hi = _refined_nodes(polytope, grid.resolution, GM_ORDER_HIGH)
-    value = float(wts_hi @ integrand(nodes_hi))
-    nodes_lo, wts_lo = _refined_nodes(polytope, grid.resolution, GM_ORDER_LOW)
-    low = float(wts_lo @ integrand(nodes_lo))
+    value = integral(GM_ORDER_HIGH)
+    low = integral(GM_ORDER_LOW)
     return FutakiReport(
         direction=ell,
         value=value,

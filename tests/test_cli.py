@@ -110,6 +110,29 @@ def test_solver_iteration_cap_exits_solver(capsys):
     assert rep["results"]["partial"]["converged"] is False
 
 
+@pytest.mark.parametrize("argv, inputs", [
+    (["soliton", "--polytope", INTERVAL, "--weight", '{"poly": "x+2"}'],
+     ["polytope", "weight"]),
+    (["reeb", "--polytope", INTERVAL, "--weight", '{"poly": "x+2"}'],
+     ["polytope", "weight", "s"]),
+    (["fibration", "soliton", "--spec", FIB], ["fibration"]),
+], ids=["soliton", "reeb", "fibration-soliton"])
+def test_iteration_cap_partial_report_form(capsys, tmp_path, argv, inputs):
+    csv_path = tmp_path / "trace.csv"
+    code, rep = _run(capsys, *argv, "--max-iter", "1", "--csv", str(csv_path))
+    assert code == EXIT_SOLVER
+    assert list(rep) == ["command", "version", "inputs", "results", "timings"]
+    assert rep["command"] == " ".join(argv[:2] if argv[0] == "fibration" else argv[:1])
+    assert list(rep["inputs"]) == inputs
+    assert list(rep["results"]) == ["error", "partial"]
+    assert rep["results"]["error"] == "no convergence in 1 iterations"
+    partial = rep["results"]["partial"]
+    assert set(partial) == {"xi0", "converged", "iterations", "objective",
+                            "grad_norm", "hessian_min_eigenvalue", "trace"}
+    assert partial["converged"] is False and partial["iterations"] == 1
+    assert not csv_path.exists()  # no trace file for a partial result
+
+
 def test_reports_are_deterministic(capsys):
     def strip(rep):
         rep.pop("timings", None)

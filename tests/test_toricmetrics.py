@@ -11,6 +11,7 @@ from torickstab.quadrature import integrate_boundary
 from torickstab.toricmetrics import (
     GridSpec,
     SymplecticPotential,
+    _scal_v_abreu,
     futaki_numeric,
     hess_inv,
     scal,
@@ -18,7 +19,14 @@ from torickstab.toricmetrics import (
     scal_v_divergence,
     scaled_bump,
 )
-from torickstab.weights import WeightFn, soliton_weight_pair
+from torickstab.weights import WeightFn, as_weight, soliton_weight_pair
+
+from conftest import make_polytope
+
+P2 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)
+P3 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)
+# Bl_2 P^2: the canonical Fano pentagon
+PENTAGON = ((1, 0), 1), ((1, 1), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)
 
 
 def _interior_points(polytope, rng, n, margin):
@@ -166,3 +174,121 @@ def test_futaki_numeric_metric_independent(interval):
     bumped = scaled_bump(interval, Polynomial(1, {(4,): Fraction(1, 30)}))
     other = futaki_numeric(interval, bumped, v, w, ell, grid).value
     assert abs(base - other) <= 1e-6
+
+
+def _abreu_tensor(u, v, x):
+    """Scal_v by contracting the full derivative tensors entry by entry.
+
+    T = d^3 u and D = d^4 u come from the facet sums and the bump's own
+    partials (G_k = T_k.., G_kl = D_kl..); then d_k d_l H = H G_k H G_l H
+    + H G_l H G_k H - H G_kl H is formed whole and traced, and
+    d_j = -sum_i (H G_i H)_ij."""
+    n, r = x.shape
+    H = np.linalg.inv(u.hess(x))
+    L = u.facet_values(x)
+    U = u.normals
+    T = np.einsum("nf,fi,fj,fk->nijk", -0.5 / L ** 2, U, U, U)
+    D = np.einsum("nf,fi,fj,fk,fl->nijkl", 1.0 / L ** 3, U, U, U, U)
+    if u.bump is not None:
+        for idx in np.ndindex(*(r,) * 3):
+            d = u.bump
+            for i in idx:
+                d = d.partial(i)
+            T[(slice(None),) + idx] += d.eval(x)
+            for m in range(r):
+                D[(slice(None),) + idx + (m,)] += d.partial(m).eval(x)
+    hgh = np.einsum("nia,nkab,nbj->nkij", H, T, H)  # H G_k H
+    div = -np.einsum("niij->nj", hgh)
+    second = (np.einsum("nkia,nlab,nbj->nklij", hgh, T, H)
+              + np.einsum("nlia,nkab,nbj->nklij", hgh, T, H)
+              - np.einsum("nia,nklab,nbj->nklij", H, D, H))
+    total = np.einsum("nijij->n", second)
+    return -(v.eval(x) * total + 2.0 * np.einsum("nj,nj->n", v.grad(x), div)
+             + np.einsum("nab,nab->n", H, v.hess(x)))
+
+
+@pytest.mark.parametrize("facets, bump", [
+    (P3, None),
+    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}),
+    (PENTAGON, None),
+    (PENTAGON, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}),
+    (P2, {(4, 0): Fraction(1, 40), (0, 3): Fraction(-1, 50), (2, 2): Fraction(1, 60)}),
+], ids=["P3", "P3-bump", "pentagon", "pentagon-bump", "P2-bump"])
+def test_scal_v_abreu_matches_tensor_contraction(facets, bump):
+    p = make_polytope(*facets)
+    u = (SymplecticPotential(p) if bump is None
+         else scaled_bump(p, Polynomial(p.dim, bump)))
+    v = WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)][:p.dim], 0)
+    xs = _interior_points(p, np.random.default_rng(5), 40, 0.1)
+    expected = _abreu_tensor(u, v, xs)
+    got = _scal_v_abreu(u, v, xs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("facets", [
+    P3,
+    P2,
+    (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)),
+    (((1,), 1), ((-1,), 1)),
+], ids=["P3", "P2", "P1xP1", "P1"])
+def test_scal_v_abreu_guillemin_is_2r(facets):
+    # Fubini-Study and product metrics: Scal = 2r on the canonical polytope
+    p = make_polytope(*facets)
+    u = SymplecticPotential(p)
+    xs = _interior_points(p, np.random.default_rng(3), 60, 1e-3)
+    vals = _scal_v_abreu(u, as_weight(1, p.dim), xs)
+    assert np.max(np.abs(vals - 2 * p.dim)) <= 1e-10
+
+
+def test_scal_v_abreu_matches_fd_on_bumped_metric(p2):
+    # the bump metric and points of `verify identities`; the FD forms carry an
+    # O(h^2) truncation error (about 70 h^2 here) and a roundoff error of about
+    # 4e-15 / h^2, so Richardson extrapolation from h and h/2 is compared
+    u = scaled_bump(p2, Polynomial(2, {(4, 0): Fraction(1, 20),
+                                       (2, 2): Fraction(1, 30)}))
+    v = WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 10)], 0)
+    rng = np.random.default_rng(7)
+    pts = []
+    while len(pts) < 50:
+        x = rng.random(2) * 3.0 - 1.0
+        if u.facet_values(x).min() > 0.05:
+            pts.append(x)
+    pts = np.array(pts)
+    exact = _scal_v_abreu(u, v, pts)
+    h = 4e-4
+    for fd in (scal_v_direct, scal_v_divergence):
+        extrapolated = (4.0 * fd(u, v, pts, h=h / 2) - fd(u, v, pts, h=h)) / 3.0
+        assert np.max(np.abs(exact - extrapolated)) <= 1e-6
+
+
+def test_scal_v_abreu_matches_fd_at_curvature_anchors(interval):
+    # the criterion 7 anchors: Scal = 2 on the P^1 Guillemin metric, and the
+    # weighted curvature for v = exp(x/4) at 200 seeded points
+    u = SymplecticPotential(interval)
+    xs = np.linspace(-0.95, 0.95, 39)[:, None]
+    one = as_weight(1, 1)
+    assert np.max(np.abs(_scal_v_abreu(u, one, xs) - scal(u, xs, h=1e-3))) <= 1e-6
+    v = WeightFn.exp_affine([Fraction(1, 4)], 0)
+    pts = (np.random.default_rng(2024).random(200) * 1.8 - 0.9)[:, None]
+    exact = _scal_v_abreu(u, v, pts)
+    for fd in (scal_v_direct, scal_v_divergence):
+        assert np.max(np.abs(exact - fd(u, v, pts, h=2.5e-4))) <= 1e-6
+
+
+def test_futaki_numeric_matches_boundary_at_resolution_400(interval, p2):
+    # the criterion 5 cases, with no finite-difference error left
+    grid = GridSpec(resolution=400)
+    for p in (interval, p2):
+        e1 = [1] + [0] * (p.dim - 1)
+        for base in (WeightFn.constant(p.dim, 1),
+                     WeightFn.affine_power(AffineFunction(e1, 2), 1),
+                     WeightFn.exp_affine([Fraction(3, 10)]
+                                         + [Fraction(0)] * (p.dim - 1), 0)):
+            v, w = soliton_weight_pair(base, p.dim)
+            u = SymplecticPotential(p)
+            for i in range(p.dim):
+                ell = AffineFunction([1 if j == i else 0 for j in range(p.dim)], 0)
+                num = futaki_numeric(p, u, v, w, ell, grid)
+                bnd = futaki_boundary(p, v, w, ell).value
+                assert abs(num.value - bnd) <= 1e-8
+                assert num.error_estimate <= 1e-8
