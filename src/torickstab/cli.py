@@ -373,6 +373,11 @@ def _suite_identities():
     res = float(np.max(np.abs(d - g)))
     rows.append({"check": "scal_v direct vs divergence (bump metric)",
                  "residual": res, "tol": 1e-6, "pass": bool(res <= 1e-6)})
+    # The two FD forms share their truncation error, so the closed form is
+    # checked against one of them too; at h = 2.5e-4 that error is 4.5e-6.
+    res = float(np.max(np.abs(toricmetrics._scal_v_abreu(u2, v, pts) - d)))
+    rows.append({"check": "scal_v closed form vs direct FD (bump metric)",
+                 "residual": res, "tol": 1e-5, "pass": bool(res <= 1e-5)})
     spec = fibration.FibrationSpec(
         interval, [(fibration.BaseFactor(1, k=2), (1,), 2)])
     fw = fibration.extremal_fibration_weights(spec)

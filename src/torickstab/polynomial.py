@@ -163,6 +163,16 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def compositions(total, parts):
+    """Tuples of `parts` nonnegative ints summing to `total`, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def integrate_monomial_std_simplex(beta) -> Fraction:
     """Dirichlet formula on the standard simplex: prod(beta_i!) / (r + |beta|)!."""
     r = len(beta)

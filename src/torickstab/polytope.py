@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm, prod
+from types import MappingProxyType
 
 import numpy as np
 
 from . import exactlinalg as xla
-from .errors import NotDelzant, NotFullDimensional, Unbounded
+from .errors import DegenerateSimplex, NotDelzant, NotFullDimensional, Unbounded
 from .exactlinalg import frac
-from .polynomial import Polynomial
+from .polynomial import Polynomial, compositions
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,45 @@ class Simplex:
         return np.array([[float(c) for c in v] for v in self.vertices])
 
 
+def moment_table(simplices, degree):
+    """Exact moments, summed over the simplices, of x^alpha for every |alpha| <= degree.
+
+    On a simplex with vertices v_0, ..., v_r (Baldoni, Berline, De Loera,
+    Koeppe & Vergne, Math. Comp. 80 (2011)):
+
+        int_S x^alpha dx = |det E| alpha! / (|alpha| + r)! [t^alpha] prod_i 1 / (1 - <v_i, t>).
+
+    The series coefficients G are filled in graded order, one pass per vertex,
+    G(alpha) += sum_j v_ij G(alpha - e_j), in integers after scaling every
+    vertex by the common denominator q. Then |det E| = |D| / q^r for the
+    integer edge determinant D, and each entry is one Fraction with
+    denominator (|alpha| + r)! q^(|alpha| + r). Returns {alpha: Fraction}.
+    """
+    dim = simplices[0].dim
+    alphas = [a for k in range(degree + 1) for a in compositions(k, dim)]
+    index = {a: i for i, a in enumerate(alphas)}
+    lower = [[(j, index[a[:j] + (a[j] - 1,) + a[j + 1:]]) for j in range(dim) if a[j]]
+             for a in alphas]
+    q = lcm(*(c.denominator for s in simplices for v in s.vertices for c in v))
+    sums = [0] * len(alphas)
+    for simplex in simplices:
+        points = [[int(c * q) for c in v] for v in simplex.vertices]
+        d = abs(int(xla.det([[p[i] - points[0][i] for p in points[1:]] for i in range(dim)])))
+        if d == 0:
+            raise DegenerateSimplex("simplex has zero volume")
+        g = [1] + [0] * (len(alphas) - 1)
+        for p in points:
+            for i in range(1, len(alphas)):
+                g[i] += sum(p[j] * g[k] for j, k in lower[i])
+        for i, gi in enumerate(g):
+            sums[i] += d * gi
+    return {
+        a: Fraction(total * prod(factorial(e) for e in a),
+                    factorial(sum(a) + dim) * q ** (sum(a) + dim))
+        for a, total in zip(alphas, sums)
+    }
+
+
 def _raw_vertices(halfspaces, dim):
     """All feasible intersection points of dim-subsets of the facet hyperplanes."""
     verts = []
@@ -158,28 +198,19 @@ def _raw_vertices(halfspaces, dim):
 def _has_recession_direction(halfspaces, dim):
     """Exact unboundedness test: does {d : <u_j, d> >= 0 for all j} contain d != 0?
 
-    Intersect the recession cone with the unit box and enumerate vertices of the
-    resulting polytope; any nonzero vertex certifies unboundedness.
+    Requires the normals to span R^dim (true once a vertex exists), so the
+    recession cone is pointed and is nonzero iff it has an extreme ray. Every
+    extreme ray lies on a line cut out by dim - 1 of the normals; its direction
+    is their generalized cross product, the signed (dim - 1)-minors.
     """
-    system = [(tuple(h.normal), Fraction(0)) for h in halfspaces]
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        system.append((tuple(e), Fraction(1)))
-        system.append((tuple(-x for x in e), Fraction(1)))
-    for subset in itertools.combinations(range(len(system)), dim):
-        rows = [list(system[j][0]) for j in subset]
-        rhs = [-system[j][1] for j in subset]
-        d = xla.solve(rows, rhs)
-        if d is None:
+    normals = [h.normal for h in halfspaces]
+    for subset in itertools.combinations(normals, dim - 1):
+        d = [(-1) ** i * int(xla.det([row[:i] + row[i + 1:] for row in subset]))
+             for i in range(dim)]
+        if not any(d):
             continue
-        if all(x == 0 for x in d):
-            continue
-        feasible = all(
-            sum(frac(n) * x for n, x in zip(normal, d)) + off >= 0
-            for normal, off in system
-        )
-        if feasible:
+        products = [sum(a * b for a, b in zip(u, d)) for u in normals]
+        if all(p >= 0 for p in products) or all(p <= 0 for p in products):
             return True
     return False
 
@@ -215,6 +246,7 @@ class DelzantPolytope:
             self._check_delzant()
         self._triangulation = None
         self._facets = None
+        self._moments = None  # (degree, read-only moment table)
 
     def _check_delzant(self):
         for v, incident in zip(self.vertices, self.facet_adjacency):
@@ -272,6 +304,17 @@ class DelzantPolytope:
 
     def volume(self) -> Fraction:
         return sum((s.volume() for s in self.triangulate()), Fraction(0))
+
+    def moments(self, degree):
+        """Exact moments {alpha: int x^alpha dx} over the polytope, read-only.
+
+        Holds every |alpha| <= degree, and possibly higher degrees: the table
+        is built once from the triangulation and rebuilt only to grow.
+        """
+        if self._moments is None or self._moments[0] < degree:
+            table = moment_table(self.triangulate(), degree)
+            self._moments = (degree, MappingProxyType(table))
+        return self._moments[1]
 
     # -- facets ---------------------------------------------------------------
 

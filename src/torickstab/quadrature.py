@@ -16,9 +16,9 @@ from math import factorial
 import numpy as np
 
 from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
-from .exactlinalg import det, frac
-from .polynomial import Polynomial, integrate_monomial_std_simplex
-from .polytope import DelzantPolytope, Simplex
+from .exactlinalg import frac
+from .polynomial import Polynomial, compositions
+from .polytope import DelzantPolytope, Simplex, moment_table
 from .weights import WeightFn, WeightSum, as_weight
 
 DEFAULT_TOL = 1e-12
@@ -43,27 +43,24 @@ class QuadratureResult:
 
 
 def integrate_monomial_simplex(simplex: Simplex, alpha) -> Fraction:
-    """Exact integral of x^alpha over a simplex (Dirichlet factorial formula)."""
+    """Exact integral of x^alpha over a simplex."""
     return integrate_poly_simplex(simplex, Polynomial.monomial(simplex.dim, alpha))
 
 
 def integrate_poly_simplex(simplex: Simplex, poly: Polynomial) -> Fraction:
-    m = simplex.edge_matrix()
-    d = det(m)
-    if d == 0:
-        raise DegenerateSimplex("simplex has zero volume")
-    g = poly.compose_affine(m, simplex.vertices[0])
-    total = Fraction(0)
-    for beta, c in g.coeffs.items():
-        total += c * integrate_monomial_std_simplex(beta)
-    return total * abs(d)
+    return _apply_moments(moment_table([simplex], poly.degree()), poly)
 
 
 def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
-    """Exact integral of a rational polynomial over the polytope."""
-    return sum(
-        (integrate_poly_simplex(s, poly) for s in polytope.triangulate()), Fraction(0)
-    )
+    """Exact integral of a rational polynomial over the polytope.
+
+    A linear functional of the polytope's cached moment table.
+    """
+    return _apply_moments(polytope.moments(poly.degree()), poly)
+
+
+def _apply_moments(moments, poly: Polynomial) -> Fraction:
+    return sum((c * moments[a] for a, c in poly.coeffs.items()), Fraction(0))
 
 
 # -- Grundmann--Moeller rules ----------------------------------------------------
@@ -87,7 +84,7 @@ def gm_rule(dim: int, order: int):
             * Fraction(denom) ** d
             / (Fraction(2) ** (2 * s) * factorial(i) * factorial(d + n - i))
         )
-        for k in _compositions(s - i, n + 1):
+        for k in compositions(s - i, n + 1):
             points.append([Fraction(2 * kj + 1, denom) for kj in k])
             weights.append(w)
     pts = np.array([[float(c) for c in p] for p in points])
@@ -95,15 +92,6 @@ def gm_rule(dim: int, order: int):
     # exactness sanity: weights must sum to vol(std simplex)
     assert abs(wts.sum() - 1.0 / factorial(n)) < 1e-12
     return pts, wts
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # -- adaptive integration ---------------------------------------------------------

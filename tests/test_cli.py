@@ -96,6 +96,14 @@ def test_verify_quadrature_all_pass(capsys):
     assert all(row["pass"] for row in rep["results"]["checks"])
 
 
+def test_verify_identities_checks_closed_form_curvature(capsys):
+    code, rep = _run(capsys, "verify", "identities")
+    assert code == EXIT_OK
+    rows = {row["check"]: row for row in rep["results"]["checks"]}
+    row = rows["scal_v closed form vs direct FD (bump metric)"]
+    assert row["pass"] and row["residual"] <= row["tol"] == 1e-5
+
+
 def test_unbounded_polytope_exits_validation(capsys):
     code = main(["polytope-info", "--polytope", UNBOUNDED])
     err = capsys.readouterr().err

@@ -1,10 +1,20 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from torickstab import exactlinalg as xla
 from torickstab.errors import NotDelzant, Unbounded
 from torickstab.polynomial import Polynomial
-from torickstab.polytope import AffineFunction, DelzantPolytope, HalfSpace
+from torickstab.polytope import (
+    AffineFunction,
+    DelzantPolytope,
+    HalfSpace,
+    _has_recession_direction,
+)
 from torickstab.quadrature import integrate_boundary, integrate_poly
 from torickstab.weights import WeightFn
 
@@ -133,3 +143,40 @@ def test_halfspace_requires_primitive_normal():
         HalfSpace((2, 4), 1)
     with pytest.raises(ValueError):
         HalfSpace((0, 0), 1)
+
+
+def _recession_by_box_vertices(halfspaces, dim):
+    """Oracle: a nonzero vertex of the recession cone cut by the unit box."""
+    system = [(h.normal, 0) for h in halfspaces]
+    for i in range(dim):
+        e = tuple(1 if j == i else 0 for j in range(dim))
+        system += [(e, 1), (tuple(-x for x in e), 1)]
+    for subset in itertools.combinations(system, dim):
+        d = xla.solve([list(n) for n, _ in subset], [-c for _, c in subset])
+        if d is None or not any(d):
+            continue
+        if all(sum(n_i * x for n_i, x in zip(n, d)) + c >= 0 for n, c in system):
+            return True
+    return False
+
+
+@st.composite
+def _halfspace_systems(draw):
+    dim = draw(st.integers(1, 3))
+    normals = set()
+    for _ in range(draw(st.integers(1, 6))):
+        n = tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+        g = gcd(*n)
+        if g:
+            normals.add(tuple(x // g for x in n))
+    return [HalfSpace(n, 1) for n in sorted(normals)], dim
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_halfspace_systems())
+def test_recession_test_matches_box_enumeration(case):
+    halfspaces, dim = case
+    # the extreme-ray test needs the normals to span R^dim, as they do once a vertex exists
+    assume(halfspaces and xla.rank([list(h.normal) for h in halfspaces]) == dim)
+    assert _has_recession_direction(halfspaces, dim) == _recession_by_box_vertices(
+        halfspaces, dim)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab.errors import MaxDepthExceeded, SingularOnDomain
+from torickstab.errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
+from torickstab.exactlinalg import det
 from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
-from torickstab.polytope import AffineFunction, Simplex
+from torickstab.polytope import AffineFunction, DelzantPolytope, HalfSpace, Simplex
 from torickstab.quadrature import (
     _adaptive,
     _bisect_all,
@@ -270,3 +271,77 @@ def test_bisect_all_halves_the_longest_edge():
         assert np.allclose(kids[2 * rows + 1, moved_b], 0.5 * (a + b), rtol=0, atol=1e-15)
         edges = np.linalg.norm(verts[:, :, None] - verts[:, None, :], axis=3)
         assert np.array_equal(np.linalg.norm(a - b, axis=1), edges.max(axis=(1, 2)))
+
+
+# -- moment tables against compose-then-Dirichlet ------------------------------------
+
+
+def _oracle_poly_simplex(simplex, poly):
+    """Pull the polynomial back to the standard simplex and apply Dirichlet's formula."""
+    m = simplex.edge_matrix()
+    g = poly.compose_affine(m, simplex.vertices[0])
+    return abs(det(m)) * sum((c * integrate_monomial_std_simplex(beta)
+                         for beta, c in g.coeffs.items()), Fraction(0))
+
+
+def _oracle_poly(polytope, poly):
+    return sum((_oracle_poly_simplex(s, poly) for s in polytope.triangulate()), Fraction(0))
+
+
+CANONICAL = POLYGONS + [
+    make_polytope(((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)),
+]
+
+
+def _sheared(p, k):
+    """Image of p under the unimodular shear x_0 -> x_0 + k x_1."""
+    return DelzantPolytope([
+        HalfSpace((h.normal[0], h.normal[1] - k * h.normal[0]) + h.normal[2:], h.offset)
+        for h in p.halfspaces])
+
+
+@st.composite
+def _polytope_and_poly(draw):
+    p = draw(st.sampled_from(CANONICAL))
+    if p.dim > 1:
+        p = _sheared(p, draw(st.integers(-2, 2)))
+    q = draw(st.sampled_from([1, 3, 11]))
+    p = p.translated([Fraction(draw(st.integers(-12, 12)), q) for _ in range(p.dim)])
+    degree = draw(st.integers(0, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=p.dim - 1,
+                                max_size=p.dim - 1)))
+    top = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+    coeffs = {top: Fraction(draw(st.sampled_from([-9, -5, -1, 1, 4, 9])), 7)}
+    for _ in range(draw(st.integers(0, 4))):
+        beta = tuple(draw(st.lists(st.integers(0, degree), min_size=p.dim, max_size=p.dim)))
+        if sum(beta) <= degree:
+            coeffs[beta] = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 7])))
+    return p, Polynomial(p.dim, coeffs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_polytope_and_poly())
+def test_integrate_poly_matches_compose_dirichlet_oracle(case):
+    p, poly = case
+    assert integrate_poly(p, poly) == _oracle_poly(p, poly)
+    s = p.triangulate()[-1]
+    flipped = Simplex((s.vertices[1], s.vertices[0]) + s.vertices[2:])  # negative orientation
+    assert integrate_poly_simplex(flipped, poly) == _oracle_poly_simplex(s, poly)
+
+
+def test_moment_table_grows_with_degree(f1):
+    p = f1.translated([Fraction(2, 11), Fraction(-5, 3)])
+    low = Polynomial(2, {(1, 1): Fraction(3, 7), (0, 0): 2})
+    high = Polynomial(2, {(5, 2): Fraction(-1, 2), (0, 6): 1, (1, 0): Fraction(4, 9)})
+    for poly in (low, high, low, high.power(2)):
+        assert integrate_poly(p, poly) == _oracle_poly(p, poly)
+    assert max(sum(a) for a in p.moments(0)) == 14
+
+
+def test_degenerate_simplex_raises():
+    flat = Simplex(((0, 0), (1, 1), (Fraction(5, 2), Fraction(5, 2))))
+    for poly in (Polynomial.constant(2, 1), Polynomial(2, {(3, 1): 1}), Polynomial(2, {})):
+        with pytest.raises(DegenerateSimplex):
+            integrate_poly_simplex(flat, poly)
+    with pytest.raises(DegenerateSimplex):
+        integrate_monomial_simplex(flat, (2, 0))

@@ -292,3 +292,4 @@ def test_futaki_numeric_matches_boundary_at_resolution_400(interval, p2):
                 bnd = futaki_boundary(p, v, w, ell).value
                 assert abs(num.value - bnd) <= 1e-8
                 assert num.error_estimate <= 1e-8
+                assert abs(num.value - bnd) <= num.error_estimate
