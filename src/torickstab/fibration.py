@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import NotAdmissible, NotCanonicalFano
 from .exactlinalg import frac
 from .invariants import extremal_affine
-from .polytope import AffineFunction, DelzantPolytope
+from .polytope import AffineFunction, DelzantPolytope, cramer_vertices
 from .quadrature import DEFAULT_TOL
 from .solvers import SolverResult, msy_reeb, tian_zhu_soliton
 from .weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
@@ -160,60 +162,33 @@ def enumerate_fano(fiber: DelzantPolytope, factors):
         raise NotCanonicalFano("enumeration requires the canonical fiber presentation")
     per_factor = []
     for factor in factors:
-        k = Fraction(int(factor.k if isinstance(factor, BaseFactor) else factor))
+        k = int(factor.k if isinstance(factor, BaseFactor) else factor)
         per_factor.append(_admissible_lattice(fiber, k))
     return list(itertools.product(*per_factor))
 
 
-def _admissible_lattice(fiber: DelzantPolytope, k: Fraction):
-    r = fiber.dim
-    verts = fiber.vertices
-    # box: for each coordinate, bound |y_i| via the feasible polytope
-    # {y : <y, v> >= -k for all vertices v}; its vertices come from r-subsets
-    box = _feasible_box(verts, k, r)
+def _admissible_lattice(fiber: DelzantPolytope, k: int):
+    """Integer c with <c, v> + k > 0 at every vertex v, tested as <c, q v> + q k > 0
+    in integers for the vertices' common denominator q (1 on a canonical Fano polytope)."""
+    q = lcm(*(c.denominator for v in fiber.vertices for c in v))
+    rows = [(tuple(c.numerator * (q // c.denominator) for c in v), q * k) for v in fiber.vertices]
+    box = _feasible_box(rows, fiber.dim)
     out = []
     for cand in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        if all(sum(frac(c) * frac(vi) for c, vi in zip(cand, v)) + k > 0
-               for v in verts):
+        if all(sum(map(mul, cand, w)) + b > 0 for w, b in rows):
             out.append(cand)
     return out
 
 
-def _feasible_box(verts, k, r):
-    from .exactlinalg import solve
+def _feasible_box(rows, r):
+    """Integer bounding box of the bounded region {y : <w, y> + b >= 0 for (w, b) in rows}.
 
-    if r == 1:
-        # <y, v> + k >= 0 for both endpoint values of v
-        bounds = []
-        for v in verts:
-            if v[0] != 0:
-                bounds.append(-k / v[0])
-        lo = min(b for b in bounds)
-        hi = max(b for b in bounds)
-        return [(_ceil(lo), _floor(hi))]
-    corners = []
-    n = len(verts)
-    for subset in itertools.combinations(range(n), r):
-        rows = [list(verts[i]) for i in subset]
-        sol = solve(rows, [-k] * r)
-        if sol is None:
-            continue
-        if all(sum(frac(vi) * s for vi, s in zip(v, sol)) + k >= 0 for v in verts):
-            corners.append(sol)
-    box = []
-    for i in range(r):
-        lo = min(c[i] for c in corners)
-        hi = max(c[i] for c in corners)
-        box.append((_ceil(lo), _floor(hi)))
-    return box
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+    Its corners are num / D from `cramer_vertices`; the box runs from the least
+    ceil(num_i / D) to the greatest floor(num_i / D) in each coordinate.
+    """
+    corners = [(num, d) for num, d, _ in cramer_vertices(rows, r)]
+    return [(min(-(-num[i] // d) for num, d in corners), max(num[i] // d for num, d in corners))
+            for i in range(r)]
 
 
 def pv_soliton_pipeline(spec: FibrationSpec, v=1, tol=1e-10, max_iter=100,

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import mul
 from types import MappingProxyType
 
 import numpy as np
@@ -160,7 +161,7 @@ def moment_table(simplices, degree):
     sums = [0] * len(alphas)
     for simplex in simplices:
         points = [[int(c * q) for c in v] for v in simplex.vertices]
-        d = abs(int(xla.det([[p[i] - points[0][i] for p in points[1:]] for i in range(dim)])))
+        d = abs(_int_det([[p[i] - points[0][i] for p in points[1:]] for i in range(dim)]))
         if d == 0:
             raise DegenerateSimplex("simplex has zero volume")
         g = [1] + [0] * (len(alphas) - 1)
@@ -176,23 +177,65 @@ def moment_table(simplices, degree):
     }
 
 
-def _raw_vertices(halfspaces, dim):
-    """All feasible intersection points of dim-subsets of the facet hyperplanes."""
-    verts = []
-    seen = set()
-    for subset in itertools.combinations(range(len(halfspaces)), dim):
-        rows = [list(halfspaces[j].normal) for j in subset]
-        rhs = [-halfspaces[j].offset for j in subset]
-        x = xla.solve(rows, rhs)
-        if x is None:
+def _int_det(rows) -> int:
+    """Determinant of a small square integer matrix: explicit up to 3 x 3, Laplace above."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum((-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def cramer_vertices(rows, dim):
+    """Feasible points of {x : <a, x> + b >= 0 for (a, b) in rows} on dim of the hyperplanes.
+
+    Normals a are integer tuples and offsets b integers. For each dim-subset
+    with determinant D != 0, Cramer's rule gives x = num / D with integer
+    numerators; with D made positive, x is feasible iff <a, num> + b D >= 0 for
+    every row. Yields
+    (num, D, values) with those integers as values, one per row, zero exactly on
+    the hyperplanes through x. A point on more than dim of the hyperplanes is
+    yielded once for every subset through it.
+    """
+    for subset in itertools.combinations(rows, dim):
+        a = [n for n, _ in subset]
+        d = _int_det(a)
+        if d == 0:
             continue
-        key = tuple(x)
-        if key in seen:
-            continue
-        if all(h.value(x) >= 0 for h in halfspaces):
-            seen.add(key)
-            verts.append(key)
-    return sorted(verts)
+        rhs = [-b for _, b in subset]
+        num = [_int_det([row[:i] + (c,) + row[i + 1:] for row, c in zip(a, rhs)])
+               for i in range(dim)]
+        if d < 0:
+            d, num = -d, [-x for x in num]
+        values = [sum(map(mul, n, num)) + b * d for n, b in rows]
+        if min(values) >= 0:
+            yield num, d, values
+
+
+def _vertex_incidence(halfspaces, dim):
+    """{vertex: indices of the half-spaces through it}, exact.
+
+    The offsets are scaled by their common denominator q, so that a vertex is
+    num / (D q) for the integers of `cramer_vertices`. Its incidence set holds a
+    nonsingular subset, so it names the vertex: later subsets through the same
+    vertex are skipped before any Fraction is built.
+    """
+    q = lcm(*(h.offset.denominator for h in halfspaces))
+    rows = [(h.normal, h.offset.numerator * (q // h.offset.denominator)) for h in halfspaces]
+    found = {}
+    for num, d, values in cramer_vertices(rows, dim):
+        incident = tuple(j for j, v in enumerate(values) if v == 0)
+        if incident not in found:
+            found[incident] = tuple(Fraction(x, d * q) for x in num)
+    return {v: incident for incident, v in found.items()}
 
 
 def _has_recession_direction(halfspaces, dim):
@@ -205,7 +248,7 @@ def _has_recession_direction(halfspaces, dim):
     """
     normals = [h.normal for h in halfspaces]
     for subset in itertools.combinations(normals, dim - 1):
-        d = [(-1) ** i * int(xla.det([row[:i] + row[i + 1:] for row in subset]))
+        d = [(-1) ** i * _int_det([row[:i] + row[i + 1:] for row in subset])
              for i in range(dim)]
         if not any(d):
             continue
@@ -218,7 +261,7 @@ def _has_recession_direction(halfspaces, dim):
 class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
-    def __init__(self, halfspaces, _skip_checks=False):
+    def __init__(self, halfspaces):
         halfspaces = list(halfspaces)
         if not halfspaces:
             raise ValueError("need at least one half-space")
@@ -226,11 +269,12 @@ class DelzantPolytope:
         if any(h.dim != self.dim for h in halfspaces):
             raise ValueError("inconsistent half-space dimensions")
         self.halfspaces = tuple(halfspaces)
-        self.vertices = tuple(_raw_vertices(self.halfspaces, self.dim))
-        if not self.vertices:
+        incidence = _vertex_incidence(self.halfspaces, self.dim)
+        if not incidence:
             raise NotFullDimensional("no vertices: intersection empty or degenerate")
         if _has_recession_direction(self.halfspaces, self.dim):
             raise Unbounded("half-space intersection has a recession direction")
+        self.vertices = tuple(sorted(incidence))
         edges = [
             [v[i] - self.vertices[0][i] for i in range(self.dim)]
             for v in self.vertices[1:]
@@ -238,15 +282,28 @@ class DelzantPolytope:
         if xla.rank(edges) < self.dim:
             raise NotFullDimensional("vertices span a lower-dimensional set")
         # vertex <-> facet incidence
-        self.facet_adjacency = tuple(
-            tuple(j for j, h in enumerate(self.halfspaces) if h.value(v) == 0)
-            for v in self.vertices
-        )
-        if not _skip_checks:
-            self._check_delzant()
+        self.facet_adjacency = tuple(incidence[v] for v in self.vertices)
+        self._check_delzant()
         self._triangulation = None
         self._facets = None
         self._moments = None  # (degree, read-only moment table)
+
+    @classmethod
+    def _from_incidence(cls, halfspaces, vertices, facet_adjacency):
+        """A polytope from its sorted vertices and their incidence, taken as given.
+
+        For data already known to describe a bounded Delzant polytope, such as a
+        facet of one: no vertex enumeration and no checks.
+        """
+        p = cls.__new__(cls)
+        p.dim = halfspaces[0].dim
+        p.halfspaces = tuple(halfspaces)
+        p.vertices = tuple(vertices)
+        p.facet_adjacency = tuple(facet_adjacency)
+        p._triangulation = None
+        p._facets = None
+        p._moments = None
+        return p
 
     def _check_delzant(self):
         for v, incident in zip(self.vertices, self.facet_adjacency):
@@ -255,7 +312,7 @@ class DelzantPolytope:
                     f"vertex {v} lies on {len(incident)} facets, expected {self.dim}",
                     vertex=v,
                 )
-            d = xla.det([list(self.halfspaces[j].normal) for j in incident])
+            d = _int_det([self.halfspaces[j].normal for j in incident])
             if abs(d) != 1:
                 raise NotDelzant(
                     f"vertex {v}: incident normal determinant {d}, expected +-1",
@@ -398,36 +455,45 @@ def _triangulate(p: DelzantPolytope, root_index=0):
 
 
 def _build_facet(p: DelzantPolytope, j: int) -> Facet:
+    """Facet j in its lattice chart, from the parent's vertices and incidence.
+
+    Its vertices are the parent vertices on facet j, in chart coordinates
+    t = rows 1.. of V^-1 applied to x - origin, where V = unimodular_completion
+    has determinant +-1, so V^-1 is its signed adjugate. Its half-spaces are the
+    facets k that share a vertex with j (in parent order), pulled back to the
+    chart and made primitive.
+    """
     h = p.halfspaces[j]
-    incident = [i for i in range(len(p.vertices)) if j in p.facet_adjacency[i]]
+    incident = [i for i, adj in enumerate(p.facet_adjacency) if j in adj]
     origin = p.vertices[incident[0]]  # vertices are sorted, so this is lex-min
     if p.dim == 1:
         return Facet(origin, (), None)
+    r = p.dim
     v_mat = xla.unimodular_completion(h.normal)
-    basis = tuple(tuple(v_mat[i][k] for k in range(1, p.dim)) for i in range(p.dim))
+    basis = tuple(tuple(v_mat[i][k] for k in range(1, r)) for i in range(r))
+    sign = _int_det(v_mat)
+    chart = [[sign * (-1) ** (k + i) * _int_det([row[:k] + row[k + 1:]
+                                                 for row in v_mat[:i] + v_mat[i + 1:]])
+              for i in range(r)]
+             for k in range(1, r)]
+    neighbours = sorted({k for i in incident for k in p.facet_adjacency[i]} - {j})
     sub_halfspaces = []
-    for k, other in enumerate(p.halfspaces):
-        if k == j:
-            continue
-        aff = other.affine().compose_affine(basis, origin)
-        if all(z == 0 for z in aff.zeta):
-            continue
-        # normalize to primitive integer normal
-        denom = 1
-        for z in aff.zeta:
-            denom = denom * z.denominator // gcd(denom, z.denominator)
-        ints = [int(z * denom) for z in aff.zeta]
-        g = 0
-        for n in ints:
-            g = gcd(g, abs(n))
-        sub_halfspaces.append(
-            HalfSpace(tuple(n // g for n in ints), aff.const * denom / g)
-        )
-    # dedupe identical half-spaces (parallel facets collapsing in the chart)
-    uniq = {}
-    for hs in sub_halfspaces:
-        key = (hs.normal,)
-        if key not in uniq or hs.offset < uniq[key].offset:
-            uniq[key] = hs
-    sub = DelzantPolytope(list(uniq.values()))
+    for k in neighbours:
+        other = p.halfspaces[k]
+        zeta = [sum(map(mul, other.normal, column)) for column in zip(*basis)]
+        g = gcd(*zeta)
+        const = sum((n * c for n, c in zip(other.normal, origin)), other.offset)
+        sub_halfspaces.append(HalfSpace([z // g for z in zeta], const / g))
+    position = {k: n for n, k in enumerate(neighbours)}
+    q = lcm(*(c.denominator for i in incident for c in p.vertices[i]))
+    scaled = {i: [c.numerator * (q // c.denominator) for c in p.vertices[i]] for i in incident}
+    base = scaled[incident[0]]
+    points = sorted(
+        (tuple(Fraction(sum(w * (x - o) for w, x, o in zip(row, scaled[i], base)), q)
+               for row in chart),
+         tuple(position[k] for k in p.facet_adjacency[i] if k != j))
+        for i in incident
+    )
+    sub = DelzantPolytope._from_incidence(
+        sub_halfspaces, [t for t, _ in points], [adj for _, adj in points])
     return Facet(origin, basis, sub)

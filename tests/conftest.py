@@ -36,3 +36,37 @@ def f1():
 @pytest.fixture
 def half():
     return Fraction(1, 2)
+
+
+# Facet normals of canonical Fano polytopes (every offset 1), for property tests.
+CANONICAL_NORMALS = {
+    "P1": ((1,), (-1,)),
+    "P2": ((1, 0), (0, 1), (-1, -1)),
+    "F1": ((1, 0), (0, 1), (-1, -1), (0, -1)),
+    "Bl3P2": ((1, 0), (0, 1), (-1, -1), (0, -1), (-1, 0), (1, 1)),
+    "P3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+    "P1^3": ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+    "BlP3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
+    "P4": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
+}
+
+
+def moved_canonical(name, shears, shift, offsets=None):
+    """A canonical Fano polytope in another lattice basis, then translated by `shift`.
+
+    Each shear (i, j, a) adds a times row j to row i of a matrix M that starts
+    as the identity; the normals become M u, so M is unimodular and the result
+    is Delzant. The offsets become c - <M u, shift>, with c = 1 unless
+    `offsets` gives other ones (which can change the combinatorics).
+    """
+    normals = CANONICAL_NORMALS[name]
+    dim = len(normals[0])
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for i, j, a in shears:
+        if dim > 1 and i % dim != j % dim:
+            m[i % dim] = [x + a * y for x, y in zip(m[i % dim], m[j % dim])]
+    halfspaces = []
+    for u, c in zip(normals, offsets or [1] * len(normals)):
+        mu = tuple(sum(row[k] * u[k] for k in range(dim)) for row in m)
+        halfspaces.append((mu, c - sum(a * Fraction(t) for a, t in zip(mu, shift))))
+    return make_polytope(*halfspaces)

@@ -79,6 +79,27 @@ def test_fibration_enumerate(capsys):
     assert rep["results"]["count"] == 3
 
 
+def test_successive_calls_parse_their_own_factor_lists(capsys):
+    # the parser is built once per process; --factor appends must not leak between calls
+    one = ["fibration", "enumerate", "--fiber", INTERVAL, "--factor", "n=1,k=2"]
+    two = one + ["--factor", "n=1,k=1"]
+    reports = [_run(capsys, *argv)[1] for argv in (one, two, one)]
+    k2, k1 = {"n": 1, "k": 2}, {"n": 1, "k": 1}
+    assert [r["inputs"]["factors"] for r in reports] == [[k2], [k2, k1], [k2]]
+    assert [r["results"]["count"] for r in reports] == [3, 3, 3]
+
+
+def test_polytope_info_cut_cube(capsys):
+    cube = [{"normal": [s * int(i == j) for j in range(3)], "offset": 1}
+            for i in range(3) for s in (1, -1)]
+    cut = json.dumps({"facets": cube + [{"normal": [1, 1, 1], "offset": 2}]})
+    code, rep = _run(capsys, "polytope-info", "--polytope", cut)
+    assert code == EXIT_OK
+    assert rep["results"]["volume"] == "47/6"
+    assert [f["sigma_mass"] for f in rep["results"]["facets"]] == [
+        "7/2", "4", "7/2", "4", "7/2", "4", "1/2"]
+
+
 def test_fibration_validate_rejects(capsys):
     bad = json.dumps({
         "fiber": json.loads(INTERVAL),

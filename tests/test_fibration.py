@@ -1,12 +1,17 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from torickstab import exactlinalg as xla
 from torickstab.errors import NotAdmissible, NotCanonicalFano
 from torickstab.fibration import (
     BaseFactor,
+    _admissible_lattice,
     FibrationSpec,
     base_curvature_weight,
     enumerate_fano,
@@ -19,7 +24,7 @@ from torickstab.fibration import (
 from torickstab.polytope import AffineFunction
 from torickstab.weights import WeightFn, WeightSum
 
-from conftest import make_polytope
+from conftest import CANONICAL_NORMALS, make_polytope, moved_canonical
 
 
 def _spec(fiber, *factors):
@@ -166,3 +171,31 @@ def test_fibration_json_round_trip(interval):
     back = fibration_from_json(data)
     assert back.fiber.vertices == spec.fiber.vertices
     assert back.factors == spec.factors
+
+
+def _admissible_by_fraction_solves(fiber, k):
+    """Oracle: the twist box from Fraction solves over r-subsets of the vertices, and
+    each candidate tested at every vertex in Fractions."""
+    verts, r = fiber.vertices, fiber.dim
+    corners = []
+    for subset in itertools.combinations(verts, r):
+        sol = xla.solve([list(v) for v in subset], [-k] * r)
+        if sol is not None and all(sum(a * b for a, b in zip(v, sol)) + k >= 0 for v in verts):
+            corners.append(sol)
+    box = [range(math.ceil(min(c[i] for c in corners)), math.floor(max(c[i] for c in corners)) + 1)
+           for i in range(r)]
+    return [cand for cand in itertools.product(*box)
+            if all(sum(Fraction(c) * x for c, x in zip(cand, v)) + k > 0 for v in verts)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CANONICAL_NORMALS)),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1])),
+                max_size=4),
+       st.lists(st.builds(Fraction, st.integers(-4, 4), st.just(11)), min_size=4, max_size=4),
+       st.integers(1, 3))
+def test_integer_twist_test_matches_fraction_oracle(name, shears, shift, k):
+    fiber = moved_canonical(name, shears, shift[:len(CANONICAL_NORMALS[name][0])])
+    # the twist region is bounded while 0 stays interior
+    assume(fiber.contains_interior([Fraction(0)] * fiber.dim))
+    assert _admissible_lattice(fiber, k) == _admissible_by_fraction_solves(fiber, Fraction(k))

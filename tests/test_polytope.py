@@ -7,18 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torickstab import exactlinalg as xla
-from torickstab.errors import NotDelzant, Unbounded
+from torickstab.errors import NotDelzant, NotFullDimensional, Unbounded
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import (
     AffineFunction,
     DelzantPolytope,
     HalfSpace,
+    _build_facet,
     _has_recession_direction,
+    _vertex_incidence,
 )
 from torickstab.quadrature import integrate_boundary, integrate_poly
 from torickstab.weights import WeightFn
 
-from conftest import make_polytope
+from conftest import CANONICAL_NORMALS, make_polytope, moved_canonical
 
 
 def test_interval_vertices(interval):
@@ -180,3 +182,164 @@ def test_recession_test_matches_box_enumeration(case):
     assume(halfspaces and xla.rank([list(h.normal) for h in halfspaces]) == dim)
     assert _has_recession_direction(halfspaces, dim) == _recession_by_box_vertices(
         halfspaces, dim)
+
+
+# -- a facet chart that used to keep a half-space with no vertex ---------------------
+
+
+@pytest.fixture
+def cut_cube():
+    """[-1, 1]^3 with the corner (-1, -1, -1) cut off by x1 + x2 + x3 + 2 >= 0.
+
+    In the chart of x1 = 1 the cut pulls back to x2 + x3 + 3 >= 0, which meets
+    the square facet nowhere.
+    """
+    cube = [(tuple(s * int(i == j) for j in range(3)), 1) for i in range(3) for s in (1, -1)]
+    return make_polytope(*cube, ((1, 1, 1), 2))
+
+
+def test_cut_cube_volume_and_sigma_masses(cut_cube):
+    assert cut_cube.volume() == Fraction(47, 6)
+    masses = {h.normal: f.sigma_measure() for h, f in cut_cube.facets()}
+    assert masses == {(1, 0, 0): Fraction(7, 2), (0, 1, 0): Fraction(7, 2),
+                      (0, 0, 1): Fraction(7, 2), (-1, 0, 0): 4, (0, -1, 0): 4,
+                      (0, 0, -1): 4, (1, 1, 1): Fraction(1, 2)}
+
+
+def test_cut_cube_weighted_divergence_identity(cut_cube):
+    # div(x f) = r f + <x, grad f>, and <x, outward unit normal> dS = c_F dsigma on F
+    f = Polynomial(3, {(3, 0, 0): Fraction(1), (1, 1, 1): Fraction(-2),
+                       (0, 1, 2): Fraction(1, 3), (0, 0, 1): Fraction(5), (0, 0, 0): 1})
+    lhs = Fraction(0)
+    for h, facet in cut_cube.facets():
+        basis = [list(row) for row in facet.basis]
+        lhs += h.offset * integrate_poly(facet.subpolytope, f.compose_affine(basis, facet.origin))
+    rhs = f.scale(3)
+    for i in range(3):
+        rhs = rhs + Polynomial.linear([int(j == i) for j in range(3)]) * f.partial(i)
+    assert lhs == integrate_poly(cut_cube, rhs)
+
+
+# -- the Fraction constructions as oracles of the integer ones ------------------------
+
+
+def _raw_vertices_by_fraction_solves(halfspaces, dim):
+    """Oracle: one exact Fraction solve per dim-subset, feasibility by HalfSpace.value."""
+    verts = set()
+    for subset in itertools.combinations(halfspaces, dim):
+        x = xla.solve([list(h.normal) for h in subset], [-h.offset for h in subset])
+        if x is not None and all(h.value(x) >= 0 for h in halfspaces):
+            verts.add(tuple(x))
+    return sorted(verts)
+
+
+def _facet_by_pullback(p, j):
+    """Oracle: pull every other half-space back to the chart of facet j, drop the
+    constant ones, keep the tightest of each normal, and validate the result."""
+    h = p.halfspaces[j]
+    incident = [i for i in range(len(p.vertices)) if j in p.facet_adjacency[i]]
+    origin = p.vertices[incident[0]]
+    v_mat = xla.unimodular_completion(h.normal)
+    basis = tuple(tuple(v_mat[i][k] for k in range(1, p.dim)) for i in range(p.dim))
+    pulled, uniq = {}, {}
+    for k, other in enumerate(p.halfspaces):
+        if k == j:
+            continue
+        aff = other.affine().compose_affine(basis, origin)
+        if all(z == 0 for z in aff.zeta):
+            continue
+        ints = [int(z) for z in aff.zeta]
+        g = gcd(*ints)
+        hs = pulled[k] = HalfSpace(tuple(n // g for n in ints), aff.const / g)
+        if hs.normal not in uniq or hs.offset < uniq[hs.normal].offset:
+            uniq[hs.normal] = hs
+    return origin, basis, pulled, DelzantPolytope(list(uniq.values()))
+
+
+def _assert_facets_match_oracles(p):
+    for j, (h, facet) in enumerate(p.facets()):
+        if p.dim == 1:
+            assert facet.subpolytope is None
+            continue
+        sub = facet.subpolytope
+        # the facet's own data passes every check of the public constructor
+        rebuilt = DelzantPolytope(sub.halfspaces)
+        assert (rebuilt.vertices, rebuilt.facet_adjacency) == (sub.vertices, sub.facet_adjacency)
+        assert all(h.value(facet.embed(t)) == 0 and p.contains(facet.embed(t))
+                   for t in sub.vertices)
+        try:
+            origin, basis, pulled, old = _facet_by_pullback(p, j)
+        except NotDelzant:  # a pulled-back half-space through a vertex of the facet
+            continue
+        # the oracle orders half-spaces by normal and keeps some that meet the
+        # facet nowhere; the facet keeps its neighbours in parent order
+        assert (facet.origin, facet.basis) == (origin, basis)
+        assert sub.vertices == old.vertices
+        assert {frozenset(sub.halfspaces[k] for k in adj) for adj in sub.facet_adjacency} == {
+            frozenset(old.halfspaces[k] for k in adj) for adj in old.facet_adjacency}
+        assert set(sub.halfspaces) == {old.halfspaces[k] for adj in old.facet_adjacency
+                                       for k in adj}
+        neighbours = [k for k in range(len(p.halfspaces))
+                      if k != j and any(j in adj and k in adj for adj in p.facet_adjacency)]
+        assert sub.halfspaces == tuple(pulled[k] for k in neighbours)
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+_shears = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1])),
+                   max_size=4)
+
+
+@st.composite
+def _rational_systems(draw):
+    """Random primitive normals, or a canonical fan in a sheared basis, with rational offsets."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(CANONICAL_NORMALS)))
+        offsets = [abs(draw(_fractions)) + Fraction(1, 2) for _ in CANONICAL_NORMALS[name]]
+        try:
+            p = moved_canonical(name, draw(_shears), (), offsets)
+        except (NotDelzant, NotFullDimensional):
+            return [], 0
+        return list(p.halfspaces), p.dim
+    dim = draw(st.integers(1, 3))
+    halfspaces = []
+    for _ in range(draw(st.integers(1, 7))):
+        n = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        g = gcd(*n)
+        if g:
+            halfspaces.append(HalfSpace([x // g for x in n], draw(_fractions)))
+    return halfspaces, dim
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rational_systems())
+def test_integer_vertices_and_facets_match_fraction_oracles(case):
+    halfspaces, dim = case
+    assume(halfspaces)
+    incidence = _vertex_incidence(halfspaces, dim)
+    assert sorted(incidence) == _raw_vertices_by_fraction_solves(halfspaces, dim)
+    assert all(incidence[v] == tuple(j for j, h in enumerate(halfspaces) if h.value(v) == 0)
+               for v in incidence)
+    try:
+        p = DelzantPolytope(halfspaces)
+    except (NotDelzant, Unbounded, NotFullDimensional):
+        return
+    if all(any(j in adj for adj in p.facet_adjacency) for j in range(len(halfspaces))):
+        _assert_facets_match_oracles(p)
+
+
+_elevenths = st.lists(st.builds(Fraction, st.integers(-7, 7), st.just(11)),
+                      min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CANONICAL_NORMALS)), _shears, _elevenths)
+def test_moved_canonical_polytopes_match_fraction_oracles(name, shears, shift):
+    p = moved_canonical(name, shears, shift[:len(CANONICAL_NORMALS[name][0])])
+    assert list(p.vertices) == _raw_vertices_by_fraction_solves(p.halfspaces, p.dim)
+    _assert_facets_match_oracles(p)
+
+
+def test_cut_cube_facets_match_fraction_oracles(cut_cube):
+    _assert_facets_match_oracles(cut_cube)
