@@ -111,18 +111,14 @@ def cmd_futaki(args):
             _load_json(args.direction, "direction"), p.dim, "direction")]
     else:
         raise SchemaError("direction", "need --direction or --all-affine")
-    rows = []
-    for ell in directions:
-        row = {"boundary": jsonio.futaki_report_to_json(
-            invariants.futaki_boundary(p, v, w, ell, tol=args.tol,
-                                       normalization=args.normalization))}
-        if p.is_canonical_fano():
-            # closed form applies on canonical Fano data with the soliton pairing
-            zeta = list(ell.zeta)
-            row["fano_closed_form"] = jsonio.futaki_report_to_json(
-                invariants.futaki_fano(p, v, zeta, normalization=args.normalization,
-                                       tol=args.tol))
-        rows.append(row)
+    rows = [{"boundary": jsonio.futaki_report_to_json(rep)} for rep in invariants.futaki_boundary(
+        p, v, w, directions, tol=args.tol, normalization=args.normalization)]
+    if p.is_canonical_fano():
+        # closed form applies on canonical Fano data with the soliton pairing
+        for row, rep in zip(rows, invariants.futaki_fano(
+                p, v, [list(ell.zeta) for ell in directions],
+                normalization=args.normalization, tol=args.tol)):
+            row["fano_closed_form"] = jsonio.futaki_report_to_json(rep)
     _emit(_report("futaki", {
         "polytope": jsonio.polytope_to_json(p),
         "v": jsonio.weight_to_json(v),

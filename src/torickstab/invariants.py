@@ -10,9 +10,8 @@ import numpy as np
 
 from .errors import IllConditioned, NotCanonicalFano
 from .exactlinalg import solve
-from .polynomial import Polynomial
 from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import DEFAULT_TOL, integrate_boundary, integrate_weighted
+from .quadrature import DEFAULT_TOL, integrate_products
 from .weights import WeightFn, as_weight, require_positive
 
 CONDITION_LIMIT = 1e12
@@ -44,57 +43,52 @@ def _norm_factor(normalization: str, dim: int) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _linear(zeta, const=0) -> WeightFn:
-    return WeightFn.from_polynomial(Polynomial.linear(zeta, const))
+def _report(direction, method, normalization, dim, *terms) -> FutakiReport:
+    """The report of sum(coef * res) over (coef, QuadratureResult) terms."""
+    kappa = _norm_factor(normalization, dim)
+    exact = None
+    if all(res.exact is not None for _, res in terms):
+        exact = sum(c * res.exact for c, res in terms)
+    value = float(exact) if exact is not None else sum(c * res.value for c, res in terms)
+    return FutakiReport(direction, kappa * value, method, normalization,
+                        exact if normalization == "polytope" else None,
+                        kappa * sum(abs(c) * res.error_estimate for c, res in terms))
 
 
 def futaki_fano(polytope: DelzantPolytope, v, zeta,
-                normalization: str = "polytope", tol=DEFAULT_TOL) -> FutakiReport:
+                normalization: str = "polytope", tol=DEFAULT_TOL):
     """Closed-form Futaki value on a canonical Fano polytope.
 
     Valid for the weight pair (v, 2(m + <d log v, x>) v): the invariant in the
     affine direction <zeta, x> reduces to 2 * integral of <zeta, x> v(x) dx.
+    A list of zeta vectors gives a list of reports from one expansion of v.
     """
     if not polytope.is_canonical_fano():
         raise NotCanonicalFano("closed form requires the canonical Fano presentation")
     require_positive(v, polytope, name="v")
-    v = as_weight(v, polytope.dim)
-    res = integrate_weighted(polytope, v * _linear(zeta), tol=tol)
-    kappa = _norm_factor(normalization, polytope.dim)
-    exact = None
-    if res.exact is not None and normalization == "polytope":
-        exact = 2 * res.exact
-    return FutakiReport(
-        direction=AffineFunction(zeta, 0),
-        value=2.0 * kappa * res.value,
-        method="fano_closed_form",
-        normalization=normalization,
-        exact=exact,
-        error_estimate=2.0 * kappa * res.error_estimate,
-    )
+    many = isinstance(zeta[0], (list, tuple))
+    directions = [AffineFunction(z, 0) for z in (zeta if many else [zeta])]
+    integrals = integrate_products(polytope, v, [(ell,) for ell in directions], tol=tol)
+    reports = [_report(ell, "fano_closed_form", normalization, polytope.dim, (2, res))
+               for ell, res in zip(directions, integrals)]
+    return reports if many else reports[0]
 
 
-def futaki_boundary(polytope: DelzantPolytope, v, w, ell: AffineFunction,
-                    tol=DEFAULT_TOL, normalization: str = "polytope") -> FutakiReport:
-    """Boundary-formula Futaki value: 2*int_{bd} v ell dsigma - int w ell dx."""
+def futaki_boundary(polytope: DelzantPolytope, v, w, ell,
+                    tol=DEFAULT_TOL, normalization: str = "polytope"):
+    """Boundary-formula Futaki value: 2*int_{bd} v ell dsigma - int w ell dx.
+
+    Given a list of directions it returns a list of reports, sharing one
+    expansion of each weight and one pull-back of v per facet.
+    """
     require_positive(v, polytope, name="v")
-    v = as_weight(v, polytope.dim)
-    w = as_weight(w, polytope.dim)
-    ell_w = WeightFn.from_polynomial(ell.as_polynomial())
-    bnd = integrate_boundary(polytope, v * ell_w, tol=tol)
-    bulk = integrate_weighted(polytope, w * ell_w, tol=tol)
-    kappa = _norm_factor(normalization, polytope.dim)
-    exact = None
-    if bnd.exact is not None and bulk.exact is not None and normalization == "polytope":
-        exact = 2 * bnd.exact - bulk.exact
-    return FutakiReport(
-        direction=ell,
-        value=kappa * (2.0 * bnd.value - bulk.value),
-        method="boundary_formula",
-        normalization=normalization,
-        exact=exact,
-        error_estimate=kappa * (2.0 * bnd.error_estimate + bulk.error_estimate),
-    )
+    many = not isinstance(ell, AffineFunction)
+    directions = [(d,) for d in (ell if many else [ell])]
+    bnd = integrate_products(polytope, v, directions, boundary=True, tol=tol)
+    bulk = integrate_products(polytope, w, directions, tol=tol)
+    reports = [_report(d, "boundary_formula", normalization, polytope.dim, (2, b), (-1, m))
+               for (d,), b, m in zip(directions, bnd, bulk)]
+    return reports if many else reports[0]
 
 
 def _affine_basis(dim: int):
@@ -109,7 +103,8 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
 
     Solves the Gram system over the basis {1, x_1, ..., x_r}; the Gram matrix
     is positive definite whenever w0 > 0. When all integrals land on the exact
-    rational path the system is solved exactly.
+    rational path the system is solved exactly. The residuals recompute the
+    invariant of the resulting pair over the basis by the boundary formula.
     """
     r = polytope.dim
     require_positive(v, polytope, name="v")
@@ -117,17 +112,14 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
     v = as_weight(v, r)
     w0 = as_weight(w0, r)
     basis = _affine_basis(r)
-    basis_w = [WeightFn.from_polynomial(b.as_polynomial()) for b in basis]
-
-    gram_res = [[integrate_weighted(polytope, w0 * bi * bj, tol=tol)
-                 for bj in basis_w] for bi in basis_w]
-    rhs_res = []
-    for bi in basis_w:
-        bnd = integrate_boundary(polytope, v * bi, tol=tol)
-        rhs_res.append([bnd])
-        if extra_source is not None:
-            src = as_weight(extra_source, r)
-            rhs_res[-1].append(integrate_weighted(polytope, v * src * bi, tol=tol))
+    singles = [(b,) for b in basis]
+    entries = integrate_products(polytope, w0, [(bi, bj) for bi in basis for bj in basis], tol=tol)
+    gram_res = [entries[i:i + r + 1] for i in range(0, len(entries), r + 1)]
+    rhs_res = [[res] for res in integrate_products(polytope, v, singles, boundary=True, tol=tol)]
+    if extra_source is not None:
+        src = as_weight(extra_source, r)
+        for parts, res in zip(rhs_res, integrate_products(polytope, v * src, singles, tol=tol)):
+            parts.append(res)
 
     gram = np.array([[res.value for res in row] for row in gram_res])
     rhs = np.array([2.0 * parts[0].value + sum(p.value for p in parts[1:])
@@ -154,8 +146,8 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
 
     w_eff = w0 * WeightFn.from_polynomial(ell.as_polynomial())
     if extra_source is not None:
-        w_eff = w_eff + (v * as_weight(extra_source, r)).scale(-1)
-    residuals = [futaki_boundary(polytope, v, w_eff, b, tol=tol).value for b in basis]
+        w_eff = w_eff + (v * src).scale(-1)
+    residuals = [rep.value for rep in futaki_boundary(polytope, v, w_eff, basis, tol=tol)]
     return ExtremalFunction(
         function=ell,
         gram_condition_number=cond,
@@ -167,16 +159,8 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
 def barycenter(polytope: DelzantPolytope, v, tol=DEFAULT_TOL):
     """v-weighted barycenter of the polytope. Exact when v is polynomial."""
     require_positive(v, polytope, name="v")
-    v = as_weight(v, polytope.dim)
-    mass = integrate_weighted(polytope, v, tol=tol)
-    out = []
-    exact = mass.exact is not None
-    for i in range(polytope.dim):
-        zeta = [1 if j == i else 0 for j in range(polytope.dim)]
-        mom = integrate_weighted(polytope, v * _linear(zeta), tol=tol)
-        if exact and mom.exact is not None:
-            out.append(mom.exact / mass.exact)
-        else:
-            exact = False
-            out.append(mom.value / mass.value)
-    return tuple(out)
+    coords = [(AffineFunction.coordinate(polytope.dim, i),) for i in range(polytope.dim)]
+    mass, *moms = integrate_products(polytope, v, [()] + coords, tol=tol)
+    if mass.exact is not None:
+        return tuple(m.exact / mass.exact for m in moms)
+    return tuple(m.value / mass.value for m in moms)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 
 import numpy as np
 
@@ -38,12 +39,7 @@ class Polynomial:
     @classmethod
     def linear(cls, zeta, const=0) -> "Polynomial":
         """<zeta, x> + const."""
-        dim = len(zeta)
-        coeffs = {(0,) * dim: frac(const)}
-        for i, z in enumerate(zeta):
-            alpha = tuple(1 if j == i else 0 for j in range(dim))
-            coeffs[alpha] = frac(z)
-        return cls(dim, coeffs)
+        return cls(len(zeta), linear_terms([frac(z) for z in zeta], frac(const)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -71,12 +67,7 @@ class Polynomial:
         return Polynomial(self.dim, {a: v * c for a, v in self.coeffs.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, dict_product(self.coeffs, other.coeffs))
 
     def power(self, n: int) -> "Polynomial":
         result = Polynomial.constant(self.dim, 1)
@@ -126,29 +117,28 @@ class Polynomial:
     def compose_affine(self, matrix, offset) -> "Polynomial":
         """Substitute x = offset + matrix @ t; returns a polynomial in t.
 
-        matrix is dim x new_dim (rows indexed by the old variables).
+        matrix is dim x new_dim (rows indexed by the old variables). It runs in
+        integers: q x_i = L_i(t) over the common denominator q of offset and matrix,
+        and sum_a c_a x^a = sum_a D c_a q^(d - |a|) prod_i L_i^(a_i) / (D q^d).
         """
         new_dim = len(matrix[0]) if matrix else 0
-        subs = [
-            Polynomial.linear([matrix[i][j] for j in range(new_dim)], offset[i])
-            for i in range(self.dim)
-        ]
-        pow_cache = [{0: Polynomial.constant(new_dim, 1)} for _ in range(self.dim)]
-
-        def xpow(i, n):
-            cache = pow_cache[i]
-            if n not in cache:
-                cache[n] = xpow(i, n - 1) * subs[i]
-            return cache[n]
-
-        out = Polynomial.constant(new_dim, 0)
+        rows = [(frac(offset[i]), [frac(m) for m in (matrix[i] if matrix else ())])
+                for i in range(self.dim)]
+        q = lcm(*(c.denominator for o, row in rows for c in [o, *row]))
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        d = self.degree()
+        powers = [[{(0,) * new_dim: 1}, linear_terms([int(m * q) for m in row], int(o * q))]
+                  for o, row in rows]
+        out = {}
         for a, c in self.coeffs.items():
-            term = Polynomial.constant(new_dim, c)
+            term = {(0,) * new_dim: c.numerator * (den // c.denominator) * q ** (d - sum(a))}
             for i, ai in enumerate(a):
-                if ai:
-                    term = term * xpow(i, ai)
-            out = out + term
-        return out
+                while len(powers[i]) <= ai:
+                    powers[i].append(dict_product(powers[i][-1], powers[i][1]))
+                term = dict_product(term, powers[i][ai])
+            for b, v in term.items():
+                out[b] = out.get(b, 0) + v
+        return Polynomial(new_dim, {b: Fraction(v, den * q ** d) for b, v in out.items()})
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.dim == other.dim and self.coeffs == other.coeffs
@@ -161,6 +151,23 @@ class Polynomial:
             return "Polynomial(0)"
         parts = [f"{c}*x^{a}" for a, c in sorted(self.coeffs.items())]
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def linear_terms(zeta, const):
+    """const + <zeta, t> as {exponent: coefficient}, zero terms left out."""
+    dim = len(zeta)
+    terms = {tuple(int(j == k) for j in range(dim)): z for k, z in enumerate(zeta) if z}
+    return {(0,) * dim: const, **terms} if const else terms
+
+
+def dict_product(f, g):
+    """Product of two polynomials given as {exponent: coefficient} dicts."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            key = tuple(map(add, a, b))
+            out[key] = out.get(key, 0) + x * y
+    return out
 
 
 def compositions(total, parts):

@@ -306,6 +306,9 @@ class DelzantPolytope:
         return p
 
     def _check_delzant(self):
+        unused = set(range(len(self.halfspaces))).difference(*self.facet_adjacency)
+        if unused:
+            raise NotDelzant(f"half-space {min(unused)} contains no vertex: it is redundant")
         for v, incident in zip(self.vertices, self.facet_adjacency):
             if len(incident) != self.dim:
                 raise NotDelzant(

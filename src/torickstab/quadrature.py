@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add, mul
 
 import numpy as np
 
 from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from .exactlinalg import frac
-from .polynomial import Polynomial, compositions
+from .polynomial import Polynomial, compositions, dict_product, linear_terms
 from .polytope import DelzantPolytope, Simplex, moment_table
 from .weights import WeightFn, WeightSum, as_weight
 
@@ -48,7 +49,7 @@ def integrate_monomial_simplex(simplex: Simplex, alpha) -> Fraction:
 
 
 def integrate_poly_simplex(simplex: Simplex, poly: Polynomial) -> Fraction:
-    return _apply_moments(moment_table([simplex], poly.degree()), poly)
+    return _dot_shifted(lambda degree: moment_table([simplex], degree), poly, [[]])[0]
 
 
 def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
@@ -56,11 +57,7 @@ def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
 
     A linear functional of the polytope's cached moment table.
     """
-    return _apply_moments(polytope.moments(poly.degree()), poly)
-
-
-def _apply_moments(moments, poly: Polynomial) -> Fraction:
-    return sum((c * moments[a] for a, c in poly.coeffs.items()), Fraction(0))
+    return _dot_shifted(polytope.moments, poly, [[]])[0]
 
 
 # -- Grundmann--Moeller rules ----------------------------------------------------
@@ -227,9 +224,7 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                 all_exact = False
                 value += float(w.eval(np.array([float(c) for c in facet.origin])))
             continue
-        matrix = [[facet.basis[i][j] for j in range(polytope.dim - 1)]
-                  for i in range(polytope.dim)]
-        pulled = w.compose_affine(matrix, facet.origin)
+        pulled = w.compose_affine(facet.basis, facet.origin)
         res = integrate_weighted(facet.subpolytope, pulled, tol, abs_floor, max_depth)
         value += res.value
         err += res.error_estimate
@@ -240,6 +235,55 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
             all_exact = False
     return QuadratureResult(value, err, subdivisions,
                             exact=exact if all_exact else None)
+
+
+def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
+                       tol=DEFAULT_TOL) -> list:
+    """Integrals of integrand * prod(ells), one per tuple `ells` of AffineFunctions.
+
+    Over the polytope, or with boundary=True over its boundary with d(sigma). A
+    polynomial integrand is expanded once and pulled back once per facet chart
+    x = origin + B t, where ell becomes ell(origin) + sum_k <zeta, B_k> t_k; every
+    result is then exact, a dot product with shifted moments (see _dot_shifted).
+    Other integrands take integrate_weighted / integrate_boundary once per product.
+    """
+    w = as_weight(integrand, polytope.dim)
+    lines = [[(ell.const, ell.zeta) for ell in ells] for ells in products]
+    if not w.is_polynomial:
+        integrate = integrate_boundary if boundary else integrate_weighted
+        return [integrate(polytope, w * WeightFn.from_polynomial(
+            Polynomial(polytope.dim, _expand(f, polytope.dim))), tol=tol) for f in lines]
+    poly = w.to_polynomial()
+    if not boundary:
+        exact = _dot_shifted(polytope.moments, poly, lines)
+    else:
+        exact = [0] * len(products)
+        for _, f in polytope.facets():  # a point facet (r = 1) has dimension 0 and mass 1
+            table = f.subpolytope.moments if f.subpolytope else lambda _: {(): 1}
+            pulled = [[(sum(map(mul, zeta, f.origin), c),
+                        [sum(map(mul, zeta, col)) for col in zip(*f.basis)])
+                       for c, zeta in factors] for factors in lines]
+            exact = list(map(add, exact, _dot_shifted(
+                table, poly.compose_affine(f.basis, f.origin), pulled)))
+    return [QuadratureResult(float(e), 0.0, 0, exact=e) for e in exact]
+
+
+def _dot_shifted(table, poly, lines):
+    """int poly * prod(c + <zeta, t>) for each list of (c, zeta) factors, read off
+    table(degree) as sum_beta [t^beta] prod * sum_alpha c_alpha m_(alpha + beta)."""
+    moments = table(poly.degree() + max(map(len, lines), default=0))
+    mults = [_expand(factors, poly.dim) for factors in lines]
+    shifted = {beta: sum((c * moments[tuple(map(add, a, beta))] for a, c in poly.coeffs.items()),
+                         Fraction(0)) for beta in set().union(*mults)}
+    return [sum((d * shifted[beta] for beta, d in q.items()), Fraction(0)) for q in mults]
+
+
+def _expand(factors, dim):
+    """prod(c + <zeta, t>) over the (c, zeta) factors, as {beta: coefficient}."""
+    out = {(0,) * dim: 1}
+    for c, zeta in factors:
+        out = dict_product(out, linear_terms(zeta, c))
+    return out
 
 
 # -- closed-form exp integrals ---------------------------------------------------------

@@ -42,13 +42,16 @@ def half():
 CANONICAL_NORMALS = {
     "P1": ((1,), (-1,)),
     "P2": ((1, 0), (0, 1), (-1, -1)),
+    "P1xP1": ((1, 0), (-1, 0), (0, 1), (0, -1)),
     "F1": ((1, 0), (0, 1), (-1, -1), (0, -1)),
+    "Bl2P2": ((1, 0), (0, 1), (-1, -1), (0, -1), (-1, 0)),
     "Bl3P2": ((1, 0), (0, 1), (-1, -1), (0, -1), (-1, 0), (1, 1)),
     "P3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
     "P1^3": ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
     "BlP3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
     "P4": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)),
 }
+POLYGONS = ("P2", "P1xP1", "F1", "Bl2P2", "Bl3P2")  # the toric del Pezzo surfaces
 
 
 def moved_canonical(name, shears, shift, offsets=None):

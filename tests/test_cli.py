@@ -1,9 +1,13 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
+from torickstab import jsonio
 from torickstab.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+
+from conftest import moved_canonical
 
 INTERVAL = json.dumps({"facets": [
     {"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]})
@@ -194,3 +198,32 @@ def test_out_file(tmp_path, capsys):
     with open(path) as f:
         rep = json.load(f)
     assert rep["results"]["volume"] == "2"
+
+
+def test_futaki_values_are_the_exact_values_in_floats(capsys):
+    # every row of an exact report reads value == float(exact), with no
+    # cancellation noise from subtracting the boundary and bulk floats
+    f1 = jsonio.polytope_to_json(moved_canonical("F1", (), ()))
+    moved_p2 = jsonio.polytope_to_json(
+        moved_canonical("P2", (), (Fraction(3, 11), Fraction(-5, 11))))
+    v = json.dumps({"affine_powers": [{"zeta": [1, 0], "a": 3, "pow": 2},
+                                      {"zeta": [1, 1], "a": 5, "pow": 1}]})
+    for poly in (f1, moved_p2):
+        code, rep = _run(capsys, "futaki", "--all-affine", "--polytope", json.dumps(poly),
+                         "--v", v, "--w", '"2*x1*x2-x2+7"')
+        assert code == EXIT_OK
+        rows = rep["results"]
+        assert len(rows) == 3
+        for row in rows:
+            for report in row.values():
+                assert report["value"] == float(Fraction(report["exact"]))
+    assert set(rows[0]) == {"boundary"}  # the moved P^2 is not canonical
+
+
+def test_polytope_info_rejects_a_redundant_half_space(capsys):
+    square = json.dumps({"facets": [
+        {"normal": [1, 0], "offset": 1}, {"normal": [-1, 0], "offset": 1},
+        {"normal": [0, 1], "offset": 1}, {"normal": [0, -1], "offset": 1},
+        {"normal": [1, 0], "offset": 5}]})
+    assert main(["polytope-info", "--polytope", square]) == EXIT_VALIDATION
+    assert "NotDelzant" in json.loads(capsys.readouterr().err)["error"]

@@ -14,7 +14,7 @@ from torickstab.invariants import (
 from torickstab.polytope import AffineFunction
 from torickstab.weights import WeightFn, soliton_weight_pair
 
-from conftest import make_polytope
+from conftest import POLYGONS, make_polytope, moved_canonical
 
 
 def _affine_v(zeta, a):
@@ -170,3 +170,28 @@ def test_fano_linearity_in_direction(p2):
     b = futaki_fano(p2, v, [0, 1]).exact
     c = futaki_fano(p2, v, [2, -3]).exact
     assert c == 2 * a - 3 * b
+
+
+def test_extremal_residuals_are_exactly_zero_on_the_canonical_polygons():
+    # the residuals are recomputed by the boundary formula, not read off the
+    # Gram system; on the exact path they are float(exact) = 0.0
+    for name in POLYGONS:
+        p = moved_canonical(name, (), ())
+        v = WeightFn.affine_power(AffineFunction([1, 1], 5), 1)
+        w0 = (WeightFn.affine_power(AffineFunction([1, 0], 3), 2)
+              * WeightFn.affine_power(AffineFunction([0, 1], 3), 1))
+        res = extremal_affine(p, v, w0)
+        assert res.residuals == [0.0, 0.0, 0.0], name
+        assert all(type(r) is float for r in res.residuals)
+
+
+def test_futaki_direction_lists_match_single_directions(f1):
+    v, w = soliton_weight_pair(_affine_v([1, 2], 4), 2)
+    directions = [AffineFunction([1, 2], Fraction(1, 3)), AffineFunction([0, -1], 2)]
+    reports = futaki_boundary(f1, v, w, directions)
+    assert [r.exact for r in reports] == [futaki_boundary(f1, v, w, d).exact
+                                          for d in directions]
+    zetas = [list(d.zeta) for d in directions]
+    fano = futaki_fano(f1, v, zetas)
+    assert [r.exact for r in fano] == [futaki_fano(f1, v, z).exact for z in zetas]
+    assert [r.direction for r in fano] == [AffineFunction(z, 0) for z in zetas]

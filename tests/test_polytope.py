@@ -38,6 +38,13 @@ def test_non_delzant_vertex_rejected():
     assert info.value.determinant not in (1, -1)
 
 
+def test_redundant_half_space_rejected():
+    # x1 + 5 >= 0 touches no vertex of [-1, 1]^2; it once got through and made
+    # volume() raise IndexError
+    with pytest.raises(NotDelzant, match="redundant"):
+        make_polytope(((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 0), 5))
+
+
 def test_unbounded_rejected():
     with pytest.raises(Unbounded):
         make_polytope(((1,), 1))
