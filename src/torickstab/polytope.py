@@ -363,7 +363,8 @@ class DelzantPolytope:
         return tri
 
     def volume(self) -> Fraction:
-        return sum((s.volume() for s in self.triangulate()), Fraction(0))
+        """The zeroth moment."""
+        return self.moments(0)[(0,) * self.dim]
 
     def moments(self, degree):
         """Exact moments {alpha: int x^alpha dx} over the polytope, read-only.

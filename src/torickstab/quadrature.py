@@ -191,8 +191,7 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     """
     w = as_weight(integrand, polytope.dim)
     if w.is_polynomial:
-        exact = integrate_poly(polytope, w.to_polynomial())
-        return QuadratureResult(float(exact), 0.0, 0, exact=exact)
+        return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
     return _adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth)
 
@@ -204,37 +203,28 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                        abs_floor=ABS_FLOOR, max_depth=MAX_DEPTH) -> QuadratureResult:
     """Integral over the polytope boundary with the lattice measure d(sigma).
 
-    Each facet is pulled back to its lattice chart, where d(sigma) is Lebesgue,
-    and integrated as an (r-1)-dimensional polytope integral.
+    A polynomial integrand is exact, read off the facets' moment tables by
+    integrate_products. Otherwise each facet is pulled back to its lattice chart,
+    where d(sigma) is Lebesgue, and integrated adaptively as an (r-1)-dimensional
+    polytope integral; a point facet (r = 1) has d(sigma)-mass 1.
     """
     w = as_weight(integrand, polytope.dim)
+    if w.is_polynomial:
+        return integrate_products(polytope, w, [()], boundary=True)[0]
     _check_singularities(polytope, w)
     value = 0.0
     err = 0.0
     subdivisions = 0
-    exact = Fraction(0)
-    all_exact = True
     for _, facet in polytope.facets():
-        if facet.subpolytope is None:  # point facet (r = 1), d(sigma)-mass 1
-            if w.is_polynomial:
-                fv = w.eval_exact(facet.origin)
-                exact += fv
-                value += float(fv)
-            else:
-                all_exact = False
-                value += float(w.eval(np.array([float(c) for c in facet.origin])))
+        if facet.subpolytope is None:
+            value += float(w.eval(np.array([float(c) for c in facet.origin])))
             continue
         pulled = w.compose_affine(facet.basis, facet.origin)
         res = integrate_weighted(facet.subpolytope, pulled, tol, abs_floor, max_depth)
         value += res.value
         err += res.error_estimate
         subdivisions += res.subdivisions
-        if res.exact is not None:
-            exact += res.exact
-        else:
-            all_exact = False
-    return QuadratureResult(value, err, subdivisions,
-                            exact=exact if all_exact else None)
+    return QuadratureResult(value, err, subdivisions)
 
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
@@ -248,11 +238,11 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     Other integrands take integrate_weighted / integrate_boundary once per product.
     """
     w = as_weight(integrand, polytope.dim)
-    lines = [[(ell.const, ell.zeta) for ell in ells] for ells in products]
     if not w.is_polynomial:
         integrate = integrate_boundary if boundary else integrate_weighted
-        return [integrate(polytope, w * WeightFn.from_polynomial(
-            Polynomial(polytope.dim, _expand(f, polytope.dim))), tol=tol) for f in lines]
+        return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)
+                for ells in products]
+    lines = [[(ell.const, ell.zeta) for ell in ells] for ells in products]
     poly = w.to_polynomial()
     if not boundary:
         exact = _dot_shifted(polytope.moments, poly, lines)
@@ -266,6 +256,13 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
             exact = list(map(add, exact, _dot_shifted(
                 table, poly.compose_affine(f.basis, f.origin), pulled)))
     return [QuadratureResult(float(e), 0.0, 0, exact=e) for e in exact]
+
+
+@lru_cache(maxsize=256)
+def _multiplier(dim, ells):
+    """prod(ells) as a polynomial weight, cached: a Newton solve asks for it at every step."""
+    return WeightFn.from_polynomial(
+        Polynomial(dim, _expand([(ell.const, ell.zeta) for ell in ells], dim)))
 
 
 def _dot_shifted(table, poly, lines):

@@ -12,16 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InfeasibleStart,
-    MaxIterations,
-    NotPositiveDefinite,
-    OriginNotInterior,
-)
+from .errors import MaxIterations, NotPositiveDefinite, OriginNotInterior
 from .exactlinalg import frac
-from .polynomial import Polynomial
 from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import integrate_weighted
+from .quadrature import integrate_products, integrate_weighted
 from .weights import WeightFn, as_weight, require_positive
 
 DEFAULT_TOL = 1e-10
@@ -47,26 +41,11 @@ def _check_origin(polytope: DelzantPolytope):
         raise OriginNotInterior("the functional is proper only when 0 is interior")
 
 
-def _moment_weights(dim: int):
-    """Weight factors 1, x_1..x_r, and x_i x_j for moment integrals."""
-    ones = [WeightFn.from_polynomial(Polynomial.constant(dim, 1))]
-    lin = [
-        WeightFn.from_polynomial(
-            Polynomial.linear([1 if j == i else 0 for j in range(dim)])
-        )
-        for i in range(dim)
-    ]
-    quad = [
-        [
-            WeightFn.from_polynomial(
-                Polynomial.linear([1 if k == i else 0 for k in range(dim)])
-                * Polynomial.linear([1 if k == j else 0 for k in range(dim)])
-            )
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    return ones[0], lin, quad
+def _moment_products(dim: int):
+    """Products (x_i,) and (x_i, x_j) for i <= j, and those (i, j) as index arrays."""
+    x = [AffineFunction.coordinate(dim, i) for i in range(dim)]
+    upper = np.triu_indices(dim)
+    return [(xi,) for xi in x], [(x[i], x[j]) for i, j in zip(*upper)], upper
 
 
 def _newton_loop(polytope, objective, derivatives, feasible, limit_step, tol, max_iter):
@@ -130,7 +109,7 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
     require_positive(p, polytope, name="p")
     p = as_weight(p, polytope.dim)
     r = polytope.dim
-    _, lin, quad = _moment_weights(r)
+    firsts, seconds, upper = _moment_products(r)
     qtol = tol * 1e-2  # moments two orders tighter than the solver
 
     def base(xi):
@@ -141,18 +120,11 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
         return res.value, res.error_estimate
 
     def derivatives(xi):
-        b = base(xi)
-        g = np.array([
-            integrate_weighted(polytope, b * lin[i], tol=qtol).value
-            for i in range(r)
-        ])
-        h = np.empty((r, r))
-        for i in range(r):
-            for j in range(i, r):
-                h[i, j] = h[j, i] = integrate_weighted(
-                    polytope, b * quad[i][j], tol=qtol
-                ).value
-        return g, h
+        moments = [res.value for res in
+                   integrate_products(polytope, base(xi), firsts + seconds, tol=qtol)]
+        hess = np.empty((r, r))
+        hess[upper] = hess[upper[::-1]] = moments[r:]
+        return np.array(moments[:r]), hess
 
     return _newton_loop(polytope, objective, derivatives, lambda xi: True,
                         lambda xi, d: 1.0, tol, max_iter)
@@ -167,15 +139,12 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
     p = as_weight(p, polytope.dim)
     r = polytope.dim
     s = float(s)
-    _, lin, quad = _moment_weights(r)
+    firsts, seconds, upper = _moment_products(r)
     qtol = tol * 1e-2
 
     def min_vertex(xi):
         aff = AffineFunction([frac(float(z)) for z in xi], 1)
         return float(polytope.vertex_min(aff))
-
-    if min_vertex(np.zeros(r)) <= 0:
-        raise InfeasibleStart("xi = 0 is not feasible")  # unreachable: ell_0 = 1
 
     def feasible(xi):
         return min_vertex(xi) > 0
@@ -200,19 +169,11 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
         return res.value, res.error_estimate
 
     def derivatives(xi):
-        base1 = base(xi, -s - 1)
-        base2 = base(xi, -s - 2)
-        g = -s * np.array([
-            integrate_weighted(polytope, base1 * lin[i], tol=qtol).value
-            for i in range(r)
-        ])
-        h = np.empty((r, r))
-        for i in range(r):
-            for j in range(i, r):
-                h[i, j] = h[j, i] = s * (s + 1) * integrate_weighted(
-                    polytope, base2 * quad[i][j], tol=qtol
-                ).value
-        return g, h
+        g = integrate_products(polytope, base(xi, -s - 1), firsts, tol=qtol)
+        h = integrate_products(polytope, base(xi, -s - 2), seconds, tol=qtol)
+        hess = np.empty((r, r))
+        hess[upper] = hess[upper[::-1]] = s * (s + 1) * np.array([res.value for res in h])
+        return -s * np.array([res.value for res in g]), hess
 
     return _newton_loop(polytope, objective, derivatives, feasible, limit_step,
                         tol, max_iter)

@@ -165,9 +165,6 @@ class WeightFn:
         return out[0] if single else out
 
     def eval_exact(self, x) -> Fraction:
-        if self.exp_part is not None or any(not _is_integral(p) or p < 0
-                                            for _, p in self.affine_powers):
-            raise ValueError("exact evaluation only for polynomial weights")
         return self.to_polynomial().eval_exact(x)
 
     def _log_grad(self, pts):

@@ -125,7 +125,9 @@ def test_divergence_identity_exact(p2, f1, poly):
     # integral over the boundary equals integral of r*f + <x, grad f> for
     # canonical Fano polytopes; this pins the boundary measure convention
     for p in (p2, f1):
-        lhs = integrate_boundary(p, WeightFn.from_polynomial(poly)).exact
+        res = integrate_boundary(p, WeightFn.from_polynomial(poly))
+        assert res.value == float(res.exact)
+        lhs = res.exact
         rhs_poly = poly.scale(p.dim)
         for i in range(p.dim):
             xi = Polynomial.linear([1 if j == i else 0 for j in range(p.dim)])

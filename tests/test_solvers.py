@@ -169,3 +169,26 @@ def test_p3_soliton_meets_moment_residual():
         x_i = WeightFn.from_polynomial(Polynomial.linear([int(j == i) for j in range(3)]))
         moment = integrate_weighted(p3, base * x_i, tol=1e-10, abs_floor=1e-13 * scale)
         assert abs(moment.value) / scale <= 1e-8
+
+
+def test_hessian_eigenvalue_matches_weighted_moments(f1):
+    # the reported eigenvalue is that of the full Hessian of moments x_i x_j at xi0,
+    # integrated one product weight at a time; F1 has no symmetry, so its
+    # off-diagonal moments are nonzero
+    def second_moments(base):
+        return np.array([[integrate_weighted(f1, base * WeightFn.from_polynomial(
+            Polynomial.linear([int(k == i) for k in range(2)])
+            * Polynomial.linear([int(k == j) for k in range(2)]))).value
+            for j in range(2)] for i in range(2)])
+
+    one = WeightFn.constant(2, 1)
+    res = tian_zhu_soliton(f1, one)
+    xi = [Fraction(float(z)) for z in res.xi0]
+    hess = second_moments(WeightFn.exp_affine(xi, 0))
+    assert abs(hess[0, 1]) > 1e-3
+    assert res.hessian_min_eigenvalue == pytest.approx(np.linalg.eigvalsh(hess)[0], rel=1e-12)
+    res = msy_reeb(f1, one, 3)
+    xi = [Fraction(float(z)) for z in res.xi0]
+    hess = 12 * second_moments(WeightFn.affine_power(AffineFunction(xi, 1), -5))
+    assert abs(hess[0, 1]) > 1e-3
+    assert res.hessian_min_eigenvalue == pytest.approx(np.linalg.eigvalsh(hess)[0], rel=1e-12)
