@@ -26,37 +26,33 @@ EXIT_SOLVER = 3
 
 
 def _load_json(arg: str, path: str):
-    """Accept inline JSON or a file path."""
-    text = arg.strip()
-    if not (text.startswith("{") or text.startswith("[") or text[:1].isdigit()
-            or text.startswith('"') or text.startswith("-")):
-        try:
-            with open(arg) as f:
-                text = f.read()
-        except OSError as e:
-            raise SchemaError(path, f"cannot read {arg!r}: {e}")
+    """Inline JSON, or else the path of a JSON file.
+
+    An argument that does not parse is a path, unless it starts with `{` or `[`.
+    """
     try:
-        return json.loads(text)
+        return json.loads(arg)
+    except json.JSONDecodeError as e:
+        if arg.lstrip().startswith(("{", "[")):
+            raise SchemaError(path, f"invalid JSON: {e}")
+    try:
+        with open(arg) as f:
+            return json.load(f)
+    except OSError as e:
+        raise SchemaError(path, f"cannot read {arg!r}: {e}")
     except json.JSONDecodeError as e:
         raise SchemaError(path, f"invalid JSON: {e}")
 
 
-def _report(command, inputs, results, normalization=None, started=None):
-    out = {
-        "command": command,
-        "version": __version__,
-        "inputs": inputs,
-        "results": results,
-    }
+def _emit(args, command, inputs, results, normalization=None) -> None:
+    """Write the JSON report to `--out`, or print it."""
+    report = {"command": command, "version": __version__, "inputs": inputs,
+              "results": results}
     if normalization is not None:
-        out["normalization"] = normalization
-    out["timings"] = {"seconds": round(time.monotonic() - started, 6) if started else 0.0}
-    return out
-
-
-def _emit(report, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=False)
-    if getattr(args, "out", None):
+        report["normalization"] = normalization
+    report["timings"] = {"seconds": round(time.monotonic() - args.started, 6)}
+    text = json.dumps(report, indent=2)
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
     else:
@@ -78,7 +74,6 @@ def _write_trace_csv(path, result):
 
 
 def cmd_polytope_info(args):
-    started = time.monotonic()
     p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
     facets = []
     for h, facet in p.facets():
@@ -94,13 +89,11 @@ def cmd_polytope_info(args):
         "canonical_fano": p.is_canonical_fano(),
         "facets": facets,
     }
-    _emit(_report("polytope-info", {"polytope": jsonio.polytope_to_json(p)},
-                  results, started=started), args)
+    _emit(args, "polytope-info", {"polytope": jsonio.polytope_to_json(p)}, results)
     return EXIT_OK
 
 
 def cmd_futaki(args):
-    started = time.monotonic()
     p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
     v = jsonio.weight_from_json(_load_json(args.v, "v"), p.dim, "v")
     w = jsonio.weight_from_json(_load_json(args.w, "w"), p.dim, "w")
@@ -119,16 +112,15 @@ def cmd_futaki(args):
                 p, v, [list(ell.zeta) for ell in directions],
                 normalization=args.normalization, tol=args.tol)):
             row["fano_closed_form"] = jsonio.futaki_report_to_json(rep)
-    _emit(_report("futaki", {
+    _emit(args, "futaki", {
         "polytope": jsonio.polytope_to_json(p),
         "v": jsonio.weight_to_json(v),
         "w": jsonio.weight_to_json(w),
-    }, rows, normalization=args.normalization, started=started), args)
+    }, rows, normalization=args.normalization)
     return EXIT_OK
 
 
 def cmd_extremal(args):
-    started = time.monotonic()
     p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
     v = jsonio.weight_from_json(_load_json(args.v, "v"), p.dim, "v")
     w0 = jsonio.weight_from_json(_load_json(args.w0, "w0"), p.dim, "w0")
@@ -137,11 +129,11 @@ def cmd_extremal(args):
         extra = jsonio.weight_from_json(
             _load_json(args.extra_source, "extra_source"), p.dim, "extra_source")
     result = invariants.extremal_affine(p, v, w0, extra_source=extra, tol=args.tol)
-    _emit(_report("extremal", {
+    _emit(args, "extremal", {
         "polytope": jsonio.polytope_to_json(p),
         "v": jsonio.weight_to_json(v),
         "w0": jsonio.weight_to_json(w0),
-    }, jsonio.extremal_to_json(result), started=started), args)
+    }, jsonio.extremal_to_json(result))
     return EXIT_OK
 
 
@@ -167,38 +159,35 @@ def _solver_inputs(args):
     return p, weight, echo, 0
 
 
-def _run_solver(command, echo, solve, args, started):
+def _run_solver(command, echo, solve, args):
     """Run `solve()` and report its result, or the partial result and exit 3
     when it hits the iteration cap; `--csv` writes the trace on success."""
     try:
         result = solve()
     except MaxIterations as e:
-        _emit(_report(command, echo, {
+        _emit(args, command, echo, {
             "error": str(e),
             "partial": jsonio.solver_result_to_json(e.result) if e.result else None,
-        }, started=started), args)
+        })
         return EXIT_SOLVER
     if args.csv:
         _write_trace_csv(args.csv, result)
-    _emit(_report(command, echo, jsonio.solver_result_to_json(result),
-                  started=started), args)
+    _emit(args, command, echo, jsonio.solver_result_to_json(result))
     return EXIT_OK
 
 
 def cmd_soliton(args):
-    started = time.monotonic()
     p, weight, echo, _ = _solver_inputs(args)
     return _run_solver("soliton", echo, lambda: solvers.tian_zhu_soliton(
-        p, weight, tol=args.tol, max_iter=args.max_iter), args, started)
+        p, weight, tol=args.tol, max_iter=args.max_iter), args)
 
 
 def cmd_reeb(args):
-    started = time.monotonic()
     p, weight, echo, n_base = _solver_inputs(args)
     s = args.s if args.s is not None else p.dim + n_base + 1
     echo["s"] = s
     return _run_solver("reeb", echo, lambda: solvers.msy_reeb(
-        p, weight, s, tol=args.tol, max_iter=args.max_iter), args, started)
+        p, weight, s, tol=args.tol, max_iter=args.max_iter), args)
 
 
 def _parse_factor(text: str) -> fibration.BaseFactor:
@@ -217,7 +206,6 @@ def _parse_factor(text: str) -> fibration.BaseFactor:
 
 
 def cmd_fibration(args):
-    started = time.monotonic()
     if args.subcommand == "enumerate":
         fiber = jsonio.polytope_from_json(_load_json(args.fiber, "fiber"))
         factors = [_parse_factor(t) for t in args.factor]
@@ -228,10 +216,10 @@ def cmd_fibration(args):
             "count": len(tuples),
             "tuples": [[list(p_a) for p_a in combo] for combo in tuples],
         }
-        _emit(_report("fibration enumerate", {
+        _emit(args, "fibration enumerate", {
             "fiber": jsonio.polytope_to_json(fiber),
             "factors": [{"n": f.n, "k": int(f.k)} for f in factors],
-        }, results, started=started), args)
+        }, results)
         return EXIT_OK
 
     spec = jsonio.fibration_from_json(_load_json(args.spec, "spec"))
@@ -241,7 +229,7 @@ def cmd_fibration(args):
         results = {"admissible": True}
         if all(f.is_fano for f, _, _ in spec.factors) and spec.fiber.is_canonical_fano():
             results["fano"] = fibration.fano_check(spec)
-        _emit(_report("fibration validate", echo, results, started=started), args)
+        _emit(args, "fibration validate", echo, results)
         return EXIT_OK
     if args.subcommand == "weights":
         fw = fibration.extremal_fibration_weights(spec, tol=args.tol)
@@ -252,18 +240,16 @@ def cmd_fibration(args):
             "ell_ext": jsonio.affine_to_json(fw.ell_ext),
             "residuals": list(fw.residuals),
         }
-        _emit(_report("fibration weights", echo, results, started=started), args)
+        _emit(args, "fibration weights", echo, results)
         return EXIT_OK
-    if args.subcommand in ("soliton", "reeb"):
-        v = 1
-        if args.v is not None:
-            v = jsonio.weight_from_json(_load_json(args.v, "v"), spec.fiber.dim, "v")
-        return _run_solver(f"fibration {args.subcommand}", echo,
-                           lambda: fibration.pv_soliton_pipeline(
-                               spec, v, tol=args.tol, max_iter=args.max_iter,
-                               reeb=args.subcommand == "reeb", s=args.s),
-                           args, started)
-    raise SchemaError("subcommand", f"unknown fibration subcommand {args.subcommand!r}")
+    v = 1  # soliton or reeb: argparse admits no other subcommand
+    if args.v is not None:
+        v = jsonio.weight_from_json(_load_json(args.v, "v"), spec.fiber.dim, "v")
+    return _run_solver(f"fibration {args.subcommand}", echo,
+                       lambda: fibration.pv_soliton_pipeline(
+                           spec, v, tol=args.tol, max_iter=args.max_iter,
+                           reeb=args.subcommand == "reeb", s=args.s),
+                       args)
 
 
 # -- verification suites --------------------------------------------------------------
@@ -282,27 +268,28 @@ def _p2():
     ]})
 
 
+def _check(name, residual, tol):
+    """One `verify` row: the check passes when |residual| <= tol."""
+    return {"check": name, "residual": float(residual), "tol": tol,
+            "pass": bool(abs(residual) <= tol)}
+
+
 def _suite_quadrature():
     import math
 
     rows = []
-
-    def check(name, residual, tol):
-        rows.append({"check": name, "residual": float(residual), "tol": tol,
-                     "pass": bool(abs(residual) <= tol)})
-
     interval, p2 = _interval(), _p2()
     r = integrate_weighted(interval, WeightFn.exp_affine([1], 0))
-    check("interval exp(x) vs 2 sinh 1", r.value - 2 * math.sinh(1.0), 1e-11)
+    rows.append(_check("interval exp(x) vs 2 sinh 1", r.value - 2 * math.sinh(1.0), 1e-11))
     r = integrate_weighted(
         interval, WeightFn.affine_power(AffineFunction([1], 2), -3))
-    check("interval (x+2)^-3 vs 4/9", r.value - 4.0 / 9.0, 1e-11)
+    rows.append(_check("interval (x+2)^-3 vs 4/9", r.value - 4.0 / 9.0, 1e-11))
     f = Polynomial(2, {(2, 1): Fraction(3), (1, 0): Fraction(-2), (0, 0): Fraction(1)})
     lhs = integrate_boundary(p2, WeightFn.from_polynomial(f)).exact
     rhs = integrate_poly(p2, f.scale(2)
                          + Polynomial.linear([1, 0]) * f.partial(0)
                          + Polynomial.linear([0, 1]) * f.partial(1))
-    check("divergence identity on canonical Fano", float(lhs - rhs), 0.0)
+    rows.append(_check("divergence identity on canonical Fano", float(lhs - rhs), 0.0))
     # deterministic Monte Carlo cross-check
     rng = np.random.default_rng(20240817)
     w = WeightFn.exp_affine([Fraction(1, 2), Fraction(1, 5)], 0)
@@ -310,7 +297,7 @@ def _suite_quadrature():
     inside = pts.sum(axis=1) <= 1.0
     mc = w.eval(pts[inside]).sum() / len(pts) * 9.0
     r = integrate_weighted(p2, w)
-    check("quadrature vs Monte Carlo (2e5 samples)", r.value - mc, 2e-2)
+    rows.append(_check("quadrature vs Monte Carlo (2e5 samples)", r.value - mc, 2e-2))
     return rows
 
 
@@ -338,12 +325,10 @@ def _suite_futaki(grid_resolution):
             zeta = list(ell.zeta) if not ell.is_constant() else [0] * p.dim
             ff = invariants.futaki_fano(p, vv, zeta)
             fn = toricmetrics.futaki_numeric(p, u, vv, ww, ell, grid)
-            rows.append({"check": f"{name} dir {d}: boundary vs closed form",
-                         "residual": abs(fb.value - ff.value), "tol": 1e-6,
-                         "pass": bool(abs(fb.value - ff.value) <= 1e-6)})
-            rows.append({"check": f"{name} dir {d}: boundary vs metric numeric",
-                         "residual": abs(fb.value - fn.value), "tol": 1e-3,
-                         "pass": bool(abs(fb.value - fn.value) <= 1e-3)})
+            rows.append(_check(f"{name} dir {d}: boundary vs closed form",
+                               abs(fb.value - ff.value), 1e-6))
+            rows.append(_check(f"{name} dir {d}: boundary vs metric numeric",
+                               abs(fb.value - fn.value), 1e-3))
     return rows
 
 
@@ -352,9 +337,8 @@ def _suite_identities():
     interval, p2 = _interval(), _p2()
     u1 = toricmetrics.SymplecticPotential(interval)
     xs = np.linspace(-0.95, 0.95, 21)[:, None]
-    res = float(np.max(np.abs(toricmetrics.scal(u1, xs, h=1e-3) - 2.0)))
-    rows.append({"check": "P1 Guillemin Scal = 2", "residual": res, "tol": 1e-8,
-                 "pass": bool(res <= 1e-8)})
+    res = np.max(np.abs(toricmetrics.scal(u1, xs, h=1e-3) - 2.0))
+    rows.append(_check("P1 Guillemin Scal = 2", res, 1e-8))
     u2 = toricmetrics.scaled_bump(
         p2, Polynomial(2, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}))
     rng = np.random.default_rng(7)
@@ -367,48 +351,36 @@ def _suite_identities():
     v = WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 10)], 0)
     d = toricmetrics.scal_v_direct(u2, v, pts, h=2.5e-4)
     g = toricmetrics.scal_v_divergence(u2, v, pts, h=2.5e-4)
-    res = float(np.max(np.abs(d - g)))
-    rows.append({"check": "scal_v direct vs divergence (bump metric)",
-                 "residual": res, "tol": 1e-6, "pass": bool(res <= 1e-6)})
+    rows.append(_check("scal_v direct vs divergence (bump metric)",
+                       np.max(np.abs(d - g)), 1e-6))
     # The two FD forms share their truncation error, so the closed form is
     # checked against one of them too; at h = 2.5e-4 that error is 4.5e-6.
-    res = float(np.max(np.abs(toricmetrics._scal_v_abreu(u2, v, pts) - d)))
-    rows.append({"check": "scal_v closed form vs direct FD (bump metric)",
-                 "residual": res, "tol": 1e-5, "pass": bool(res <= 1e-5)})
+    rows.append(_check("scal_v closed form vs direct FD (bump metric)",
+                       np.max(np.abs(toricmetrics._scal_v_abreu(u2, v, pts) - d)), 1e-5))
     spec = fibration.FibrationSpec(
         interval, [(fibration.BaseFactor(1, k=2), (1,), 2)])
     fw = fibration.extremal_fibration_weights(spec)
     sample = np.linspace(-0.9, 0.9, 11)[:, None]
     lhs = fw.w_tilde.eval(sample)
     rhs = fw.p.eval(sample) * (fw.ell_ext.eval(sample) - fw.q.eval(sample))
-    res = float(np.max(np.abs(lhs - rhs)))
-    rows.append({"check": "w_tilde = p (ell_ext - q) pointwise",
-                 "residual": res, "tol": 1e-12, "pass": bool(res <= 1e-12)})
+    rows.append(_check("w_tilde = p (ell_ext - q) pointwise", np.max(np.abs(lhs - rhs)), 1e-12))
     return rows
 
 
 def cmd_verify(args):
-    started = time.monotonic()
     suites = {
-        "quadrature": lambda: _suite_quadrature(),
+        "quadrature": _suite_quadrature,
         "futaki": lambda: _suite_futaki(args.grid),
-        "identities": lambda: _suite_identities(),
+        "identities": _suite_identities,
     }
-    if args.suite == "all":
-        names = list(suites)
-    elif args.suite in suites:
-        names = [args.suite]
-    else:
-        raise SchemaError("suite", f"unknown suite {args.suite!r}; "
-                                   f"choose from {sorted(suites)} or 'all'")
+    names = list(suites) if args.suite == "all" else [args.suite]
     rows = []
     for name in names:
         for row in suites[name]():
             row["suite"] = name
             rows.append(row)
     ok = all(row["pass"] for row in rows)
-    _emit(_report("verify", {"suite": args.suite},
-                  {"all_pass": ok, "checks": rows}, started=started), args)
+    _emit(args, "verify", {"suite": args.suite}, {"all_pass": ok, "checks": rows})
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -426,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, solver=False):
         sp.add_argument("--tol", type=float,
-                        default=1e-10 if solver else 1e-12)
+                        default=solvers.DEFAULT_TOL if solver else 1e-12)
         sp.add_argument("--out", help="write the JSON report to a file")
         if solver:
-            sp.add_argument("--max-iter", type=int, default=100)
+            sp.add_argument("--max-iter", type=int, default=solvers.DEFAULT_MAX_ITER)
             sp.add_argument("--csv", help="write the iteration trace as CSV")
 
     sp = sub.add_parser("polytope-info", help="vertices, volume, boundary measure")
@@ -497,6 +469,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except MaxIterations as e:

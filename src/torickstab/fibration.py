@@ -19,7 +19,8 @@ from .exactlinalg import frac
 from .invariants import extremal_affine
 from .polytope import AffineFunction, DelzantPolytope, cramer_vertices
 from .quadrature import DEFAULT_TOL
-from .solvers import SolverResult, msy_reeb, tian_zhu_soliton
+from .solvers import (DEFAULT_MAX_ITER, DEFAULT_TOL as SOLVER_TOL, SolverResult, msy_reeb,
+                      tian_zhu_soliton)
 from .weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
 
 
@@ -191,7 +192,7 @@ def _feasible_box(rows, r):
             for i in range(r)]
 
 
-def pv_soliton_pipeline(spec: FibrationSpec, v=1, tol=1e-10, max_iter=100,
+def pv_soliton_pipeline(spec: FibrationSpec, v=1, tol=SOLVER_TOL, max_iter=DEFAULT_MAX_ITER,
                         reeb: bool = False, s=None) -> SolverResult:
     """Soliton (or Reeb) solve for a Fano fibration with weight p*v.
 

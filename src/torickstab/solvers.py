@@ -1,8 +1,12 @@
 """Newton solvers for the soliton vector field and the Reeb minimizer.
 
-Both functionals are smooth and strictly convex on their feasible sets, with
-gradients and Hessians given by moment integrals over the polytope, so damped
-Newton iterations converge globally from xi = 0.
+Both fields minimize a functional F(xi) = int g(<xi, x>) p(x) dx that is
+smooth and strictly convex on its feasible set: g = exp for the soliton and
+g(t) = (1 + t)^(-s) for the Reeb field. The gradient and Hessian are the
+moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
+damped Newton loop, `_newton_loop`, serves both; each solver supplies only
+the weights g, g', g'' up to constant factors. The iterations converge
+globally from xi = 0.
 """
 
 from __future__ import annotations
@@ -41,21 +45,39 @@ def _check_origin(polytope: DelzantPolytope):
         raise OriginNotInterior("the functional is proper only when 0 is interior")
 
 
-def _moment_products(dim: int):
-    """Products (x_i,) and (x_i, x_j) for i <= j, and those (i, j) as index arrays."""
-    x = [AffineFunction.coordinate(dim, i) for i in range(dim)]
-    upper = np.triu_indices(dim)
-    return [(xi,) for xi in x], [(x[i], x[j]) for i, j in zip(*upper)], upper
+def _newton_loop(polytope, p, weight, scales, tol, max_iter,
+                 feasible=lambda xi: True, limit_step=lambda xi, d: 1.0):
+    """Damped Newton minimization of F(xi) = int g(<xi, x>) p(x) dx from xi = 0.
 
-
-def _newton_loop(polytope, objective, derivatives, feasible, limit_step, tol, max_iter):
-    """Shared damped-Newton driver.
-
-    objective(xi) returns (F, error estimate of F); derivatives(xi) returns
-    (grad, hess) and is called only at accepted iterates; feasible(xi) says
-    whether xi is admissible; limit_step(xi, direction) caps the initial step.
+    weight(xi, k) is the weight x -> g^(k)(<xi, x>) / scales[k], for k = 0, 1, 2.
+    F is integrated at trial points, and its gradient and Hessian only at
+    accepted iterates; all moments are taken two orders tighter than `tol`.
+    feasible(xi) says whether xi is admissible; limit_step(xi, direction) caps
+    the initial step.
     """
+    _check_origin(polytope)
+    require_positive(p, polytope, name="p")
+    p = as_weight(p, polytope.dim)
     r = polytope.dim
+    qtol = tol * 1e-2
+    x = [AffineFunction.coordinate(r, i) for i in range(r)]
+    upper = np.triu_indices(r)
+    singles, pairs = [(c,) for c in x], [(x[i], x[j]) for i, j in zip(*upper)]
+
+    def objective(xi):
+        res = integrate_weighted(polytope, p * weight(xi, 0), tol=qtol)
+        return scales[0] * res.value, abs(scales[0]) * res.error_estimate
+
+    def moments(xi, k, products):
+        return scales[k] * np.array([res.value for res in integrate_products(
+            polytope, p * weight(xi, k), products, tol=qtol)])
+
+    def derivatives(xi):
+        grad = moments(xi, 1, singles)
+        hess = np.empty((r, r))
+        hess[upper] = hess[upper[::-1]] = moments(xi, 2, pairs)
+        return grad, hess
+
     xi = np.zeros(r)
     trace = []
     f_val, f_err = objective(xi)
@@ -105,46 +127,24 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
                      max_iter=DEFAULT_MAX_ITER) -> SolverResult:
     """Minimize F(xi) = int exp(<xi,x>) p(x) dx; the critical point is the
     soliton vector field, where the p-weighted exp-barycenter sits at 0."""
-    _check_origin(polytope)
-    require_positive(p, polytope, name="p")
-    p = as_weight(p, polytope.dim)
-    r = polytope.dim
-    firsts, seconds, upper = _moment_products(r)
-    qtol = tol * 1e-2  # moments two orders tighter than the solver
 
-    def base(xi):
-        return p * WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
+    def weight(xi, k):
+        return WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
 
-    def objective(xi):
-        res = integrate_weighted(polytope, base(xi), tol=qtol)
-        return res.value, res.error_estimate
-
-    def derivatives(xi):
-        moments = [res.value for res in
-                   integrate_products(polytope, base(xi), firsts + seconds, tol=qtol)]
-        hess = np.empty((r, r))
-        hess[upper] = hess[upper[::-1]] = moments[r:]
-        return np.array(moments[:r]), hess
-
-    return _newton_loop(polytope, objective, derivatives, lambda xi: True,
-                        lambda xi, d: 1.0, tol, max_iter)
+    return _newton_loop(polytope, p, weight, (1, 1, 1), tol, max_iter)
 
 
 def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
              max_iter=DEFAULT_MAX_ITER) -> SolverResult:
     """Minimize V(xi) = int (<xi,x>+1)^(-s) p(x) dx over the cone where
     <xi,x>+1 > 0 on the polytope; the optimum is the normalized Reeb field."""
-    _check_origin(polytope)
-    require_positive(p, polytope, name="p")
-    p = as_weight(p, polytope.dim)
-    r = polytope.dim
     s = float(s)
-    firsts, seconds, upper = _moment_products(r)
-    qtol = tol * 1e-2
+
+    def ell(xi):
+        return AffineFunction([frac(float(z)) for z in xi], 1)
 
     def min_vertex(xi):
-        aff = AffineFunction([frac(float(z)) for z in xi], 1)
-        return float(polytope.vertex_min(aff))
+        return float(polytope.vertex_min(ell(xi)))
 
     def feasible(xi):
         return min_vertex(xi) > 0
@@ -160,20 +160,8 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
             t *= 0.5
         return t
 
-    def base(xi, e):
-        aff = AffineFunction([frac(float(z)) for z in xi], 1)
-        return p * WeightFn.affine_power(aff, frac(e))
+    def weight(xi, k):
+        return WeightFn.affine_power(ell(xi), frac(-s - k))
 
-    def objective(xi):
-        res = integrate_weighted(polytope, base(xi, -s), tol=qtol)
-        return res.value, res.error_estimate
-
-    def derivatives(xi):
-        g = integrate_products(polytope, base(xi, -s - 1), firsts, tol=qtol)
-        h = integrate_products(polytope, base(xi, -s - 2), seconds, tol=qtol)
-        hess = np.empty((r, r))
-        hess[upper] = hess[upper[::-1]] = s * (s + 1) * np.array([res.value for res in h])
-        return -s * np.array([res.value for res in g]), hess
-
-    return _newton_loop(polytope, objective, derivatives, feasible, limit_step,
-                        tol, max_iter)
+    return _newton_loop(polytope, p, weight, (1, -s, s * (s + 1)), tol, max_iter,
+                        feasible, limit_step)

@@ -28,24 +28,15 @@ from .weights import as_weight
 
 DEFAULT_FD_STEP = 1e-4
 FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the margin
+CHECK_GRID = 9  # per-axis sample grid on which a bumped potential must be convex
+BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
 
 @dataclass
 class GridSpec:
-    """Evaluation grid: per-axis resolution, interior margin, FD step.
-
-    `futaki_numeric` reads only `resolution`. `margin` and `h` parameterise
-    the finite-difference oracle (`scal`, `scal_v_direct`,
-    `scal_v_divergence`).
-    """
+    """Evaluation grid of `futaki_numeric`: the per-axis resolution."""
 
     resolution: int = 400
-    margin: float = 1e-3
-    h: float = DEFAULT_FD_STEP
-
-    def __post_init__(self):
-        if not self.margin > 2 * self.h:
-            raise ValueError("interior margin must exceed twice the FD step")
 
 
 class SymplecticPotential:
@@ -55,11 +46,10 @@ class SymplecticPotential:
     Hess u = 1/2 sum_j u_j u_j^T / L_j + Hess(bump).
     """
 
-    def __init__(self, polytope: DelzantPolytope, bump: Polynomial = None,
-                 check_grid: int = 9):
+    def __init__(self, polytope: DelzantPolytope, bump: Polynomial = None):
         self.polytope = polytope
         self.bump = bump
-        hs = [h for h, _ in polytope.facets()]
+        hs = polytope.halfspaces
         self.normals = np.array([[float(c) for c in h.normal] for h in hs])
         self.offsets = np.array([float(h.offset) for h in hs])
         r = polytope.dim
@@ -68,7 +58,7 @@ class SymplecticPotential:
                 raise ValueError("bump dimension does not match the polytope")
             # second to fourth partials of the bump, one per sorted index tuple
             self._bump_partials = {k: _symmetric_partials(bump, k) for k in (2, 3, 4)}
-            self._validate(check_grid)
+            self._validate()
         else:
             self._bump_partials = None
 
@@ -76,10 +66,10 @@ class SymplecticPotential:
     def kind(self) -> str:
         return "Guillemin" if self.bump is None else "GuilleminPlusBump"
 
-    def _validate(self, n: int):
+    def _validate(self):
         from .weights import _sample_grid
 
-        pts = np.asarray(_sample_grid(self.polytope, n), dtype=float)
+        pts = np.asarray(_sample_grid(self.polytope, CHECK_GRID), dtype=float)
         if pts.size:
             pts = pts[self.facet_values(pts).min(axis=1) > 1e-9]
         if pts.size:
@@ -134,13 +124,12 @@ def _eval_symmetric(partials, x):
     return out
 
 
-def scaled_bump(polytope: DelzantPolytope, poly: Polynomial,
-                check_grid: int = 9, max_halvings: int = 60) -> SymplecticPotential:
+def scaled_bump(polytope: DelzantPolytope, poly: Polynomial) -> SymplecticPotential:
     """Halve the bump until the potential Hessian is positive definite."""
     scale = Fraction(1)
-    for _ in range(max_halvings):
+    for _ in range(BUMP_HALVINGS):
         try:
-            return SymplecticPotential(polytope, poly.scale(scale), check_grid)
+            return SymplecticPotential(polytope, poly.scale(scale))
         except NotPositiveDefinite:
             scale /= 2
     raise NotPositiveDefinite("bump could not be scaled into convexity")
@@ -159,14 +148,10 @@ def _prepare(u: SymplecticPotential, x, h, margin):
     return x, h_pt
 
 
-def hess_inv(u: SymplecticPotential, x, margin: float = 0.0):
+def hess_inv(u: SymplecticPotential, x):
     """Inverse Hessian H (the torus-direction metric); (r, r) or (N, r, r)."""
     single = np.asarray(x, dtype=float).ndim == 1
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    L = u.facet_values(xb)
-    if L.min() <= max(margin, 0.0):
-        raise TooCloseToBoundary("point not interior with the requested margin")
-    hess = u.hess(xb)
+    hess = u.hess(np.atleast_2d(np.asarray(x, dtype=float)))  # raises off the interior
     if np.linalg.eigvalsh(hess).min() <= 0:
         raise NotPositiveDefinite("potential Hessian not positive definite")
     H = np.linalg.inv(hess)
@@ -330,13 +315,13 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
 
     Scal_v is taken in closed form from the potential's derivatives, at the
     nodes of the embedded cubature pair on a refined triangulation whose
-    nodes are strictly interior, so no boundary truncation is needed. Only
-    `grid.resolution` is read. The error estimate is the discrepancy between
-    the paired rules plus N eps sum_i |w_i f_i| over the N nodes of the
-    reported rule: with no finite-difference truncation left, the first is the
-    cubature error and the second bounds the rounding error of the weighted
-    sum (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
-    which the first misses once it reaches the roundoff floor.
+    nodes are strictly interior, so no boundary truncation is needed. The
+    error estimate is the discrepancy between the paired rules plus
+    N eps sum_i |w_i f_i| over the N nodes of the reported rule: with no
+    finite-difference truncation left, the first is the cubature error and the
+    second bounds the rounding error of the weighted sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1), which the first misses once
+    it reaches the roundoff floor.
     """
     if grid is None:
         grid = GridSpec()

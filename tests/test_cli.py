@@ -227,3 +227,28 @@ def test_polytope_info_rejects_a_redundant_half_space(capsys):
         {"normal": [1, 0], "offset": 5}]})
     assert main(["polytope-info", "--polytope", square]) == EXIT_VALIDATION
     assert "NotDelzant" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_file_argument_named_with_a_leading_digit(capsys, tmp_path, monkeypatch):
+    (tmp_path / "2d.json").write_text(INTERVAL)
+    monkeypatch.chdir(tmp_path)
+    code, rep = _run(capsys, "polytope-info", "--polytope", "2d.json")
+    assert code == EXIT_OK
+    assert rep["results"]["volume"] == "2"
+
+
+@pytest.mark.parametrize("arg, message", [
+    ('{"facets": [', "polytope: invalid JSON"),
+    ("missing.json", "polytope: cannot read 'missing.json'"),
+], ids=["malformed-inline", "missing-file"])
+def test_bad_json_argument_exits_validation(capsys, tmp_path, monkeypatch, arg, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["polytope-info", "--polytope", arg]) == EXIT_VALIDATION
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_malformed_file_exits_validation(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"facets": [')
+    assert main(["polytope-info", "--polytope", str(path)]) == EXIT_VALIDATION
+    assert "polytope: invalid JSON" in json.loads(capsys.readouterr().err)["error"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torickstab.errors import MaxIterations, OriginNotInterior
+from torickstab.errors import MaxIterations, NotPositive, OriginNotInterior
 from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
@@ -113,6 +113,14 @@ def test_origin_must_be_interior():
         tian_zhu_soliton(shifted, WeightFn.constant(1, 1))
     with pytest.raises(OriginNotInterior):
         msy_reeb(shifted, WeightFn.constant(1, 1), 3)
+
+
+@pytest.mark.parametrize("solve", [tian_zhu_soliton, lambda p, w: msy_reeb(p, w, 3)],
+                         ids=["soliton", "reeb"])
+def test_weight_must_be_positive(interval, solve):
+    # x + 1 vanishes at the vertex -1 of [-1, 1]
+    with pytest.raises(NotPositive):
+        solve(interval, WeightFn.affine_power(AffineFunction([1], 1), 1))
 
 
 def test_max_iterations_carries_partial_result(interval):

@@ -138,16 +138,11 @@ def test_too_close_to_boundary(interval):
         hess_inv(u, np.array([1.0]))
 
 
-def test_grid_spec_invariant():
-    with pytest.raises(ValueError):
-        GridSpec(margin=1e-4, h=1e-4)
-
-
 def test_futaki_numeric_p1_anchor(interval):
     u = SymplecticPotential(interval)
     v, w = soliton_weight_pair(
         WeightFn.affine_power(AffineFunction([1], 2), 1), 1)
-    grid = GridSpec(resolution=200, margin=1e-2, h=1e-3)
+    grid = GridSpec(resolution=200)
     rep = futaki_numeric(interval, u, v, w, AffineFunction([1], 0), grid)
     assert rep.value == pytest.approx(4.0 / 3.0, abs=1e-6)
     assert rep.method == "metric_numeric"
@@ -157,7 +152,7 @@ def test_futaki_numeric_matches_boundary_formula(p2):
     u = SymplecticPotential(p2)
     v, w = soliton_weight_pair(
         WeightFn.affine_power(AffineFunction([1, 0], 2), 1), 2)
-    grid = GridSpec(resolution=100, margin=1e-2, h=1e-3)
+    grid = GridSpec(resolution=100)
     for zeta in ([1, 0], [0, 1]):
         ell = AffineFunction(zeta, 0)
         num = futaki_numeric(p2, u, v, w, ell, grid).value
@@ -168,7 +163,7 @@ def test_futaki_numeric_matches_boundary_formula(p2):
 def test_futaki_numeric_metric_independent(interval):
     v, w = soliton_weight_pair(WeightFn.constant(1, 1), 1)
     ell = AffineFunction([1], 0)
-    grid = GridSpec(resolution=200, margin=1e-2, h=1e-3)
+    grid = GridSpec(resolution=200)
     base = futaki_numeric(interval, SymplecticPotential(interval),
                           v, w, ell, grid).value
     bumped = scaled_bump(interval, Polynomial(1, {(4,): Fraction(1, 30)}))
