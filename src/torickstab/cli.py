@@ -138,25 +138,12 @@ def cmd_extremal(args):
 
 
 def _solver_inputs(args):
-    """Resolve (polytope, weight, inputs-echo) from --polytope/--weight or --fibration."""
-    if args.fibration is not None:
-        spec = jsonio.fibration_from_json(_load_json(args.fibration, "fibration"))
-        fibration.validate(spec)
-        p = spec.fiber
-        weight = fibration.fibration_weight(spec)
-        if args.v is not None:
-            weight = weight * jsonio.weight_from_json(
-                _load_json(args.v, "v"), p.dim, "v")
-        echo = {"fibration": jsonio.fibration_to_json(spec)}
-        n_base = sum(f.n for f, _, _ in spec.factors)
-        return p, weight, echo, n_base
-    if args.polytope is None or args.weight is None:
-        raise SchemaError("inputs", "need --polytope and --weight, or --fibration")
+    """Resolve (polytope, weight, inputs-echo) from --polytope and --weight."""
     p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
     weight = jsonio.weight_from_json(_load_json(args.weight, "weight"), p.dim, "weight")
     echo = {"polytope": jsonio.polytope_to_json(p),
             "weight": jsonio.weight_to_json(weight)}
-    return p, weight, echo, 0
+    return p, weight, echo
 
 
 def _run_solver(command, echo, solve, args):
@@ -177,14 +164,14 @@ def _run_solver(command, echo, solve, args):
 
 
 def cmd_soliton(args):
-    p, weight, echo, _ = _solver_inputs(args)
+    p, weight, echo = _solver_inputs(args)
     return _run_solver("soliton", echo, lambda: solvers.tian_zhu_soliton(
         p, weight, tol=args.tol, max_iter=args.max_iter), args)
 
 
 def cmd_reeb(args):
-    p, weight, echo, n_base = _solver_inputs(args)
-    s = args.s if args.s is not None else p.dim + n_base + 1
+    p, weight, echo = _solver_inputs(args)
+    s = args.s if args.s is not None else p.dim + 1
     echo["s"] = s
     return _run_solver("reeb", echo, lambda: solvers.msy_reeb(
         p, weight, s, tol=args.tol, max_iter=args.max_iter), args)
@@ -430,10 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func in (("soliton", cmd_soliton), ("reeb", cmd_reeb)):
         sp = sub.add_parser(name, help=f"{name} solver")
-        sp.add_argument("--polytope")
-        sp.add_argument("--weight")
-        sp.add_argument("--fibration")
-        sp.add_argument("--v")
+        sp.add_argument("--polytope", required=True)
+        sp.add_argument("--weight", required=True)
         if name == "reeb":
             sp.add_argument("--s", type=float)
         common(sp, solver=True)

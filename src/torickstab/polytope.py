@@ -344,9 +344,6 @@ class DelzantPolytope:
         hi = [max(v[i] for v in self.vertices) for i in range(self.dim)]
         return lo, hi
 
-    def float_vertices(self):
-        return np.array([[float(c) for c in v] for v in self.vertices])
-
     # -- triangulation -------------------------------------------------------
 
     def triangulate(self, root_index=0):

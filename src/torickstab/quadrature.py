@@ -98,6 +98,9 @@ def gm_rule(dim: int, order: int):
 EVAL_CHUNK = 1 << 15
 
 
+_triu_indices = lru_cache(maxsize=None)(np.triu_indices)  # edge pairs (i < j) per vertex count
+
+
 def _bisect_all(verts):
     """Longest-edge bisection of every simplex in the batch (S, k, r) -> (2S, k, r).
 
@@ -105,7 +108,7 @@ def _bisect_all(verts):
     2s and 2s + 1.
     """
     s, k, _ = verts.shape
-    first, second = np.triu_indices(k, 1)
+    first, second = _triu_indices(k, 1)
     d2 = np.sum((verts[:, first] - verts[:, second]) ** 2, axis=2)
     best = np.argmax(d2, axis=1)
     rows, i, j = np.arange(s), first[best], second[best]

@@ -39,6 +39,13 @@ class GridSpec:
     resolution: int = 400
 
 
+def _sample_grid(polytope: DelzantPolytope, n_per_axis: int):
+    """A regular grid over the polytope's bounding box; (n_per_axis^r, r)."""
+    lo, hi = polytope.bounding_box()
+    axes = [np.linspace(float(a), float(b), n_per_axis) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
+
+
 class SymplecticPotential:
     """Guillemin potential of a Delzant polytope, plus an optional bump.
 
@@ -67,11 +74,8 @@ class SymplecticPotential:
         return "Guillemin" if self.bump is None else "GuilleminPlusBump"
 
     def _validate(self):
-        from .weights import _sample_grid
-
-        pts = np.asarray(_sample_grid(self.polytope, CHECK_GRID), dtype=float)
-        if pts.size:
-            pts = pts[self.facet_values(pts).min(axis=1) > 1e-9]
+        pts = _sample_grid(self.polytope, CHECK_GRID)
+        pts = pts[self.facet_values(pts).min(axis=1) > 1e-9]  # interior points
         if pts.size:
             hess = self.hess(pts)
             if np.linalg.eigvalsh(hess).min() <= 0:

@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
+from math import comb, factorial, lcm, prod
 
 import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial
+from .polynomial import Polynomial, compositions
 from .polytope import AffineFunction, DelzantPolytope
 
 
@@ -227,40 +229,19 @@ class WeightFn:
 
     # -- positivity ---------------------------------------------------------------
 
-    def positivity_on(self, polytope: DelzantPolytope, grid=7) -> Positivity:
-        if self.coeff == 0:
-            return Positivity.NOT_POSITIVE
-        sign = 1 if self.coeff > 0 else -1
+    def positivity_on(self, polytope: DelzantPolytope) -> Positivity:
+        """Exact verdict on w > 0: affine factors positive at every vertex and the
+        exp part keep the sign; the rest is one polynomial for `_polynomial_sign`."""
+        poly = Polynomial.constant(self.dim, self.coeff)
         for aff, p in self.affine_powers:
-            vmin = polytope.vertex_min(aff)
-            if vmin > 0:
+            if polytope.vertex_min(aff) > 0:
                 continue
-            if vmin <= 0 and (p < 0 or not _is_integral(p)):
+            if p < 0 or not _is_integral(p):
                 return Positivity.NOT_POSITIVE
-            if self.is_polynomial:
-                # a nonpositive exact value at a vertex is a certificate
-                vals = [self.to_polynomial().eval_exact(v)
-                        for v in polytope.vertices]
-                if any(val <= 0 for val in vals):
-                    return Positivity.NOT_POSITIVE
-            return Positivity.INDETERMINATE
+            poly = poly * aff.as_polynomial().power(int(p))
         if self.poly_part is not None:
-            vals = [self.poly_part.eval_exact(v) for v in polytope.vertices]
-            pts = _sample_grid(polytope, grid)
-            if len(pts):
-                fvals = self.poly_part.eval(pts)
-                if np.any(fvals <= 0) or any(v <= 0 for v in vals):
-                    if sign > 0:
-                        return Positivity.NOT_POSITIVE
-                elif sign < 0:
-                    return Positivity.NOT_POSITIVE
-            if self.poly_part.degree() > 1:
-                return Positivity.INDETERMINATE
-            # affine poly part: vertex check is exact
-            if all(v > 0 for v in vals):
-                return Positivity.POSITIVE if sign > 0 else Positivity.NOT_POSITIVE
-            return Positivity.NOT_POSITIVE if sign > 0 else Positivity.INDETERMINATE
-        return Positivity.POSITIVE if sign > 0 else Positivity.NOT_POSITIVE
+            poly = poly * self.poly_part
+        return _polynomial_sign(poly, polytope)[0]
 
     def __repr__(self):
         bits = [f"coeff={self.coeff}"]
@@ -331,15 +312,16 @@ class WeightSum:
     def hess(self, pts):
         return sum(t.hess(pts) for t in self._terms)
 
-    def positivity_on(self, polytope, grid=7):
-        verdicts = [t.positivity_on(polytope, grid) for t in self._terms]
+    def positivity_on(self, polytope):
+        """Certify the polynomial terms as one sum and every other term alone."""
+        poly = [t for t in self._terms if t.is_polynomial]
+        verdicts = [t.positivity_on(polytope) for t in self._terms if not t.is_polynomial]
+        if poly:
+            verdicts.append(_polynomial_sign(WeightSum(poly).to_polynomial(), polytope)[0])
         if all(v is Positivity.POSITIVE for v in verdicts):
             return Positivity.POSITIVE
-        pts = _sample_grid(polytope, grid)
-        vals = self.eval(pts) if len(pts) else np.array([1.0])
-        vverts = self.eval(polytope.float_vertices())
-        if np.any(vals <= 0) or np.any(vverts < -1e-15):
-            return Positivity.NOT_POSITIVE
+        if len(verdicts) == 1:
+            return verdicts[0]
         return Positivity.INDETERMINATE
 
     def __repr__(self):
@@ -359,14 +341,63 @@ def as_weight(w, dim=None):
     return WeightFn.constant(dim, w)
 
 
-def _sample_grid(polytope: DelzantPolytope, n_per_axis: int):
-    lo, hi = polytope.bounding_box()
-    axes = [np.linspace(float(a), float(b), n_per_axis) for a, b in zip(lo, hi)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
-    normals = np.array([[float(n) for n in h.normal] for h in polytope.halfspaces])
-    offsets = np.array([float(h.offset) for h in polytope.halfspaces])
-    inside = np.all(mesh @ normals.T + offsets[None, :] >= 0, axis=1)
-    return mesh[inside]
+BERNSTEIN_DEPTH = 16  # bisection generations before a simplex is left undecided
+
+
+def _bernstein(poly: Polynomial, vertices, degree):
+    """Bernstein coefficients of `poly` on a simplex, times one positive integer.
+
+    With poly(v_0 + sum_k t_k (v_k - v_0)) = sum_a c_a t^a, the coefficient of
+    b (b_0 = degree - |b|) is sum_a c_a a! (degree - |a|)! prod_i C(b_i, a_i) / degree!.
+    Those of b = 0 and b = degree e_k have the signs of the values at the vertices.
+    """
+    v0 = vertices[0]
+    edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(len(v0))]
+    terms = {a: c * prod(map(factorial, a)) * factorial(degree - sum(a))
+             for a, c in poly.compose_affine(edges, v0).coeffs.items()}
+    q = lcm(*(c.denominator for c in terms.values()))
+    terms = [(a, c.numerator * (q // c.denominator)) for a, c in terms.items()]
+    return {b: sum(c * prod(map(comb, b, a)) for a, c in terms)
+            for k in range(degree + 1) for b in compositions(k, len(v0))}
+
+
+def _bisect(vertices):
+    """The two halves of a simplex cut at the midpoint of its first longest edge."""
+    i, j = max(combinations(range(len(vertices)), 2),
+               key=lambda e: sum((a - b) ** 2 for a, b in zip(vertices[e[0]], vertices[e[1]])))
+    mid = tuple((a + b) / 2 for a, b in zip(vertices[i], vertices[j]))
+    return vertices[:i] + (mid,) + vertices[i + 1:], vertices[:j] + (mid,) + vertices[j + 1:]
+
+
+def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
+    """(verdict, witness) for poly > 0 on the polytope, from exact Bernstein
+    coefficients on the simplices of its triangulation (Farouki, CAGD 29 (2012)).
+
+    All coefficients > 0 certify a simplex. A vertex coefficient <= 0 is the
+    value there, and that vertex is the witness of NOT_POSITIVE (the witness is
+    None for the other verdicts). Undecided simplices are bisected along their
+    longest edge for BERNSTEIN_DEPTH generations, then the verdict is INDETERMINATE.
+    """
+    if poly.is_constant():
+        if poly.constant_value() > 0:
+            return Positivity.POSITIVE, None
+        return Positivity.NOT_POSITIVE, polytope.vertices[0]
+    d, r = poly.degree(), polytope.dim
+    corners = [(0,) * r] + [tuple(d * (i == k) for i in range(r)) for k in range(r)]
+    pending = [s.vertices for s in polytope.triangulate()]
+    for _ in range(BERNSTEIN_DEPTH + 1):
+        undecided = []
+        for vertices in pending:
+            coeffs = _bernstein(poly, vertices, d)
+            for corner, vertex in zip(corners, vertices):
+                if coeffs[corner] <= 0:
+                    return Positivity.NOT_POSITIVE, vertex
+            if min(coeffs.values()) <= 0:
+                undecided.append(vertices)
+        if not undecided:
+            return Positivity.POSITIVE, None
+        pending = [half for vertices in undecided for half in _bisect(vertices)]
+    return Positivity.INDETERMINATE, None
 
 
 def require_positive(w, polytope, name="weight"):

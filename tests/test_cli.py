@@ -166,6 +166,15 @@ def test_iteration_cap_partial_report_form(capsys, tmp_path, argv, inputs):
     assert not csv_path.exists()  # no trace file for a partial result
 
 
+@pytest.mark.parametrize("command", ["soliton", "reeb"])
+@pytest.mark.parametrize("extra", [["--v", '"x+3"'], ["--fibration", FIB]], ids=["v", "fibration"])
+def test_solver_fibration_route_is_gone(capsys, command, extra):
+    # `fibration soliton|reeb --spec` is the one fibration route
+    with pytest.raises(SystemExit) as info:
+        main([command, "--polytope", INTERVAL, "--weight", '"x+2"', *extra])
+    assert info.value.code == EXIT_VALIDATION
+
+
 def test_reports_are_deterministic(capsys):
     def strip(rep):
         rep.pop("timings", None)

@@ -1,22 +1,29 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickstab.errors import NotPositive
-from torickstab.polynomial import Polynomial
+from torickstab.polynomial import Polynomial, compositions
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
 from torickstab.weights import (
     Positivity,
     WeightFn,
     WeightSum,
+    _polynomial_sign,
     as_weight,
     equivalent_sasaki_pair,
+    require_positive,
     sasaki_weight_pair,
     soliton_weight_pair,
 )
+
+from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope
 
 
 def _affine(zeta, a):
@@ -122,6 +129,77 @@ def test_positivity_verdicts(interval):
     assert WeightFn.affine_power(
         _affine([1], Fraction(1, 2)), 1).positivity_on(
         interval) is Positivity.NOT_POSITIVE
+
+
+@pytest.mark.parametrize("weight", [
+    WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (0,): 1})),
+    WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (1,): 3, (0,): 3})),
+    WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (1,): 4, (0,): 4})),
+    WeightFn.affine_power(_affine([1], -2), 2),
+    WeightFn.from_polynomial(Polynomial(1, {(2,): 1})) + WeightFn.constant(1, 1),
+    WeightFn.exp_affine([-3], 0) * WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (0,): 1})),
+], ids=["x^2+1", "x^2+3x+3", "(x+2)^2", "affine_power(x-2,2)", "sum x^2 + 1",
+        "exp(-3x)(x^2+1)"])
+def test_positive_quadratics_are_certified(interval, weight):
+    assert weight.positivity_on(interval) is Positivity.POSITIVE
+    require_positive(weight, interval)
+
+
+def test_square_is_not_positive_with_witness_zero(interval):
+    square = Polynomial(1, {(2,): 1})
+    assert _polynomial_sign(square, interval) == (Positivity.NOT_POSITIVE, (0,))
+    assert WeightFn.from_polynomial(square).positivity_on(interval) is Positivity.NOT_POSITIVE
+    with pytest.raises(NotPositive):
+        require_positive(WeightFn.from_polynomial(square), interval)
+
+
+@lru_cache(maxsize=None)
+def _canonical(name):
+    return make_polytope(*((n, 1) for n in CANONICAL_NORMALS[name]))
+
+
+_coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def _sign_cases(draw):
+    """A canonical polytope, a rational polynomial of degree <= 4 and a few
+    rational convex combinations of the polytope's vertices."""
+    polytope = _canonical(draw(st.sampled_from(("P1",) + POLYGONS + ("P3",))))
+    alphas = [a for k in range(draw(st.integers(0, 4)) + 1)
+              for a in compositions(k, polytope.dim)]
+    poly = Polynomial(polytope.dim, dict(zip(alphas, draw(
+        st.lists(_coefficients, min_size=len(alphas), max_size=len(alphas))))))
+    n = len(polytope.vertices)
+    mixes = draw(st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any),
+                          min_size=1, max_size=4))
+    points = list(polytope.vertices) + [
+        tuple(sum(m * v[i] for m, v in zip(mix, polytope.vertices)) / sum(mix)
+              for i in range(polytope.dim))
+        for mix in mixes]
+    return polytope, poly, points, draw(st.sampled_from([0, 1, 2, 3]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sign_cases())
+def test_polynomial_sign_agrees_with_exact_values(case):
+    """POSITIVE holds at every vertex and sampled interior point, NOT_POSITIVE
+    names a point of the polytope where the value is <= 0, and p lifted by a
+    bound on |p| over the polytope is certified."""
+    polytope, raw, points, quarters = case
+    radius = max(abs(c) for v in polytope.vertices for c in v)
+    bound = 1 + sum(abs(c) * radius ** sum(a) for a, c in raw.coeffs.items())
+    lift = Polynomial.constant(polytope.dim, bound * Fraction(quarters, 4))
+    poly = raw + lift  # partial lifts reach all three verdicts
+    verdict, witness = _polynomial_sign(poly, polytope)
+    if verdict is Positivity.POSITIVE:
+        assert all(poly.eval_exact(x) > 0 for x in points)
+    elif verdict is Positivity.NOT_POSITIVE:
+        assert polytope.contains(witness) and poly.eval_exact(witness) <= 0
+    else:
+        assert witness is None
+    lifted = raw + Polynomial.constant(polytope.dim, bound)
+    assert _polynomial_sign(lifted, polytope) == (Positivity.POSITIVE, None)
 
 
 def test_weight_sum_algebra(interval):
