@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateSimplex,
-    DomainViolation,
     IllConditioned,
-    InfeasibleStart,
     MaxDepthExceeded,
     MaxIterations,
     NotAdmissible,

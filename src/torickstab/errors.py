@@ -49,20 +49,12 @@ class NotPositive(TorickstabError):
     """A weight required to be positive on the polytope is not (or cannot be certified)."""
 
 
-class DomainViolation(TorickstabError):
-    """Evaluation point outside the domain of definition of a weight."""
-
-
 class IllConditioned(TorickstabError):
     """Gram system condition number above threshold."""
 
 
 class OriginNotInterior(TorickstabError):
     """Properness precondition 0 in int(polytope) fails."""
-
-
-class InfeasibleStart(TorickstabError):
-    """Initial point outside the open feasible cone."""
 
 
 class MaxIterations(TorickstabError):

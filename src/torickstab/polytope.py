@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
@@ -136,6 +137,28 @@ class Simplex:
 
     def float_vertices(self):
         return np.array([[float(c) for c in v] for v in self.vertices])
+
+
+_triu_indices = lru_cache(maxsize=None)(np.triu_indices)  # edge pairs (i < j) per vertex count
+
+
+def _bisect_all(verts):
+    """Longest-edge bisection of every simplex in the batch (S, k, r) -> (2S, k, r).
+
+    Ties go to the first edge in (i, j) order; children of simplex s sit at
+    2s and 2s + 1. A float batch is halved in floating point, a Fraction batch
+    (dtype=object) exactly.
+    """
+    s, k, _ = verts.shape
+    first, second = _triu_indices(k, 1)
+    d2 = np.sum((verts[:, first] - verts[:, second]) ** 2, axis=2)
+    best = np.argmax(d2, axis=1)
+    rows, i, j = np.arange(s), first[best], second[best]
+    mid = (verts[rows, i] + verts[rows, j]) / 2
+    out = np.repeat(verts, 2, axis=0)
+    out[2 * rows, i] = mid
+    out[2 * rows + 1, j] = mid
+    return out
 
 
 def moment_table(simplices, degree):
@@ -346,18 +369,11 @@ class DelzantPolytope:
 
     # -- triangulation -------------------------------------------------------
 
-    def triangulate(self, root_index=0):
-        """Deterministic fan triangulation from the lexicographically smallest vertex.
-
-        root_index selects the fan root among the sorted vertices (used by the
-        independent-triangulation volume test).
-        """
-        if root_index == 0 and self._triangulation is not None:
-            return self._triangulation
-        tri = tuple(_triangulate(self, root_index))
-        if root_index == 0:
-            self._triangulation = tri
-        return tri
+    def triangulate(self):
+        """Deterministic fan triangulation from the lexicographically smallest vertex."""
+        if self._triangulation is None:
+            self._triangulation = tuple(_triangulate(self))
+        return self._triangulation
 
     def volume(self) -> Fraction:
         """The zeroth moment."""

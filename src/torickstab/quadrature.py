@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from .exactlinalg import frac
 from .polynomial import Polynomial, compositions, dict_product, linear_terms
-from .polytope import DelzantPolytope, Simplex, moment_table
+from .polytope import DelzantPolytope, Simplex, _bisect_all, moment_table
 from .weights import WeightFn, WeightSum, as_weight
 
 DEFAULT_TOL = 1e-12
@@ -96,27 +96,6 @@ def gm_rule(dim: int, order: int):
 # Most nodes handed to one integrand call: a 3-D round can reach 10^5 nodes,
 # and evaluating them at once raises the peak memory for no gain in speed.
 EVAL_CHUNK = 1 << 15
-
-
-_triu_indices = lru_cache(maxsize=None)(np.triu_indices)  # edge pairs (i < j) per vertex count
-
-
-def _bisect_all(verts):
-    """Longest-edge bisection of every simplex in the batch (S, k, r) -> (2S, k, r).
-
-    Ties go to the first edge in (i, j) order; children of simplex s sit at
-    2s and 2s + 1.
-    """
-    s, k, _ = verts.shape
-    first, second = _triu_indices(k, 1)
-    d2 = np.sum((verts[:, first] - verts[:, second]) ** 2, axis=2)
-    best = np.argmax(d2, axis=1)
-    rows, i, j = np.arange(s), first[best], second[best]
-    mid = 0.5 * (verts[rows, i] + verts[rows, j])
-    out = np.repeat(verts, 2, axis=0)
-    out[2 * rows, i] = mid
-    out[2 * rows + 1, j] = mid
-    return out
 
 
 def _rule_batch(verts, evaluate):

@@ -15,15 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import ceil, factorial, log2
+from math import ceil, log2
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial
-from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import EVAL_CHUNK, GM_ORDER_HIGH, GM_ORDER_LOW, _bisect_all, gm_rule
+from .polytope import AffineFunction, DelzantPolytope, _bisect_all
+from .quadrature import GM_ORDER_HIGH, _rule_batch, gm_rule
 from .weights import as_weight
 
 DEFAULT_FD_STEP = 1e-4
@@ -208,10 +208,7 @@ def _hinv(u):
 
 def scal(u: SymplecticPotential, x, h: float = DEFAULT_FD_STEP, margin: float = 0.0):
     """Scalar curvature Scal = -sum_ij d_i d_j H_ij; scalar or (N,) array."""
-    single = np.asarray(x, dtype=float).ndim == 1
-    xb, h_pt = _prepare(u, x, h, margin)
-    out = -_matrix_double_divergence(_hinv(u), xb, h_pt)
-    return float(out[0]) if single else out
+    return scal_v_divergence(u, 1, x, h, margin)
 
 
 def scal_v_direct(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
@@ -296,21 +293,14 @@ def _scal_v_abreu(u: SymplecticPotential, v, x):
              + np.einsum("nij,nij->n", H, v.hess(x)))
 
 
-def _refined_nodes(polytope: DelzantPolytope, resolution: int, order: int):
-    """Cubature nodes and weights on a uniformly bisected triangulation sized
-    so the total node count is at least resolution^dim."""
-    r = polytope.dim
-    base = polytope.triangulate()
-    verts = np.array([s.float_vertices() for s in base])  # (S, r+1, r)
-    pts, wts = gm_rule(r, order)
-    target = resolution ** r
-    levels = max(0, ceil(log2(max(1.0, target / (len(base) * len(wts))))))
-    for _ in range(levels):
+def _refined(polytope: DelzantPolytope, resolution: int):
+    """The triangulation bisected uniformly until the degree-9 rule has at
+    least resolution^dim nodes on it; float vertices (S, r+1, r)."""
+    verts = np.array([s.float_vertices() for s in polytope.triangulate()])
+    nodes = len(verts) * len(gm_rule(polytope.dim, GM_ORDER_HIGH)[1])
+    for _ in range(ceil(log2(max(1.0, resolution ** polytope.dim / nodes)))):
         verts = _bisect_all(verts)
-    scale = factorial(r) * np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]) / factorial(r))
-    nodes = np.einsum("pk,skr->spr", pts, verts).reshape(-1, r)
-    weights = (scale[:, None] * wts[None, :]).reshape(-1)
-    return nodes, weights
+    return verts
 
 
 def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
@@ -318,37 +308,26 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
     Scal_v is taken in closed form from the potential's derivatives, at the
-    nodes of the embedded cubature pair on a refined triangulation whose
-    nodes are strictly interior, so no boundary truncation is needed. The
-    error estimate is the discrepancy between the paired rules plus
-    N eps sum_i |w_i f_i| over the N nodes of the reported rule: with no
-    finite-difference truncation left, the first is the cubature error and the
-    second bounds the rounding error of the weighted sum (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 3.1), which the first misses once
-    it reaches the roundoff floor.
+    nodes of the embedded GM 9/7 pair (`quadrature._rule_batch`) on a refined
+    triangulation whose nodes are strictly interior, so no boundary truncation
+    is needed. The value is the degree-9 sum. The error estimate is the sum
+    over simplices of |GM9 - GM7| plus N eps times the degree-9 rule on |f|,
+    over the N degree-9 nodes: with no finite-difference truncation left, the
+    first is the cubature error, and the second allows for the rounding of the
+    weighted sum, which the first misses once it reaches the roundoff floor.
     """
     if grid is None:
         grid = GridSpec()
     v = as_weight(v, polytope.dim)
     w = as_weight(w, polytope.dim)
-
-    def integral(order):
-        """Rule value, node count and sum of |w_i f_i|."""
-        nodes, wts = _refined_nodes(polytope, grid.resolution, order)
-        total = mass = 0.0
-        for i in range(0, len(nodes), EVAL_CHUNK):
-            x, wx = nodes[i:i + EVAL_CHUNK], wts[i:i + EVAL_CHUNK]
-            f = (_scal_v_abreu(u, v, x) - w.eval(x)) * ell.eval(x)
-            total += float(wx @ f)
-            mass += float(np.abs(wx) @ np.abs(f))
-        return total, len(nodes), mass
-
-    value, n, mass = integral(GM_ORDER_HIGH)
-    low, _, _ = integral(GM_ORDER_LOW)
+    verts = _refined(polytope, grid.resolution)
+    value, gap, mass = _rule_batch(
+        verts, lambda x: (_scal_v_abreu(u, v, x) - w.eval(x)) * ell.eval(x))
+    n = len(verts) * len(gm_rule(polytope.dim, GM_ORDER_HIGH)[1])
     return FutakiReport(
         direction=ell,
-        value=value,
+        value=float(value.sum()),
         method="metric_numeric",
         normalization="polytope",
-        error_estimate=abs(value - low) + n * np.finfo(float).eps * mass,
+        error_estimate=float(gap.sum()) + n * np.finfo(float).eps * float(mass.sum()),
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import NotPositive
 from .exactlinalg import frac
 from .polynomial import Polynomial, compositions
-from .polytope import AffineFunction, DelzantPolytope
+from .polytope import AffineFunction, DelzantPolytope, _bisect_all
 
 
 class Positivity(Enum):
@@ -361,22 +360,15 @@ def _bernstein(poly: Polynomial, vertices, degree):
             for k in range(degree + 1) for b in compositions(k, len(v0))}
 
 
-def _bisect(vertices):
-    """The two halves of a simplex cut at the midpoint of its first longest edge."""
-    i, j = max(combinations(range(len(vertices)), 2),
-               key=lambda e: sum((a - b) ** 2 for a, b in zip(vertices[e[0]], vertices[e[1]])))
-    mid = tuple((a + b) / 2 for a, b in zip(vertices[i], vertices[j]))
-    return vertices[:i] + (mid,) + vertices[i + 1:], vertices[:j] + (mid,) + vertices[j + 1:]
-
-
 def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
     """(verdict, witness) for poly > 0 on the polytope, from exact Bernstein
     coefficients on the simplices of its triangulation (Farouki, CAGD 29 (2012)).
 
     All coefficients > 0 certify a simplex. A vertex coefficient <= 0 is the
     value there, and that vertex is the witness of NOT_POSITIVE (the witness is
-    None for the other verdicts). Undecided simplices are bisected along their
-    longest edge for BERNSTEIN_DEPTH generations, then the verdict is INDETERMINATE.
+    None for the other verdicts). Undecided simplices are bisected exactly along
+    their longest edge (`_bisect_all` on a Fraction batch) for BERNSTEIN_DEPTH
+    generations, then the verdict is INDETERMINATE.
     """
     if poly.is_constant():
         if poly.constant_value() > 0:
@@ -396,7 +388,7 @@ def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
                 undecided.append(vertices)
         if not undecided:
             return Positivity.POSITIVE, None
-        pending = [half for vertices in undecided for half in _bisect(vertices)]
+        pending = [tuple(map(tuple, s)) for s in _bisect_all(np.array(undecided, dtype=object))]
     return Positivity.INDETERMINATE, None
 
 

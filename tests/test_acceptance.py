@@ -21,8 +21,8 @@ from torickstab.invariants import extremal_affine, futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
 from torickstab.polytope import AffineFunction, Simplex
 from torickstab.quadrature import (
-    GM_ORDER_HIGH,
     _adaptive,
+    _rule_batch,
     integrate_boundary,
     integrate_poly,
     integrate_weighted,
@@ -31,7 +31,7 @@ from torickstab.solvers import msy_reeb, tian_zhu_soliton
 from torickstab.toricmetrics import (
     GridSpec,
     SymplecticPotential,
-    _refined_nodes,
+    _refined,
     futaki_numeric,
     scal,
     scal_v_direct,
@@ -191,8 +191,7 @@ def test_criterion_07_curvature_anchors(interval):
     scal_residual = float(np.max(np.abs(scal(u, xs, h=1e-3) - 2.0)))
     assert scal_residual <= 1e-8
 
-    nodes, wts = _refined_nodes(interval, 200, GM_ORDER_HIGH)
-    total = float(wts @ scal(u, nodes, h=1e-3))
+    total = _rule_batch(_refined(interval, 200), lambda x: scal(u, x, h=1e-3))[0].sum()
     boundary_mass = integrate_boundary(
         interval, WeightFn.constant(1, 1)).exact
     assert total == pytest.approx(4.0, abs=1e-6)

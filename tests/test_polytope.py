@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torickstab import exactlinalg as xla
@@ -13,8 +14,10 @@ from torickstab.polytope import (
     AffineFunction,
     DelzantPolytope,
     HalfSpace,
+    _bisect_all,
     _build_facet,
     _has_recession_direction,
+    _triangulate,
     _vertex_incidence,
 )
 from torickstab.quadrature import integrate_boundary, integrate_poly
@@ -83,9 +86,42 @@ def test_triangulation_square(square):
 
 def test_triangulation_roots_agree(p2, f1):
     for p in (p2, f1):
-        base = sum(s.volume() for s in p.triangulate(root_index=0))
-        other = sum(s.volume() for s in p.triangulate(root_index=1))
+        base = sum(s.volume() for s in p.triangulate())
+        other = sum(s.volume() for s in _triangulate(p, 1))
         assert base == other == p.volume()
+
+
+@st.composite
+def _rational_simplex_batch(draw):
+    """Simplices of one dimension 1-3 on a coarse dyadic grid: equal longest
+    edges are common, and every coordinate, squared edge length and midpoint
+    is exact in floating point."""
+    dim = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8]))
+    simplex = st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                       min_size=dim + 1, max_size=dim + 1)
+    return draw(st.lists(simplex, min_size=1, max_size=6))
+
+
+_CORNER = [[Fraction(int(i == k)) for i in range(3)] for k in (-1, 0, 1, 2)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rational_simplex_batch())
+@example([_CORNER])  # three longest edges: (1, 2) is cut
+def test_bisect_all_is_exact_on_fractions_and_agrees_with_floats(batch):
+    exact = np.array(batch, dtype=object)
+    kids = _bisect_all(exact)
+    assert all(isinstance(c, Fraction) for c in kids.flat)
+    assert np.array_equal(kids.astype(float), _bisect_all(exact.astype(float)))
+    for s, simplex in enumerate(batch):
+        # the first longest edge in (i, j) order is cut at its exact midpoint
+        i, j = max(itertools.combinations(range(len(simplex)), 2),
+                   key=lambda e: sum((a - b) ** 2
+                                     for a, b in zip(simplex[e[0]], simplex[e[1]])))
+        mid = [(a + b) / 2 for a, b in zip(simplex[i], simplex[j])]
+        assert kids[2 * s].tolist() == simplex[:i] + [mid] + simplex[i + 1:]
+        assert kids[2 * s + 1].tolist() == simplex[:j] + [mid] + simplex[j + 1:]
 
 
 def test_delzant_determinants(f1):

@@ -70,13 +70,12 @@ def test_scal_constant_on_square(square):
 
 def test_scal_integral_equals_twice_boundary_mass(interval, square):
     # for the Guillemin metric, int Scal dx = 2 * sigma(boundary)
-    from torickstab.quadrature import GM_ORDER_HIGH
-    from torickstab.toricmetrics import _refined_nodes
+    from torickstab.quadrature import _rule_batch
+    from torickstab.toricmetrics import _refined
 
     for p in (interval, square):
         u = SymplecticPotential(p)
-        nodes, wts = _refined_nodes(p, 200, GM_ORDER_HIGH)
-        total = float(wts @ scal(u, nodes, h=1e-3))
+        total = _rule_batch(_refined(p, 200), lambda x: scal(u, x, h=1e-3))[0].sum()
         target = 2 * integrate_boundary(p, WeightFn.constant(p.dim, 1)).exact
         assert total == pytest.approx(float(target), abs=1e-6)
 
@@ -288,3 +287,14 @@ def test_futaki_numeric_matches_boundary_at_resolution_400(interval, p2):
                 assert abs(num.value - bnd) <= 1e-8
                 assert num.error_estimate <= 1e-8
                 assert abs(num.value - bnd) <= num.error_estimate
+
+
+def test_futaki_numeric_error_estimate_covers_the_error_at_resolution_1000(interval, p2):
+    # past the cubature error the rounding of the sum dominates; the estimate
+    # must still bound the distance to the exact boundary value
+    grid = GridSpec(resolution=1000)
+    for p, zeta in ((interval, [1]), (p2, [0, 1])):
+        v, w = soliton_weight_pair(WeightFn.constant(p.dim, 1), p.dim)
+        ell = AffineFunction(zeta, 0)
+        num = futaki_numeric(p, SymplecticPotential(p), v, w, ell, grid)
+        assert abs(num.value - futaki_boundary(p, v, w, ell).value) <= num.error_estimate
