@@ -21,7 +21,7 @@ import numpy as np
 from . import exactlinalg as xla
 from .errors import DegenerateSimplex, NotDelzant, NotFullDimensional, Unbounded
 from .exactlinalg import frac
-from .polynomial import Polynomial, compositions
+from .polynomial import Polynomial, compositions, dict_product
 
 
 @dataclass(frozen=True)
@@ -310,6 +310,7 @@ class DelzantPolytope:
         self._triangulation = None
         self._facets = None
         self._moments = None  # (degree, read-only moment table)
+        self._barycentric = {}  # polynomial -> barycentric table
 
     @classmethod
     def _from_incidence(cls, halfspaces, vertices, facet_adjacency):
@@ -326,6 +327,7 @@ class DelzantPolytope:
         p._triangulation = None
         p._facets = None
         p._moments = None
+        p._barycentric = {}
         return p
 
     def _check_delzant(self):
@@ -389,6 +391,43 @@ class DelzantPolytope:
             table = moment_table(self.triangulate(), degree)
             self._moments = (degree, MappingProxyType(table))
         return self._moments[1]
+
+    def barycentric(self, poly):
+        """poly(sum_i lambda_i v_i) = sum_{|beta| = deg poly} c_beta(S) lambda^beta on each
+        simplex S, cached per polynomial. Returns each beta as a row of vertex indices, i
+        repeated beta_i + 1 times; the (S, B) floats r! vol(S) beta! c_beta(S), expanded in
+        integers as in moment_table and rounded once; and the (S, r + 1, r) float vertices."""
+        if poly not in self._barycentric:
+            d, r = poly.degree(), self.dim
+            simplices = self.triangulate()
+            q = lcm(*(c.denominator for s in simplices for v in s.vertices for c in v))
+            den = lcm(*(c.denominator for c in poly.coeffs.values()))
+            # den q^d poly(y / q), homogenised with y_r: integer coefficients
+            homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))
+                     for a, c in poly.coeffs.items()]
+            betas = list(compositions(d, r + 1))
+            units = [tuple(int(i == j) for j in range(r + 1)) for i in range(r + 1)]
+            table = []
+            for s in simplices:
+                points = [[int(c * q) for c in v] for v in s.vertices]
+                # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
+                forms = [{u: p[k] for u, p in zip(units, points)} for k in range(r)]
+                forms.append(dict.fromkeys(units, 1))
+                lam = {}
+                for a, c in homog:
+                    term = {(0,) * (r + 1): c}
+                    for k, e in enumerate(a):
+                        for _ in range(e):
+                            term = dict_product(term, forms[k])
+                    for b, v in term.items():
+                        lam[b] = lam.get(b, 0) + v
+                scale = abs(_int_det([[p[i] - points[0][i] for p in points[1:]] for i in range(r)]))
+                table.append([scale * prod(map(factorial, b)) * lam.get(b, 0) / (den * q ** (d + r))
+                              for b in betas])  # r! vol(S) = scale / q^r
+            index = np.array([np.repeat(np.arange(r + 1), np.add(b, 1)) for b in betas])
+            verts = np.array([s.float_vertices() for s in simplices])
+            self._barycentric[poly] = (index, np.array(table), verts)
+        return self._barycentric[poly]
 
     # -- facets ---------------------------------------------------------------
 

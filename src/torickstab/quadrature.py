@@ -1,13 +1,17 @@
 """Integration over Delzant polytopes and their boundaries.
 
-Three integrand families are supported: exact rational polynomials, and
-polynomial x exp(affine) / polynomial x (positive affine)^s via adaptive
-Grundmann--Moeller simplex cubature with an embedded degree-7/degree-9 pair
+An integrand takes one of three paths, chosen by its form alone: a polynomial
+is exact, read off the cached rational moment tables; a single term Q exp(ell)
+or Q ell^-sigma (Q polynomial, integer sigma > r + deg Q) is a closed-form sum
+of divided differences with a rounding bound as its error; everything else
+(sigma <= r + deg Q, fractional powers, exp times a pole, sums of terms) takes
+adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair
 and longest-edge bisection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -166,15 +170,21 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                        abs_floor=ABS_FLOOR, max_depth=MAX_DEPTH) -> QuadratureResult:
     """Integral of a grammar weight (or polynomial) over the polytope.
 
-    Purely polynomial integrands take the exact rational path. Otherwise an
-    adaptive embedded GM 7/9 scheme with longest-edge bisection runs until the
-    summed rule discrepancy meets max(tol*int|f|, abs_floor), refining in
-    batched rounds (see _adaptive).
+    Purely polynomial integrands take the exact rational path. A single term
+    Q exp(ell), or Q ell^-sigma with integer sigma > r + deg Q, takes the closed
+    form (see _closed_form): no subdivisions, and a rounding bound as the error
+    estimate; tol, abs_floor and max_depth do not apply. Otherwise an adaptive
+    embedded GM 7/9 scheme with longest-edge bisection runs until the summed
+    rule discrepancy meets max(tol*int|f|, abs_floor), refining in batched
+    rounds (see _adaptive).
     """
     w = as_weight(integrand, polytope.dim)
     if w.is_polynomial:
         return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
+    closed = _closed_form(polytope, w)
+    if closed is not None:
+        return closed
     return _adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth)
 
 
@@ -265,70 +275,106 @@ def _expand(factors, dim):
     return out
 
 
-# -- closed-form exp integrals ---------------------------------------------------------
+# -- closed-form integrals -----------------------------------------------------------
+
+EPS = np.finfo(float).eps
+TAYLOR_TAIL = 14  # Taylor terms past the N-th at least: sum_{j > 14} 2^-j / j! < u / 4
+INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(171)])
 
 
-CONFLUENCE_GAP = 1e-4
+def _closed_form(polytope: DelzantPolytope, w):
+    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma > r + deg Q) in closed
+    form, or None for any other integrand. With z_i = ell(v_i) and N = r + |beta|,
+    Hermite--Genocchi on each simplex S of the triangulation gives
+
+        int_S lambda^beta G^(N)(ell) dx = r! vol(S) beta! G[z_0^(beta_0 + 1), ..., z_r^(beta_r + 1)],
+
+    summed over Q = sum_beta c_beta(S) lambda^beta (`DelzantPolytope.barycentric`).
+    The error estimate bounds the rounding of the nodes, of each divided
+    difference and of the sum.
+    """
+    if not isinstance(w, WeightFn) or any(p.denominator != 1 for _, p in w.affine_powers):
+        return None
+    poles = [(aff, -int(p)) for aff, p in w.affine_powers if p < 0]
+    if len(poles) + (w.exp_part is not None) != 1:
+        return None
+    factor = WeightFn(w.dim, 1, [f for f in w.affine_powers if f[1] > 0], None, w.poly_part)
+    index, table, verts = polytope.barycentric(_factor_polynomial(factor))
+    ell = w.exp_part or poles[0][0]
+    zeta, const = np.array([float(c) for c in ell.zeta]), float(ell.const)
+    z = verts @ zeta + const  # (S, r + 1)
+    z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))
+    nodes = z[:, index].reshape(-1, index.shape[1])  # one row per simplex and beta
+    if w.exp_part is not None:
+        g, rel = _exp_dd(nodes)
+        rel += z_err  # the partial derivatives of exp[...] are positive and sum to exp[...]
+    elif poles[0][1] >= index.shape[1]:
+        g, rel = _pole_dd(nodes, poles[0][1])
+        rel += poles[0][1] * z_err / z.min()  # each term is homogeneous of degree -sigma
+    else:
+        return None
+    terms = float(w.coeff) * table.ravel() * g
+    err = (rel + (terms.size + 2) * EPS) * float(np.abs(terms).sum())
+    return QuadratureResult(float(terms.sum()), err, 0)
+
+
+@lru_cache(maxsize=256)
+def _factor_polynomial(factor):
+    """The polynomial factor of a weight, expanded once: a Newton solve asks for it at every step."""
+    return factor.to_polynomial()
+
+
+def _exp_dd(nodes):
+    """exp[z_0, ..., z_N] per row of nodes (M, N + 1), repeats allowed, and a relative
+    rounding bound: the (0, N) entry of exp(J), J upper bidiagonal with the nodes on the
+    diagonal (McCurdy, Ng & Parlett, Math. Comp. 43 (1984)). Shifted by the row minimum,
+    J has no negative entry: its Taylor polynomial and the squarings cannot cancel."""
+    low = nodes.min(axis=1)
+    d = nodes - low[:, None]
+    m, n = d.shape
+    s = max(0, math.frexp(2 * d.max())[1])  # 2^-s d <= 1/2
+    size = math.isqrt(n - 1 + TAYLOR_TAIL) + 1  # Paterson--Stockmeyer: blocks of size terms,
+    blocks = -(-(n + TAYLOR_TAIL) // size)  # Taylor degree blocks * size - 1 >= N + TAYLOR_TAIL
+    powers = np.zeros((size + 1, m, n, n))  # I, A, ..., A^size for A = 2^-s (J - low)
+    i = np.arange(n)
+    powers[0][:, i, i] = 1
+    powers[1][:, i, i] = np.ldexp(d, -s)
+    powers[1][:, i[:-1], i[1:]] = 0.5 ** s
+    for k in range(2, size + 1):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    b = INV_FACTORIAL[:blocks * size].reshape(blocks, size) @ powers[:size].reshape(size, -1)
+    b = b.reshape(blocks, m, n, n)
+    e = b[-1]
+    for j in range(blocks - 2, -1, -1):
+        e = b[j] + powers[size] @ e
+    for _ in range(s):
+        e = e @ e
+    return np.exp(low) * e[:, 0, -1], 2 ** s * (n + 1) * (blocks * size + 1) * EPS
+
+
+def _pole_dd(u, sigma):
+    """G[u_0, ..., u_N] per row of u > 0 (M, N + 1), repeats allowed, for G^(N)(t) =
+    t^-sigma, and a relative rounding bound. With q = sigma - N >= 1, G is
+    (-1)^N (q - 1)! / (sigma - 1)! t^-q, and t^-q[u_0, ..., u_N] = (-1)^N h_(q-1)(1 / u)
+    / prod(u), h complete homogeneous: positive terms only."""
+    q = sigma - u.shape[1] + 1
+    h = [np.ones(len(u))] + [0.0] * (q - 1)  # h_j of the columns of 1 / u seen so far
+    for column in (1 / u).T:
+        for j in range(1, q):
+            h[j] = h[j] + column * h[j - 1]
+    scale = math.factorial(q - 1) / math.factorial(sigma - 1)
+    return scale * h[-1] * np.prod(1 / u, axis=1), (2 * sigma * q + 2) * EPS
 
 
 def exp_divided_difference(values):
-    """Divided difference of exp at the given nodes.
-
-    Recursive Newton table for well-separated nodes; below the confluence gap
-    the value is computed from the Taylor series about the mean, where the
-    divided difference of t^k is the complete homogeneous symmetric polynomial
-    h_{k-r} of the (centered) nodes.
-    """
-    z = sorted(float(v) for v in values)
-    r = len(z) - 1
-    if r == 0:
-        return np.exp(z[0])
-    if z[-1] - z[0] < CONFLUENCE_GAP:
-        return _exp_dd_series(z)
-    table = [np.exp(v) for v in z]
-    for level in range(1, r + 1):
-        nxt = []
-        for i in range(r + 1 - level):
-            dz = z[i + level] - z[i]
-            if abs(dz) < CONFLUENCE_GAP:
-                nxt.append(_exp_dd_series(z[i:i + level + 1]))
-            else:
-                nxt.append((table[i + 1] - table[i]) / dz)
-        table = nxt
-    return table[0]
-
-
-def _exp_dd_series(z):
-    r = len(z) - 1
-    mean = sum(z) / len(z)
-    c = [v - mean for v in z]
-    # h_j = complete homogeneous symmetric polynomial of degree j in c
-    h = [1.0]
-    total = 0.0
-    j = 0
-    while True:
-        total += h[j] / factorial(r + j)
-        if abs(h[j] / factorial(r + j)) < 1e-18 * max(1.0, abs(total)) and j > 0:
-            break
-        if j > 200:
-            break
-        # Newton-like recursion h_{j+1} = sum_i c_i^{...}: use power sums
-        j += 1
-        pk = [sum(ci ** k for ci in c) for k in range(1, j + 1)]
-        hj = sum(pk[k - 1] * h[j - k] for k in range(1, j + 1)) / j
-        h.append(hj)
-    return np.exp(mean) * total
+    """Divided difference exp[z_0, ..., z_N] at the given nodes, in any order, repeats allowed."""
+    return float(_exp_dd(np.array([values], dtype=float))[0][0])
 
 
 def exp_affine_simplex_exact(simplex: Simplex, xi) -> float:
-    """Closed-form integral of exp(<xi, x>) over a simplex.
-
-    Equals r! * vol(S) * (divided difference of exp at the vertex values).
-    """
+    """Closed-form integral of exp(<xi, x>) over a simplex: r! vol(S) exp[<xi, v_0>, ..., <xi, v_r>]."""
     vol = simplex.volume()
     if vol == 0:
         raise DegenerateSimplex("simplex has zero volume")
-    xi = [frac(v) for v in xi]
-    vals = [float(sum(z * c for z, c in zip(xi, v))) for v in simplex.vertices]
-    r = simplex.dim
-    return factorial(r) * float(vol) * exp_divided_difference(vals)
+    vals = [float(sum(frac(z) * c for z, c in zip(xi, v))) for v in simplex.vertices]
+    return factorial(simplex.dim) * float(vol) * exp_divided_difference(vals)

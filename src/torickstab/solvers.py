@@ -7,6 +7,10 @@ moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
 damped Newton loop, `_newton_loop`, serves both; each solver supplies only
 the weights g, g', g'' up to constant factors. The iterations converge
 globally from xi = 0.
+The moments are closed forms for polynomial p (also times one exp(affine)
+for the soliton, and for integer s > r + deg p for the Reeb field) and
+adaptive cubatures otherwise; F's noise in the Armijo test is its error
+estimate, a rounding bound on the closed form.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ def _newton_loop(polytope, p, weight, scales, tol, max_iter,
             )
         step = np.linalg.solve(hess, -grad)
         t = limit_step(xi, step)
-        # Armijo backtracking on F; a decrease below F's own noise (cubature
-        # error plus a few ulps) cannot be resolved and is not asked for
+        # Armijo backtracking on F; a decrease below F's own noise (its error
+        # estimate plus a few ulps) cannot be resolved and is not asked for
         slope = float(grad @ step)
         noise = f_err + NOISE_ULPS * np.spacing(abs(f_val))
         accepted = False

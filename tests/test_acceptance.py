@@ -96,6 +96,9 @@ def test_criterion_03_soliton_oracle(interval):
     v = p_weight * WeightFn.exp_affine([_frac(xi)], 0)
     rep = futaki_fano(interval, v, [1])
     assert abs(rep.value) <= 1e-9
+    # the solve ran on the closed form: its critical-point moment again by cubature
+    x = WeightFn.from_polynomial(Polynomial.linear([1]))
+    assert abs(_adaptive(interval.triangulate(), (v * x).eval, 1e-12, 1e-14, 40).value) <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"criterion 3 PASS: soliton root {xi:.12f} vs oracle, "
@@ -281,6 +284,11 @@ def test_criterion_10_reeb_futaki_vanishes(interval, p2, f1):
         for ell in _affine_basis(m):
             val = futaki_boundary(p, v, w, ell, tol=1e-9).value
             worst = max(worst, abs(val))
+        # the solve and these values ran on the closed form: the moments
+        # int x_i w dx, which vanish at the critical point, again by cubature
+        for ell in _affine_basis(m)[1:]:
+            x_w = WeightFn.affine_power(ell, 1) * w
+            worst = max(worst, abs(_adaptive(p.triangulate(), x_w.eval, 1e-12, 1e-14, 40).value))
     assert worst <= 1e-6
     print(f"criterion 10 PASS: boundary Futaki at the volume-minimizing Reeb "
           f"field vanishes to {worst:.2e} on all affine directions")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torickstab.errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
@@ -11,6 +11,9 @@ from torickstab.exactlinalg import det
 from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
 from torickstab.polytope import AffineFunction, DelzantPolytope, HalfSpace, Simplex
 from torickstab.quadrature import (
+    ABS_FLOOR,
+    DEFAULT_TOL,
+    MAX_DEPTH,
     _adaptive,
     _bisect_all,
     exp_affine_simplex_exact,
@@ -24,7 +27,7 @@ from torickstab.quadrature import (
 )
 from torickstab.weights import WeightFn
 
-from conftest import make_polytope
+from conftest import CANONICAL_NORMALS, make_polytope
 
 STD2 = Simplex(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
                 (Fraction(0), Fraction(1))))
@@ -142,8 +145,8 @@ def test_exp_affine_simplex_exact():
 
 
 def test_exp_divided_difference_confluent():
-    # the series branch must agree with the analytic limit exp(z)/r! as the
-    # nodes coalesce, and with quadrature near confluence
+    # the divided difference must agree with the analytic limit exp(z)/r! as
+    # the nodes coalesce
     val = exp_divided_difference([0.5, 0.5 + 1e-9, 0.5 + 2e-9])
     assert val == pytest.approx(math.exp(0.5 + 1e-9) / 2.0, rel=1e-12)
 
@@ -152,7 +155,9 @@ def test_exp_affine_matches_quadrature_near_confluence():
     tri = make_polytope(((1, 0), 0), ((0, 1), 0), ((-1, -1), 1))
     xi = (1e-5, 5e-6)
     closed = exp_affine_simplex_exact(tri.triangulate()[0], xi)
-    adaptive = integrate_weighted(tri, WeightFn.exp_affine(list(xi), 0)).value
+    # integrate_weighted takes this integrand in closed form: compare with the cubature
+    adaptive = _adaptive(tri.triangulate(), WeightFn.exp_affine(list(xi), 0).eval,
+                         DEFAULT_TOL, ABS_FLOOR, MAX_DEPTH).value
     assert closed == pytest.approx(adaptive, rel=1e-11)
 
 
@@ -189,12 +194,13 @@ def test_monte_carlo_consistency(p2):
 
 
 def test_max_depth_exceeded_carries_result(interval):
+    # a fractional power stays on the adaptive path; int_{-1}^{1} (x+2)^(1/2) dx = (2/3)(3^(3/2) - 1)
     with pytest.raises(MaxDepthExceeded) as info:
-        integrate_weighted(interval, WeightFn.exp_affine([1], 0),
+        integrate_weighted(interval, WeightFn.affine_power(AffineFunction([1], 2), Fraction(1, 2)),
                            tol=1e-16, abs_floor=1e-30, max_depth=2)
     res = info.value.result
     assert res is not None and not res.converged
-    assert res.value == pytest.approx(2 * math.sinh(1.0), rel=1e-6)
+    assert res.value == pytest.approx(2 / 3 * (3 ** 1.5 - 1), rel=1e-6)
 
 
 def test_simplex_integral_vs_poly_path():
@@ -345,3 +351,191 @@ def test_degenerate_simplex_raises():
             integrate_poly_simplex(flat, poly)
     with pytest.raises(DegenerateSimplex):
         integrate_monomial_simplex(flat, (2, 0))
+
+
+# -- closed-form exp and pole integrals ----------------------------------------------------
+
+
+def test_exp_divided_difference_equally_spaced():
+    # exp[a, a + h, ..., a + n h] = e^a (expm1(h) / h)^n / n!, also for spacings just
+    # above 1e-4, where a Newton table loses about half the digits
+    for a in (0.0, -2.5, 1.5):
+        for h in (1e-7, 1.2e-4, 2e-4, 0.05, 0.7, 2.0):
+            for n in range(1, 7):
+                nodes = [a + k * h for k in range(n + 1)]
+                exact = math.exp(a) * (math.expm1(h) / h) ** n / math.factorial(n)
+                assert exp_divided_difference(nodes) == pytest.approx(exact, rel=1e-13)
+                assert exp_divided_difference(nodes[::-1]) == pytest.approx(exact, rel=1e-13)
+
+
+def _canonical(name):
+    return make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+
+
+def _q_factor(kind, r, i=0, j=0):
+    """1, an affine function, or an affine function times x_i x_j, as a weight."""
+    if kind == "one":
+        return WeightFn.constant(r, 1)
+    aff = WeightFn.affine_power(
+        AffineFunction([Fraction(1, 3)] + [Fraction(-1, 5)] * (r - 1), 2), 1)
+    if kind == "affine":
+        return aff
+    return aff * WeightFn.from_polynomial(
+        Polynomial(r, {tuple((k == i) + (k == j) for k in range(r)): 1}))
+
+
+Q_DEGREE = {"one": 0, "affine": 1, "product": 3}
+
+
+def _assert_matches_adaptive(p, w):
+    closed = integrate_weighted(p, w)
+    ref = _adaptive(p.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+    assert closed.subdivisions == 0 and closed.converged
+    assert closed.value == pytest.approx(ref.value, rel=1e-12, abs=1e-13)
+    assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate
+
+
+CLOSED_POLYGONS = {name: _canonical(name) for name in ("P2", "F1", "Bl3P2")}
+
+
+@st.composite
+def _closed_form_case(draw):
+    p = CLOSED_POLYGONS[draw(st.sampled_from(sorted(CLOSED_POLYGONS)))]
+    xi = [Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([7, 11, 13])))
+          for _ in range(2)]
+    kind = draw(st.sampled_from(sorted(Q_DEGREE)))
+    q = _q_factor(kind, 2, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        return p, q * WeightFn.exp_affine(xi, Fraction(draw(st.integers(-3, 3)), 4))
+    ell = AffineFunction(xi, 1)
+    assume(p.vertex_min(ell) >= Fraction(1, 4))
+    sigma = 2 + Q_DEGREE[kind] + draw(st.integers(1, 2))
+    return p, q * WeightFn.affine_power(ell, -sigma)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_closed_form_case())
+def test_closed_form_matches_adaptive(case):
+    _assert_matches_adaptive(*case)
+
+
+@pytest.mark.parametrize("kind", sorted(Q_DEGREE))
+def test_closed_form_matches_adaptive_on_p3(kind):
+    p = _canonical("P3")
+    q = _q_factor(kind, 3, 0, 2)
+    xi = [Fraction(1, 13), Fraction(-1, 17), Fraction(1, 19)]
+    _assert_matches_adaptive(p, q * WeightFn.exp_affine(xi, Fraction(1, 2)))
+    sigma = 3 + Q_DEGREE[kind] + 1
+    _assert_matches_adaptive(p, q * WeightFn.affine_power(AffineFunction(xi, 1), -sigma))
+
+
+def _edges_at(p, index):
+    """Edge vectors at the vertex p.vertices[index]: to each vertex sharing r - 1 of its facets."""
+    v, facets = p.vertices[index], set(p.facet_adjacency[index])
+    return [[a - b for a, b in zip(u, v)] for u, other in zip(p.vertices, p.facet_adjacency)
+            if len(facets & set(other)) == p.dim - 1]
+
+
+def _msy_volume(p, xi):
+    """(1/r!) sum_v |det W_v| / ((1 + <xi, v>) prod_i <xi, w_i>), W_v the edge vectors at v
+    (Martelli, Sparks & Yau, Comm. Math. Phys. 268 (2006)): exact at rational xi."""
+    total = Fraction(0)
+    for index, v in enumerate(p.vertices):
+        edges = _edges_at(p, index)
+        denominator = 1 + sum(map(lambda a, b: a * b, xi, v))
+        for w in edges:
+            denominator *= sum(map(lambda a, b: a * b, xi, w))
+        total += abs(det([list(col) for col in zip(*edges)])) / denominator
+    return total / math.factorial(p.dim)
+
+
+def test_msy_oracle_value_on_p2():
+    xi = (Fraction(1, 7), Fraction(-2, 11))
+    assert float(_msy_volume(_canonical("P2"), xi)) == pytest.approx(5.980433453656264,
+                                                                     rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["P2", "F1", "P3", "Bl2P2"])
+def test_reeb_volume_matches_msy(name):
+    # p = 1 and s = r + 1: the volume functional of the Sasaki-Einstein problem
+    p = _canonical(name)
+    rng = np.random.default_rng(20261018)
+    done = 0
+    while done < 5:
+        xi = [Fraction(int(rng.integers(-9, 10)), int(rng.choice([7, 11, 13])))
+              for _ in range(p.dim)]
+        ell = AffineFunction(xi, 1)
+        generic = all(sum(map(lambda a, b: a * b, xi, w)) != 0
+                      for i in range(len(p.vertices)) for w in _edges_at(p, i))
+        if p.vertex_min(ell) <= 0 or not generic:
+            continue
+        res = integrate_weighted(p, WeightFn.affine_power(ell, -(p.dim + 1)))
+        exact = _msy_volume(p, xi)
+        assert res.value == pytest.approx(float(exact), rel=1e-12)
+        assert abs(Fraction(res.value) - exact) <= res.error_estimate
+        done += 1
+
+
+def _brion_exp(p, xi):
+    """int_P exp(<xi, x>) dx = sum_v e^<xi, v> |det W_v| / prod_i (-<xi, w_i>)
+    (Brion, Ann. Sci. ENS 21 (1988)), for xi orthogonal to no edge."""
+    terms = []
+    for index, v in enumerate(p.vertices):
+        edges = _edges_at(p, index)
+        coeff = Fraction(abs(det([list(col) for col in zip(*edges)])))
+        for w in edges:
+            coeff /= -sum(map(lambda a, b: a * b, xi, w))
+        terms.append(float(coeff) * math.exp(sum(map(lambda a, b: a * b, xi, v))))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("name, xi", [
+    ("P2", (Fraction(3, 10), Fraction(-2, 7))),
+    ("F1", (Fraction(-5, 9), Fraction(4, 11))),
+    ("Bl3P2", (Fraction(2, 3), Fraction(1, 5))),
+    ("P3", (Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5))),
+])
+def test_exp_matches_brion(name, xi):
+    p = _canonical(name)
+    res = integrate_weighted(p, WeightFn.exp_affine(xi, 0))
+    assert res.value == pytest.approx(_brion_exp(p, xi), rel=1e-12)
+
+
+def test_coincident_nodes_at_zero_xi(f1):
+    # every node equal: exp(0) = 1 and (1 + 0)^-sigma = 1 leave the exact polynomial integral
+    q = _q_factor("product", 2, 0, 1)
+    exact = integrate_weighted(f1, q).exact
+    zero = AffineFunction([0, 0], 1)
+    for w in (q * WeightFn.exp_affine([0, 0], 0), q * WeightFn.affine_power(zero, -6)):
+        res = integrate_weighted(f1, w)
+        assert res.value == pytest.approx(float(exact), rel=1e-14)
+        assert abs(Fraction(res.value) - exact) <= res.error_estimate
+
+
+def test_coincident_nodes_on_an_edge(p2):
+    # xi = (0, 1/3) is orthogonal to the edge from (-1, -1) to (2, -1): two nodes coincide
+    xi = [Fraction(0), Fraction(1, 3)]
+    for kind in sorted(Q_DEGREE):
+        q = _q_factor(kind, 2, 0, 1)
+        _assert_matches_adaptive(p2, q * WeightFn.exp_affine(xi, 0))
+        sigma = 2 + Q_DEGREE[kind] + 1
+        _assert_matches_adaptive(p2, q * WeightFn.affine_power(AffineFunction(xi, 1), -sigma))
+
+
+def test_zero_polynomial_part_integrates_to_zero(p2):
+    zero = WeightFn.from_polynomial(Polynomial(2, {}))
+    for w in (WeightFn.exp_affine([1, 0], 0), WeightFn.affine_power(AffineFunction([0, 1], 2), -4)):
+        res = integrate_weighted(p2, w * zero)
+        assert res.value == 0.0 and res.error_estimate == 0.0
+
+
+def test_adaptive_fallbacks_keep_their_subdivisions(p2):
+    # sigma <= r + deg Q (a log term), a fractional power, exp times a pole and a sum
+    # of terms are not taken in closed form
+    ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
+    affine = WeightFn.affine_power(AffineFunction([1, 0], 2), 1)
+    for w in (affine * WeightFn.affine_power(ell, -3),
+              WeightFn.affine_power(ell, Fraction(-5, 2)),
+              WeightFn.exp_affine([1, 0], 0) * WeightFn.affine_power(ell, -4),
+              WeightFn.exp_affine([1, 0], 0) + WeightFn.affine_power(ell, -4)):
+        assert integrate_weighted(p2, w).subdivisions > 0
