@@ -30,6 +30,8 @@ def _load_json(arg: str, path: str):
 
     An argument that does not parse is a path, unless it starts with `{` or `[`.
     """
+    if arg is None:
+        raise SchemaError(path, "argument is missing")
     try:
         return json.loads(arg)
     except json.JSONDecodeError as e:

@@ -162,7 +162,9 @@ def enumerate_fano(fiber: DelzantPolytope, factors):
     if not fiber.is_canonical_fano():
         raise NotCanonicalFano("enumeration requires the canonical fiber presentation")
     per_factor = []
-    for factor in factors:
+    for a, factor in enumerate(factors):
+        if isinstance(factor, BaseFactor) and not factor.is_fano:
+            raise ValueError(f"factor {a} has no Fano constant k")
         k = int(factor.k if isinstance(factor, BaseFactor) else factor)
         per_factor.append(_admissible_lattice(fiber, k))
     return list(itertools.product(*per_factor))

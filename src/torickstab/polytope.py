@@ -21,7 +21,7 @@ import numpy as np
 from . import exactlinalg as xla
 from .errors import DegenerateSimplex, NotDelzant, NotFullDimensional, Unbounded
 from .exactlinalg import frac
-from .polynomial import Polynomial, compositions, dict_product
+from .polynomial import Polynomial, compositions, dict_product, linear_terms
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,7 @@ class Simplex:
         ]
 
     def volume(self) -> Fraction:
-        d = xla.det(self.edge_matrix())
-        vol = abs(d)
-        for k in range(2, self.dim + 1):
-            vol /= k
-        return vol
+        return abs(xla.det(self.edge_matrix())) / factorial(self.dim)
 
     def float_vertices(self):
         return np.array([[float(c) for c in v] for v in self.vertices])
@@ -198,6 +194,45 @@ def moment_table(simplices, degree):
                     factorial(sum(a) + dim) * q ** (sum(a) + dim))
         for a, total in zip(alphas, sums)
     }
+
+
+def barycentric_coefficients(poly, simplices):
+    """poly on each simplex as an integer form in barycentric coordinates.
+
+    With d = deg poly, den the common denominator of its coefficients and q that
+    of the vertex coordinates, returns (betas, scale, rows) with scale = den q^d
+    and, for each simplex (a sequence of r + 1 vertices v_i),
+
+        sum_k rows[s][k] lambda^betas[k] = scale poly(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
+
+    homogeneous of degree d, over the betas = compositions(d, r + 1). The
+    Bernstein coefficients are rows[s][k] betas[k]! / (d! scale) (Farouki, CAGD
+    29 (2012)), so they have the signs of the row, and the entry of beta = d e_i
+    is scale poly(v_i). The expansion runs in integers as in moment_table.
+    """
+    d, r = poly.degree(), len(simplices[0]) - 1
+    q = lcm(*(c.denominator for s in simplices for v in s for c in v))
+    den = lcm(*(c.denominator for c in poly.coeffs.values()))
+    # den q^d poly(y / q), homogenised with y_r: integer coefficients
+    homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))
+             for a, c in poly.coeffs.items()]
+    betas = list(compositions(d, r + 1))
+    rows = []
+    for s in simplices:
+        points = [[c.numerator * (q // c.denominator) for c in v] for v in s]
+        # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
+        forms = [linear_terms(column, 0) for column in zip(*points)]
+        forms.append(linear_terms([1] * (r + 1), 0))
+        lam = dict.fromkeys(betas, 0)
+        for a, c in homog:
+            term = {(0,) * (r + 1): c}
+            for k, e in enumerate(a):
+                for _ in range(e):
+                    term = dict_product(term, forms[k])
+            for b, v in term.items():
+                lam[b] += v
+        rows.append(list(lam.values()))
+    return betas, den * q ** d, rows
 
 
 def _int_det(rows) -> int:
@@ -284,6 +319,9 @@ def _has_recession_direction(halfspaces, dim):
 class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
+    # caches, set per instance on first use; _moments is (degree, read-only moment table)
+    _triangulation = _facets = _moments = None
+
     def __init__(self, halfspaces):
         halfspaces = list(halfspaces)
         if not halfspaces:
@@ -307,9 +345,6 @@ class DelzantPolytope:
         # vertex <-> facet incidence
         self.facet_adjacency = tuple(incidence[v] for v in self.vertices)
         self._check_delzant()
-        self._triangulation = None
-        self._facets = None
-        self._moments = None  # (degree, read-only moment table)
         self._barycentric = {}  # polynomial -> barycentric table
 
     @classmethod
@@ -324,9 +359,6 @@ class DelzantPolytope:
         p.halfspaces = tuple(halfspaces)
         p.vertices = tuple(vertices)
         p.facet_adjacency = tuple(facet_adjacency)
-        p._triangulation = None
-        p._facets = None
-        p._moments = None
         p._barycentric = {}
         return p
 
@@ -395,36 +427,16 @@ class DelzantPolytope:
     def barycentric(self, poly):
         """poly(sum_i lambda_i v_i) = sum_{|beta| = deg poly} c_beta(S) lambda^beta on each
         simplex S, cached per polynomial. Returns each beta as a row of vertex indices, i
-        repeated beta_i + 1 times; the (S, B) floats r! vol(S) beta! c_beta(S), expanded in
-        integers as in moment_table and rounded once; and the (S, r + 1, r) float vertices."""
+        repeated beta_i + 1 times; the (S, B) floats r! vol(S) beta! c_beta(S), each an
+        integer quotient from `barycentric_coefficients` rounded once; and the (S, r + 1, r)
+        float vertices."""
         if poly not in self._barycentric:
-            d, r = poly.degree(), self.dim
             simplices = self.triangulate()
-            q = lcm(*(c.denominator for s in simplices for v in s.vertices for c in v))
-            den = lcm(*(c.denominator for c in poly.coeffs.values()))
-            # den q^d poly(y / q), homogenised with y_r: integer coefficients
-            homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))
-                     for a, c in poly.coeffs.items()]
-            betas = list(compositions(d, r + 1))
-            units = [tuple(int(i == j) for j in range(r + 1)) for i in range(r + 1)]
-            table = []
-            for s in simplices:
-                points = [[int(c * q) for c in v] for v in s.vertices]
-                # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
-                forms = [{u: p[k] for u, p in zip(units, points)} for k in range(r)]
-                forms.append(dict.fromkeys(units, 1))
-                lam = {}
-                for a, c in homog:
-                    term = {(0,) * (r + 1): c}
-                    for k, e in enumerate(a):
-                        for _ in range(e):
-                            term = dict_product(term, forms[k])
-                    for b, v in term.items():
-                        lam[b] = lam.get(b, 0) + v
-                scale = abs(_int_det([[p[i] - points[0][i] for p in points[1:]] for i in range(r)]))
-                table.append([scale * prod(map(factorial, b)) * lam.get(b, 0) / (den * q ** (d + r))
-                              for b in betas])  # r! vol(S) = scale / q^r
-            index = np.array([np.repeat(np.arange(r + 1), np.add(b, 1)) for b in betas])
+            betas, scale, rows = barycentric_coefficients(poly, [s.vertices for s in simplices])
+            vols = [factorial(self.dim) * s.volume() for s in simplices]
+            table = [[v.numerator * prod(map(factorial, b)) * c / (v.denominator * scale)
+                      for b, c in zip(betas, row)] for v, row in zip(vols, rows)]
+            index = np.array([np.repeat(np.arange(self.dim + 1), np.add(b, 1)) for b in betas])
             verts = np.array([s.float_vertices() for s in simplices])
             self._barycentric[poly] = (index, np.array(table), verts)
         return self._barycentric[poly]
@@ -471,17 +483,6 @@ class Facet:
     basis: tuple  # r x (r-1) integer matrix, rows indexed by ambient coords
     subpolytope: object  # DelzantPolytope of dim r-1, or None when r == 1
 
-    @property
-    def ambient_dim(self):
-        return len(self.origin)
-
-    def embed(self, t):
-        """Map facet coordinates t to ambient coordinates."""
-        return tuple(
-            self.origin[i] + sum(frac(self.basis[i][j]) * frac(t[j]) for j in range(len(t)))
-            for i in range(self.ambient_dim)
-        )
-
     def sigma_measure(self) -> Fraction:
         """Total d(sigma)-mass of the facet."""
         if self.subpolytope is None:
@@ -490,23 +491,34 @@ class Facet:
 
 
 def _triangulate(p: DelzantPolytope, root_index=0):
-    if p.dim == 1:
-        return [Simplex(p.vertices)]
-    root = p.vertices[root_index]
-    root_facets = set(p.facet_adjacency[root_index])
+    """Fan triangulation read off the vertex-facet incidence.
+
+    A face is named by the set of facets through it; its vertices are the
+    vertices on all of them. In a simple polytope, F meets H_j in a facet of F
+    exactly when some vertex of F lies on H_j. The polytope is coned from
+    vertex root_index over each facet that misses it, every lower face from its
+    lexicographically smallest vertex, down to the edges. A negatively oriented
+    simplex has its second and third vertices swapped.
+    """
+    incidence = [set(adj) for adj in p.facet_adjacency]
+
+    def fan(face, members, root):
+        if len(face) == p.dim - 1:  # an edge
+            return [members]
+        cones = []
+        for j in sorted(set().union(*(incidence[i] for i in members)) - face - incidence[root]):
+            sub = [i for i in members if j in incidence[i]]
+            cones.extend([root] + cone for cone in fan(face | {j}, sub, sub[0]))
+        return cones
+
     simplices = []
-    for j, (h, facet) in enumerate(p.facets()):
-        if j in root_facets:
-            continue
-        for sub in facet.subpolytope.triangulate() if facet.subpolytope else [None]:
-            if sub is None:  # dim-1 polytope facets are points; unreachable here
-                continue
-            verts = [root] + [facet.embed(t) for t in sub.vertices]
+    for cone in fan(frozenset(), list(range(len(p.vertices))), root_index):
+        verts = [p.vertices[i] for i in cone]
+        s = Simplex(verts)
+        if xla.det(s.edge_matrix()) < 0:
+            verts[1], verts[2] = verts[2], verts[1]
             s = Simplex(verts)
-            if xla.det(s.edge_matrix()) < 0:
-                verts[1], verts[2] = verts[2], verts[1]
-                s = Simplex(verts)
-            simplices.append(s)
+        simplices.append(s)
     return simplices
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
 
 import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial, compositions
-from .polytope import AffineFunction, DelzantPolytope, _bisect_all
+from .polynomial import Polynomial
+from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
 
 
 class Positivity(Enum):
@@ -343,26 +342,10 @@ def as_weight(w, dim=None):
 BERNSTEIN_DEPTH = 16  # bisection generations before a simplex is left undecided
 
 
-def _bernstein(poly: Polynomial, vertices, degree):
-    """Bernstein coefficients of `poly` on a simplex, times one positive integer.
-
-    With poly(v_0 + sum_k t_k (v_k - v_0)) = sum_a c_a t^a, the coefficient of
-    b (b_0 = degree - |b|) is sum_a c_a a! (degree - |a|)! prod_i C(b_i, a_i) / degree!.
-    Those of b = 0 and b = degree e_k have the signs of the values at the vertices.
-    """
-    v0 = vertices[0]
-    edges = [[v[i] - v0[i] for v in vertices[1:]] for i in range(len(v0))]
-    terms = {a: c * prod(map(factorial, a)) * factorial(degree - sum(a))
-             for a, c in poly.compose_affine(edges, v0).coeffs.items()}
-    q = lcm(*(c.denominator for c in terms.values()))
-    terms = [(a, c.numerator * (q // c.denominator)) for a, c in terms.items()]
-    return {b: sum(c * prod(map(comb, b, a)) for a, c in terms)
-            for k in range(degree + 1) for b in compositions(k, len(v0))}
-
-
 def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
-    """(verdict, witness) for poly > 0 on the polytope, from exact Bernstein
-    coefficients on the simplices of its triangulation (Farouki, CAGD 29 (2012)).
+    """(verdict, witness) for poly > 0 on the polytope, from the signs of its exact
+    Bernstein coefficients on the simplices of its triangulation, read off
+    `barycentric_coefficients`.
 
     All coefficients > 0 certify a simplex. A vertex coefficient <= 0 is the
     value there, and that vertex is the witness of NOT_POSITIVE (the witness is
@@ -375,16 +358,16 @@ def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
             return Positivity.POSITIVE, None
         return Positivity.NOT_POSITIVE, polytope.vertices[0]
     d, r = poly.degree(), polytope.dim
-    corners = [(0,) * r] + [tuple(d * (i == k) for i in range(r)) for k in range(r)]
     pending = [s.vertices for s in polytope.triangulate()]
     for _ in range(BERNSTEIN_DEPTH + 1):
+        betas, _, rows = barycentric_coefficients(poly, pending)
+        corners = [betas.index(tuple(d * (i == k) for k in range(r + 1))) for i in range(r + 1)]
         undecided = []
-        for vertices in pending:
-            coeffs = _bernstein(poly, vertices, d)
+        for vertices, row in zip(pending, rows):
             for corner, vertex in zip(corners, vertices):
-                if coeffs[corner] <= 0:
+                if row[corner] <= 0:
                     return Positivity.NOT_POSITIVE, vertex
-            if min(coeffs.values()) <= 0:
+            if min(row) <= 0:
                 undecided.append(vertices)
         if not undecided:
             return Positivity.POSITIVE, None

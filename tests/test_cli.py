@@ -261,3 +261,23 @@ def test_malformed_file_exits_validation(capsys, tmp_path):
     path.write_text('{"facets": [')
     assert main(["polytope-info", "--polytope", str(path)]) == EXIT_VALIDATION
     assert "polytope: invalid JSON" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["validate"], "spec"),
+    (["weights"], "spec"),
+    (["soliton"], "spec"),
+    (["reeb"], "spec"),
+    (["enumerate", "--factor", "n=1,k=2"], "fiber"),
+], ids=["validate", "weights", "soliton", "reeb", "enumerate"])
+def test_fibration_missing_input_exits_validation(capsys, argv, path):
+    assert main(["fibration", *argv]) == EXIT_VALIDATION
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"SchemaError: {path}: argument is missing"
+
+
+def test_enumerate_rejects_a_cscK_factor(capsys):
+    code = main(["fibration", "enumerate", "--fiber", P2, "--factor", "n=1,s=2"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "ValueError: factor 0 has no Fano constant k")

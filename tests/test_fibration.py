@@ -142,6 +142,11 @@ def test_enumerate_matches_brute_force(p2):
     assert out == {(-1, -1), (0, 0), (0, 1), (1, 0)}
 
 
+def test_enumerate_rejects_a_cscK_factor(interval):
+    with pytest.raises(ValueError, match="factor 1 has no Fano constant k"):
+        enumerate_fano(interval, [BaseFactor(n=1, k=2), BaseFactor(n=1, s=Fraction(2))])
+
+
 def test_enumerate_two_factors(interval):
     out = enumerate_fano(interval, [BaseFactor(n=1, k=2), BaseFactor(n=1, k=1)])
     assert len(out) == 3  # 3 choices for k=2 times 1 choice for k=1

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 
 from torickstab import exactlinalg as xla
 from torickstab.errors import NotDelzant, NotFullDimensional, Unbounded
-from torickstab.polynomial import Polynomial
+from torickstab.polynomial import Polynomial, compositions
 from torickstab.polytope import (
     AffineFunction,
     DelzantPolytope,
     HalfSpace,
+    Simplex,
     _bisect_all,
     _build_facet,
     _has_recession_direction,
     _triangulate,
     _vertex_incidence,
+    barycentric_coefficients,
+    moment_table,
 )
 from torickstab.quadrature import integrate_boundary, integrate_poly
 from torickstab.weights import WeightFn
@@ -142,12 +146,18 @@ def test_facet_sigma_masses(interval, square, p2):
     assert masses[(1, 0)] == 3 and masses[(0, 1)] == 3
 
 
+def _embed(facet, t):
+    """origin + basis . t: facet chart coordinates to ambient ones."""
+    return tuple(o + sum(b * c for b, c in zip(row, t))
+                 for o, row in zip(facet.origin, facet.basis))
+
+
 def test_facet_embedding_lands_on_facet(p2):
     for h, facet in p2.facets():
         if facet.subpolytope is None:
             continue
         for t in facet.subpolytope.vertices:
-            x = facet.embed(t)
+            x = _embed(facet, t)
             assert h.value(x) == 0
             assert p2.contains(x)
 
@@ -310,7 +320,7 @@ def _assert_facets_match_oracles(p):
         # the facet's own data passes every check of the public constructor
         rebuilt = DelzantPolytope(sub.halfspaces)
         assert (rebuilt.vertices, rebuilt.facet_adjacency) == (sub.vertices, sub.facet_adjacency)
-        assert all(h.value(facet.embed(t)) == 0 and p.contains(facet.embed(t))
+        assert all(h.value(_embed(facet, t)) == 0 and p.contains(_embed(facet, t))
                    for t in sub.vertices)
         try:
             origin, basis, pulled, old = _facet_by_pullback(p, j)
@@ -388,3 +398,90 @@ def test_moved_canonical_polytopes_match_fraction_oracles(name, shears, shift):
 
 def test_cut_cube_facets_match_fraction_oracles(cut_cube):
     _assert_facets_match_oracles(cut_cube)
+
+
+# -- the chart-based fan as the oracle of the triangulation from the incidence -------
+
+
+def _fan_by_charts(p, root_index=0):
+    """Oracle: cone vertex root_index over the fan of every facet that misses it,
+    each facet triangulated in its lattice chart (from its chart-lex-min vertex)
+    and mapped back by origin + basis . t."""
+    if p.dim == 1:
+        return [list(p.vertices)]
+    root = p.vertices[root_index]
+    simplices = []
+    for j, (_, facet) in enumerate(p.facets()):
+        if j in p.facet_adjacency[root_index]:
+            continue
+        for sub in _fan_by_charts(facet.subpolytope):
+            verts = [root] + [_embed(facet, t) for t in sub]
+            if xla.det([[v[i] - root[i] for v in verts[1:]] for i in range(p.dim)]) < 0:
+                verts[1], verts[2] = verts[2], verts[1]
+            simplices.append(verts)
+    return simplices
+
+
+@st.composite
+def _fan_cases(draw):
+    """Moved canonical polygons and 3-D polytopes, P^3 and the cut cube."""
+    kind = draw(st.sampled_from(("polygon", "solid", "P3", "cut cube")))
+    if kind == "P3":
+        return make_polytope(*((n, 1) for n in CANONICAL_NORMALS["P3"]))
+    if kind == "cut cube":
+        cube = [(tuple(s * int(i == j) for j in range(3)), 1) for i in range(3) for s in (1, -1)]
+        return make_polytope(*cube, ((1, 1, 1), 2))
+    names = [n for n, normals in sorted(CANONICAL_NORMALS.items())
+             if len(normals[0]) == (2 if kind == "polygon" else 3)]
+    name = draw(st.sampled_from(names))
+    dim = len(CANONICAL_NORMALS[name][0])
+    return moved_canonical(name, draw(_shears), draw(st.lists(
+        _fractions, min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fan_cases())
+def test_triangulation_from_incidence_matches_the_chart_fan(p):
+    simplices = p.triangulate()
+    assert p._facets is None  # no facet chart was built
+    assert all(set(s.vertices) <= set(p.vertices) for s in simplices)
+    assert all(xla.det(s.edge_matrix()) > 0 for s in simplices)
+    oracle = _fan_by_charts(p)
+    if p.dim == 2:  # the same simplices in the same vertex order
+        assert [list(s.vertices) for s in simplices] == oracle
+    else:
+        assert moment_table(simplices, 4) == moment_table([Simplex(s) for s in oracle], 4)
+
+
+@st.composite
+def _expansion_cases(draw):
+    """A rational simplex of dimension 1-3, a rational polynomial of degree <= 4
+    and rational barycentric coordinates."""
+    dim = draw(st.integers(1, 3))
+    origin = [draw(_fractions) for _ in range(dim)]
+    # edges v_k - v_0: the columns of a triangular matrix with a nonzero diagonal
+    edges = [[draw(_fractions) if i < k else draw(_fractions.filter(bool)) if i == k else 0
+              for i in range(dim)] for k in range(dim)]
+    verts = [tuple(origin)] + [tuple(map(add, origin, e)) for e in edges]
+    alphas = [a for k in range(draw(st.integers(0, 4)) + 1) for a in compositions(k, dim)]
+    poly = Polynomial(dim, dict(zip(alphas, draw(
+        st.lists(_fractions, min_size=len(alphas), max_size=len(alphas))))))
+    weights = draw(st.lists(st.integers(0, 9), min_size=dim + 1, max_size=dim + 1).filter(any))
+    return verts, poly, [Fraction(w, sum(weights)) for w in weights]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_expansion_cases())
+def test_barycentric_coefficients_expand_the_polynomial(case):
+    verts, poly, lam = case
+    betas, scale, (row,) = barycentric_coefficients(poly, [verts])
+    d = poly.degree()
+    q = lcm(*(c.denominator for v in verts for c in v))
+    assert scale == lcm(*(c.denominator for c in poly.coeffs.values())) * q ** d
+    assert all(isinstance(c, int) for c in row)
+    point = [sum(l * v[i] for l, v in zip(lam, verts)) for i in range(len(verts[0]))]
+    assert sum(c * prod(l ** e for l, e in zip(lam, b)) for b, c in zip(betas, row)) == (
+        scale * poly.eval_exact(point))
+    for i, v in enumerate(verts):
+        corner = tuple(d * (i == k) for k in range(len(verts)))
+        assert row[betas.index(corner)] == scale * poly.eval_exact(v)
