@@ -179,25 +179,19 @@ def cmd_reeb(args):
         p, weight, s, tol=args.tol, max_iter=args.max_iter), args)
 
 
-def _parse_factor(text: str) -> fibration.BaseFactor:
+def _parse_factor(text: str, path: str) -> fibration.BaseFactor:
+    """`n=1,k=2`, read by the rules of a spec's factors."""
     fields = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
-    if "n" not in fields:
-        raise SchemaError("factor", f"factor {text!r} needs n=<dim>")
-    n = int(fields["n"])
-    if "k" in fields:
-        return fibration.BaseFactor(n, k=int(fields["k"]))
-    if "s" in fields:
-        return fibration.BaseFactor(n, s=Fraction(fields["s"]))
-    raise SchemaError("factor", f"factor {text!r} needs k=<int> or s=<value>")
+    return jsonio._factor_from_json(fields, path)
 
 
 def cmd_fibration(args):
     if args.subcommand == "enumerate":
         fiber = jsonio.polytope_from_json(_load_json(args.fiber, "fiber"))
-        factors = [_parse_factor(t) for t in args.factor]
+        factors = [_parse_factor(t, f"factor[{i}]") for i, t in enumerate(args.factor)]
         if not factors:
             raise SchemaError("factor", "enumerate needs at least one --factor")
         tuples = fibration.enumerate_fano(fiber, factors)
@@ -207,7 +201,7 @@ def cmd_fibration(args):
         }
         _emit(args, "fibration enumerate", {
             "fiber": jsonio.polytope_to_json(fiber),
-            "factors": [{"n": f.n, "k": int(f.k)} for f in factors],
+            "factors": [{"n": f.n, "k": f.k} for f in factors],
         }, results)
         return EXIT_OK
 

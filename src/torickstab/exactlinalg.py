@@ -13,6 +13,14 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer(x, name) -> int:
+    """int(x); ValueError naming `name` unless x equals that integer."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
 def det(rows) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination."""
     a = [[frac(x) for x in row] for row in rows]

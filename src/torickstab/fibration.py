@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 
 from .errors import NotAdmissible, NotCanonicalFano
-from .exactlinalg import frac
+from .exactlinalg import _integer, frac
 from .invariants import extremal_affine
 from .polytope import AffineFunction, DelzantPolytope, cramer_vertices
 from .quadrature import DEFAULT_TOL
@@ -37,14 +37,16 @@ class BaseFactor:
     s: Fraction = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "base factor dimension n"))
         if self.n < 1:
             raise ValueError("base factor dimension must be at least 1")
         if (self.k is None) == (self.s is None):
             raise ValueError("specify exactly one of k (Fano) or s (cscK)")
         if self.k is not None:
-            if int(self.k) < 1:
+            object.__setattr__(self, "k", _integer(self.k, "Fano constant k"))
+            if self.k < 1:
                 raise ValueError("Fano constant k must be a positive integer")
-            object.__setattr__(self, "s", Fraction(2 * self.n * int(self.k)))
+            object.__setattr__(self, "s", Fraction(2 * self.n * self.k))
         else:
             object.__setattr__(self, "s", frac(self.s))
 
@@ -60,8 +62,12 @@ class FibrationSpec:
 
     def __post_init__(self):
         norm = []
-        for factor, p_a, c_a in self.factors:
-            norm.append((factor, tuple(int(z) for z in p_a), frac(c_a)))
+        for a, (factor, p_a, c_a) in enumerate(self.factors):
+            if len(p_a) != self.fiber.dim:
+                raise ValueError(f"factor {a}: twist p has length {len(p_a)}, "
+                                 f"the fiber dimension {self.fiber.dim}")
+            norm.append((factor, tuple(_integer(z, f"factor {a}: twist p entry") for z in p_a),
+                         frac(c_a)))
         object.__setattr__(self, "factors", tuple(norm))
 
     def twist_affine(self, a: int) -> AffineFunction:

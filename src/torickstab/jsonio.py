@@ -40,6 +40,23 @@ def num_from_json(obj, path="value") -> Fraction:
         raise SchemaError(path, f"not a number or 'p/q' string: {obj!r} ({e})")
 
 
+def _int_from_json(obj, path) -> int:
+    """An integer field: a number or 'p/q' string whose exact value is an integer."""
+    x = obj if isinstance(obj, int) else num_from_json(obj, path)
+    if x.denominator != 1:
+        raise SchemaError(path, f"not an integer: {x}")
+    return x.numerator
+
+
+def _vector_from_json(obj, dim, path, read=num_from_json):
+    """A list of `dim` entries, each read by `read`."""
+    if not isinstance(obj, list):
+        raise SchemaError(path, f"expected a list, got {obj!r}")
+    if dim is not None and len(obj) != dim:
+        raise SchemaError(path, f"length {len(obj)} != dim {dim}")
+    return [read(z, f"{path}[{i}]") for i, z in enumerate(obj)]
+
+
 # -- polynomial expressions ----------------------------------------------------
 
 
@@ -97,9 +114,9 @@ def poly_from_json(obj, dim: int, path="poly") -> Polynomial:
     if isinstance(obj, dict):
         coeffs = {}
         for key, c in obj.items():
-            alpha = tuple(int(a) for a in key.split(","))
-            if len(alpha) != dim:
-                raise SchemaError(path, f"multi-index {key!r} has wrong length")
+            alpha = tuple(_int_from_json(a, path) for a in key.split(","))
+            if len(alpha) != dim or min(alpha) < 0:
+                raise SchemaError(path, f"multi-index {key!r} is not {dim} nonnegative integers")
             coeffs[alpha] = num_from_json(c, path)
         return Polynomial(dim, coeffs)
     return Polynomial.constant(dim, num_from_json(obj, path))
@@ -114,17 +131,18 @@ def poly_to_json(poly: Polynomial):
 
 
 def polytope_from_json(obj, path="polytope") -> DelzantPolytope:
-    if not isinstance(obj, dict) or "facets" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("facets"), list):
         raise SchemaError(path, "expected an object with a 'facets' list")
     halfspaces = []
     for i, f in enumerate(obj["facets"]):
         fp = f"{path}.facets[{i}]"
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise SchemaError(fp, "facet needs 'normal' and 'offset'")
-        halfspaces.append(HalfSpace([int(c) for c in f["normal"]],
+        halfspaces.append(HalfSpace(_vector_from_json(f["normal"], None, f"{fp}.normal",
+                                                      _int_from_json),
                                     num_from_json(f["offset"], fp)))
     p = DelzantPolytope(halfspaces)
-    if "dim" in obj and int(obj["dim"]) != p.dim:
+    if "dim" in obj and _int_from_json(obj["dim"], f"{path}.dim") != p.dim:
         raise SchemaError(path, f"declared dim {obj['dim']} != facet dim {p.dim}")
     return p
 
@@ -143,12 +161,12 @@ def affine_from_json(obj, dim: int, path="affine") -> AffineFunction:
     if isinstance(obj, (int, float, str)):
         return AffineFunction.constant(dim, num_from_json(obj, path))
     if isinstance(obj, list):
-        if len(obj) != dim:
-            raise SchemaError(path, f"direction length {len(obj)} != dim {dim}")
-        return AffineFunction([num_from_json(z, path) for z in obj], 0)
+        return AffineFunction(_vector_from_json(obj, dim, path), 0)
     if isinstance(obj, dict):
-        zeta = [num_from_json(z, path) for z in obj.get("zeta", [0] * dim)]
-        return AffineFunction(zeta, num_from_json(obj.get("a", 0), path))
+        if "zeta" not in obj:
+            raise SchemaError(path, "affine function needs 'zeta'")
+        return AffineFunction(_vector_from_json(obj["zeta"], dim, f"{path}.zeta"),
+                              num_from_json(obj.get("a", 0), f"{path}.a"))
     raise SchemaError(path, f"cannot read an affine function from {obj!r}")
 
 
@@ -182,8 +200,9 @@ def weight_from_json(obj, dim: int, path="weight"):
     powers = []
     for i, ap in enumerate(obj.get("affine_powers", [])):
         app = f"{path}.affine_powers[{i}]"
-        aff = affine_from_json({"zeta": ap.get("zeta"), "a": ap.get("a", 0)}, dim, app)
-        powers.append((aff, num_from_json(ap.get("pow", 1), app)))
+        if not isinstance(ap, dict):
+            raise SchemaError(app, f"expected an object with 'zeta', 'a' and 'pow', got {ap!r}")
+        powers.append((affine_from_json(ap, dim, app), num_from_json(ap.get("pow", 1), app)))
     exp_part = None
     if obj.get("exp") is not None:
         exp_part = affine_from_json(obj["exp"], dim, f"{path}.exp")
@@ -221,16 +240,28 @@ def fibration_from_json(obj, path="fibration") -> FibrationSpec:
     factors = []
     for i, f in enumerate(obj.get("factors", [])):
         fp = f"{path}.factors[{i}]"
-        if "n" not in f:
-            raise SchemaError(fp, "factor needs a dimension 'n'")
-        if ("k" in f) == ("s" in f):
-            raise SchemaError(fp, "factor needs exactly one of 'k' or 's'")
-        factor = (BaseFactor(int(f["n"]), k=int(f["k"])) if "k" in f
-                  else BaseFactor(int(f["n"]), s=num_from_json(f["s"], fp)))
-        p_a = [int(z) for z in f.get("p", [0] * fiber.dim)]
-        c_a = num_from_json(f.get("c", f.get("k", 1)), fp)
+        if not isinstance(f, dict):
+            raise SchemaError(fp, f"expected an object, got {f!r}")
+        factor = _factor_from_json({k: v for k, v in f.items() if k not in ("p", "c")}, fp)
+        p_a = _vector_from_json(f.get("p", [0] * fiber.dim), fiber.dim, f"{fp}.p", _int_from_json)
+        c_a = num_from_json(f.get("c", f.get("k", 1)), f"{fp}.c")
         factors.append((factor, p_a, c_a))
     return FibrationSpec(fiber, factors)
+
+
+def _factor_from_json(obj: dict, path) -> BaseFactor:
+    """A base factor from exactly the fields 'n' and one of 'k' or 's'."""
+    unknown = sorted(set(obj) - {"n", "k", "s"})
+    if unknown:
+        raise SchemaError(path, f"unknown factor field(s) {unknown}")
+    if "n" not in obj:
+        raise SchemaError(path, "factor needs a dimension 'n'")
+    if ("k" in obj) == ("s" in obj):
+        raise SchemaError(path, "factor needs exactly one of 'k' or 's'")
+    n = _int_from_json(obj["n"], f"{path}.n")
+    if "k" in obj:
+        return BaseFactor(n, k=_int_from_json(obj["k"], f"{path}.k"))
+    return BaseFactor(n, s=num_from_json(obj["s"], f"{path}.s"))
 
 
 def fibration_to_json(spec: FibrationSpec):
@@ -238,7 +269,7 @@ def fibration_to_json(spec: FibrationSpec):
     for factor, p_a, c_a in spec.factors:
         entry = {"n": factor.n, "p": list(p_a), "c": num_to_json(c_a)}
         if factor.is_fano:
-            entry["k"] = int(factor.k)
+            entry["k"] = factor.k
         else:
             entry["s"] = num_to_json(factor.s)
         factors.append(entry)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement, permutations
 from math import factorial, lcm
 from operator import add
 
@@ -85,9 +87,6 @@ class Polynomial:
             out[tuple(b)] = c * a[i]
         return Polynomial(self.dim, out)
 
-    def gradient(self):
-        return [self.partial(i) for i in range(self.dim)]
-
     def eval_exact(self, x) -> Fraction:
         x = [frac(v) for v in x]
         total = Fraction(0)
@@ -167,6 +166,27 @@ def dict_product(f, g):
         for b, y in g.items():
             key = tuple(map(add, a, b))
             out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _symmetric_partials(poly: Polynomial, order: int):
+    """Partial derivatives of the given order, keyed by sorted index tuple: the
+    one table of polynomial derivatives, for a potential's bump and a weight's
+    polynomial part."""
+    return {idx: reduce(Polynomial.partial, idx, poly)
+            for idx in combinations_with_replacement(range(poly.dim), order)}
+
+
+def _eval_symmetric(partials, x):
+    """Evaluate a `_symmetric_partials` table at x (N, r) into the full
+    symmetric tensor (N, r, ..., r)."""
+    n, r = x.shape
+    order = len(next(iter(partials)))
+    out = np.empty((n,) + (r,) * order)
+    for idx, d in partials.items():
+        val = d.eval(x)
+        for perm in set(permutations(idx)):
+            out[(slice(None),) + perm] = val
     return out
 
 

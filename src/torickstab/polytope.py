@@ -20,7 +20,7 @@ import numpy as np
 
 from . import exactlinalg as xla
 from .errors import DegenerateSimplex, NotDelzant, NotFullDimensional, Unbounded
-from .exactlinalg import frac
+from .exactlinalg import _integer, frac
 from .polynomial import Polynomial, compositions, dict_product, linear_terms
 
 
@@ -48,7 +48,7 @@ class AffineFunction:
         return len(self.zeta)
 
     def eval_exact(self, x) -> Fraction:
-        return sum((z * frac(v) for z, v in zip(self.zeta, x)), self.const)
+        return sum((z * frac(v) for z, v in zip(self.zeta, x, strict=True)), self.const)
 
     def eval(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -83,7 +83,7 @@ class HalfSpace:
     offset: Fraction
 
     def __init__(self, normal, offset):
-        normal = tuple(int(n) for n in normal)
+        normal = tuple(_integer(n, "half-space normal entry") for n in normal)
         if all(n == 0 for n in normal):
             raise ValueError("half-space normal must be nonzero")
         g = 0

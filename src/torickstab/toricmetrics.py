@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from math import ceil, log2
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
 from .quadrature import GM_ORDER_HIGH, _rule_batch, gm_rule
 from .weights import as_weight
@@ -37,6 +36,10 @@ class GridSpec:
     """Evaluation grid of `futaki_numeric`: the per-axis resolution."""
 
     resolution: int = 400
+
+    def __post_init__(self):
+        if self.resolution < 1:
+            raise ValueError(f"grid resolution must be at least 1, got {self.resolution}")
 
 
 def _sample_grid(polytope: DelzantPolytope, n_per_axis: int):
@@ -102,30 +105,6 @@ class SymplecticPotential:
 
     def normal_scale(self) -> float:
         return float(np.max(np.linalg.norm(self.normals, axis=1)))
-
-
-def _symmetric_partials(poly: Polynomial, order: int):
-    """Partial derivatives of the given order, keyed by sorted index tuple."""
-    out = {}
-    for idx in combinations_with_replacement(range(poly.dim), order):
-        d = poly
-        for i in idx:
-            d = d.partial(i)
-        out[idx] = d
-    return out
-
-
-def _eval_symmetric(partials, x):
-    """Evaluate a `_symmetric_partials` table at x (N, r) into the full
-    symmetric tensor (N, r, ..., r)."""
-    n, r = x.shape
-    order = len(next(iter(partials)))
-    out = np.empty((n,) + (r,) * order)
-    for idx, d in partials.items():
-        val = d.eval(x)
-        for perm in set(permutations(idx)):
-            out[(slice(None),) + perm] = val
-    return out
 
 
 def scaled_bump(polytope: DelzantPolytope, poly: Polynomial) -> SymplecticPotential:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
 
 
@@ -40,6 +40,10 @@ class WeightFn:
     dim: int
 
     def __init__(self, dim, coeff=1, affine_powers=(), exp_part=None, poly_part=None):
+        parts = [("exp part", exp_part), ("polynomial part", poly_part)]
+        for name, part in parts + [("affine factor", aff) for aff, _ in affine_powers]:
+            if part is not None and part.dim != dim:
+                raise ValueError(f"{name} has dimension {part.dim}, the weight {dim}")
         factors = []
         for aff, p in affine_powers:
             p = frac(p)
@@ -138,91 +142,66 @@ class WeightFn:
         factors = tuple((aff.compose_affine(matrix, offset), p)
                         for aff, p in self.affine_powers)
         exp_part = None if self.exp_part is None else self.exp_part.compose_affine(matrix, offset)
-        mat_rows = [[frac(matrix[i][j]) for j in range(len(matrix[0]) if matrix else 0)]
-                    for i in range(self.dim)]
-        poly = None if self.poly_part is None else self.poly_part.compose_affine(mat_rows, offset)
+        poly = None if self.poly_part is None else self.poly_part.compose_affine(matrix, offset)
         new_dim = len(matrix[0]) if matrix else 0
         return WeightFn(new_dim, self.coeff, factors, exp_part, poly)
 
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.full(pts.shape[0], float(self.coeff))
-        for aff, p in self.affine_powers:
-            vals = aff.eval(pts)
-            if _is_integral(p):
-                out = out * vals ** int(p)
-            else:
-                out = out * np.power(vals, float(p))
-        if self.exp_part is not None:
-            out = out * np.exp(self.exp_part.eval(pts))
-        if self.poly_part is not None:
-            out = out * self.poly_part.eval(pts)
-        return out[0] if single else out
+        return self._derivative(pts, 0)
 
     def eval_exact(self, x) -> Fraction:
         return self.to_polynomial().eval_exact(x)
 
-    def _log_grad(self, pts):
-        """Gradient of log(c * prod affine^p * exp part), ignoring poly_part."""
-        n = pts.shape[0]
-        g = np.zeros((n, self.dim))
-        for aff, p in self.affine_powers:
-            z = np.array([float(v) for v in aff.zeta])
-            g += float(p) * z[None, :] / aff.eval(pts)[:, None]
-        if self.exp_part is not None:
-            g += np.array([float(v) for v in self.exp_part.zeta])[None, :]
-        return g
-
     def grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        base = WeightFn(self.dim, self.coeff, self.affine_powers, self.exp_part)
-        a_val = base.eval(pts)
-        g0 = base._log_grad(pts)
-        if self.poly_part is None:
-            out = a_val[:, None] * g0
-        else:
-            q = self.poly_part.eval(pts)
-            dq = np.stack([d.eval(pts) for d in self.poly_part.gradient()], axis=1)
-            out = a_val[:, None] * (g0 * q[:, None] + dq)
-        return out[0] if single else out
+        return self._derivative(pts, 1)
 
     def hess(self, pts):
+        return self._derivative(pts, 2)
+
+    def _derivative(self, pts, order):
+        """Value (order 0), gradient (1) or Hessian (2) at (r,) or (N, r) points.
+
+        With a = c * prod l^p * exp(m), g = grad log a = sum p zeta / l + grad m
+        and dg = Hess log a = -sum p zeta zeta^T / l^2, the product rule with the
+        polynomial part q gives a q, a (g q + dq) and
+        a (g g^T + dg) q + da dq^T + dq da^T + a Hess q, where da = a g.
+        """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
         n = pts.shape[0]
-        base = WeightFn(self.dim, self.coeff, self.affine_powers, self.exp_part)
-        a_val = base.eval(pts)
-        g0 = base._log_grad(pts)
-        dg0 = np.zeros((n, self.dim, self.dim))
+        a = np.full(n, float(self.coeff))
+        g = np.zeros((n, self.dim)) if order else None
+        dg = np.zeros((n, self.dim, self.dim)) if order == 2 else None
         for aff, p in self.affine_powers:
-            z = np.array([float(v) for v in aff.zeta])
-            dg0 -= float(p) * np.einsum("i,j->ij", z, z)[None] / (aff.eval(pts) ** 2)[:, None, None]
-        hess_a = a_val[:, None, None] * (np.einsum("ni,nj->nij", g0, g0) + dg0)
-        if self.poly_part is None:
-            out = hess_a
+            vals = aff.eval(pts)
+            a = a * (vals ** int(p) if _is_integral(p) else np.power(vals, float(p)))
+            if order:
+                z = np.array([float(v) for v in aff.zeta])
+                g += float(p) * z[None, :] / vals[:, None]
+            if order == 2:
+                dg -= float(p) * np.einsum("i,j->ij", z, z)[None] / (vals ** 2)[:, None, None]
+        if self.exp_part is not None:
+            a = a * np.exp(self.exp_part.eval(pts))
+            if order:
+                g += np.array([float(v) for v in self.exp_part.zeta])[None, :]
+        q = self.poly_part
+        if order == 0:
+            out = a if q is None else a * q.eval(pts)
+        elif order == 1:
+            out = a[:, None] * (g if q is None else g * q.eval(pts)[:, None]
+                                + _eval_symmetric(_symmetric_partials(q, 1), pts))
         else:
-            q = self.poly_part.eval(pts)
-            grads = self.poly_part.gradient()
-            dq = np.stack([d.eval(pts) for d in grads], axis=1)
-            hq = np.zeros((n, self.dim, self.dim))
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    hq[:, i, j] = grads[i].partial(j).eval(pts)
-            da = a_val[:, None] * g0
-            out = (hess_a * q[:, None, None]
-                   + np.einsum("ni,nj->nij", da, dq)
-                   + np.einsum("ni,nj->nij", dq, da)
-                   + a_val[:, None, None] * hq)
+            out = a[:, None, None] * (np.einsum("ni,nj->nij", g, g) + dg)
+            if q is not None:
+                # da dq^T + dq da^T summed first, so the Hessian is exactly symmetric
+                cross = np.einsum("ni,nj->nij", a[:, None] * g,
+                                  _eval_symmetric(_symmetric_partials(q, 1), pts))
+                out = (out * q.eval(pts)[:, None, None] + (cross + cross.swapaxes(1, 2))
+                       + a[:, None, None] * _eval_symmetric(_symmetric_partials(q, 2), pts))
         return out[0] if single else out
 
     # -- positivity ---------------------------------------------------------------

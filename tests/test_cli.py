@@ -281,3 +281,82 @@ def test_enumerate_rejects_a_cscK_factor(capsys):
     assert code == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err)["error"] == (
         "ValueError: factor 0 has no Fano constant k")
+
+
+def _p2_spec(factor):
+    return json.dumps({"fiber": json.loads(P2), "factors": [factor]})
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["polytope-info", "--polytope",
+      '{"facets": [{"normal": [1.5], "offset": 1}, {"normal": [-1], "offset": 1}]}'],
+     "polytope.facets[0].normal[0]: not an integer: 3/2"),
+    (["polytope-info", "--polytope", '{"facets": 3}'],
+     "polytope: expected an object with a 'facets' list"),
+    (["fibration", "validate", "--spec", _p2_spec({"n": 1, "k": 1, "p": [0]})],
+     "fibration.factors[0].p: length 1 != dim 2"),
+    (["fibration", "validate", "--spec", _p2_spec({"n": 1, "k": 1, "p": [0.5, 0]})],
+     "fibration.factors[0].p[0]: not an integer: 1/2"),
+    (["fibration", "validate", "--spec", _p2_spec({"n": 1.5, "k": 1, "p": [0, 0]})],
+     "fibration.factors[0].n: not an integer: 3/2"),
+    (["fibration", "validate", "--spec", _p2_spec({"n": 1, "k": 1.5, "p": [0, 0]})],
+     "fibration.factors[0].k: not an integer: 3/2"),
+    (["futaki", "--polytope", P2, "--w", "1", "--all-affine",
+      "--v", '{"affine_powers": [{"zeta": [1], "a": 3}]}'],
+     "v.affine_powers[0].zeta: length 1 != dim 2"),
+    (["futaki", "--polytope", P2, "--w", "1", "--all-affine",
+      "--v", '{"affine_powers": [{"a": 3}]}'],
+     "v.affine_powers[0]: affine function needs 'zeta'"),
+    (["futaki", "--polytope", P2, "--w", "1", "--all-affine",
+      "--v", '{"exp": {"zeta": [1]}}'],
+     "v.exp.zeta: length 1 != dim 2"),
+    (["futaki", "--polytope", P2, "--v", "1", "--w", "1", "--direction", '{"zeta": [1]}'],
+     "direction.zeta: length 1 != dim 2"),
+    (["futaki", "--polytope", P2, "--w", "1", "--direction", "[1, 0]",
+      "--v", '{"poly": {"-1,0": 1}}'],
+     "v.poly: multi-index '-1,0' is not 2 nonnegative integers"),
+], ids=["fractional-normal", "facets-not-a-list", "short-twist", "fractional-twist",
+        "fractional-n", "fractional-k", "short-affine-factor", "factor-without-zeta",
+        "short-exp", "short-direction", "negative-exponent"])
+def test_integer_fields_and_vector_lengths_are_checked(capsys, argv, error):
+    assert main(argv) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == f"SchemaError: {error}"
+
+
+@pytest.mark.parametrize("text, factor, error", [
+    ("n=1,k=2,s=3", {"n": 1, "k": 2, "s": 3}, ": factor needs exactly one of 'k' or 's'"),
+    ("n=1,k=2,x=4", {"n": 1, "k": 2, "x": 4}, ": unknown factor field(s) ['x']"),
+    ("n=1.5,k=2", {"n": 1.5, "k": 2}, ".n: not an integer: 3/2"),
+    ("k=2", {"k": 2}, ": factor needs a dimension 'n'"),
+], ids=["k-and-s", "unknown-key", "fractional-n", "no-n"])
+def test_factor_flag_and_spec_factor_share_one_schema(capsys, text, factor, error):
+    assert main(["fibration", "enumerate", "--fiber", INTERVAL,
+                 "--factor", "n=1,k=1", "--factor", text]) == EXIT_VALIDATION
+    flag_error = json.loads(capsys.readouterr().err)["error"]
+    spec = json.dumps({"fiber": json.loads(INTERVAL), "factors": [{**factor, "p": [0]}]})
+    assert main(["fibration", "validate", "--spec", spec]) == EXIT_VALIDATION
+    spec_error = json.loads(capsys.readouterr().err)["error"]
+    assert flag_error == f"SchemaError: factor[1]{error}"
+    assert spec_error == f"SchemaError: fibration.factors[0]{error}"
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_verify_rejects_a_grid_below_one(capsys, grid):
+    assert main(["verify", "futaki", "--grid", grid]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"ValueError: grid resolution must be at least 1, got {grid}")
+
+
+def test_json_readers_check_lengths_and_integers():
+    with pytest.raises(jsonio.SchemaError, match=r"^ell.zeta: length 1 != dim 2$"):
+        jsonio.affine_from_json({"zeta": [1], "a": 3}, 2, "ell")
+    with pytest.raises(jsonio.SchemaError, match=r"^ell: affine function needs 'zeta'$"):
+        jsonio.affine_from_json({"a": 3}, 2, "ell")
+    with pytest.raises(jsonio.SchemaError, match=r"^polytope.dim: not an integer: 3/2$"):
+        jsonio.polytope_from_json({"dim": 1.5, "facets": json.loads(INTERVAL)["facets"]})
+    with pytest.raises(jsonio.SchemaError, match=r"^poly: not an integer: 1/2$"):
+        jsonio.poly_from_json({"1/2,0": 1}, 2)
+    # an exact integer in another spelling is still an integer
+    assert jsonio.polytope_from_json(
+        {"facets": [{"normal": ["2/2"], "offset": 1}, {"normal": [-1.0], "offset": 1}]}
+    ).volume() == 2

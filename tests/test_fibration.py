@@ -204,3 +204,16 @@ def test_integer_twist_test_matches_fraction_oracle(name, shears, shift, k):
     # the twist region is bounded while 0 stays interior
     assume(fiber.contains_interior([Fraction(0)] * fiber.dim))
     assert _admissible_lattice(fiber, k) == _admissible_by_fraction_solves(fiber, Fraction(k))
+
+
+def test_non_integral_or_short_twist_data_is_rejected(interval, p2):
+    with pytest.raises(ValueError, match="base factor dimension n must be an integer"):
+        BaseFactor(Fraction(3, 2), k=1)
+    with pytest.raises(ValueError, match="Fano constant k must be an integer"):
+        BaseFactor(1, k=1.5)
+    with pytest.raises(ValueError, match="factor 0: twist p has length 1, the fiber dimension 2"):
+        FibrationSpec(p2, [(BaseFactor(1, k=1), (0,), 1)])
+    with pytest.raises(ValueError, match="factor 0: twist p entry must be an integer"):
+        FibrationSpec(p2, [(BaseFactor(1, k=1), (Fraction(1, 2), 0), 1)])
+    spec = FibrationSpec(interval, [(BaseFactor(Fraction(1), k=2.0), (Fraction(1),), 2)])
+    assert spec.factors[0][0] == BaseFactor(1, k=2) and spec.factors[0][1] == (1,)

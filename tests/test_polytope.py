@@ -485,3 +485,13 @@ def test_barycentric_coefficients_expand_the_polynomial(case):
     for i, v in enumerate(verts):
         corner = tuple(d * (i == k) for k in range(len(verts)))
         assert row[betas.index(corner)] == scale * poly.eval_exact(v)
+
+
+def test_non_integral_normals_and_short_points_are_rejected():
+    with pytest.raises(ValueError, match="half-space normal entry must be an integer"):
+        HalfSpace((1.5,), 1)
+    with pytest.raises(ValueError, match="half-space normal entry must be an integer"):
+        HalfSpace((1, Fraction(1, 2)), 1)
+    assert HalfSpace((Fraction(2, 2), 0.0), 1).normal == (1, 0)
+    with pytest.raises(ValueError):  # a point of the wrong dimension is not truncated
+        AffineFunction((1, 1), 0).eval_exact((1,))

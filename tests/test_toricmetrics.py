@@ -298,3 +298,9 @@ def test_futaki_numeric_error_estimate_covers_the_error_at_resolution_1000(inter
         ell = AffineFunction(zeta, 0)
         num = futaki_numeric(p, SymplecticPotential(p), v, w, ell, grid)
         assert abs(num.value - futaki_boundary(p, v, w, ell).value) <= num.error_estimate
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_grid_below_one_is_rejected(resolution):
+    with pytest.raises(ValueError, match="grid resolution must be at least 1"):
+        GridSpec(resolution=resolution)

@@ -242,3 +242,105 @@ def test_soliton_normalization_identity(interval, p2):
 
         grad_moment = _adaptive(p.triangulate(), inner, 1e-12, 1e-14, 40).value
         assert lhs == pytest.approx(2 * m * int_v + 2 * grad_moment, abs=1e-9)
+
+
+def test_parts_of_another_dimension_are_rejected():
+    with pytest.raises(ValueError, match="affine factor has dimension 1, the weight 2"):
+        WeightFn(2, affine_powers=((_affine([1], 3), 1),))
+    with pytest.raises(ValueError, match="exp part has dimension 1, the weight 2"):
+        WeightFn(2, exp_part=_affine([1], 0))
+    with pytest.raises(ValueError, match="polynomial part has dimension 3, the weight 2"):
+        WeightFn(2, poly_part=Polynomial(3, {(1, 0, 0): 1}))
+
+
+# -- the one value / gradient / Hessian routine ------------------------------------
+
+DERIVATIVE_EXPONENTS = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1),
+                        Fraction(3, 2), Fraction(2)]
+SAMPLE_BOX = 0.5  # points are drawn from [-1/2, 1/2]^dim
+
+
+@st.composite
+def _weight_terms(draw, dim, polynomial):
+    """A grammar term whose affine factors are at least 1 on the sample box; with
+    `polynomial`, only positive integral exponents and no exp part."""
+    exponents = [p for p in DERIVATIVE_EXPONENTS if p > 0 and p.denominator == 1] \
+        if polynomial else DERIVATIVE_EXPONENTS
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    factors = []
+    for _ in range(draw(st.integers(0, 2))):
+        zeta = draw(vector)
+        const = Fraction(sum(map(abs, zeta)), 2) + draw(st.integers(1, 3))
+        factors.append((AffineFunction(zeta, const), draw(st.sampled_from(exponents))))
+    exp_part = None
+    if not polynomial and draw(st.booleans()):
+        exp_part = AffineFunction([Fraction(z, 4) for z in draw(vector)], Fraction(1, 3))
+    alphas = [a for d in range(4) for a in compositions(d, dim)]
+    coeffs = draw(st.dictionaries(st.sampled_from(alphas), st.integers(-3, 3), max_size=4))
+    poly = Polynomial(dim, coeffs) if any(coeffs.values()) else None
+    coeff = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.integers(1, 3)))
+    return WeightFn(dim, coeff, factors, exp_part, poly)
+
+
+@st.composite
+def _weights_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    polynomial = draw(st.booleans())
+    w = draw(_weight_terms(dim, polynomial))
+    if draw(st.booleans()):
+        w = w + draw(_weight_terms(dim, polynomial))
+    coordinate = st.floats(-SAMPLE_BOX, SAMPLE_BOX, allow_nan=False)
+    pts = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                        min_size=1, max_size=3))
+    return w, np.array(pts)
+
+
+def _central_difference(f, pts, h):
+    """(N, ..., r): d f / d x_i by central differences, stacked on the last axis."""
+    steps = h * np.eye(pts.shape[1])
+    return np.stack([(f(pts + e) - f(pts - e)) / (2 * h) for e in steps], axis=-1)
+
+
+def _magnitude(w, pts):
+    """A bound on the size of w and its first two derivatives at pts: every term
+    with |coeff|, its polynomial part replaced by 1 + sum |c_a|."""
+    total = 0
+    for t in w.terms():
+        norm = 1 + sum(abs(c) for c in t.poly_part.coeffs.values()) if t.poly_part else 1
+        bare = WeightFn(t.dim, abs(t.coeff) * norm, t.affine_powers, t.exp_part)
+        total = total + bare.eval(pts)
+    return total
+
+
+def _abs_bound(poly, pts):
+    """sum |c_a| |x|^a, the size of the sum that evaluates poly at pts."""
+    return Polynomial(poly.dim, {a: abs(c) for a, c in poly.coeffs.items()}).eval(np.abs(pts))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_weights_and_points())
+def test_value_gradient_and_hessian_agree(case):
+    w, pts = case
+    r = pts.shape[1]
+    h = 1e-5
+    grad, hess = w.grad(pts), w.hess(pts)
+    scale = _magnitude(w, pts)
+    # the stencil leaves the box by h, where the scale moves by O(h)
+    assert np.all(np.abs(grad - _central_difference(w.eval, pts, h))
+                  <= 1e-6 * scale[:, None])
+    assert np.all(np.abs(hess - _central_difference(w.grad, pts, h))
+                  <= 1e-6 * scale[:, None, None])
+    assert np.array_equal(hess, hess.swapaxes(1, 2))
+    for row, x in enumerate(pts):
+        assert np.array_equal(w.eval(x), w.eval(x[None])[0])
+        assert np.array_equal(w.grad(x), grad[row])
+        assert np.array_equal(w.hess(x), hess[row])
+    if w.is_polynomial:
+        poly = w.to_polynomial()
+        bound = _abs_bound(poly, pts) + sum(_abs_bound(poly.partial(i), pts) for i in range(r))
+        for i in range(r):
+            d = poly.partial(i)
+            assert np.all(np.abs(grad[:, i] - d.eval(pts)) <= 1e-12 * (1 + bound))
+            for j in range(r):
+                assert np.all(np.abs(hess[:, i, j] - d.partial(j).eval(pts))
+                              <= 1e-12 * (1 + bound))
