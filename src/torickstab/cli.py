@@ -303,10 +303,10 @@ def _suite_futaki(grid_resolution):
         vv, ww = soliton_weight_pair(v, m)
         u = toricmetrics.SymplecticPotential(p)
         grid = toricmetrics.GridSpec(resolution=grid_resolution)
-        for d, ell in enumerate(invariants._affine_basis(p.dim)):
-            fb = invariants.futaki_boundary(p, vv, ww, ell)
-            zeta = list(ell.zeta) if not ell.is_constant() else [0] * p.dim
-            ff = invariants.futaki_fano(p, vv, zeta)
+        basis = invariants._affine_basis(p.dim)
+        boundary = invariants.futaki_boundary(p, vv, ww, basis)
+        fano = invariants.futaki_fano(p, vv, [ell.zeta for ell in basis])
+        for d, (ell, fb, ff) in enumerate(zip(basis, boundary, fano)):
             fn = toricmetrics.futaki_numeric(p, u, vv, ww, ell, grid)
             rows.append(_check(f"{name} dir {d}: boundary vs closed form",
                                abs(fb.value - ff.value), 1e-6))

@@ -103,10 +103,11 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
 
     Solves the Gram system over the basis {1, x_1, ..., x_r}; the Gram matrix
     is positive definite whenever w0 > 0. When all integrals land on the exact
-    rational path the system is solved exactly. The residuals recompute the
-    invariant of the resulting pair over the basis by the boundary formula.
+    rational path the system is solved exactly. The residuals are the invariant
+    of the resulting pair over the basis by the boundary formula: the boundary
+    half is the right-hand side's, the bulk half is integrated afresh.
     """
-    r = polytope.dim
+    r, n = polytope.dim, polytope.dim + 1
     require_positive(v, polytope, name="v")
     require_positive(w0, polytope, name="w0")
     v = as_weight(v, r)
@@ -114,16 +115,19 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
     basis = _affine_basis(r)
     singles = [(b,) for b in basis]
     entries = integrate_products(polytope, w0, [(bi, bj) for bi in basis for bj in basis], tol=tol)
-    gram_res = [entries[i:i + r + 1] for i in range(0, len(entries), r + 1)]
-    rhs_res = [[res] for res in integrate_products(polytope, v, singles, boundary=True, tol=tol)]
+    bnd = integrate_products(polytope, v, singles, boundary=True, tol=tol)
+    sources = [()] * n
     if extra_source is not None:
         src = as_weight(extra_source, r)
-        for parts, res in zip(rhs_res, integrate_products(polytope, v * src, singles, tol=tol)):
-            parts.append(res)
+        sources = [(res,) for res in integrate_products(polytope, v * src, singles, tol=tol)]
 
-    gram = np.array([[res.value for res in row] for row in gram_res])
-    rhs = np.array([2.0 * parts[0].value + sum(p.value for p in parts[1:])
-                    for parts in rhs_res])
+    def system(key):
+        gram = [[getattr(res, key) for res in entries[i:i + n]] for i in range(0, n * n, n)]
+        rhs = [2 * getattr(b, key) + sum(getattr(res, key) for res in s)
+               for b, s in zip(bnd, sources)]
+        return gram, rhs
+
+    gram, rhs = system("value")
     eigs = np.linalg.eigvalsh(gram)
     cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else float("inf")
     if eigs[0] <= 0 or cond > CONDITION_LIMIT:
@@ -131,14 +135,8 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
             f"Gram matrix condition number {cond:.3e}, min eigenvalue {eigs[0]:.3e}"
         )
 
-    all_exact = all(res.exact is not None for row in gram_res for res in row) and all(
-        p.exact is not None for parts in rhs_res for p in parts
-    )
-    if all_exact:
-        gram_q = [[res.exact for res in row] for row in gram_res]
-        rhs_q = [2 * parts[0].exact + sum(p.exact for p in parts[1:])
-                 for parts in rhs_res]
-        coeffs = solve(gram_q, rhs_q)
+    if all(res.exact is not None for res in entries + bnd + [x for s in sources for x in s]):
+        coeffs = solve(*system("exact"))
         ell = AffineFunction(coeffs[1:], coeffs[0])
     else:
         coeffs = np.linalg.solve(gram, rhs)
@@ -147,7 +145,9 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
     w_eff = w0 * WeightFn.from_polynomial(ell.as_polynomial())
     if extra_source is not None:
         w_eff = w_eff + (v * src).scale(-1)
-    residuals = [rep.value for rep in futaki_boundary(polytope, v, w_eff, basis, tol=tol)]
+    bulk = integrate_products(polytope, w_eff, singles, tol=tol)
+    residuals = [_report(d, "boundary_formula", "polytope", r, (2, b), (-1, m)).value
+                 for d, b, m in zip(basis, bnd, bulk)]
     return ExtremalFunction(
         function=ell,
         gram_condition_number=cond,

@@ -35,6 +35,8 @@ def num_to_json(x):
 
 def num_from_json(obj, path="value") -> Fraction:
     try:
+        if isinstance(obj, bool):
+            raise TypeError("a boolean")
         return frac(obj)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise SchemaError(path, f"not a number or 'p/q' string: {obj!r} ({e})")
@@ -42,7 +44,7 @@ def num_from_json(obj, path="value") -> Fraction:
 
 def _int_from_json(obj, path) -> int:
     """An integer field: a number or 'p/q' string whose exact value is an integer."""
-    x = obj if isinstance(obj, int) else num_from_json(obj, path)
+    x = obj if type(obj) is int else num_from_json(obj, path)
     if x.denominator != 1:
         raise SchemaError(path, f"not an integer: {x}")
     return x.numerator

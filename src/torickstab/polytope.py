@@ -68,9 +68,6 @@ class AffineFunction:
     def as_polynomial(self) -> Polynomial:
         return Polynomial.linear(self.zeta, self.const)
 
-    def is_constant(self) -> bool:
-        return all(z == 0 for z in self.zeta)
-
     def __repr__(self):
         return f"AffineFunction(zeta={self.zeta}, const={self.const})"
 

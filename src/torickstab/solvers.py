@@ -49,15 +49,14 @@ def _check_origin(polytope: DelzantPolytope):
         raise OriginNotInterior("the functional is proper only when 0 is interior")
 
 
-def _newton_loop(polytope, p, weight, scales, tol, max_iter,
-                 feasible=lambda xi: True, limit_step=lambda xi, d: 1.0):
+def _newton_loop(polytope, p, weight, scales, tol, max_iter, limit_step=lambda xi, d: 1.0):
     """Damped Newton minimization of F(xi) = int g(<xi, x>) p(x) dx from xi = 0.
 
     weight(xi, k) is the weight x -> g^(k)(<xi, x>) / scales[k], for k = 0, 1, 2.
     F is integrated at trial points, and its gradient and Hessian only at
     accepted iterates; all moments are taken two orders tighter than `tol`.
-    feasible(xi) says whether xi is admissible; limit_step(xi, direction) caps
-    the initial step.
+    limit_step(xi, direction) caps the initial step; every shorter step must
+    stay admissible.
     """
     _check_origin(polytope)
     require_positive(p, polytope, name="p")
@@ -102,16 +101,13 @@ def _newton_loop(polytope, p, weight, scales, tol, max_iter,
         # estimate plus a few ulps) cannot be resolved and is not asked for
         slope = float(grad @ step)
         noise = f_err + NOISE_ULPS * np.spacing(abs(f_val))
-        accepted = False
         for _ in range(60):
             cand = xi + t * step
-            if feasible(cand):
-                f_new, err_new = objective(cand)
-                if f_new <= f_val + ARMIJO_C * t * slope + noise:
-                    accepted = True
-                    break
+            f_new, err_new = objective(cand)
+            if f_new <= f_val + ARMIJO_C * t * slope + noise:
+                break
             t *= 0.5
-        if not accepted:
+        else:
             raise MaxIterations(
                 "line search failed to find a descent step",
                 result=SolverResult(tuple(xi), f_val, gnorm, min_eig, it, trace,
@@ -150,12 +146,10 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
     def min_vertex(xi):
         return float(polytope.vertex_min(ell(xi)))
 
-    def feasible(xi):
-        return min_vertex(xi) > 0
-
     def limit_step(xi, d):
         # fraction-to-boundary: keep the min-vertex value of ell above
-        # (1 - BOUNDARY_FRACTION) of its current value
+        # (1 - BOUNDARY_FRACTION) of its current value; ell is linear along
+        # the step, so every shorter step keeps it positive too
         cur = min_vertex(xi)
         t = 1.0
         for _ in range(200):
@@ -167,5 +161,4 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
     def weight(xi, k):
         return WeightFn.affine_power(ell(xi), frac(-s - k))
 
-    return _newton_loop(polytope, p, weight, (1, -s, s * (s + 1)), tol, max_iter,
-                        feasible, limit_step)
+    return _newton_loop(polytope, p, weight, (1, -s, s * (s + 1)), tol, max_iter, limit_step)

@@ -291,6 +291,11 @@ def _p2_spec(factor):
     (["polytope-info", "--polytope",
       '{"facets": [{"normal": [1.5], "offset": 1}, {"normal": [-1], "offset": 1}]}'],
      "polytope.facets[0].normal[0]: not an integer: 3/2"),
+    (["polytope-info", "--polytope",
+      '{"facets": [{"normal": [true], "offset": 1}, {"normal": [-1], "offset": 1}]}'],
+     "polytope.facets[0].normal[0]: not a number or 'p/q' string: True (a boolean)"),
+    (["extremal", "--polytope", INTERVAL, "--v", "1", "--w0", "true"],
+     "w0: not a number or 'p/q' string: True (a boolean)"),
     (["polytope-info", "--polytope", '{"facets": 3}'],
      "polytope: expected an object with a 'facets' list"),
     (["fibration", "validate", "--spec", _p2_spec({"n": 1, "k": 1, "p": [0]})],
@@ -315,7 +320,7 @@ def _p2_spec(factor):
     (["futaki", "--polytope", P2, "--w", "1", "--direction", "[1, 0]",
       "--v", '{"poly": {"-1,0": 1}}'],
      "v.poly: multi-index '-1,0' is not 2 nonnegative integers"),
-], ids=["fractional-normal", "facets-not-a-list", "short-twist", "fractional-twist",
+], ids=["fractional-normal", "boolean-normal", "boolean-w0", "facets-not-a-list", "short-twist", "fractional-twist",
         "fractional-n", "fractional-k", "short-affine-factor", "factor-without-zeta",
         "short-exp", "short-direction", "negative-exponent"])
 def test_integer_fields_and_vector_lengths_are_checked(capsys, argv, error):

@@ -117,6 +117,8 @@ def test_fano_check(interval):
     assert fano_check(good)
     mismatched = _spec(interval, (BaseFactor(n=1, k=2), (1,), 3))
     assert not fano_check(mismatched)
+    # c = k = 1, but the twist 2x + 1 is -1 at the vertex x = -1
+    assert not fano_check(_spec(interval, (BaseFactor(n=1, k=1), (2,), 1)))
     with pytest.raises(ValueError):
         fano_check(_spec(interval, (BaseFactor(n=1, s=Fraction(2)), (1,), 2)))
     shifted = make_polytope(((1,), 0), ((-1,), 2))

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torickstab import invariants
 from torickstab.errors import NotCanonicalFano
+from torickstab.fibration import BaseFactor, FibrationSpec, extremal_fibration_weights
 from torickstab.invariants import (
     barycenter,
     extremal_affine,
@@ -12,7 +14,8 @@ from torickstab.invariants import (
     futaki_fano,
 )
 from torickstab.polytope import AffineFunction
-from torickstab.weights import WeightFn, soliton_weight_pair
+from torickstab.quadrature import integrate_products
+from torickstab.weights import WeightFn, require_positive, soliton_weight_pair
 
 from conftest import POLYGONS, make_polytope, moved_canonical
 
@@ -173,8 +176,9 @@ def test_fano_linearity_in_direction(p2):
 
 
 def test_extremal_residuals_are_exactly_zero_on_the_canonical_polygons():
-    # the residuals are recomputed by the boundary formula, not read off the
-    # Gram system; on the exact path they are float(exact) = 0.0
+    # the residuals come from the boundary formula with a freshly integrated
+    # bulk half, not from the Gram system; on the exact path they are
+    # float(exact) = 0.0
     for name in POLYGONS:
         p = moved_canonical(name, (), ())
         v = WeightFn.affine_power(AffineFunction([1, 1], 5), 1)
@@ -183,6 +187,55 @@ def test_extremal_residuals_are_exactly_zero_on_the_canonical_polygons():
         res = extremal_affine(p, v, w0)
         assert res.residuals == [0.0, 0.0, 0.0], name
         assert all(type(r) is float for r in res.residuals)
+
+
+def _f1_pair():
+    v = WeightFn.affine_power(AffineFunction([1, 1], 5), 1)
+    w0 = (WeightFn.affine_power(AffineFunction([1, 0], 3), 2)
+          * WeightFn.affine_power(AffineFunction([0, 1], 3), 1))
+    return v, w0
+
+
+def _boundary_residuals(polytope, v, w_eff):
+    basis = invariants._affine_basis(polytope.dim)
+    return [rep.value for rep in futaki_boundary(polytope, v, w_eff, basis)]
+
+
+def test_extremal_residuals_share_the_boundary_half(f1, interval):
+    # the residuals reuse the right-hand side's boundary integrals; they must
+    # equal, bit for bit, a full boundary-formula evaluation of the pair
+    v, w0 = _f1_pair()
+    res = extremal_affine(f1, v, w0)
+    assert res.residuals == _boundary_residuals(
+        f1, v, w0 * WeightFn.from_polynomial(res.function.as_polynomial()))
+
+    e = WeightFn.exp_affine([Fraction(1, 2)], 0)
+    res = extremal_affine(interval, e, e)
+    assert res.residuals == _boundary_residuals(
+        interval, e, e * WeightFn.from_polynomial(res.function.as_polynomial()))
+
+    spec = FibrationSpec(fiber=interval, factors=((BaseFactor(n=1, k=2), (1,), 2),))
+    fib = extremal_fibration_weights(spec)  # extra_source q = 4 / (x + 2), a pole
+    assert fib.residuals == _boundary_residuals(interval, fib.p, fib.w_tilde)
+
+
+def test_extremal_certifies_v_and_integrates_its_boundary_once(f1, monkeypatch):
+    boundary_calls, certified = [], []
+
+    def products(*args, boundary=False, **kwargs):
+        boundary_calls.append(boundary)
+        return integrate_products(*args, boundary=boundary, **kwargs)
+
+    def certify(w, polytope, name):
+        certified.append(name)
+        return require_positive(w, polytope, name=name)
+
+    monkeypatch.setattr(invariants, "integrate_products", products)
+    monkeypatch.setattr(invariants, "require_positive", certify)
+    monkeypatch.setattr(invariants, "futaki_boundary", None)
+    extremal_affine(f1, *_f1_pair())
+    assert boundary_calls.count(True) == 1
+    assert certified.count("v") == 1
 
 
 def test_futaki_direction_lists_match_single_directions(f1):

@@ -107,6 +107,20 @@ def test_reeb_iterates_stay_feasible(interval):
         assert interval.vertex_min(aff) > 0
 
 
+@pytest.mark.parametrize("polytope, p, s", [
+    (make_polytope(((1,), 1), ((-1,), 1)), WeightFn.exp_affine([8], 0), 2),
+    (make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)), WeightFn.exp_affine([6, 0], 0), 3),
+], ids=["interval", "P2"])
+def test_reeb_shortened_steps_stay_in_the_cone(polytope, p, s):
+    # a steep weight drives xi towards the boundary of the cone, so steps are
+    # cut below 1; the step rule alone must keep every iterate inside it
+    res = msy_reeb(polytope, p, s)
+    assert res.converged
+    assert min(t for _, _, t in res.trace[1:]) < 1
+    for xi, _, _ in res.trace:
+        assert polytope.vertex_min(AffineFunction([Fraction(z) for z in xi], 1)) > 0
+
+
 def test_origin_must_be_interior():
     shifted = make_polytope(((1,), 0), ((-1,), 2))  # [0, 2]
     with pytest.raises(OriginNotInterior):
