@@ -8,6 +8,7 @@ a polynomial is expected.
 from __future__ import annotations
 
 import ast
+import math
 from fractions import Fraction
 
 from .exactlinalg import frac
@@ -73,7 +74,9 @@ def parse_poly(expr: str, dim: int) -> Polynomial:
 
 def _poly_node(node, expr, dim) -> Polynomial:
     if isinstance(node, ast.Constant):
-        return Polynomial.constant(dim, frac(node.value))
+        if type(node.value) not in (int, float) or not math.isfinite(node.value):
+            raise SchemaError("poly", f"constant {node.value!r} is not a finite number in {expr!r}")
+        return Polynomial.constant(dim, node.value)
     if isinstance(node, ast.Name):
         name = node.id
         if name == "x" and dim == 1:
@@ -91,7 +94,7 @@ def _poly_node(node, expr, dim) -> Polynomial:
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
             base = _poly_node(node.left, expr, dim)
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)
+            if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int
                     and node.right.value >= 0):
                 raise SchemaError("poly", f"exponent must be a nonnegative integer in {expr!r}")
             return base.power(node.right.value)

@@ -72,10 +72,10 @@ class Polynomial:
         return Polynomial(self.dim, dict_product(self.coeffs, other.coeffs))
 
     def power(self, n: int) -> "Polynomial":
-        result = Polynomial.constant(self.dim, 1)
-        for _ in range(int(n)):
-            result = result * self
-        return result
+        """self^n for an integer n >= 0."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        return Polynomial(self.dim, expand([((int(n),), 1)], [self.coeffs], self.dim))
 
     def partial(self, i: int) -> "Polynomial":
         out = {}
@@ -126,17 +126,9 @@ class Polynomial:
         q = lcm(*(c.denominator for o, row in rows for c in [o, *row]))
         den = lcm(*(c.denominator for c in self.coeffs.values()))
         d = self.degree()
-        powers = [[{(0,) * new_dim: 1}, linear_terms([int(m * q) for m in row], int(o * q))]
-                  for o, row in rows]
-        out = {}
-        for a, c in self.coeffs.items():
-            term = {(0,) * new_dim: c.numerator * (den // c.denominator) * q ** (d - sum(a))}
-            for i, ai in enumerate(a):
-                while len(powers[i]) <= ai:
-                    powers[i].append(dict_product(powers[i][-1], powers[i][1]))
-                term = dict_product(term, powers[i][ai])
-            for b, v in term.items():
-                out[b] = out.get(b, 0) + v
+        forms = [linear_terms([int(m * q) for m in row], int(o * q)) for o, row in rows]
+        out = expand([(a, c.numerator * (den // c.denominator) * q ** (d - sum(a)))
+                      for a, c in self.coeffs.items()], forms, new_dim)
         return Polynomial(new_dim, {b: Fraction(v, den * q ** d) for b, v in out.items()})
 
     def __eq__(self, other):
@@ -157,6 +149,25 @@ def linear_terms(zeta, const):
     dim = len(zeta)
     terms = {tuple(int(j == k) for j in range(dim)): z for k, z in enumerate(zeta) if z}
     return {(0,) * dim: const, **terms} if const else terms
+
+
+def expand(terms, forms, dim):
+    """sum c prod_i forms[i]^a_i over the (a, c) in terms, forms and result given as
+    {exponent: coefficient} dicts in `dim` variables: the one expansion of products of
+    powers. Each power of a form is built once and shared by every term."""
+    one = (0,) * dim
+    powers = [[{one: 1}, form] for form in forms]
+    out = {}
+    for a, c in terms:
+        term = {one: c}
+        for form, table, e in zip(forms, powers, a):
+            if e:
+                while len(table) <= e:
+                    table.append(dict_product(table[-1], form))
+                term = dict_product(term, table[e])
+        for b, v in term.items():
+            out[b] = out.get(b, 0) + v
+    return out
 
 
 def dict_product(f, g):

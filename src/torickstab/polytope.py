@@ -21,7 +21,7 @@ import numpy as np
 from . import exactlinalg as xla
 from .errors import DegenerateSimplex, NotDelzant, NotFullDimensional, Unbounded
 from .exactlinalg import _integer, frac
-from .polynomial import Polynomial, compositions, dict_product, linear_terms
+from .polynomial import Polynomial, compositions, expand, linear_terms
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,19 @@ class Simplex:
         return len(self.vertices) - 1
 
     def edge_matrix(self):
-        v0 = self.vertices[0]
-        return [
-            [self.vertices[k + 1][i] - v0[i] for k in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        return _edge_matrix(self.vertices)
 
     def volume(self) -> Fraction:
-        return abs(xla.det(self.edge_matrix())) / factorial(self.dim)
+        return Fraction(abs(_det(self.edge_matrix())), factorial(self.dim))
 
     def float_vertices(self):
         return np.array([[float(c) for c in v] for v in self.vertices])
+
+
+def _edge_matrix(vertices):
+    """The r x r matrix with columns v_k - v_0, k = 1..r."""
+    v0 = vertices[0]
+    return [[v[i] - v0[i] for v in vertices[1:]] for i in range(len(v0))]
 
 
 _triu_indices = lru_cache(maxsize=None)(np.triu_indices)  # edge pairs (i < j) per vertex count
@@ -177,7 +179,7 @@ def moment_table(simplices, degree):
     sums = [0] * len(alphas)
     for simplex in simplices:
         points = [[int(c * q) for c in v] for v in simplex.vertices]
-        d = abs(_int_det([[p[i] - points[0][i] for p in points[1:]] for i in range(dim)]))
+        d = abs(_det(_edge_matrix(points)))
         if d == 0:
             raise DegenerateSimplex("simplex has zero volume")
         g = [1] + [0] * (len(alphas) - 1)
@@ -205,7 +207,7 @@ def barycentric_coefficients(poly, simplices):
     homogeneous of degree d, over the betas = compositions(d, r + 1). The
     Bernstein coefficients are rows[s][k] betas[k]! / (d! scale) (Farouki, CAGD
     29 (2012)), so they have the signs of the row, and the entry of beta = d e_i
-    is scale poly(v_i). The expansion runs in integers as in moment_table.
+    is scale poly(v_i). One `expand` per simplex, in integers as in moment_table.
     """
     d, r = poly.degree(), len(simplices[0]) - 1
     q = lcm(*(c.denominator for s in simplices for v in s for c in v))
@@ -220,20 +222,13 @@ def barycentric_coefficients(poly, simplices):
         # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
         forms = [linear_terms(column, 0) for column in zip(*points)]
         forms.append(linear_terms([1] * (r + 1), 0))
-        lam = dict.fromkeys(betas, 0)
-        for a, c in homog:
-            term = {(0,) * (r + 1): c}
-            for k, e in enumerate(a):
-                for _ in range(e):
-                    term = dict_product(term, forms[k])
-            for b, v in term.items():
-                lam[b] += v
-        rows.append(list(lam.values()))
+        lam = expand(homog, forms, r + 1)
+        rows.append([lam.get(b, 0) for b in betas])
     return betas, den * q ** d, rows
 
 
-def _int_det(rows) -> int:
-    """Determinant of a small square integer matrix: explicit up to 3 x 3, Laplace above."""
+def _det(rows):
+    """Exact determinant of a small int or Fraction matrix: explicit to 3 x 3, Laplace above."""
     n = len(rows)
     if n == 0:
         return 1
@@ -245,7 +240,7 @@ def _int_det(rows) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum((-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in rows[1:]])
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
                for j, x in enumerate(rows[0]) if x)
 
 
@@ -262,11 +257,11 @@ def cramer_vertices(rows, dim):
     """
     for subset in itertools.combinations(rows, dim):
         a = [n for n, _ in subset]
-        d = _int_det(a)
+        d = _det(a)
         if d == 0:
             continue
         rhs = [-b for _, b in subset]
-        num = [_int_det([row[:i] + (c,) + row[i + 1:] for row, c in zip(a, rhs)])
+        num = [_det([row[:i] + (c,) + row[i + 1:] for row, c in zip(a, rhs)])
                for i in range(dim)]
         if d < 0:
             d, num = -d, [-x for x in num]
@@ -303,7 +298,7 @@ def _has_recession_direction(halfspaces, dim):
     """
     normals = [h.normal for h in halfspaces]
     for subset in itertools.combinations(normals, dim - 1):
-        d = [(-1) ** i * _int_det([row[:i] + row[i + 1:] for row in subset])
+        d = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in subset])
              for i in range(dim)]
         if not any(d):
             continue
@@ -332,13 +327,10 @@ class DelzantPolytope:
             raise NotFullDimensional("no vertices: intersection empty or degenerate")
         if _has_recession_direction(self.halfspaces, self.dim):
             raise Unbounded("half-space intersection has a recession direction")
-        self.vertices = tuple(sorted(incidence))
-        edges = [
-            [v[i] - self.vertices[0][i] for i in range(self.dim)]
-            for v in self.vertices[1:]
-        ]
-        if xla.rank(edges) < self.dim:
+        # a polytope is lower-dimensional iff some half-space is tight at every vertex
+        if set.intersection(*map(set, incidence.values())):
             raise NotFullDimensional("vertices span a lower-dimensional set")
+        self.vertices = tuple(sorted(incidence))
         # vertex <-> facet incidence
         self.facet_adjacency = tuple(incidence[v] for v in self.vertices)
         self._check_delzant()
@@ -369,7 +361,7 @@ class DelzantPolytope:
                     f"vertex {v} lies on {len(incident)} facets, expected {self.dim}",
                     vertex=v,
                 )
-            d = _int_det([self.halfspaces[j].normal for j in incident])
+            d = _det([self.halfspaces[j].normal for j in incident])
             if abs(d) != 1:
                 raise NotDelzant(
                     f"vertex {v}: incident normal determinant {d}, expected +-1",
@@ -511,11 +503,9 @@ def _triangulate(p: DelzantPolytope, root_index=0):
     simplices = []
     for cone in fan(frozenset(), list(range(len(p.vertices))), root_index):
         verts = [p.vertices[i] for i in cone]
-        s = Simplex(verts)
-        if xla.det(s.edge_matrix()) < 0:
+        if _det(_edge_matrix(verts)) < 0:
             verts[1], verts[2] = verts[2], verts[1]
-            s = Simplex(verts)
-        simplices.append(s)
+        simplices.append(Simplex(verts))
     return simplices
 
 
@@ -536,8 +526,8 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
     r = p.dim
     v_mat = xla.unimodular_completion(h.normal)
     basis = tuple(tuple(v_mat[i][k] for k in range(1, r)) for i in range(r))
-    sign = _int_det(v_mat)
-    chart = [[sign * (-1) ** (k + i) * _int_det([row[:k] + row[k + 1:]
+    sign = _det(v_mat)
+    chart = [[sign * (-1) ** (k + i) * _det([row[:k] + row[k + 1:]
                                                  for row in v_mat[:i] + v_mat[i + 1:]])
               for i in range(r)]
              for k in range(1, r)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from .exactlinalg import frac
-from .polynomial import Polynomial, compositions, dict_product, linear_terms
+from .polynomial import Polynomial, compositions, expand, linear_terms
 from .polytope import DelzantPolytope, Simplex, _bisect_all, moment_table
 from .weights import WeightFn, WeightSum, as_weight
 
@@ -269,10 +269,7 @@ def _dot_shifted(table, poly, lines):
 
 def _expand(factors, dim):
     """prod(c + <zeta, t>) over the (c, zeta) factors, as {beta: coefficient}."""
-    out = {(0,) * dim: 1}
-    for c, zeta in factors:
-        out = dict_product(out, linear_terms(zeta, c))
-    return out
+    return expand([((1,) * len(factors), 1)], [linear_terms(zeta, c) for c, zeta in factors], dim)
 
 
 # -- closed-form integrals -----------------------------------------------------------
@@ -299,6 +296,10 @@ def _closed_form(polytope: DelzantPolytope, w):
     if len(poles) + (w.exp_part is not None) != 1:
         return None
     factor = WeightFn(w.dim, 1, [f for f in w.affine_powers if f[1] > 0], None, w.poly_part)
+    degree = sum(int(p) for aff, p in factor.affine_powers if any(aff.zeta))
+    degree += w.poly_part.degree() if w.poly_part else 0
+    if poles and poles[0][1] <= polytope.dim + degree:
+        return None  # sigma <= r + deg Q, read off the factors before any expansion
     index, table, verts = polytope.barycentric(_factor_polynomial(factor))
     ell = w.exp_part or poles[0][0]
     zeta, const = np.array([float(c) for c in ell.zeta]), float(ell.const)
@@ -308,11 +309,9 @@ def _closed_form(polytope: DelzantPolytope, w):
     if w.exp_part is not None:
         g, rel = _exp_dd(nodes)
         rel += z_err  # the partial derivatives of exp[...] are positive and sum to exp[...]
-    elif poles[0][1] >= index.shape[1]:
+    else:
         g, rel = _pole_dd(nodes, poles[0][1])
         rel += poles[0][1] * z_err / z.min()  # each term is homogeneous of degree -sigma
-    else:
-        return None
     terms = float(w.coeff) * table.ravel() * g
     err = (rel + (terms.size + 2) * EPS) * float(np.abs(terms).sum())
     return QuadratureResult(float(terms.sum()), err, 0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials
+from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials, expand, linear_terms
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
 
 
@@ -92,12 +92,12 @@ class WeightFn:
     def to_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
             raise ValueError("weight is not purely polynomial")
-        out = Polynomial.constant(self.dim, self.coeff)
-        for aff, p in self.affine_powers:
-            out = out * aff.as_polynomial().power(int(p))
+        forms = [linear_terms(aff.zeta, aff.const) for aff, _ in self.affine_powers]
+        exponents = [int(p) for _, p in self.affine_powers]
         if self.poly_part is not None:
-            out = out * self.poly_part
-        return out
+            forms.append(self.poly_part.coeffs)
+            exponents.append(1)
+        return Polynomial(self.dim, expand([(tuple(exponents), self.coeff)], forms, self.dim))
 
     def terms(self):
         return (self,)
@@ -209,16 +209,11 @@ class WeightFn:
     def positivity_on(self, polytope: DelzantPolytope) -> Positivity:
         """Exact verdict on w > 0: affine factors positive at every vertex and the
         exp part keep the sign; the rest is one polynomial for `_polynomial_sign`."""
-        poly = Polynomial.constant(self.dim, self.coeff)
-        for aff, p in self.affine_powers:
-            if polytope.vertex_min(aff) > 0:
-                continue
-            if p < 0 or not _is_integral(p):
-                return Positivity.NOT_POSITIVE
-            poly = poly * aff.as_polynomial().power(int(p))
-        if self.poly_part is not None:
-            poly = poly * self.poly_part
-        return _polynomial_sign(poly, polytope)[0]
+        rest = [(aff, p) for aff, p in self.affine_powers if polytope.vertex_min(aff) <= 0]
+        if any(p < 0 or not _is_integral(p) for _, p in rest):
+            return Positivity.NOT_POSITIVE
+        remainder = WeightFn(self.dim, self.coeff, rest, None, self.poly_part)
+        return _polynomial_sign(remainder.to_polynomial(), polytope)[0]
 
     def __repr__(self):
         bits = [f"coeff={self.coeff}"]

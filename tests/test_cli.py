@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from torickstab import jsonio
+from torickstab import fibration, invariants, jsonio
 from torickstab.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from torickstab.polynomial import Polynomial
 
 from conftest import moved_canonical
 
@@ -365,3 +366,73 @@ def test_json_readers_check_lengths_and_integers():
     assert jsonio.polytope_from_json(
         {"facets": [{"normal": ["2/2"], "offset": 1}, {"normal": [-1.0], "offset": 1}]}
     ).volume() == 2
+
+
+@pytest.mark.parametrize("expr", [
+    "x^True+2", "x*True+2", "x*'3'+4", "x*None+2", "x*1j+2", "x*1e999+2",
+])
+def test_poly_constants_must_be_finite_numbers(capsys, expr):
+    """A constant is a finite int or float and not a bool; an exponent a non-bool int."""
+    code = main(["extremal", "--polytope", INTERVAL, "--v", json.dumps(expr), "--w0", "1"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"].startswith("SchemaError: poly: ")
+
+
+def test_parse_poly_operators_and_rejected_forms():
+    assert jsonio.parse_poly("-x", 1) == Polynomial(1, {(1,): -1})
+    assert jsonio.parse_poly("+x", 1) == Polynomial(1, {(1,): 1})
+    assert jsonio.parse_poly("(x+1)^3", 1) == Polynomial(1, {(3,): 1, (2,): 3, (1,): 3, (0,): 1})
+    assert jsonio.parse_poly("x/2", 1) == Polynomial(1, {(1,): Fraction(1, 2)})
+    assert jsonio.parse_poly("x1*x2", 2) == Polynomial(2, {(1, 1): 1})
+    for expr, dim, message in [
+        ("x/x", 1, "division only by nonzero constants"),
+        ("x/0", 1, "division only by nonzero constants"),
+        ("y", 1, "unknown variable 'y'"),
+        ("x3", 2, "variable 'x3' out of range for dim 2"),
+        ("x^-1", 1, "exponent must be a nonnegative integer"),
+        ("2^x", 1, "exponent must be a nonnegative integer"),
+    ]:
+        with pytest.raises(jsonio.SchemaError, match=message):
+            jsonio.parse_poly(expr, dim)
+
+
+def test_verify_futaki_passes_at_the_default_grid(capsys):
+    code, rep = _run(capsys, "verify", "futaki")
+    assert code == EXIT_OK
+    rows = rep["results"]["checks"]
+    assert len(rows) == 30 and all(row["pass"] and row["suite"] == "futaki" for row in rows)
+
+
+NON_FANO_FIB = json.dumps({
+    "fiber": json.loads(INTERVAL),
+    "factors": [{"n": 1, "s": -4, "p": [1], "c": 3}],
+})
+
+
+def test_fibration_weights_match_the_library(capsys):
+    code, rep = _run(capsys, "fibration", "weights", "--spec", NON_FANO_FIB)
+    assert code == EXIT_OK
+    fw = fibration.extremal_fibration_weights(jsonio.fibration_from_json(json.loads(NON_FANO_FIB)))
+    results = rep["results"]
+    assert results["ell_ext"] == {"zeta": ["24/13"], "a": "6/13"}
+    assert results["ell_ext"] == jsonio.affine_to_json(fw.ell_ext)
+    assert results["residuals"] == list(fw.residuals) == [0.0, 0.0]
+    for key in ("p", "q", "w_tilde"):
+        assert results[key] == jsonio.weight_to_json(getattr(fw, key))
+
+
+def test_fibration_validate_leaves_out_fano_on_a_non_fano_spec(capsys):
+    code, rep = _run(capsys, "fibration", "validate", "--spec", NON_FANO_FIB)
+    assert code == EXIT_OK
+    assert rep["results"] == {"admissible": True}
+
+
+def test_extremal_extra_source(capsys):
+    code, rep = _run(capsys, "extremal", "--polytope", INTERVAL, "--v", "1", "--w0", "1",
+                     "--extra-source", '"x"')
+    assert code == EXIT_OK
+    interval = jsonio.polytope_from_json(json.loads(INTERVAL))
+    expected = invariants.extremal_affine(interval, 1, 1,
+                                          extra_source=jsonio.parse_poly("x", 1))
+    assert rep["results"]["ell_ext"] == jsonio.affine_to_json(expected.function)
+    assert rep["results"]["ell_ext"] == {"zeta": ["1"], "a": "2"}

@@ -59,6 +59,17 @@ def test_unbounded_rejected():
         make_polytope(((1, 0), 1), ((0, 1), 1))
 
 
+@pytest.mark.parametrize("halfspaces", [
+    [((1,), 0), ((-1,), 0)],
+    [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)],
+    [((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 1)],
+], ids=["point in R^1", "segment {0} x [-1, 1] in R^2", "flat triangle in R^3"])
+def test_lower_dimensional_with_vertices_rejected(halfspaces):
+    """Bounded with a vertex, but some half-space is tight at every vertex."""
+    with pytest.raises(NotFullDimensional, match="lower-dimensional"):
+        make_polytope(*halfspaces)
+
+
 def test_canonical_fano_flags(interval, p2):
     assert interval.is_canonical_fano()
     assert p2.is_canonical_fano()

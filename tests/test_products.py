@@ -10,10 +10,11 @@ product weight, which the soliton and Reeb solvers rely on.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab.polynomial import Polynomial, compositions
+from torickstab.polynomial import Polynomial, compositions, expand
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_boundary, integrate_products, integrate_weighted
 from torickstab.weights import WeightFn
@@ -136,3 +137,21 @@ def test_nonpolynomial_weights_take_the_adaptive_path(p2):
                 assert res.exact is None
                 assert (res.value, res.error_estimate, res.subdivisions) == (
                     want.value, want.error_estimate, want.subdivisions)
+
+
+def test_expand_matches_repeated_products():
+    """`expand` against products taken one factor at a time with `Polynomial.__mul__`."""
+    f = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): -3, (0, 0): 1})
+    g = Polynomial(2, {(2, 0): 1, (1, 1): -1, (0, 0): Fraction(-2, 3)})
+    terms = [((2, 1), Fraction(3, 4)), ((0, 3), -2), ((1,), 5), ((0, 0), 7)]
+    expected = Polynomial(2, {})
+    for a, c in terms:
+        product = Polynomial.constant(2, c)
+        for form, e in zip((f, g), a):
+            for _ in range(e):
+                product = product * form
+        expected = expected + product
+    assert Polynomial(2, expand(terms, [f.coeffs, g.coeffs], 2)) == expected
+    assert f.power(3) == f * f * f and f.power(0) == Polynomial.constant(2, 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        f.power(-1)

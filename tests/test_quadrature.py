@@ -539,3 +539,18 @@ def test_adaptive_fallbacks_keep_their_subdivisions(p2):
               WeightFn.exp_affine([1, 0], 0) * WeightFn.affine_power(ell, -4),
               WeightFn.exp_affine([1, 0], 0) + WeightFn.affine_power(ell, -4)):
         assert integrate_weighted(p2, w).subdivisions > 0
+
+
+def test_log_case_is_refused_before_any_expansion(p2, monkeypatch):
+    """sigma <= r + deg Q is read off the weight's form: Q = x1 + 2 with sigma = 3 on
+    P^2 never asks for Q's barycentric table, while sigma = 4 does."""
+    calls = []
+    barycentric = DelzantPolytope.barycentric
+    monkeypatch.setattr(DelzantPolytope, "barycentric",
+                        lambda self, poly: calls.append(poly) or barycentric(self, poly))
+    ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
+    q = WeightFn.affine_power(AffineFunction([1, 0], 2), 1)
+    assert integrate_weighted(p2, q * WeightFn.affine_power(ell, -3)).subdivisions > 0
+    assert calls == []
+    assert integrate_weighted(p2, q * WeightFn.affine_power(ell, -4)).subdivisions == 0
+    assert calls == [Polynomial.linear([1, 0], 2)]

@@ -153,6 +153,26 @@ def test_square_is_not_positive_with_witness_zero(interval):
         require_positive(WeightFn.from_polynomial(square), interval)
 
 
+def test_square_with_an_irrational_free_zero_is_indeterminate(interval):
+    """(3x - 1)^2 vanishes at 1/3, which no dyadic bisection of [-1, 1] reaches."""
+    square = Polynomial(1, {(1,): 3, (0,): -1}).power(2)
+    assert _polynomial_sign(square, interval) == (Positivity.INDETERMINATE, None)
+    with pytest.raises(NotPositive, match=r"\(indeterminate\)$"):
+        require_positive(WeightFn.from_polynomial(square), interval)
+
+
+def test_weight_sum_positivity_verdicts(interval):
+    """One verdict is returned as it is; mixed verdicts are INDETERMINATE."""
+    pole = WeightFn.affine_power(_affine([1], 0), -1)  # 1/x, singular at 0
+    exp = WeightFn.exp_affine([1], 0)
+    square = WeightFn.from_polynomial(Polynomial(1, {(2,): 1}))
+    assert WeightSum([pole]).positivity_on(interval) is Positivity.NOT_POSITIVE
+    assert WeightSum([square]).positivity_on(interval) is Positivity.NOT_POSITIVE
+    assert (exp + square).positivity_on(interval) is Positivity.INDETERMINATE
+    assert (exp + WeightFn.constant(1, -1)).positivity_on(interval) is Positivity.INDETERMINATE
+    assert (exp + WeightFn.constant(1, 1)).positivity_on(interval) is Positivity.POSITIVE
+
+
 @lru_cache(maxsize=None)
 def _canonical(name):
     return make_polytope(*((n, 1) for n in CANONICAL_NORMALS[name]))
