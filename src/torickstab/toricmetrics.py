@@ -4,10 +4,13 @@ A symplectic potential (Guillemin, optionally plus a polynomial bump) defines
 a toric Kahler metric through the inverse Hessian H. `futaki_numeric` takes
 the weighted scalar curvature Scal_v = -sum_ij d_i d_j (v H_ij) in closed form
 from the analytic third and fourth derivatives of the potential (Abreu's
-formula, one Hessian inverse per node) and integrates the Futaki integrand
-over a refined triangulation. `scal`, `scal_v_direct` and `scal_v_divergence`
-evaluate the same curvatures by central finite differences of H; they are the
-independent oracle for the closed form.
+formula) and integrates the Futaki integrand over a refined triangulation.
+H comes from one batched root-free Cholesky factorisation G = L D L^T of the
+Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D also give
+det G = prod D and are the one positive-definiteness test of the production
+path. `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same
+curvatures by central finite differences of H (inverted by LAPACK in
+`hess_inv` and `_hinv`); they are the independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -80,11 +83,7 @@ class SymplecticPotential:
         pts = _sample_grid(self.polytope, CHECK_GRID)
         pts = pts[self.facet_values(pts).min(axis=1) > 1e-9]  # interior points
         if pts.size:
-            hess = self.hess(pts)
-            if np.linalg.eigvalsh(hess).min() <= 0:
-                raise NotPositiveDefinite(
-                    "bump breaks convexity of the symplectic potential"
-                )
+            _ldl_inverse(self.hess(pts))  # raises unless every pivot is positive
 
     def facet_values(self, x):
         """L_j(x) for every facet; x is (N, r) or (r,)."""
@@ -93,7 +92,10 @@ class SymplecticPotential:
 
     def hess(self, x):
         """Analytic Hessian of the potential at interior points; (N, r, r)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._facets_and_hess(np.atleast_2d(np.asarray(x, dtype=float)))[1]
+
+    def _facets_and_hess(self, x):
+        """The facet values L (N, F) and the Hessian (N, r, r) at (N, r) points."""
         L = self.facet_values(x)
         if L.min() <= 0:
             raise TooCloseToBoundary("potential Hessian needs interior points")
@@ -101,7 +103,7 @@ class SymplecticPotential:
                               optimize=True)
         if self._bump_partials is not None:
             out += _eval_symmetric(self._bump_partials[2], x)
-        return out
+        return L, out
 
     def normal_scale(self) -> float:
         return float(np.max(np.linalg.norm(self.normals, axis=1)))
@@ -139,6 +141,60 @@ def hess_inv(u: SymplecticPotential, x):
         raise NotPositiveDefinite("potential Hessian not positive definite")
     H = np.linalg.inv(hess)
     return H[0] if single else H
+
+
+def _ldl_inverse(G):
+    """Inverse and pivots of a batch of symmetric matrices; H (N, r, r), D (N, r).
+
+    Root-free Cholesky G = L D L^T with L unit lower triangular, then
+    H = M^T D^-1 M with M = L^-1, all on length-N columns with Python loops
+    over r, so one loop serves every dimension. G is positive definite exactly
+    when every pivot D_j is positive, so this is also the positive-definiteness
+    test: it raises `NotPositiveDefinite` before dividing by a pivot that is
+    not positive (or not a number). det G = prod D and log det G = sum log D.
+    Like `np.linalg.inv`, and unlike the adjugate, it keeps the relative error
+    of H within a small multiple of eps cond(G) next to a facet, where cond(G)
+    is of order 1/L.
+    """
+    n, r = G.shape[:2]
+    d = np.empty((r, n))
+    low, scaled = {}, {}  # L_ij and L_ij D_j for i > j
+    for j in range(r):
+        dj = d[j]
+        dj[...] = G[:, j, j]
+        for k in range(j):
+            dj -= low[j, k] * scaled[j, k]
+        if not dj.min() > 0:
+            raise NotPositiveDefinite(
+                f"pivot {j} of the potential Hessian is not positive at "
+                f"{np.sum(~(dj > 0))} of {n} points")
+        for i in range(j + 1, r):
+            s = G[:, i, j].copy()
+            for k in range(j):
+                s -= low[i, k] * scaled[j, k]
+            scaled[i, j] = s
+            low[i, j] = s / dj
+    inv_d = 1.0 / d
+    m = {}  # M_ij for i > j: M_ij = -(L_ij + sum_{j<k<i} L_ik M_kj)
+    for j in range(r):
+        for i in range(j + 1, r):
+            s = low[i, j].copy()
+            for k in range(j + 1, i):
+                s += low[i, k] * m[k, j]
+            m[i, j] = -s
+    H = np.empty((r, r, n))
+    for i in range(r):
+        for j in range(i, r):
+            # H_ij = sum_{k >= j} M_ki M_kj / D_k, with M_jj = 1
+            h = H[i, j]
+            if i == j:
+                h[...] = inv_d[j]
+            else:
+                np.multiply(m[j, i], inv_d[j], out=h)
+            for k in range(j + 1, r):
+                h += m[k, i] * m[k, j] * inv_d[k]
+            H[j, i] = h
+    return H.transpose(2, 0, 1), d.T
 
 
 def _matrix_double_divergence(mfun, x, h_pt):
@@ -227,8 +283,10 @@ def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
 def _scal_v_abreu(u: SymplecticPotential, v, x):
     """Weighted scalar curvature -sum_ij d_i d_j (v H_ij) in closed form; (N,).
 
-    With G = Hess u, H = G^-1 and the symmetric tensors T = d^3 u, D = d^4 u,
-    the identities d_k H = -H G_k H and
+    H = G^-1 for G = Hess u comes from `_ldl_inverse`, which raises
+    `NotPositiveDefinite` if G is not positive definite at some node, and
+    the facet values L are evaluated once for both. With the symmetric
+    tensors T = d^3 u, D = d^4 u, the identities d_k H = -H G_k H and
     d_k d_l H = H G_k H G_l H + H G_l H G_k H - H G_kl H give, with
     t_c = sum_ab H_ab T_abc,
       d_j = sum_i d_i H_ij = -(H t)_j,
@@ -244,8 +302,8 @@ def _scal_v_abreu(u: SymplecticPotential, v, x):
     """
     n, r = x.shape
     normals = u.normals
-    H = np.linalg.inv(u.hess(x))
-    L = u.facet_values(x)
+    L, G = u._facets_and_hess(x)
+    H = _ldl_inverse(G)[0]
     alpha = -0.5 / L ** 2
     pairs = np.einsum("fa,gb->abfg", normals, normals).reshape(r * r, -1)
     Q = np.einsum("nk,kg->ng", H.reshape(n, r * r), pairs).reshape(

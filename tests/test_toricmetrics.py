@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickstab.errors import NotPositiveDefinite, TooCloseToBoundary
+from torickstab.exactlinalg import solve
 from torickstab.invariants import futaki_boundary
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
@@ -11,6 +14,7 @@ from torickstab.quadrature import integrate_boundary
 from torickstab.toricmetrics import (
     GridSpec,
     SymplecticPotential,
+    _ldl_inverse,
     _scal_v_abreu,
     futaki_numeric,
     hess_inv,
@@ -25,6 +29,7 @@ from conftest import make_polytope
 
 P2 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)
 P3 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)
+F1 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1)
 # Bl_2 P^2: the canonical Fano pentagon
 PENTAGON = ((1, 0), 1), ((1, 1), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)
 
@@ -304,3 +309,105 @@ def test_futaki_numeric_error_estimate_covers_the_error_at_resolution_1000(inter
 def test_grid_below_one_is_rejected(resolution):
     with pytest.raises(ValueError, match="grid resolution must be at least 1"):
         GridSpec(resolution=resolution)
+
+
+def _near_facets(polytope, delta):
+    """One point at distance delta (in L_f) from each facet f: s y, with y the
+    centroid of the facet's vertices and s = 1 - delta; canonical Fano
+    polytopes have every offset 1, so L_f(s y) = 1 - s."""
+    verts = np.array([[float(c) for c in v] for v in polytope.vertices])
+    return np.array([(1.0 - delta) * verts[[f in inc for inc in polytope.facet_adjacency]]
+                     .mean(axis=0) for f in range(len(polytope.halfspaces))])
+
+
+def _exact_inverse(g):
+    """The inverse of a float matrix, exactly, as a float matrix."""
+    rows = [[Fraction(float(c)) for c in row] for row in g]
+    r = len(rows)
+    cols = [solve(rows, [int(i == j) for i in range(r)]) for j in range(r)]
+    return np.array([[float(cols[j][i]) for j in range(r)] for i in range(r)])
+
+
+@pytest.mark.parametrize("facets", [P2, F1, P3], ids=["P2", "F1", "P3"])
+@pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-8])
+def test_ldl_inverse_near_a_facet(facets, delta):
+    # cond(G) grows like 1/delta there; the inverse's relative error stays
+    # within a small multiple of eps cond(G), against the exact inverse of the
+    # same float matrix and against LAPACK
+    p = make_polytope(*facets)
+    G = SymplecticPotential(p).hess(_near_facets(p, delta))
+    H, D = _ldl_inverse(G)
+    eps = np.finfo(float).eps
+    for g, h, d in zip(G, H, D):
+        bound = 4 * eps * np.linalg.cond(g)
+        exact = _exact_inverse(g)
+        scale = np.abs(exact).max()
+        assert np.abs(h - exact).max() <= bound * scale
+        assert np.abs(h - np.linalg.inv(g)).max() <= 2 * bound * scale
+        assert np.array_equal(h, h.T)
+        assert np.prod(d) == pytest.approx(np.linalg.det(g), rel=bound)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4, 5]),
+       st.integers(1, 40), st.floats(1e-6, 1.0))
+def test_ldl_inverse_inverts_random_spd_batches(seed, r, n, shift):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, r, r))
+    G = a @ a.transpose(0, 2, 1) + shift * np.eye(r)
+    H, D = _ldl_inverse(G)
+    eps = np.finfo(float).eps
+    cond = np.linalg.cond(G)
+    residual = np.abs(H @ G - np.eye(r)).max(axis=(1, 2))
+    assert np.all(residual <= 4 * r * eps * cond)
+    assert np.allclose(np.prod(D, axis=1), np.linalg.det(G), rtol=4 * r * eps * cond.max())
+
+
+def test_ldl_inverse_rejects_indefinite_and_nan():
+    good = np.eye(3)
+    for bad in (np.diag([1.0, -1.0, 2.0]), np.array([[1.0, 2.0, 0], [2.0, 1.0, 0], [0, 0, 1]]),
+                np.full((3, 3), np.nan)):
+        with pytest.raises(NotPositiveDefinite):
+            _ldl_inverse(np.stack([good, bad, good]))
+
+
+def _nonconvex_bump():
+    """b with b'' = -2^24 prod_g (x - g)^2 over the 7 interior points g = k/4 of
+    the 9-point check grid on [-1, 1], so b'' vanishes on every check point."""
+    x = Polynomial.linear([1])
+    b2 = Polynomial.constant(1, -2 ** 24)
+    for k in range(-3, 4):
+        b2 = b2 * (x - Polynomial.constant(1, Fraction(k, 4))).power(2)
+    for _ in range(2):
+        b2 = Polynomial(1, {(a + 1,): c / (a + 1) for (a,), c in b2.coeffs.items()})
+    return b2
+
+
+def test_futaki_numeric_rejects_a_nonconvex_potential(interval):
+    # the check grid sees a convex potential, but between its points Hess u < 0
+    bump = _nonconvex_bump()
+    u = scaled_bump(interval, bump)
+    assert u.bump == bump
+    xs = np.linspace(-1.0, 1.0, 2003)[1:-1, None]
+    assert np.sum(u.hess(xs)[:, 0, 0] <= 0) > 0.9 * len(xs)
+    v, w = soliton_weight_pair(WeightFn.constant(1, 1), 1)
+    with pytest.raises(NotPositiveDefinite):
+        futaki_numeric(interval, u, v, w, AffineFunction([1], 0), GridSpec(resolution=400))
+
+
+@pytest.mark.parametrize("bump", [None, {(4, 0, 0): Fraction(1, 40),
+                                         (1, 2, 1): Fraction(1, 30)}],
+                         ids=["guillemin", "bump"])
+@pytest.mark.parametrize("base", [WeightFn.constant(3, 1),
+                                  WeightFn.exp_affine([Fraction(3, 10), 0, 0], 0)],
+                         ids=["one", "exp"])
+def test_futaki_numeric_matches_boundary_on_p3(bump, base):
+    p = make_polytope(*P3)
+    u = SymplecticPotential(p) if bump is None else scaled_bump(p, Polynomial(3, bump))
+    v, w = soliton_weight_pair(base, 3)
+    for i in range(3):
+        ell = AffineFunction([int(i == j) for j in range(3)], 0)
+        num = futaki_numeric(p, u, v, w, ell, GridSpec(resolution=20))
+        assert abs(num.value - futaki_boundary(p, v, w, ell).value) <= num.error_estimate
+        if bump is None:  # no cubature error left on the Guillemin metric
+            assert num.error_estimate <= 1e-9
