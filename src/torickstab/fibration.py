@@ -129,7 +129,7 @@ def extremal_fibration_weights(spec: FibrationSpec, tol=DEFAULT_TOL) -> Fibratio
     q = base_curvature_weight(spec)
     ext = extremal_affine(spec.fiber, p, p, extra_source=q, tol=tol)
     ell = ext.function
-    w_tilde = p * WeightFn.from_polynomial(ell.as_polynomial()) + (p * q).scale(-1)
+    w_tilde = p * ell.as_polynomial() + (p * q).scale(-1)
     return FibrationWeights(p=p, q=q, w_tilde=w_tilde, ell_ext=ell,
                             residuals=ext.residuals)
 

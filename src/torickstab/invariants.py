@@ -12,7 +12,7 @@ from .errors import IllConditioned, NotCanonicalFano
 from .exactlinalg import solve
 from .polytope import AffineFunction, DelzantPolytope
 from .quadrature import DEFAULT_TOL, integrate_products
-from .weights import WeightFn, as_weight, require_positive
+from .weights import as_weight, require_positive
 
 CONDITION_LIMIT = 1e12
 
@@ -142,7 +142,7 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
         coeffs = np.linalg.solve(gram, rhs)
         ell = AffineFunction([float(c) for c in coeffs[1:]], float(coeffs[0]))
 
-    w_eff = w0 * WeightFn.from_polynomial(ell.as_polynomial())
+    w_eff = w0 * ell.as_polynomial()
     if extra_source is not None:
         w_eff = w_eff + (v * src).scale(-1)
     bulk = integrate_products(polytope, w_eff, singles, tol=tol)

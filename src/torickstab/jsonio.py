@@ -183,12 +183,12 @@ def affine_to_json(aff: AffineFunction):
 
 
 def weight_from_json(obj, dim: int, path="weight"):
-    if isinstance(obj, (int, float)) or (isinstance(obj, str) and "/" in obj):
+    if isinstance(obj, (int, float)):
         return WeightFn.constant(dim, num_from_json(obj, path))
     if isinstance(obj, str):
         poly = parse_poly(obj, dim)
         if poly.degree() == 1:
-            # keep affine weights in factored form so soliton synthesis applies
+            # an affine weight keeps its factored form
             zeta = [poly.coeffs.get(tuple(1 if j == i else 0 for j in range(dim)), 0)
                     for i in range(dim)]
             return WeightFn.affine_power(AffineFunction(zeta, poly.constant_value()), 1)

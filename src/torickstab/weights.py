@@ -109,6 +109,7 @@ class WeightFn:
                         self.exp_part, self.poly_part)
 
     def __mul__(self, other):
+        other = as_weight(other, self.dim)
         if isinstance(other, WeightSum):
             return WeightSum([self * t for t in other.terms()])
         merged = {}
@@ -359,34 +360,33 @@ def require_positive(w, polytope, name="weight"):
 
 
 def soliton_weight_pair(v, m: int, polytope: DelzantPolytope = None):
-    """Weights making a v-soliton a weighted-cscK metric: w = 2(m + <dlog v, x>) v.
-
-    The log-derivative pairing is expanded termwise inside the grammar, so the
-    returned w is a WeightSum with closed-form gradient.
-    """
+    """Weights making a v-soliton a weighted-cscK metric: w = 2(m + <dlog v, x>) v, built
+    as 2(m v + <x, grad v>), one term of w per term of v (see _soliton_term)."""
     v = as_weight(v)
-    if isinstance(v, WeightSum):
-        raise ValueError("soliton weight synthesis needs a single grammar term")
-    if v.poly_part is not None:
-        # <grad poly / poly, x> leaves the grammar; the library's weights never need it
-        raise ValueError("soliton weight synthesis requires v without a free polynomial part")
     if polytope is not None:
         require_positive(v, polytope, "v")
-    terms = [v.scale(2 * m)]
-    if v.exp_part is not None:
-        lin = Polynomial.linear(v.exp_part.zeta)
-        if not lin.is_zero():
-            terms.append((v * WeightFn.from_polynomial(lin)).scale(2))
-    for aff, p in v.affine_powers:
-        lin = Polynomial.linear(aff.zeta)
-        if lin.is_zero():
-            continue
-        shifted = WeightFn(v.dim, v.coeff,
-                           tuple((a2, (p2 - 1) if a2 is aff else p2)
-                                 for a2, p2 in v.affine_powers),
-                           v.exp_part, None)
-        terms.append((shifted * WeightFn.from_polynomial(lin)).scale(2 * p))
-    return v, WeightSum(terms)
+    w = [_soliton_term(t, m) for t in v.terms()]
+    return v, w[0] if len(w) == 1 else WeightSum(w)
+
+
+def _soliton_term(t: WeightFn, m: int) -> WeightFn:
+    """2(m t + <x, grad t>) for t = c prod l_i^p_i exp(mu) q as one term 2c prod l_i^(p_i - 1)
+    exp(mu) P, P = (m q + <zeta_mu, x> q + <x, grad q>) prod l_i + q sum_i p_i <zeta_i, x>
+    prod_(j != i) l_j over the l_i with zeta_i != 0; a constant factor keeps its power."""
+    q = t.poly_part.coeffs if t.poly_part is not None else {(0,) * t.dim: 1}
+    mu = linear_terms(t.exp_part.zeta, 0) if t.exp_part is not None else {}
+    # m q + <x, grad q>, q and <zeta_mu, x>, then l_i and <zeta_i, x> per moving factor
+    forms = [{a: (m + sum(a)) * c for a, c in q.items()}, q, mu]
+    moving = [(aff, p) for aff, p in t.affine_powers if any(aff.zeta)]
+    for aff, _ in moving:
+        forms += [linear_terms(aff.zeta, aff.const), linear_terms(aff.zeta, 0)]
+    rest = (1, 0) * len(moving)
+    terms = [((1, 0, 0) + rest, 1), ((0, 1, 1) + rest, 1)]
+    terms += [((0, 1, 0) + rest[:2 * i] + (0, 1) + rest[2 * i + 2:], p)
+              for i, (_, p) in enumerate(moving)]
+    powers = tuple((aff, p - 1 if any(aff.zeta) else p) for aff, p in t.affine_powers)
+    return WeightFn(t.dim, 2 * t.coeff, powers, t.exp_part,
+                    Polynomial(t.dim, expand(terms, forms, t.dim)))
 
 
 def sasaki_weight_pair(xi, a, m: int, polytope: DelzantPolytope):
@@ -400,11 +400,6 @@ def sasaki_weight_pair(xi, a, m: int, polytope: DelzantPolytope):
 
 
 def equivalent_sasaki_pair(xi, a, m: int, polytope: DelzantPolytope):
-    """Alternative realization of the same soliton: (ell^-(m+2), 2(-2 ell + (m+2) a) ell^-(m+3))."""
-    ell = AffineFunction(xi, a)
-    if polytope.vertex_min(ell) <= 0:
-        raise NotPositive(f"affine function {ell} not positive on the polytope")
-    v = WeightFn.affine_power(ell, -(m + 2))
-    w = WeightFn.affine_power(ell, -(m + 2), coeff=-4) + \
-        WeightFn.affine_power(ell, -(m + 3), coeff=2 * (m + 2) * frac(a))
-    return v, w
+    """Alternative realization of the same soliton: the soliton pair of ell^-(m+2),
+    (ell^-(m+2), 2(-2 ell + (m+2) a) ell^-(m+3)) for ell = <xi,x>+a."""
+    return soliton_weight_pair(WeightFn.affine_power(AffineFunction(xi, a), -(m + 2)), m, polytope)

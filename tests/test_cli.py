@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from torickstab import fibration, invariants, jsonio
+from torickstab import fibration, invariants, jsonio, quadrature
 from torickstab.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from torickstab.polynomial import Polynomial
+from torickstab.polytope import AffineFunction
+from torickstab.weights import WeightFn
 
 from conftest import moved_canonical
 
@@ -394,6 +396,43 @@ def test_parse_poly_operators_and_rejected_forms():
     ]:
         with pytest.raises(jsonio.SchemaError, match=message):
             jsonio.parse_poly(expr, dim)
+
+
+def test_weight_strings_read_as_polynomials(capsys):
+    assert jsonio.weight_from_json("1/2", 1) == WeightFn(1, coeff=Fraction(1, 2))
+    assert jsonio.weight_from_json("x/2+1", 1) == WeightFn.affine_power(
+        AffineFunction([Fraction(1, 2)], 1))
+    assert jsonio.weight_from_json("x1^2 + 1/3", 2) == WeightFn.from_polynomial(
+        Polynomial(2, {(2, 0): 1, (0, 0): Fraction(1, 3)}))
+    assert jsonio.weight_from_json("3*x1*x2^2 - 1/2", 2) == WeightFn.from_polynomial(
+        Polynomial(2, {(1, 2): 3, (0, 0): Fraction(-1, 2)}))
+    for polytope, v in ((INTERVAL, "x/2+1"), (P2, "x1^2 + 1/3")):
+        assert _run(capsys, "extremal", "--polytope", polytope, "--v", json.dumps(v),
+                    "--w0", "1")[0] == EXIT_OK
+    assert main(["extremal", "--polytope", INTERVAL, "--v", '"3/0"', "--w0", "1"]) \
+        == EXIT_VALIDATION
+    assert "division only by nonzero constants" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_futaki_of_the_soliton_pair_of_a_fractional_affine_v(capsys):
+    # w = 2(2v + <x, grad v>) = 3 x1 + 4 for v = x1/2 + 1 and m = 2
+    code, rep = _run(capsys, "futaki", "--polytope", P2, "--all-affine",
+                     "--v", '"x1/2+1"', "--w", '"3*x1+4"')
+    assert code == EXIT_OK
+    assert [row["boundary"]["exact"] for row in rep["results"]] == ["0", "9/4", "-9/8"]
+    assert all(row["boundary"]["exact"] == row["fano_closed_form"]["exact"]
+               for row in rep["results"])
+
+
+def test_verify_futaki_takes_no_adaptive_cubature(capsys, monkeypatch):
+    """Every soliton pair of the suite is one closed-form or polynomial term."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive cubature called")
+
+    monkeypatch.setattr(quadrature, "_adaptive", refuse)
+    code, rep = _run(capsys, "verify", "futaki", "--grid", "20")
+    assert code == EXIT_OK
+    assert all(row["pass"] for row in rep["results"]["checks"])
 
 
 def test_verify_futaki_passes_at_the_default_grid(capsys):

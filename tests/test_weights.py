@@ -53,10 +53,18 @@ def test_soliton_pair_negative_power():
         assert w.eval(np.array([x])) == pytest.approx(expected, rel=1e-14)
 
 
-def test_soliton_pair_rejects_free_polynomial():
-    bad = WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (0,): 3}))
-    with pytest.raises(ValueError):
-        soliton_weight_pair(bad, 1)
+def test_soliton_pair_accepts_free_polynomials_and_sums():
+    # v = x^2 + 3, m = 1: w = 2(v + x v') = 6x^2 + 6, one polynomial term
+    v = WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (0,): 3}))
+    _, w = soliton_weight_pair(v, 1)
+    assert isinstance(w, WeightFn)
+    assert w.to_polynomial() == Polynomial(1, {(2,): 6, (0,): 6})
+    # the pair is linear in v: one term of w per term of v
+    _, w = soliton_weight_pair(v + WeightFn.exp_affine([1]), 1)
+    assert isinstance(w, WeightSum) and len(w.terms()) == 2
+    for x in (-0.5, 0.0, 0.9):
+        expected = 6 * x ** 2 + 6 + 2 * (1 + x) * math.exp(x)
+        assert w.eval(np.array([x])) == pytest.approx(expected, rel=1e-14)
 
 
 def test_sasaki_pair_values(interval):
@@ -82,6 +90,29 @@ def test_equivalent_pair_values(interval):
     assert v.eval(np.array([x])) == pytest.approx((x + 2) ** -3)
     assert w.eval(np.array([x])) == pytest.approx(
         2 * (-2 * (x + 2) + 6) * (x + 2) ** -4)
+
+
+@pytest.mark.parametrize("xi, a, m", [
+    ((0,), 1, 1), ((1,), 2, 1), ((Fraction(1, 2),), Fraction(3, 2), 3),
+    ((1, 0), 2, 2), ((Fraction(-1, 3), Fraction(1, 4)), 1, 2),
+])
+def test_equivalent_pair_is_the_soliton_pair_of_ell_to_the_minus_m_plus_2(xi, a, m):
+    p = make_polytope(*[(n, 1) for n in CANONICAL_NORMALS["P1" if len(xi) == 1 else "P2"]])
+    ell = _affine(xi, a)
+    v, w = equivalent_sasaki_pair(xi, a, m, p)
+    v_ref, w_ref = soliton_weight_pair(WeightFn.affine_power(ell, -(m + 2)), m)
+    assert isinstance(w, WeightFn)
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, (7, len(xi)))
+    vals = ell.eval(pts)
+    assert np.array_equal(v.eval(pts), v_ref.eval(pts))
+    assert np.array_equal(w.eval(pts), w_ref.eval(pts))
+    expected = 2 * (-2 * vals + (m + 2) * float(a)) * vals ** -(m + 3)
+    assert w.eval(pts) == pytest.approx(expected, rel=1e-13)
+
+
+def test_equivalent_pair_not_positive(interval):
+    with pytest.raises(NotPositive):
+        equivalent_sasaki_pair([Fraction(2)], 1, 1, interval)
 
 
 def test_eval_examples():
@@ -249,6 +280,8 @@ def test_soliton_normalization_identity(interval, p2):
         (interval, WeightFn.affine_power(_affine([1], 2), 1), 1),
         (interval, WeightFn.exp_affine([Fraction(1, 3)], 0), 1),
         (p2, WeightFn.affine_power(_affine([1, 0], 2), -2), 2),
+        (interval, WeightFn.exp_affine([Fraction(1, 3)], 0)
+         * WeightFn.from_polynomial(Polynomial(1, {(2,): 1, (0,): 1})), 1),
     ]
     from torickstab.quadrature import _adaptive
 
@@ -364,3 +397,43 @@ def test_value_gradient_and_hessian_agree(case):
             for j in range(r):
                 assert np.all(np.abs(hess[:, i, j] - d.partial(j).eval(pts))
                               <= 1e-12 * (1 + bound))
+
+
+@st.composite
+def _soliton_cases(draw):
+    """(v, m, points): v one or two grammar terms, some with a constant affine factor."""
+    dim = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        t = draw(_weight_terms(dim, False))
+        if draw(st.booleans()):
+            constant = AffineFunction([0] * dim, draw(st.integers(1, 3)))
+            t = t * WeightFn.affine_power(constant, draw(st.sampled_from(DERIVATIVE_EXPONENTS)))
+        terms.append(t)
+    v = terms[0] if len(terms) == 1 else WeightSum(terms)
+    coordinate = st.floats(-SAMPLE_BOX, SAMPLE_BOX, allow_nan=False)
+    pts = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                        min_size=1, max_size=3))
+    return v, draw(st.integers(0, 4)), np.array(pts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_soliton_cases())
+def test_soliton_pair_is_the_euler_form(case):
+    """w = 2(m v + <x, grad v>), one term of w per term of v, to rounding relative
+    to the size of v's terms (_magnitude), since the terms may cancel."""
+    v, m, pts = case
+    _, w = soliton_weight_pair(v, m)
+    assert len(w.terms()) == len(v.terms())
+    assert isinstance(w, WeightFn) == isinstance(v, WeightFn)
+    expected = 2 * (m * v.eval(pts) + np.einsum("ni,ni->n", v.grad(pts), pts))
+    assert np.all(np.abs(w.eval(pts) - expected) <= 1e-12 * (1 + m) * _magnitude(v, pts))
+
+
+def test_weight_term_times_a_number_or_a_polynomial():
+    t = WeightFn.affine_power(_affine([1], 2), -1)
+    q = Polynomial(1, {(1,): 1, (0,): 3})
+    assert t * 2 == t.scale(2)
+    assert t * Fraction(1, 2) == t.scale(Fraction(1, 2))
+    assert t * q == t * WeightFn.from_polynomial(q)
+    assert ((t + 1) * 2).eval(np.array([0.0])) == (t * 2 + 2).eval(np.array([0.0])) == 3.0
