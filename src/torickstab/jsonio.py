@@ -63,19 +63,19 @@ def _vector_from_json(obj, dim, path, read=num_from_json):
 # -- polynomial expressions ----------------------------------------------------
 
 
-def parse_poly(expr: str, dim: int) -> Polynomial:
-    """Parse expressions in x (1-D) or x1..x{dim} into an exact polynomial."""
+def parse_poly(expr: str, dim: int, path="poly") -> Polynomial:
+    """Parse x (1-D) or x1..x{dim} expressions into an exact polynomial; errors name `path`."""
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as e:
-        raise SchemaError("poly", f"cannot parse {expr!r}: {e}")
-    return _poly_node(tree.body, expr, dim)
+        raise SchemaError(path, f"cannot parse {expr!r}: {e}")
+    return _poly_node(tree.body, expr, dim, path)
 
 
-def _poly_node(node, expr, dim) -> Polynomial:
+def _poly_node(node, expr, dim, path) -> Polynomial:
     if isinstance(node, ast.Constant):
         if type(node.value) not in (int, float) or not math.isfinite(node.value):
-            raise SchemaError("poly", f"constant {node.value!r} is not a finite number in {expr!r}")
+            raise SchemaError(path, f"constant {node.value!r} is not a finite number in {expr!r}")
         return Polynomial.constant(dim, node.value)
     if isinstance(node, ast.Name):
         name = node.id
@@ -84,22 +84,22 @@ def _poly_node(node, expr, dim) -> Polynomial:
         elif name.startswith("x") and name[1:].isdigit():
             idx = int(name[1:]) - 1
         else:
-            raise SchemaError("poly", f"unknown variable {name!r} in {expr!r}")
+            raise SchemaError(path, f"unknown variable {name!r} in {expr!r}")
         if not 0 <= idx < dim:
-            raise SchemaError("poly", f"variable {name!r} out of range for dim {dim}")
+            raise SchemaError(path, f"variable {name!r} out of range for dim {dim}")
         return Polynomial.monomial(dim, tuple(1 if i == idx else 0 for i in range(dim)))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _poly_node(node.operand, expr, dim)
+        inner = _poly_node(node.operand, expr, dim, path)
         return inner.scale(-1) if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
-            base = _poly_node(node.left, expr, dim)
+            base = _poly_node(node.left, expr, dim, path)
             if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int
                     and node.right.value >= 0):
-                raise SchemaError("poly", f"exponent must be a nonnegative integer in {expr!r}")
+                raise SchemaError(path, f"exponent must be a nonnegative integer in {expr!r}")
             return base.power(node.right.value)
-        left = _poly_node(node.left, expr, dim)
-        right = _poly_node(node.right, expr, dim)
+        left = _poly_node(node.left, expr, dim, path)
+        right = _poly_node(node.right, expr, dim, path)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
@@ -108,14 +108,14 @@ def _poly_node(node, expr, dim) -> Polynomial:
             return left * right
         if isinstance(node.op, ast.Div):
             if not right.is_constant() or right.constant_value() == 0:
-                raise SchemaError("poly", f"division only by nonzero constants in {expr!r}")
+                raise SchemaError(path, f"division only by nonzero constants in {expr!r}")
             return left.scale(1 / right.constant_value())
-    raise SchemaError("poly", f"unsupported syntax in {expr!r}")
+    raise SchemaError(path, f"unsupported syntax in {expr!r}")
 
 
 def poly_from_json(obj, dim: int, path="poly") -> Polynomial:
     if isinstance(obj, str):
-        return parse_poly(obj, dim)
+        return parse_poly(obj, dim, path)
     if isinstance(obj, dict):
         coeffs = {}
         for key, c in obj.items():
@@ -186,7 +186,7 @@ def weight_from_json(obj, dim: int, path="weight"):
     if isinstance(obj, (int, float)):
         return WeightFn.constant(dim, num_from_json(obj, path))
     if isinstance(obj, str):
-        poly = parse_poly(obj, dim)
+        poly = parse_poly(obj, dim, path)
         if poly.degree() == 1:
             # an affine weight keeps its factored form
             zeta = [poly.coeffs.get(tuple(1 if j == i else 0 for j in range(dim)), 0)

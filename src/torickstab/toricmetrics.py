@@ -4,26 +4,28 @@ A symplectic potential (Guillemin, optionally plus a polynomial bump) defines
 a toric Kahler metric through the inverse Hessian H. `futaki_numeric` takes
 the weighted scalar curvature Scal_v = -sum_ij d_i d_j (v H_ij) in closed form
 from the analytic third and fourth derivatives of the potential (Abreu's
-formula) and integrates the Futaki integrand over a refined triangulation.
-H comes from one batched root-free Cholesky factorisation G = L D L^T of the
-Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D also give
-det G = prod D and are the one positive-definiteness test of the production
-path. `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same
-curvatures by central finite differences of H (inverted by LAPACK in
-`hess_inv` and `_hinv`); they are the independent oracle for the closed form.
+formula, `_scal_v_abreu`, elementwise on length-N columns of nodes) and
+integrates the Futaki integrand over a refined triangulation. H comes from one
+batched root-free Cholesky factorisation G = L D L^T of the Hessian per chunk
+of nodes (`_ldl_inverse`), whose pivots D give det G = prod D and are the one
+positive-definiteness test of the production path. `scal`, `scal_v_direct`
+and `scal_v_divergence` evaluate the same curvatures by central finite
+differences of H (inverted by LAPACK in `hess_inv` and `_hinv`); they are the
+independent oracle for the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import ceil, log2
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
-from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials
+from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
 from .quadrature import GM_ORDER_HIGH, _rule_batch, gm_rule
 from .weights import as_weight
@@ -88,22 +90,26 @@ class SymplecticPotential:
     def facet_values(self, x):
         """L_j(x) for every facet; x is (N, r) or (r,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return x @ self.normals.T + self.offsets
+        return np.array([_combine(uf, x.T) + c for uf, c in zip(self.normals, self.offsets)]).T
 
     def hess(self, x):
         """Analytic Hessian of the potential at interior points; (N, r, r)."""
-        return self._facets_and_hess(np.atleast_2d(np.asarray(x, dtype=float)))[1]
+        return self._facets_and_hess(np.atleast_2d(np.asarray(x, float)))[1].transpose(2, 0, 1)
 
     def _facets_and_hess(self, x):
-        """The facet values L (N, F) and the Hessian (N, r, r) at (N, r) points."""
-        L = self.facet_values(x)
+        """The facet values L (F, N) and the Hessian G (r, r, N) at (N, r) points,
+        on length-N columns."""
+        L = self.facet_values(x).T
         if L.min() <= 0:
             raise TooCloseToBoundary("potential Hessian needs interior points")
-        out = 0.5 * np.einsum("nf,fi,fj->nij", 1.0 / L, self.normals, self.normals,
-                              optimize=True)
-        if self._bump_partials is not None:
-            out += _eval_symmetric(self._bump_partials[2], x)
-        return L, out
+        half = 0.5 / L
+        G = np.empty((x.shape[1],) * 2 + (len(x),))
+        for i, j in combinations_with_replacement(range(x.shape[1]), 2):
+            G[i, j] = _combine(self.normals[:, i] * self.normals[:, j], half)
+            if self._bump_partials is not None:
+                G[i, j] += self._bump_partials[2][i, j].eval(x)
+            G[j, i] = G[i, j]
+        return L, G
 
     def normal_scale(self) -> float:
         return float(np.max(np.linalg.norm(self.normals, axis=1)))
@@ -283,51 +289,69 @@ def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
 def _scal_v_abreu(u: SymplecticPotential, v, x):
     """Weighted scalar curvature -sum_ij d_i d_j (v H_ij) in closed form; (N,).
 
-    H = G^-1 for G = Hess u comes from `_ldl_inverse`, which raises
-    `NotPositiveDefinite` if G is not positive definite at some node, and
-    the facet values L are evaluated once for both. With the symmetric
-    tensors T = d^3 u, D = d^4 u, the identities d_k H = -H G_k H and
+    Everything is a length-N column: the facet values L (F, N), G = Hess u and
+    H = G^-1 (r, r, N), from `_ldl_inverse`, which raises `NotPositiveDefinite`
+    if G is not positive definite at some node. With the symmetric tensors
+    T = d^3 u, D = d^4 u, the identities d_k H = -H G_k H and
     d_k d_l H = H G_k H G_l H + H G_l H G_k H - H G_kl H give, with
     t_c = sum_ab H_ab T_abc,
       d_j = sum_i d_i H_ij = -(H t)_j,
       sum_ij d_i d_j H_ij = t.H t + |T|_H^2 - <D, H x H>,
       Scal_v = -(v sum_ij d_i d_j H_ij + 2 <grad v, d> + <H, Hess v>).
-    The Guillemin parts T = -1/2 sum_f u_f^(x3) / L_f^2 and
-    D = sum_f u_f^(x4) / L_f^3 enter through Q = U H U^T and q_f = Q_ff:
-    t = -1/2 sum_f q_f u_f / L_f^2, |T|_H^2 = 1/4 sum_fg Q_fg^3 / (L_f^2 L_g^2)
-    and <D, H x H> = sum_f q_f^2 / L_f^3. Near a facet q_f is O(L_f), so this
-    keeps the roundoff at O(eps / L^2) where contracting the tensors entry by
-    entry loses O(eps / L^3). A bump adds its bounded third and fourth
-    derivatives. `v` is a weight; x is (N, r) with interior points.
+    The Guillemin parts T = sum_f a_f u_f^(x3), a_f = -1/(2 L_f^2), and
+    D = sum_f u_f^(x4) / L_f^3 enter through P_f = H u_f and Q_fg = u_f.P_g for
+    f <= g, q_f = Q_ff: t = sum_f a_f q_f u_f, |T|_H^2 = sum_fg a_f a_g Q_fg^3 and
+    <D, H x H> = sum_f q_f^2 / L_f^3. Near a facet q_f is O(L_f), so this keeps
+    the roundoff at O(eps / L^2) where contracting the tensors entry by entry
+    loses O(eps / L^3). A bump adds its bounded partials, one column per sorted
+    index tuple, contracted by symmetry: T_bump into t, and into |T|_H^2 through
+    2 sum_f a_f T_bump[P_f, P_f, P_f] + sum_cd H_cd tr(H T_c H T_d); D_bump
+    through the pairings (H_ab H_cd + H_ac H_bd + H_ad H_bc) / 3 of each
+    arrangement. `v` is a weight; x is (N, r) with interior points.
     """
-    n, r = x.shape
+    r = x.shape[1]
     normals = u.normals
     L, G = u._facets_and_hess(x)
-    H = _ldl_inverse(G)[0]
-    alpha = -0.5 / L ** 2
-    pairs = np.einsum("fa,gb->abfg", normals, normals).reshape(r * r, -1)
-    Q = np.einsum("nk,kg->ng", H.reshape(n, r * r), pairs).reshape(
-        n, len(normals), len(normals))
-    q = np.einsum("nff->nf", Q)
-    t = np.einsum("nf,fi->ni", alpha * q, normals)
-    norm_t = np.einsum("nfg,nf,ng->n", Q * Q * Q, alpha, alpha)
-    trace_d = np.einsum("nf,nf->n", q * q, 1.0 / (L * L * L))
+    H = _ldl_inverse(G.transpose(2, 0, 1))[0].transpose(1, 2, 0)
+    inv_l = 1.0 / L
+    alpha = -0.5 * inv_l * inv_l
+    P = [_combine(uf, H) for uf in normals]  # P_f = H u_f
+    q = np.array([_combine(uf, pf) for uf, pf in zip(normals, P)])  # q_f = Q_ff
+    aq = alpha * q
+    norm_t = (aq * aq * q).sum(axis=0)
+    for f, g in combinations(range(len(normals)), 2):
+        Q = _combine(normals[f], P[g])
+        norm_t += 2.0 * Q * Q * Q * alpha[f] * alpha[g]
+    t = np.array([_combine(normals[:, i], aq) for i in range(r)])
+    trace_d = ((q * inv_l) ** 2 * inv_l).sum(axis=0)
     if u.bump is not None:
-        bump_t = _eval_symmetric(u._bump_partials[3], x).reshape(n, r, r * r)
-        bump_d = _eval_symmetric(u._bump_partials[4], x).reshape(n, r * r, r * r)
-        # H x H at ((i, j), (a, b)) is H_ia H_jb
-        hh = (H[:, :, None, :, None] * H[:, None, :, None, :]).reshape(n, r * r, r * r)
-        guillemin_t = np.einsum("nf,fi,fj,fk->nijk", alpha, normals, normals, normals,
-                                optimize=True).reshape(n, r, r * r)
-        t += np.einsum("nk,nkc->nc", H.reshape(n, r * r), bump_t.reshape(n, r * r, r))
-        # |T|_H^2 gains <T_bump, 2 T_Guillemin + T_bump>_H
-        norm_t += np.einsum("nak,nak->n", H @ bump_t, (2.0 * guillemin_t + bump_t) @ hh)
-        trace_d += np.einsum("nkl,nkl->n", hh, bump_d)
-    ht = np.einsum("nij,nj->ni", H, t)
-    second = np.einsum("ni,ni->n", t, ht) + norm_t - trace_d
+        tb = {}  # one column per sorted tuple, looked up by every arrangement of it
+        for idx, d in u._bump_partials[3].items():
+            tb.update(dict.fromkeys(permutations(idx), d.eval(x)))
+        for a, b, c in product(range(r), repeat=3):
+            t[c] += H[a, b] * tb[a, b, c]
+        for a, b, c in u._bump_partials[3]:
+            norm_t += (2.0 * len(set(permutations((a, b, c))))) * tb[a, b, c] * (
+                alpha * [pf[a] * pf[b] * pf[c] for pf in P]).sum(axis=0)
+        K = {(c, i, j): sum(H[i, a] * tb[a, j, c] for a in range(r))  # (H T_c)_ij
+             for c, i, j in product(range(r), repeat=3)}
+        for c, d in combinations_with_replacement(range(r), 2):
+            trace = sum(K[c, i, j] * K[d, j, i] for i, j in product(range(r), repeat=2))
+            norm_t += (1.0 if c == d else 2.0) * H[c, d] * trace
+        for (a, b, c, d), poly in u._bump_partials[4].items():
+            pairs = H[a, b] * H[c, d] + H[a, c] * H[b, d] + H[a, d] * H[b, c]
+            trace_d += len(set(permutations((a, b, c, d)))) / 3.0 * poly.eval(x) * pairs
+    ht = (H * t).sum(axis=1)
+    second = (t * ht).sum(axis=0) + norm_t - trace_d
     return -(v.eval(x) * second
-             - 2.0 * np.einsum("ni,ni->n", v.grad(x), ht)
-             + np.einsum("nij,nij->n", H, v.hess(x)))
+             - 2.0 * (v.grad(x).T * ht).sum(axis=0)
+             + (H * v.hess(x).transpose(1, 2, 0)).sum(axis=(0, 1)))
+
+
+def _combine(coeffs, rows):
+    """sum_k coeffs[k] rows[k] over the nonzero coefficients only (normals are mostly 0)."""
+    terms = [row * c for c, row in zip(coeffs, rows) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(np.shape(rows[0]))
 
 
 def _refined(polytope: DelzantPolytope, resolution: int):

@@ -377,7 +377,7 @@ def test_poly_constants_must_be_finite_numbers(capsys, expr):
     """A constant is a finite int or float and not a bool; an exponent a non-bool int."""
     code = main(["extremal", "--polytope", INTERVAL, "--v", json.dumps(expr), "--w0", "1"])
     assert code == EXIT_VALIDATION
-    assert json.loads(capsys.readouterr().err)["error"].startswith("SchemaError: poly: ")
+    assert json.loads(capsys.readouterr().err)["error"].startswith("SchemaError: v: ")
 
 
 def test_parse_poly_operators_and_rejected_forms():
@@ -412,6 +412,18 @@ def test_weight_strings_read_as_polynomials(capsys):
     assert main(["extremal", "--polytope", INTERVAL, "--v", '"3/0"', "--w0", "1"]) \
         == EXIT_VALIDATION
     assert "division only by nonzero constants" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("args, path", [
+    (["extremal", "--v", '"3/0"', "--w0", "1"], "v"),
+    (["extremal", "--v", '"x+2"', "--w0", '"x^-1"'], "w0"),
+    (["futaki", "--all-affine", "--v", '"y+1"', "--w", "1"], "v"),
+    (["futaki", "--all-affine", "--v", "1", "--w", '"3/0"'], "w"),
+    (["extremal", "--v", '{"poly": "3/0"}', "--w0", "1"], "v.poly"),
+])
+def test_unparsable_weight_strings_name_their_field(capsys, args, path):
+    assert main(args + ["--polytope", INTERVAL]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"SchemaError: {path}: ")
 
 
 def test_futaki_of_the_soliton_pair_of_a_fractional_affine_v(capsys):

@@ -32,6 +32,8 @@ P3 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)
 F1 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1), ((0, -1), 1)
 # Bl_2 P^2: the canonical Fano pentagon
 PENTAGON = ((1, 0), 1), ((1, 1), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)
+P1 = ((1,), 1), ((-1,), 1)
+P1xP1 = ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)
 
 
 def _interior_points(polytope, rng, n, margin):
@@ -206,30 +208,54 @@ def _abreu_tensor(u, v, x):
              + np.einsum("nab,nab->n", H, v.hess(x)))
 
 
-@pytest.mark.parametrize("facets, bump", [
-    (P3, None),
-    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}),
-    (PENTAGON, None),
-    (PENTAGON, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}),
-    (P2, {(4, 0): Fraction(1, 40), (0, 3): Fraction(-1, 50), (2, 2): Fraction(1, 60)}),
-], ids=["P3", "P3-bump", "pentagon", "pentagon-bump", "P2-bump"])
-def test_scal_v_abreu_matches_tensor_contraction(facets, bump):
+@pytest.mark.parametrize("facets, bump, n", [
+    (P3, None, 40),
+    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 40),
+    (PENTAGON, None, 40),
+    (PENTAGON, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}, 40),
+    (P2, {(4, 0): Fraction(1, 40), (0, 3): Fraction(-1, 50), (2, 2): Fraction(1, 60)}, 40),
+    (P1, {(4,): Fraction(1, 30), (3,): Fraction(-1, 20)}, 40),
+    (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40),
+    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 1),
+], ids=["P3", "P3-bump", "pentagon", "pentagon-bump", "P2-bump", "P1-bump", "F1-bump",
+        "P3-bump-one-point"])
+def test_scal_v_abreu_matches_tensor_contraction(facets, bump, n):
     p = make_polytope(*facets)
     u = (SymplecticPotential(p) if bump is None
          else scaled_bump(p, Polynomial(p.dim, bump)))
     v = WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)][:p.dim], 0)
-    xs = _interior_points(p, np.random.default_rng(5), 40, 0.1)
+    xs = _interior_points(p, np.random.default_rng(5), n, 0.1)
+    expected = _abreu_tensor(u, v, xs)
+    got = _scal_v_abreu(u, v, xs)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+_BUMP_MONOMIALS = {dim: [a for a in np.ndindex(*(5,) * dim) if 2 <= sum(a) <= 4]
+                   for dim in (2, 3)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([P2, F1, P3]), st.data(), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_scal_v_abreu_matches_tensor_contraction_on_random_bumps(facets, data, seed, exp):
+    # random degree-4 bumps, made convex by `scaled_bump`, with an exp or affine v
+    p = make_polytope(*facets)
+    coeff = st.fractions(-1, 1, max_denominator=60).filter(bool)
+    bump = data.draw(st.dictionaries(st.sampled_from(_BUMP_MONOMIALS[p.dim]), coeff,
+                                     min_size=1, max_size=4))
+    zeta = data.draw(st.lists(st.fractions(-1, 1, max_denominator=10),
+                              min_size=p.dim, max_size=p.dim))
+    u = scaled_bump(p, Polynomial(p.dim, bump))
+    v = (WeightFn.exp_affine(zeta, 0) if exp
+         else WeightFn.affine_power(AffineFunction(zeta, 10), 1))
+    xs = _interior_points(p, np.random.default_rng(seed), 20, 0.1)
     expected = _abreu_tensor(u, v, xs)
     got = _scal_v_abreu(u, v, xs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("facets", [
-    P3,
-    P2,
-    (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)),
-    (((1,), 1), ((-1,), 1)),
-], ids=["P3", "P2", "P1xP1", "P1"])
+@pytest.mark.parametrize("facets", [P3, P2, P1xP1, P1], ids=["P3", "P2", "P1xP1", "P1"])
 def test_scal_v_abreu_guillemin_is_2r(facets):
     # Fubini-Study and product metrics: Scal = 2r on the canonical polytope
     p = make_polytope(*facets)
@@ -237,6 +263,33 @@ def test_scal_v_abreu_guillemin_is_2r(facets):
     xs = _interior_points(p, np.random.default_rng(3), 60, 1e-3)
     vals = _scal_v_abreu(u, as_weight(1, p.dim), xs)
     assert np.max(np.abs(vals - 2 * p.dim)) <= 1e-10
+
+
+@pytest.mark.parametrize("facets", [P2, P1xP1, P3], ids=["P2", "P1xP1", "P3"])
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+def test_scal_v_abreu_rounding_near_a_facet(facets, delta):
+    # Scal = 2r on the Guillemin metric; the Q_ff form keeps the roundoff at
+    # O(eps / L^2), where contracting T and D entry by entry loses O(eps / L^3)
+    p = make_polytope(*facets)
+    vals = _scal_v_abreu(SymplecticPotential(p), as_weight(1, p.dim), _near_facets(p, delta))
+    assert np.max(np.abs(vals - 2 * p.dim)) <= 16 * np.finfo(float).eps / delta ** 2
+
+
+def test_scal_v_abreu_rejects_a_node_on_a_facet():
+    p = make_polytope(*P2)
+    xs = np.array([[0.0, 0.0], [-1.0, 0.2], [0.3, 0.1]])  # the second lies on x1 = -1
+    with pytest.raises(TooCloseToBoundary):
+        _scal_v_abreu(SymplecticPotential(p), as_weight(1, 2), xs)
+
+
+def test_scal_v_abreu_rejects_a_node_where_the_potential_is_not_convex(interval):
+    u = scaled_bump(interval, _nonconvex_bump())
+    grid = np.linspace(-1.0, 1.0, 2003)[1:-1, None]
+    bad = grid[u.hess(grid)[:, 0, 0] < 0][:1]
+    xs = np.vstack([[[-0.5]], bad, [[0.5]]])  # check-grid points on either side
+    assert np.all(u.hess(xs[[0, 2]]) > 0)
+    with pytest.raises(NotPositiveDefinite):
+        _scal_v_abreu(u, as_weight(1, 1), xs)
 
 
 def test_scal_v_abreu_matches_fd_on_bumped_metric(p2):
