@@ -8,8 +8,6 @@ def frac(x) -> Fraction:
     """Coerce ints, Fractions, floats and 'p/q' strings to Fraction (floats exactly)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 

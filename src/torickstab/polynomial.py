@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import factorial, lcm
 from operator import add
 
@@ -42,9 +42,6 @@ class Polynomial:
     def linear(cls, zeta, const=0) -> "Polynomial":
         """<zeta, x> + const."""
         return cls(len(zeta), linear_terms([frac(z) for z in zeta], frac(const)))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_constant(self) -> bool:
         return all(sum(a) == 0 for a in self.coeffs)
@@ -186,19 +183,6 @@ def _symmetric_partials(poly: Polynomial, order: int):
     polynomial part."""
     return {idx: reduce(Polynomial.partial, idx, poly)
             for idx in combinations_with_replacement(range(poly.dim), order)}
-
-
-def _eval_symmetric(partials, x):
-    """Evaluate a `_symmetric_partials` table at x (N, r) into the full
-    symmetric tensor (N, r, ..., r)."""
-    n, r = x.shape
-    order = len(next(iter(partials)))
-    out = np.empty((n,) + (r,) * order)
-    for idx, d in partials.items():
-        val = d.eval(x)
-        for perm in set(permutations(idx)):
-            out[(slice(None),) + perm] = val
-    return out
 
 
 def compositions(total, parts):

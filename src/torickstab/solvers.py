@@ -89,12 +89,12 @@ def _newton_loop(polytope, p, weight, scales, tol, max_iter, limit_step=lambda x
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         trace.append((tuple(xi), f_val, 0.0 if it == 1 else trace_step))
-        if gnorm <= tol * max(abs(f_val), 1.0):
-            return SolverResult(tuple(xi), f_val, gnorm, min_eig, it - 1, trace)
         if min_eig <= 0:
             raise NotPositiveDefinite(
                 f"Hessian minimum eigenvalue {min_eig:.3e} at iterate {it}"
             )
+        if gnorm <= tol * max(abs(f_val), 1.0):
+            return SolverResult(tuple(xi), f_val, gnorm, min_eig, it - 1, trace)
         step = np.linalg.solve(hess, -grad)
         t = limit_step(xi, step)
         # Armijo backtracking on F; a decrease below F's own noise (its error
@@ -137,8 +137,11 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
 def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
              max_iter=DEFAULT_MAX_ITER) -> SolverResult:
     """Minimize V(xi) = int (<xi,x>+1)^(-s) p(x) dx over the cone where
-    <xi,x>+1 > 0 on the polytope; the optimum is the normalized Reeb field."""
+    <xi,x>+1 > 0 on the polytope; the optimum is the normalized Reeb field.
+    V is strictly convex only for a finite exponent s > 0."""
     s = float(s)
+    if not (np.isfinite(s) and s > 0):
+        raise ValueError(f"the exponent s must be finite and positive, got {s}")
 
     def ell(xi):
         return AffineFunction([frac(float(z)) for z in xi], 1)

@@ -343,9 +343,9 @@ def _scal_v_abreu(u: SymplecticPotential, v, x):
             trace_d += len(set(permutations((a, b, c, d)))) / 3.0 * poly.eval(x) * pairs
     ht = (H * t).sum(axis=1)
     second = (t * ht).sum(axis=0) + norm_t - trace_d
-    return -(v.eval(x) * second
-             - 2.0 * (v.grad(x).T * ht).sum(axis=0)
-             + (H * v.hess(x).transpose(1, 2, 0)).sum(axis=(0, 1)))
+    value, grad, hess = v._jet(x, 2)
+    return -(value * second - 2.0 * (grad.T * ht).sum(axis=0)
+             + (H * hess.transpose(1, 2, 0)).sum(axis=(0, 1)))
 
 
 def _combine(coeffs, rows):

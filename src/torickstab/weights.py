@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial, _eval_symmetric, _symmetric_partials, expand, linear_terms
+from .polynomial import Polynomial, _symmetric_partials, expand, linear_terms
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
 
 
@@ -150,60 +151,68 @@ class WeightFn:
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, pts):
-        return self._derivative(pts, 0)
+        return self._jet(pts, 0)[0]
 
     def eval_exact(self, x) -> Fraction:
         return self.to_polynomial().eval_exact(x)
 
     def grad(self, pts):
-        return self._derivative(pts, 1)
+        return self._jet(pts, 1)[1]
 
     def hess(self, pts):
-        return self._derivative(pts, 2)
+        return self._jet(pts, 2)[2]
 
-    def _derivative(self, pts, order):
-        """Value (order 0), gradient (1) or Hessian (2) at (r,) or (N, r) points.
+    def _jet(self, pts, order):
+        """[value, gradient, Hessian][:order + 1] at (r,) or (N, r) points, in one pass.
 
         With a = c * prod l^p * exp(m), g = grad log a = sum p zeta / l + grad m
         and dg = Hess log a = -sum p zeta zeta^T / l^2, the product rule with the
         polynomial part q gives a q, a (g q + dq) and
-        a (g g^T + dg) q + da dq^T + dq da^T + a Hess q, where da = a g.
+        a ((g g^T + dg) q + (g dq^T + dq g^T) + Hess q), all on length-N columns
+        (skipping zero entries of a factor's zeta): g and dq one per i, dg and the
+        Hessian one per i <= j, written to [i, j] and [j, i] so the Hessian is
+        exactly symmetric. Returns (N,), (N, r) and (N, r, r) views.
         """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        n = pts.shape[0]
+        pts = np.atleast_2d(pts)
+        n, r = pts.shape
         a = np.full(n, float(self.coeff))
-        g = np.zeros((n, self.dim)) if order else None
-        dg = np.zeros((n, self.dim, self.dim)) if order == 2 else None
+        g = np.zeros((r, n)) if order else None
+        dg = np.zeros((r, r, n)) if order == 2 else None
         for aff, p in self.affine_powers:
             vals = aff.eval(pts)
             a = a * (vals ** int(p) if _is_integral(p) else np.power(vals, float(p)))
             if order:
-                z = np.array([float(v) for v in aff.zeta])
-                g += float(p) * z[None, :] / vals[:, None]
-            if order == 2:
-                dg -= float(p) * np.einsum("i,j->ij", z, z)[None] / (vals ** 2)[:, None, None]
+                s = float(p) / vals
+                nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
+                for i, z in nonzero:
+                    g[i] += z * s
+                if order == 2:
+                    s = s / vals
+                    for (i, y), (j, z) in combinations_with_replacement(nonzero, 2):
+                        dg[i, j] -= (y * z) * s
         if self.exp_part is not None:
             a = a * np.exp(self.exp_part.eval(pts))
             if order:
-                g += np.array([float(v) for v in self.exp_part.zeta])[None, :]
+                g += np.array([[float(z)] for z in self.exp_part.zeta])
         q = self.poly_part
-        if order == 0:
-            out = a if q is None else a * q.eval(pts)
-        elif order == 1:
-            out = a[:, None] * (g if q is None else g * q.eval(pts)[:, None]
-                                + _eval_symmetric(_symmetric_partials(q, 1), pts))
-        else:
-            out = a[:, None, None] * (np.einsum("ni,nj->nij", g, g) + dg)
+        qv = None if q is None else q.eval(pts)
+        jet = [a if q is None else a * qv]
+        if order:
             if q is not None:
-                # da dq^T + dq da^T summed first, so the Hessian is exactly symmetric
-                cross = np.einsum("ni,nj->nij", a[:, None] * g,
-                                  _eval_symmetric(_symmetric_partials(q, 1), pts))
-                out = (out * q.eval(pts)[:, None, None] + (cross + cross.swapaxes(1, 2))
-                       + a[:, None, None] * _eval_symmetric(_symmetric_partials(q, 2), pts))
-        return out[0] if single else out
+                dq = np.array([d.eval(pts) for d in _symmetric_partials(q, 1).values()])
+            jet.append((g * a if q is None else (g * qv + dq) * a).T)
+        if order == 2:
+            ddq = {} if q is None else _symmetric_partials(q, 2)
+            hess = np.empty((r, r, n))
+            for i, j in combinations_with_replacement(range(r), 2):
+                h = g[i] * g[j] + dg[i, j]
+                if q is not None:
+                    h = h * qv + (g[i] * dq[j] + dq[i] * g[j]) + ddq[i, j].eval(pts)
+                hess[i, j] = hess[j, i] = a * h
+            jet.append(hess.transpose(2, 0, 1))
+        return [out[0] for out in jet] if single else jet
 
     # -- positivity ---------------------------------------------------------------
 
@@ -274,16 +283,19 @@ class WeightSum:
         return WeightSum([t.compose_affine(matrix, offset) for t in self._terms])
 
     def eval(self, pts):
-        return sum(t.eval(pts) for t in self._terms)
+        return self._jet(pts, 0)[0]
 
     def eval_exact(self, x):
         return sum(t.eval_exact(x) for t in self._terms)
 
     def grad(self, pts):
-        return sum(t.grad(pts) for t in self._terms)
+        return self._jet(pts, 1)[1]
 
     def hess(self, pts):
-        return sum(t.hess(pts) for t in self._terms)
+        return self._jet(pts, 2)[2]
+
+    def _jet(self, pts, order):
+        return [sum(parts) for parts in zip(*(t._jet(pts, order) for t in self._terms))]
 
     def positivity_on(self, polytope):
         """Certify the polynomial terms as one sum and every other term alone."""

@@ -77,6 +77,18 @@ def test_reeb_via_fibration(capsys):
                                                      abs=1e-8)
 
 
+@pytest.mark.parametrize("s", ["-0.5", "inf"])
+@pytest.mark.parametrize("command", [["reeb", "--polytope", P2, "--weight", "1"],
+                                     ["fibration", "reeb", "--spec", FIB]],
+                         ids=["reeb", "fibration-reeb"])
+def test_reeb_exponent_must_be_finite_and_positive(capsys, command, s):
+    code = main(command + ["--s", s])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert not captured.out
+    assert "finite and positive" in json.loads(captured.err)["error"]
+
+
 def test_fibration_enumerate(capsys):
     code, rep = _run(capsys, "fibration", "enumerate",
                      "--fiber", INTERVAL, "--factor", "n=1,k=2")

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torickstab.errors import MaxIterations, NotPositive, OriginNotInterior
+from torickstab.errors import (MaxIterations, NotPositive, NotPositiveDefinite,
+                               OriginNotInterior)
 from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
-from torickstab.solvers import msy_reeb, tian_zhu_soliton
+from torickstab.solvers import _newton_loop, msy_reeb, tian_zhu_soliton
 from torickstab.weights import WeightFn
 
 from conftest import make_polytope
@@ -135,6 +136,25 @@ def test_weight_must_be_positive(interval, solve):
     # x + 1 vanishes at the vertex -1 of [-1, 1]
     with pytest.raises(NotPositive):
         solve(interval, WeightFn.affine_power(AffineFunction([1], 1), 1))
+
+
+@pytest.mark.parametrize("s", [0, -0.5, -2, math.inf])
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_reeb_exponent_must_be_finite_and_positive(request, name, s):
+    # V is not strictly convex for s <= 0; at s = -0.5 on P^2, xi = 0 is its maximum
+    with pytest.raises(ValueError, match="finite and positive"):
+        msy_reeb(request.getfixturevalue(name), WeightFn.constant(2, 1), s)
+
+
+def test_a_critical_point_with_an_indefinite_hessian_is_no_minimiser(p2):
+    # the Reeb weights of s = -1/2, taken past msy_reeb's check: the gradient
+    # vanishes at xi = 0 by symmetry, and the Hessian there is negative definite
+    def weight(xi, k):
+        return WeightFn.affine_power(AffineFunction([Fraction(z) for z in xi], 1),
+                                     Fraction(1, 2) - k)
+
+    with pytest.raises(NotPositiveDefinite):
+        _newton_loop(p2, WeightFn.constant(2, 1), weight, (1, 0.5, -0.25), 1e-10, 10)
 
 
 def test_max_iterations_carries_partial_result(interval):

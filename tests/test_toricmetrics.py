@@ -23,7 +23,7 @@ from torickstab.toricmetrics import (
     scal_v_divergence,
     scaled_bump,
 )
-from torickstab.weights import WeightFn, as_weight, soliton_weight_pair
+from torickstab.weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
 
 from conftest import make_polytope
 
@@ -208,22 +208,35 @@ def _abreu_tensor(u, v, x):
              + np.einsum("nab,nab->n", H, v.hess(x)))
 
 
-@pytest.mark.parametrize("facets, bump, n", [
-    (P3, None, 40),
-    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 40),
-    (PENTAGON, None, 40),
-    (PENTAGON, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}, 40),
-    (P2, {(4, 0): Fraction(1, 40), (0, 3): Fraction(-1, 50), (2, 2): Fraction(1, 60)}, 40),
-    (P1, {(4,): Fraction(1, 30), (3,): Fraction(-1, 20)}, 40),
-    (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40),
-    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 1),
+# exp(x_1/3 - x_2/4) (x_1^2 + x_1 x_2 + 2) + (x_2 + 5)^2: an exp term with a
+# polynomial part plus an affine term
+SUM_WEIGHT = WeightSum([
+    WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4)], 0)
+    * Polynomial(2, {(2, 0): 1, (1, 1): 1, (0, 0): 2}),
+    WeightFn.affine_power(AffineFunction([0, 1], 5), 2)])
+
+
+@pytest.mark.parametrize("facets, bump, n, v", [
+    (P3, None, 40, None),
+    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 40, None),
+    (PENTAGON, None, 40, None),
+    (PENTAGON, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}, 40, None),
+    (P2, {(4, 0): Fraction(1, 40), (0, 3): Fraction(-1, 50), (2, 2): Fraction(1, 60)}, 40,
+     None),
+    (P1, {(4,): Fraction(1, 30), (3,): Fraction(-1, 20)}, 40, None),
+    (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40,
+     None),
+    (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 1, None),
+    (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40,
+     SUM_WEIGHT),
 ], ids=["P3", "P3-bump", "pentagon", "pentagon-bump", "P2-bump", "P1-bump", "F1-bump",
-        "P3-bump-one-point"])
-def test_scal_v_abreu_matches_tensor_contraction(facets, bump, n):
+        "P3-bump-one-point", "F1-bump-sum-weight"])
+def test_scal_v_abreu_matches_tensor_contraction(facets, bump, n, v):
     p = make_polytope(*facets)
     u = (SymplecticPotential(p) if bump is None
          else scaled_bump(p, Polynomial(p.dim, bump)))
-    v = WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)][:p.dim], 0)
+    if v is None:
+        v = WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)][:p.dim], 0)
     xs = _interior_points(p, np.random.default_rng(5), n, 0.1)
     expected = _abreu_tensor(u, v, xs)
     got = _scal_v_abreu(u, v, xs)

@@ -399,6 +399,23 @@ def test_value_gradient_and_hessian_agree(case):
                               <= 1e-12 * (1 + bound))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_weights_and_points())
+def test_jet_orders_and_single_points_agree_bitwise(case):
+    # a lower order is the prefix of the full jet, and a point alone is its batch row
+    w, pts = case
+    full = w._jet(pts, 2)
+    assert [part.shape for part in full] == [pts.shape[:1], pts.shape, pts.shape + pts.shape[1:]]
+    for order in range(3):
+        jet = w._jet(pts, order)
+        assert len(jet) == order + 1
+        for part, whole in zip(jet, full):
+            assert np.array_equal(part, whole)
+    for row, x in enumerate(pts):
+        for part, whole in zip(w._jet(x, 2), full):
+            assert np.array_equal(part, whole[row])
+
+
 @st.composite
 def _soliton_cases(draw):
     """(v, m, points): v one or two grammar terms, some with a constant affine factor."""
