@@ -129,6 +129,8 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth) -> QuadratureResul
     of the target max(tol * int|f|, abs_floor) and evaluates all children in
     one batch; int|f| is estimated by the degree-9 rule applied to |f|.
     """
+    if not all(math.isfinite(t) and t >= 0 for t in (tol, abs_floor)):
+        raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
     verts = np.array([s.float_vertices() for s in simplices])
     value, err, mass = _rule_batch(verts, evaluate)
     depth = np.zeros(len(verts), dtype=int)

@@ -5,8 +5,7 @@ smooth and strictly convex on its feasible set: g = exp for the soliton and
 g(t) = (1 + t)^(-s) for the Reeb field. The gradient and Hessian are the
 moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
 damped Newton loop, `_newton_loop`, serves both; each solver supplies only
-the weights g, g', g'' up to constant factors. The iterations converge
-globally from xi = 0.
+the weights g, g', g''. The iterations converge globally from xi = 0.
 The moments are closed forms for polynomial p (also times one exp(affine)
 for the soliton, and for integer s > r + deg p for the Reeb field) and
 adaptive cubatures otherwise; F's noise in the Armijo test is its error
@@ -15,6 +14,8 @@ estimate, a rounding bound on the closed form.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,21 +45,21 @@ class SolverResult:
     converged: bool = True
 
 
-def _check_origin(polytope: DelzantPolytope):
-    if not polytope.contains_interior([Fraction(0)] * polytope.dim):
-        raise OriginNotInterior("the functional is proper only when 0 is interior")
-
-
-def _newton_loop(polytope, p, weight, scales, tol, max_iter, limit_step=lambda xi, d: 1.0):
+def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
     """Damped Newton minimization of F(xi) = int g(<xi, x>) p(x) dx from xi = 0.
 
-    weight(xi, k) is the weight x -> g^(k)(<xi, x>) / scales[k], for k = 0, 1, 2.
-    F is integrated at trial points, and its gradient and Hessian only at
-    accepted iterates; all moments are taken two orders tighter than `tol`.
+    weight(xi, k) is the weight x -> g^(k)(<xi, x>), for k = 0, 1, 2.
+    F is integrated at trial points, and its gradient and Hessian once per
+    iterate; all moments are taken two orders tighter than `tol`.
     limit_step(xi, direction) caps the initial step; every shorter step must
     stay admissible.
     """
-    _check_origin(polytope)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
+    if not polytope.contains_interior([Fraction(0)] * polytope.dim):
+        raise OriginNotInterior("the functional is proper only when 0 is interior")
     require_positive(p, polytope, name="p")
     p = as_weight(p, polytope.dim)
     r = polytope.dim
@@ -69,32 +70,30 @@ def _newton_loop(polytope, p, weight, scales, tol, max_iter, limit_step=lambda x
 
     def objective(xi):
         res = integrate_weighted(polytope, p * weight(xi, 0), tol=qtol)
-        return scales[0] * res.value, abs(scales[0]) * res.error_estimate
+        return res.value, res.error_estimate
 
     def moments(xi, k, products):
-        return scales[k] * np.array([res.value for res in integrate_products(
-            polytope, p * weight(xi, k), products, tol=qtol)])
+        return [res.value for res in integrate_products(
+            polytope, p * weight(xi, k), products, tol=qtol)]
 
-    def derivatives(xi):
-        grad = moments(xi, 1, singles)
+    def stopped(iterations):
+        return SolverResult(tuple(xi), f_val, gnorm, min_eig, iterations, trace, converged=False)
+
+    xi, t, trace = np.zeros(r), 0.0, []
+    f_val, f_err = objective(xi)
+    for it in range(max_iter + 1):
+        grad = np.array(moments(xi, 1, singles))
         hess = np.empty((r, r))
         hess[upper] = hess[upper[::-1]] = moments(xi, 2, pairs)
-        return grad, hess
-
-    xi = np.zeros(r)
-    trace = []
-    f_val, f_err = objective(xi)
-    grad, hess = derivatives(xi)
-    min_eig = float(np.linalg.eigvalsh(hess)[0])
-    for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
-        trace.append((tuple(xi), f_val, 0.0 if it == 1 else trace_step))
+        min_eig = float(np.linalg.eigvalsh(hess)[0])
+        if it == max_iter:
+            raise MaxIterations(f"no convergence in {max_iter} iterations", result=stopped(it))
+        trace.append((tuple(xi), f_val, t))
         if min_eig <= 0:
-            raise NotPositiveDefinite(
-                f"Hessian minimum eigenvalue {min_eig:.3e} at iterate {it}"
-            )
+            raise NotPositiveDefinite(f"Hessian minimum eigenvalue {min_eig:.3e} at iterate {it + 1}")
         if gnorm <= tol * max(abs(f_val), 1.0):
-            return SolverResult(tuple(xi), f_val, gnorm, min_eig, it - 1, trace)
+            return SolverResult(tuple(xi), f_val, gnorm, min_eig, it, trace)
         step = np.linalg.solve(hess, -grad)
         t = limit_step(xi, step)
         # Armijo backtracking on F; a decrease below F's own noise (its error
@@ -108,19 +107,9 @@ def _newton_loop(polytope, p, weight, scales, tol, max_iter, limit_step=lambda x
                 break
             t *= 0.5
         else:
-            raise MaxIterations(
-                "line search failed to find a descent step",
-                result=SolverResult(tuple(xi), f_val, gnorm, min_eig, it, trace,
-                                    converged=False),
-            )
+            raise MaxIterations("line search failed to find a descent step",
+                                result=stopped(it + 1))
         xi, f_val, f_err = cand, f_new, err_new
-        grad, hess = derivatives(xi)
-        min_eig = float(np.linalg.eigvalsh(hess)[0])
-        trace_step = t
-    gnorm = float(np.linalg.norm(grad))
-    result = SolverResult(tuple(xi), f_val, gnorm, min_eig, max_iter, trace,
-                          converged=False)
-    raise MaxIterations(f"no convergence in {max_iter} iterations", result=result)
 
 
 def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
@@ -131,7 +120,7 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
     def weight(xi, k):
         return WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
 
-    return _newton_loop(polytope, p, weight, (1, 1, 1), tol, max_iter)
+    return _newton_loop(polytope, p, weight, tol, max_iter)
 
 
 def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
@@ -142,26 +131,18 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
     s = float(s)
     if not (np.isfinite(s) and s > 0):
         raise ValueError(f"the exponent s must be finite and positive, got {s}")
-
-    def ell(xi):
-        return AffineFunction([frac(float(z)) for z in xi], 1)
-
-    def min_vertex(xi):
-        return float(polytope.vertex_min(ell(xi)))
+    verts = np.array([[float(c) for c in v] for v in polytope.vertices])
 
     def limit_step(xi, d):
-        # fraction-to-boundary: keep the min-vertex value of ell above
-        # (1 - BOUNDARY_FRACTION) of its current value; ell is linear along
-        # the step, so every shorter step keeps it positive too
-        cur = min_vertex(xi)
-        t = 1.0
-        for _ in range(200):
-            if min_vertex(xi + t * d) >= (1.0 - BOUNDARY_FRACTION) * cur:
-                return t
-            t *= 0.5
-        return t
+        # fraction-to-boundary: the largest t = 2^-k <= 1 (k <= 200) keeping each vertex value of
+        # 1 + <xi + t d, x> >= 5% of the current minimum, and so every shorter t (it is linear)
+        now, rate = 1 + verts @ xi, verts @ d
+        down, floor = rate < 0, (1.0 - BOUNDARY_FRACTION) * now.min()
+        room = np.min((now[down] - floor) / -rate[down], initial=1.0)
+        return max(2.0 ** (math.frexp(room)[1] - 1), 2.0 ** -200)
 
     def weight(xi, k):
-        return WeightFn.affine_power(ell(xi), frac(-s - k))
+        return WeightFn.affine_power(AffineFunction([frac(float(z)) for z in xi], 1),
+                                     frac(-s - k), coeff=(1, -s, s * (s + 1))[k])
 
-    return _newton_loop(polytope, p, weight, (1, -s, s * (s + 1)), tol, max_iter, limit_step)
+    return _newton_loop(polytope, p, weight, tol, max_iter, limit_step)

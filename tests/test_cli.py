@@ -158,6 +158,25 @@ def test_solver_iteration_cap_exits_solver(capsys):
     assert rep["results"]["partial"]["converged"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--weight", '"x1+2"', "--tol", "inf"],
+    ["soliton", "--weight", '"x1+2"', "--tol", "nan"],
+    ["soliton", "--weight", '"x1+2"', "--tol", "-1"],
+    ["soliton", "--weight", '"x1+2"', "--max-iter", "-5"],
+    ["soliton", "--weight", '"x1+2"', "--max-iter", "0"],
+    ["reeb", "--weight", '"x1+2"', "--tol", "nan"],
+    ["futaki", "--all-affine", "--w", "1", "--tol", "nan",
+     "--v", '{"sum": [{"exp": {"zeta": ["1/3", "0"], "a": 0}}, 1]}'],
+], ids=["soliton-tol-inf", "soliton-tol-nan", "soliton-tol-negative", "soliton-max-iter-negative",
+        "soliton-max-iter-0", "reeb-tol-nan", "futaki-adaptive-tol-nan"])
+def test_invalid_tolerance_or_iteration_cap_exits_validation(capsys, argv):
+    code = main(argv + ["--polytope", P2])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert not captured.out
+    assert json.loads(captured.err)["error"].startswith("ValueError:")
+
+
 @pytest.mark.parametrize("argv, inputs", [
     (["soliton", "--polytope", INTERVAL, "--weight", '{"poly": "x+2"}'],
      ["polytope", "weight"]),

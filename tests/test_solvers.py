@@ -10,7 +10,8 @@ from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
-from torickstab.solvers import _newton_loop, msy_reeb, tian_zhu_soliton
+from torickstab import solvers
+from torickstab.solvers import BOUNDARY_FRACTION, _newton_loop, msy_reeb, tian_zhu_soliton
 from torickstab.weights import WeightFn
 
 from conftest import make_polytope
@@ -147,14 +148,16 @@ def test_reeb_exponent_must_be_finite_and_positive(request, name, s):
 
 
 def test_a_critical_point_with_an_indefinite_hessian_is_no_minimiser(p2):
-    # the Reeb weights of s = -1/2, taken past msy_reeb's check: the gradient
-    # vanishes at xi = 0 by symmetry, and the Hessian there is negative definite
+    # the Reeb weights g^(k) of g(t) = (1 + t)^(1/2), s = -1/2 taken past msy_reeb's
+    # check: the gradient vanishes at xi = 0 by symmetry, and the Hessian there is
+    # negative definite
     def weight(xi, k):
         return WeightFn.affine_power(AffineFunction([Fraction(z) for z in xi], 1),
-                                     Fraction(1, 2) - k)
+                                     Fraction(1, 2) - k,
+                                     coeff=(1, Fraction(1, 2), Fraction(-1, 4))[k])
 
     with pytest.raises(NotPositiveDefinite):
-        _newton_loop(p2, WeightFn.constant(2, 1), weight, (1, 0.5, -0.25), 1e-10, 10)
+        _newton_loop(p2, WeightFn.constant(2, 1), weight, 1e-10, 10)
 
 
 def test_max_iterations_carries_partial_result(interval):
@@ -234,3 +237,67 @@ def test_hessian_eigenvalue_matches_weighted_moments(f1):
     hess = 12 * second_moments(WeightFn.affine_power(AffineFunction(xi, 1), -5))
     assert abs(hess[0, 1]) > 1e-3
     assert res.hessian_min_eigenvalue == pytest.approx(np.linalg.eigvalsh(hess)[0], rel=1e-12)
+
+
+def _p2_affine():
+    return WeightFn.affine_power(AffineFunction([1, 0], 2), 1)
+
+
+_BOTH_SOLVERS = pytest.mark.parametrize(
+    "solve", [tian_zhu_soliton, lambda p, w, **kw: msy_reeb(p, w, 3, **kw)], ids=["soliton", "reeb"])
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+@_BOTH_SOLVERS
+def test_tolerance_must_be_finite_and_positive(p2, solve, tol):
+    # tol = inf once stopped at xi = 0 as "converged"; nan and -1 ran max_iter steps
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve(p2, _p2_affine(), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [-5, 0, 1.5, True])
+@_BOTH_SOLVERS
+def test_iteration_cap_must_be_an_integer_of_at_least_one(p2, solve, max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+        solve(p2, _p2_affine(), max_iter=max_iter)
+
+
+def _min_vertex_value(polytope, xi):
+    """min over the vertices of 1 + <xi, x>, exact on the float xi."""
+    return min(1 + sum(Fraction(float(z)) * c for z, c in zip(xi, v)) for v in polytope.vertices)
+
+
+@pytest.mark.parametrize("p, s, steps, xi", [
+    (WeightFn.exp_affine([5], 0), 1, [1, 1 / 4, 1 / 8, 1 / 16, 1 / 16, 1 / 4, 1, 1, 1],
+     0.9990237177701401),
+    # at xi = 10/11, 1 + xi x is a multiple of x + 11/10 and the gradient vanishes exactly
+    (WeightFn.affine_power(AffineFunction([1], Fraction(11, 10)), 4), 3,
+     [1, 1, 1 / 2, 1, 1, 1, 1, 1], 10 / 11),
+], ids=["exp", "pole-at-the-zero-of-p"])
+def test_reeb_step_rule_where_the_cone_limits_it(interval, monkeypatch, p, s, steps, xi):
+    # every step t = 2^-k that msy_reeb's fraction-to-boundary rule returns is the
+    # largest one (k <= 200) whose vertex values of 1 + <xi + t d, x> stay at or
+    # above 5 % of the current minimum, checked exactly on Fraction vertex values
+    seen = []
+    newton_loop = solvers._newton_loop
+
+    def recording(*args):
+        *head, limit_step = args
+
+        def rule(xi, d):
+            seen.append((xi, d, limit_step(xi, d)))
+            return seen[-1][2]
+        return newton_loop(*head, rule)
+
+    monkeypatch.setattr(solvers, "_newton_loop", recording)
+    res = msy_reeb(interval, p, s)
+    for x0, d, t in seen:
+        floor = (1.0 - BOUNDARY_FRACTION) * float(_min_vertex_value(interval, x0))
+
+        def admissible(t):
+            return float(_min_vertex_value(interval, x0 + t * d)) >= floor
+
+        assert t == 2.0 ** round(math.log2(t)) and 2.0 ** -200 <= t <= 1
+        assert admissible(t) and (t == 1 or not admissible(2 * t))
+    assert [t for _, _, t in seen] == steps and min(steps) < 1
+    assert res.converged and res.xi0[0] == pytest.approx(xi, abs=1e-9)

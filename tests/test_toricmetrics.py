@@ -177,13 +177,49 @@ def test_futaki_numeric_metric_independent(interval):
     assert abs(base - other) <= 1e-6
 
 
+# The central-difference oracle of a weight's derivatives and its bound on
+# |error| / max(1, max|Scal_v|): with step h = 2^-13 its truncation (h^2 / 6 times a
+# third or fourth derivative of v) and its rounding (eps |v| / h^2) each stay below
+# about 1e-8 |v| on the weights tested here, while a fault in the weight's own
+# derivative code moves Scal_v by O(|v|)
+FD_STEP = 2.0 ** -13
+FD_BOUND = 1e-6
+
+
+def _weight_jet(v, x):
+    """v, grad v and Hess v at the rows of x without the weight's derivative code,
+    and the relative bound on Scal_v that goes with them.
+
+    A polynomial v takes exact `Polynomial.partial`s (bound 1e-12, roundoff); any
+    other v takes central differences of `eval` with step FD_STEP (FD_BOUND)."""
+    n, r = x.shape
+    if v.is_polynomial:
+        poly = v.to_polynomial()
+        grad = np.stack([poly.partial(i).eval(x) for i in range(r)], axis=1)
+        hess = np.stack([np.stack([poly.partial(i).partial(j).eval(x) for j in range(r)], axis=1)
+                         for i in range(r)], axis=1)
+        return poly.eval(x), grad, hess, 1e-12
+    h, e = FD_STEP, np.eye(r) * FD_STEP
+    f = lambda *shifts: v.eval(x + sum(shifts))  # noqa: E731
+    grad = np.stack([(f(e[i]) - f(-e[i])) / (2 * h) for i in range(r)], axis=1)
+    hess = np.empty((n, r, r))
+    for i in range(r):
+        for j in range(r):
+            hess[:, i, j] = ((f(e[i], e[j]) - f(e[i], -e[j]) - f(-e[i], e[j]) + f(-e[i], -e[j]))
+                             / (4 * h * h))
+    return v.eval(x), grad, hess, FD_BOUND
+
+
 def _abreu_tensor(u, v, x):
-    """Scal_v by contracting the full derivative tensors entry by entry.
+    """Scal_v by contracting the full derivative tensors entry by entry, as a list
+    of (Scal_v, relative bound) pairs.
 
     T = d^3 u and D = d^4 u come from the facet sums and the bump's own
     partials (G_k = T_k.., G_kl = D_kl..); then d_k d_l H = H G_k H G_l H
     + H G_l H G_k H - H G_kl H is formed whole and traced, and
-    d_j = -sum_i (H G_i H)_ij."""
+    d_j = -sum_i (H G_i H)_ij. v, grad v and Hess v come once from the weight's
+    own `eval`, `grad` and `hess` (a check of the contraction to roundoff) and
+    once from `_weight_jet` (a check of the weight's derivatives)."""
     n, r = x.shape
     H = np.linalg.inv(u.hess(x))
     L = u.facet_values(x)
@@ -204,8 +240,10 @@ def _abreu_tensor(u, v, x):
               + np.einsum("nlia,nkab,nbj->nklij", hgh, T, H)
               - np.einsum("nia,nklab,nbj->nklij", H, D, H))
     total = np.einsum("nijij->n", second)
-    return -(v.eval(x) * total + 2.0 * np.einsum("nj,nj->n", v.grad(x), div)
-             + np.einsum("nab,nab->n", H, v.hess(x)))
+    return [(-(value * total + 2.0 * np.einsum("nj,nj->n", grad, div)
+               + np.einsum("nab,nab->n", H, hess)), bound)
+            for value, grad, hess, bound in [(v.eval(x), v.grad(x), v.hess(x), 1e-12),
+                                             _weight_jet(v, x)]]
 
 
 # exp(x_1/3 - x_2/4) (x_1^2 + x_1 x_2 + 2) + (x_2 + 5)^2: an exp term with a
@@ -214,6 +252,10 @@ SUM_WEIGHT = WeightSum([
     WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4)], 0)
     * Polynomial(2, {(2, 0): 1, (1, 1): 1, (0, 0): 2}),
     WeightFn.affine_power(AffineFunction([0, 1], 5), 2)])
+# (x_1 + 2 x_2 + 5)^2 (x_1^2 + x_1 x_2 + 2): a polynomial with an affine factor and a
+# polynomial part, so its Hessian has cross terms of both
+POLY_WEIGHT = (WeightFn.affine_power(AffineFunction([1, 2], 5), 2)
+               * Polynomial(2, {(2, 0): 1, (1, 1): 1, (0, 0): 2}))
 
 
 @pytest.mark.parametrize("facets, bump, n, v", [
@@ -229,8 +271,10 @@ SUM_WEIGHT = WeightSum([
     (P3, {(4, 0, 0): Fraction(1, 40), (1, 2, 1): Fraction(1, 30)}, 1, None),
     (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40,
      SUM_WEIGHT),
+    (F1, {(4, 0): Fraction(1, 40), (1, 3): Fraction(1, 50), (2, 1): Fraction(-1, 30)}, 40,
+     POLY_WEIGHT),
 ], ids=["P3", "P3-bump", "pentagon", "pentagon-bump", "P2-bump", "P1-bump", "F1-bump",
-        "P3-bump-one-point", "F1-bump-sum-weight"])
+        "P3-bump-one-point", "F1-bump-sum-weight", "F1-bump-polynomial-weight"])
 def test_scal_v_abreu_matches_tensor_contraction(facets, bump, n, v):
     p = make_polytope(*facets)
     u = (SymplecticPotential(p) if bump is None
@@ -238,10 +282,10 @@ def test_scal_v_abreu_matches_tensor_contraction(facets, bump, n, v):
     if v is None:
         v = WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)][:p.dim], 0)
     xs = _interior_points(p, np.random.default_rng(5), n, 0.1)
-    expected = _abreu_tensor(u, v, xs)
     got = _scal_v_abreu(u, v, xs)
     assert got.shape == (n,)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    for expected, bound in _abreu_tensor(u, v, xs):
+        assert np.max(np.abs(got - expected)) <= bound * max(1.0, np.max(np.abs(expected)))
 
 
 _BUMP_MONOMIALS = {dim: [a for a in np.ndindex(*(5,) * dim) if 2 <= sum(a) <= 4]
@@ -263,9 +307,9 @@ def test_scal_v_abreu_matches_tensor_contraction_on_random_bumps(facets, data, s
     v = (WeightFn.exp_affine(zeta, 0) if exp
          else WeightFn.affine_power(AffineFunction(zeta, 10), 1))
     xs = _interior_points(p, np.random.default_rng(seed), 20, 0.1)
-    expected = _abreu_tensor(u, v, xs)
     got = _scal_v_abreu(u, v, xs)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    for expected, bound in _abreu_tensor(u, v, xs):
+        assert np.max(np.abs(got - expected)) <= bound * max(1.0, np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("facets", [P3, P2, P1xP1, P1], ids=["P3", "P2", "P1xP1", "P1"])
