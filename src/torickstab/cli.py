@@ -108,11 +108,12 @@ def cmd_futaki(args):
         raise SchemaError("direction", "need --direction or --all-affine")
     rows = [{"boundary": jsonio.futaki_report_to_json(rep)} for rep in invariants.futaki_boundary(
         p, v, w, directions, tol=args.tol, normalization=args.normalization)]
-    if p.is_canonical_fano():
-        # closed form applies on canonical Fano data with the soliton pairing
-        for row, rep in zip(rows, invariants.futaki_fano(
-                p, v, [list(ell.zeta) for ell in directions],
-                normalization=args.normalization, tol=args.tol)):
+    pair = soliton_weight_pair(v, p.dim)[1] if p.is_canonical_fano() else None
+    # the closed form holds for the soliton pair only: w must be it, as polynomials or term for term
+    if pair is not None and (w.to_polynomial() == pair.to_polynomial() if w.is_polynomial
+                             and pair.is_polynomial else w.terms() == pair.terms()):
+        for row, rep in zip(rows, invariants._futaki_fano(  # futaki_boundary certified v
+                p, v, [list(ell.zeta) for ell in directions], args.normalization, args.tol)):
             row["fano_closed_form"] = jsonio.futaki_report_to_json(rep)
     _emit(args, "futaki", {
         "polytope": jsonio.polytope_to_json(p),
@@ -452,6 +453,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.started = time.monotonic()
     try:
+        if not 0 <= getattr(args, "tol", 0) < float("inf"):  # the exact paths never read it
+            raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
         return args.func(args)
     except MaxIterations as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

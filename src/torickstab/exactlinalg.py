@@ -103,9 +103,7 @@ def _xgcd(a: int, b: int):
 
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
+    g = gcd(*(int(x) for x in vec))
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(int(x) // g for x in vec)

@@ -66,6 +66,11 @@ def futaki_fano(polytope: DelzantPolytope, v, zeta,
     if not polytope.is_canonical_fano():
         raise NotCanonicalFano("closed form requires the canonical Fano presentation")
     require_positive(v, polytope, name="v")
+    return _futaki_fano(polytope, v, zeta, normalization, tol)
+
+
+def _futaki_fano(polytope, v, zeta, normalization, tol):
+    """futaki_fano for a v already certified positive on a canonical Fano polytope."""
     many = isinstance(zeta[0], (list, tuple))
     directions = [AffineFunction(z, 0) for z in (zeta if many else [zeta])]
     integrals = integrate_products(polytope, v, [(ell,) for ell in directions], tol=tol)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add
 
 import numpy as np
@@ -86,14 +86,7 @@ class Polynomial:
 
     def eval_exact(self, x) -> Fraction:
         x = [frac(v) for v in x]
-        total = Fraction(0)
-        for a, c in self.coeffs.items():
-            term = c
-            for xi, ai in zip(x, a):
-                for _ in range(ai):
-                    term *= xi
-            total += term
-        return total
+        return sum((c * prod(map(pow, x, a)) for a, c in self.coeffs.items()), Fraction(0))
 
     def eval(self, pts):
         """Float evaluation; pts is (r,) or (N, r) ndarray-like."""
@@ -197,8 +190,4 @@ def compositions(total, parts):
 
 def integrate_monomial_std_simplex(beta) -> Fraction:
     """Dirichlet formula on the standard simplex: prod(beta_i!) / (r + |beta|)!."""
-    r = len(beta)
-    num = 1
-    for b in beta:
-        num *= factorial(b)
-    return Fraction(num, factorial(r + sum(beta)))
+    return Fraction(prod(map(factorial, beta)), factorial(len(beta) + sum(beta)))

@@ -9,12 +9,12 @@ equivalently dL_j wedge d(sigma) = dVol for the primitive facet function L_j.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul
-from types import MappingProxyType
 
 import numpy as np
 
@@ -57,13 +57,8 @@ class AffineFunction:
 
     def compose_affine(self, matrix, offset) -> "AffineFunction":
         """Pullback under x = offset + matrix @ t."""
-        new_dim = len(matrix[0]) if matrix else 0
-        zeta = tuple(
-            sum(self.zeta[i] * frac(matrix[i][j]) for i in range(self.dim))
-            for j in range(new_dim)
-        )
-        const = self.const + sum(self.zeta[i] * frac(offset[i]) for i in range(self.dim))
-        return AffineFunction(zeta, const)
+        zeta = [sum(map(mul, self.zeta, map(frac, column))) for column in zip(*matrix)]
+        return AffineFunction(zeta, self.const + sum(map(mul, self.zeta, map(frac, offset))))
 
     def as_polynomial(self) -> Polynomial:
         return Polynomial.linear(self.zeta, self.const)
@@ -83,10 +78,7 @@ class HalfSpace:
         normal = tuple(_integer(n, "half-space normal entry") for n in normal)
         if all(n == 0 for n in normal):
             raise ValueError("half-space normal must be nonzero")
-        g = 0
-        for n in normal:
-            g = gcd(g, abs(n))
-        if g != 1:
+        if gcd(*normal) != 1:
             raise ValueError(f"half-space normal {normal} is not primitive")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", frac(offset))
@@ -142,18 +134,35 @@ def _bisect_all(verts):
 
     Ties go to the first edge in (i, j) order; children of simplex s sit at
     2s and 2s + 1. A float batch is halved in floating point, a Fraction batch
-    (dtype=object) exactly.
+    (dtype=object) exactly, and so is an integer one (Python ints, all even).
     """
     s, k, _ = verts.shape
     first, second = _triu_indices(k, 1)
     d2 = np.sum((verts[:, first] - verts[:, second]) ** 2, axis=2)
     best = np.argmax(d2, axis=1)
     rows, i, j = np.arange(s), first[best], second[best]
-    mid = (verts[rows, i] + verts[rows, j]) / 2
+    mid = verts[rows, i] + verts[rows, j]
+    mid = mid // 2 if isinstance(verts.flat[0], int) else mid / 2
     out = np.repeat(verts, 2, axis=0)
     out[2 * rows, i] = mid
     out[2 * rows + 1, j] = mid
     return out
+
+
+class MomentTable(Mapping):
+    """Read-only {alpha: Fraction}, held as integer `numerators` over one `denominator`."""
+
+    def __init__(self, numerators, denominator):
+        self.numerators, self.denominator = numerators, denominator
+
+    def __getitem__(self, alpha):
+        return Fraction(self.numerators[alpha], self.denominator)
+
+    def __iter__(self):
+        return iter(self.numerators)
+
+    def __len__(self):
+        return len(self.numerators)
 
 
 def moment_table(simplices, degree):
@@ -167,8 +176,8 @@ def moment_table(simplices, degree):
     The series coefficients G are filled in graded order, one pass per vertex,
     G(alpha) += sum_j v_ij G(alpha - e_j), in integers after scaling every
     vertex by the common denominator q. Then |det E| = |D| / q^r for the
-    integer edge determinant D, and each entry is one Fraction with
-    denominator (|alpha| + r)! q^(|alpha| + r). Returns {alpha: Fraction}.
+    integer edge determinant D, and the table is a MomentTable of integers
+    over the one denominator (degree + r)! q^(degree + r).
     """
     dim = simplices[0].dim
     alphas = [a for k in range(degree + 1) for a in compositions(k, dim)]
@@ -178,7 +187,7 @@ def moment_table(simplices, degree):
     q = lcm(*(c.denominator for s in simplices for v in s.vertices for c in v))
     sums = [0] * len(alphas)
     for simplex in simplices:
-        points = [[int(c * q) for c in v] for v in simplex.vertices]
+        points = [[c.numerator * (q // c.denominator) for c in v] for v in simplex.vertices]
         d = abs(_det(_edge_matrix(points)))
         if d == 0:
             raise DegenerateSimplex("simplex has zero volume")
@@ -188,19 +197,19 @@ def moment_table(simplices, degree):
                 g[i] += sum(p[j] * g[k] for j, k in lower[i])
         for i, gi in enumerate(g):
             sums[i] += d * gi
-    return {
-        a: Fraction(total * prod(factorial(e) for e in a),
-                    factorial(sum(a) + dim) * q ** (sum(a) + dim))
-        for a, total in zip(alphas, sums)
-    }
+    top = degree + dim
+    return MomentTable({
+        a: total * prod(map(factorial, a)) * (factorial(top) // factorial(sum(a) + dim))
+        * q ** (degree - sum(a)) for a, total in zip(alphas, sums)}, factorial(top) * q ** top)
 
 
-def barycentric_coefficients(poly, simplices):
+def barycentric_coefficients(poly, simplices, q=None):
     """poly on each simplex as an integer form in barycentric coordinates.
 
     With d = deg poly, den the common denominator of its coefficients and q that
-    of the vertex coordinates, returns (betas, scale, rows) with scale = den q^d
-    and, for each simplex (a sequence of r + 1 vertices v_i),
+    of the vertex coordinates (or, given q, integer coordinates over q), returns
+    (betas, scale, rows) with scale = den q^d and, for each simplex (a sequence
+    of r + 1 vertices v_i),
 
         sum_k rows[s][k] lambda^betas[k] = scale poly(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
 
@@ -210,19 +219,18 @@ def barycentric_coefficients(poly, simplices):
     is scale poly(v_i). One `expand` per simplex, in integers as in moment_table.
     """
     d, r = poly.degree(), len(simplices[0]) - 1
-    q = lcm(*(c.denominator for s in simplices for v in s for c in v))
+    if q is None:
+        q = lcm(*(c.denominator for s in simplices for v in s for c in v))
+        simplices = [[[int(c * q) for c in v] for v in s] for s in simplices]
     den = lcm(*(c.denominator for c in poly.coeffs.values()))
     # den q^d poly(y / q), homogenised with y_r: integer coefficients
     homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))
              for a, c in poly.coeffs.items()]
     betas = list(compositions(d, r + 1))
-    rows = []
-    for s in simplices:
-        points = [[c.numerator * (q // c.denominator) for c in v] for v in s]
+    rows, ones = [], linear_terms([1] * (r + 1), 0)
+    for points in simplices:
         # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
-        forms = [linear_terms(column, 0) for column in zip(*points)]
-        forms.append(linear_terms([1] * (r + 1), 0))
-        lam = expand(homog, forms, r + 1)
+        lam = expand(homog, [linear_terms(column, 0) for column in zip(*points)] + [ones], r + 1)
         rows.append([lam.get(b, 0) for b in betas])
     return betas, den * q ** d, rows
 
@@ -311,7 +319,7 @@ def _has_recession_direction(halfspaces, dim):
 class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
-    # caches, set per instance on first use; _moments is (degree, read-only moment table)
+    # caches, set per instance on first use; _moments is (degree, MomentTable)
     _triangulation = _facets = _moments = None
 
     def __init__(self, halfspaces):
@@ -403,14 +411,13 @@ class DelzantPolytope:
         return self.moments(0)[(0,) * self.dim]
 
     def moments(self, degree):
-        """Exact moments {alpha: int x^alpha dx} over the polytope, read-only.
+        """Exact moments {alpha: int x^alpha dx} over the polytope, a MomentTable.
 
         Holds every |alpha| <= degree, and possibly higher degrees: the table
         is built once from the triangulation and rebuilt only to grow.
         """
         if self._moments is None or self._moments[0] < degree:
-            table = moment_table(self.triangulate(), degree)
-            self._moments = (degree, MappingProxyType(table))
+            self._moments = (degree, moment_table(self.triangulate(), degree))
         return self._moments[1]
 
     def barycentric(self, poly):
@@ -500,10 +507,12 @@ def _triangulate(p: DelzantPolytope, root_index=0):
             cones.extend([root] + cone for cone in fan(face | {j}, sub, sub[0]))
         return cones
 
+    q = lcm(*(c.denominator for v in p.vertices for c in v))
+    scaled = [[c.numerator * (q // c.denominator) for c in v] for v in p.vertices]
     simplices = []
     for cone in fan(frozenset(), list(range(len(p.vertices))), root_index):
         verts = [p.vertices[i] for i in cone]
-        if _det(_edge_matrix(verts)) < 0:
+        if _det(_edge_matrix([scaled[i] for i in cone])) < 0:  # the sign, in integers
             verts[1], verts[2] = verts[2], verts[1]
         simplices.append(Simplex(verts))
     return simplices
@@ -531,18 +540,18 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
                                                  for row in v_mat[:i] + v_mat[i + 1:]])
               for i in range(r)]
              for k in range(1, r)]
+    q = lcm(*(c.denominator for i in incident for c in p.vertices[i]))
+    scaled = {i: [c.numerator * (q // c.denominator) for c in p.vertices[i]] for i in incident}
+    base = scaled[incident[0]]  # q origin
     neighbours = sorted({k for i in incident for k in p.facet_adjacency[i]} - {j})
     sub_halfspaces = []
     for k in neighbours:
         other = p.halfspaces[k]
         zeta = [sum(map(mul, other.normal, column)) for column in zip(*basis)]
         g = gcd(*zeta)
-        const = sum((n * c for n, c in zip(other.normal, origin)), other.offset)
+        const = Fraction(sum(map(mul, other.normal, base)), q) + other.offset
         sub_halfspaces.append(HalfSpace([z // g for z in zeta], const / g))
     position = {k: n for n, k in enumerate(neighbours)}
-    q = lcm(*(c.denominator for i in incident for c in p.vertices[i]))
-    scaled = {i: [c.numerator * (q // c.denominator) for c in p.vertices[i]] for i in incident}
-    base = scaled[incident[0]]
     points = sorted(
         (tuple(Fraction(sum(w * (x - o) for w, x, o in zip(row, scaled[i], base)), q)
                for row in chart),

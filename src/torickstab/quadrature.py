@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 from operator import add, mul
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from .exactlinalg import frac
 from .polynomial import Polynomial, compositions, expand, linear_terms
-from .polytope import DelzantPolytope, Simplex, _bisect_all, moment_table
+from .polytope import DelzantPolytope, MomentTable, Simplex, _bisect_all, moment_table
 from .weights import WeightFn, WeightSum, as_weight
 
 DEFAULT_TOL = 1e-12
@@ -53,7 +53,7 @@ def integrate_monomial_simplex(simplex: Simplex, alpha) -> Fraction:
 
 
 def integrate_poly_simplex(simplex: Simplex, poly: Polynomial) -> Fraction:
-    return _dot_shifted(lambda degree: moment_table([simplex], degree), poly, [[]])[0]
+    return _dot_shifted(lambda degree: moment_table([simplex], degree), poly, [([], 1)])[0]
 
 
 def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
@@ -61,7 +61,7 @@ def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
 
     A linear functional of the polytope's cached moment table.
     """
-    return _dot_shifted(polytope.moments, poly, [[]])[0]
+    return _dot_shifted(polytope.moments, poly, [([], 1)])[0]
 
 
 # -- Grundmann--Moeller rules ----------------------------------------------------
@@ -127,7 +127,9 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth) -> QuadratureResul
 
     Each round bisects every simplex whose error exceeds its share target / S
     of the target max(tol * int|f|, abs_floor) and evaluates all children in
-    one batch; int|f| is estimated by the degree-9 rule applied to |f|.
+    one batch; int|f| is estimated by the degree-9 rule applied to |f|. The
+    |9 - 7| estimate assumes a smooth integrand: a kink (say max(0, ell))
+    inside a simplex can make both rules agree while both are wrong.
     """
     if not all(math.isfinite(t) and t >= 0 for t in (tol, abs_floor)):
         raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
@@ -227,26 +229,31 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
 
     Over the polytope, or with boundary=True over its boundary with d(sigma). A
     polynomial integrand is expanded once and pulled back once per facet chart
-    x = origin + B t, where ell becomes ell(origin) + sum_k <zeta, B_k> t_k; every
-    result is then exact, a dot product with shifted moments (see _dot_shifted).
-    Other integrands take integrate_weighted / integrate_boundary once per product.
+    x = origin + B t, where ell = (c + <zeta, x>) / n, scaled to integers once,
+    becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for origin = p / q;
+    every result is then exact, a dot product with shifted moments (see
+    _dot_shifted). Other integrands take integrate_weighted / integrate_boundary
+    once per product.
     """
     w = as_weight(integrand, polytope.dim)
     if not w.is_polynomial:
         integrate = integrate_boundary if boundary else integrate_weighted
         return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)
                 for ells in products]
-    lines = [[(ell.const, ell.zeta) for ell in ells] for ells in products]
+    lines = [_integer_line(ells) for ells in products]
     poly = w.to_polynomial()
     if not boundary:
         exact = _dot_shifted(polytope.moments, poly, lines)
     else:
         exact = [0] * len(products)
         for _, f in polytope.facets():  # a point facet (r = 1) has dimension 0 and mass 1
-            table = f.subpolytope.moments if f.subpolytope else lambda _: {(): 1}
-            pulled = [[(sum(map(mul, zeta, f.origin), c),
-                        [sum(map(mul, zeta, col)) for col in zip(*f.basis)])
-                       for c, zeta in factors] for factors in lines]
+            table = f.subpolytope.moments if f.subpolytope else lambda _: MomentTable({(): 1}, 1)
+            q = lcm(*(c.denominator for c in f.origin))
+            origin = [int(c * q) for c in f.origin]
+            pulled = [([(q * c + sum(map(mul, zeta, origin)),
+                         [q * sum(map(mul, zeta, col)) for col in zip(*f.basis)])
+                        for c, zeta in factors], den * q ** len(factors))
+                      for factors, den in lines]
             exact = list(map(add, exact, _dot_shifted(
                 table, poly.compose_affine(f.basis, f.origin), pulled)))
     return [QuadratureResult(float(e), 0.0, 0, exact=e) for e in exact]
@@ -259,14 +266,26 @@ def _multiplier(dim, ells):
         Polynomial(dim, _expand([(ell.const, ell.zeta) for ell in ells], dim)))
 
 
+def _integer_line(ells):
+    """(factors, den): integer (c, zeta) factors with prod(ells) = prod(c + <zeta, x>) / den."""
+    dens = [lcm(ell.const.denominator, *(z.denominator for z in ell.zeta)) for ell in ells]
+    return ([(int(ell.const * n), [int(z * n) for z in ell.zeta]) for ell, n in zip(ells, dens)],
+            prod(dens))
+
+
 def _dot_shifted(table, poly, lines):
-    """int poly * prod(c + <zeta, t>) for each list of (c, zeta) factors, read off
-    table(degree) as sum_beta [t^beta] prod * sum_alpha c_alpha m_(alpha + beta)."""
-    moments = table(poly.degree() + max(map(len, lines), default=0))
-    mults = [_expand(factors, poly.dim) for factors in lines]
-    shifted = {beta: sum((c * moments[tuple(map(add, a, beta))] for a, c in poly.coeffs.items()),
-                         Fraction(0)) for beta in set().union(*mults)}
-    return [sum((d * shifted[beta] for beta, d in q.items()), Fraction(0)) for q in mults]
+    """int poly * prod(c + <zeta, t>) / den for each (factors, den) of integer (c, zeta),
+    read off the MomentTable table(degree) as sum_beta [t^beta] prod * sum_alpha
+    c_alpha m_(alpha + beta) in integers, poly scaled by its denominator: one Fraction each."""
+    moments = table(poly.degree() + max((len(f) for f, _ in lines), default=0))
+    m, den = moments.numerators, lcm(*(c.denominator for c in poly.coeffs.values()))
+    coeffs = [(a, c.numerator * (den // c.denominator)) for a, c in poly.coeffs.items()]
+    mults = [_expand(factors, poly.dim) for factors, _ in lines]
+    shifted = {beta: sum(c * m[tuple(map(add, a, beta))] for a, c in coeffs)
+               for beta in set().union(*mults)}
+    return [Fraction(sum(d * shifted[beta] for beta, d in q.items()),
+                     moments.denominator * den * line_den)
+            for q, (_, line_den) in zip(mults, lines)]
 
 
 def _expand(factors, dim):

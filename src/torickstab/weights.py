@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm, prod
 
 import numpy as np
 
@@ -93,12 +94,15 @@ class WeightFn:
     def to_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
             raise ValueError("weight is not purely polynomial")
-        forms = [linear_terms(aff.zeta, aff.const) for aff, _ in self.affine_powers]
-        exponents = [int(p) for _, p in self.affine_powers]
+        forms = [(linear_terms(aff.zeta, aff.const), int(p)) for aff, p in self.affine_powers]
         if self.poly_part is not None:
-            forms.append(self.poly_part.coeffs)
-            exponents.append(1)
-        return Polynomial(self.dim, expand([(tuple(exponents), self.coeff)], forms, self.dim))
+            forms.append((self.poly_part.coeffs, 1))
+        dens = [lcm(*(c.denominator for c in form.values())) for form, _ in forms]
+        ints = [{a: c.numerator * (n // c.denominator) for a, c in form.items()}
+                for (form, _), n in zip(forms, dens)]
+        out = expand([(tuple(e for _, e in forms), self.coeff.numerator)], ints, self.dim)
+        den = self.coeff.denominator * prod(n ** e for n, (_, e) in zip(dens, forms))
+        return Polynomial(self.dim, {b: Fraction(v, den) for b, v in out.items()})
 
     def terms(self):
         return (self,)
@@ -256,25 +260,16 @@ class WeightSum:
         return all(t.is_polynomial for t in self._terms)
 
     def singular_factors(self):
-        out = []
-        for t in self._terms:
-            out.extend(t.singular_factors())
-        return out
+        return [f for t in self._terms for f in t.singular_factors()]
 
     def to_polynomial(self):
-        out = Polynomial.constant(self.dim, 0)
-        for t in self._terms:
-            out = out + t.to_polynomial()
-        return out
+        return sum((t.to_polynomial() for t in self._terms), Polynomial.constant(self.dim, 0))
 
     def scale(self, c):
         return WeightSum([t.scale(c) for t in self._terms])
 
     def __mul__(self, other):
-        out = []
-        for t in self._terms:
-            out.extend((t * s) for s in as_weight(other, self.dim).terms())
-        return WeightSum(out)
+        return WeightSum([t * s for t in self._terms for s in as_weight(other, self.dim).terms()])
 
     def __add__(self, other):
         return WeightSum(self._terms + tuple(as_weight(other, self.dim).terms()))
@@ -337,28 +332,30 @@ def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
     All coefficients > 0 certify a simplex. A vertex coefficient <= 0 is the
     value there, and that vertex is the witness of NOT_POSITIVE (the witness is
     None for the other verdicts). Undecided simplices are bisected exactly along
-    their longest edge (`_bisect_all` on a Fraction batch) for BERNSTEIN_DEPTH
-    generations, then the verdict is INDETERMINATE.
+    their longest edge for BERNSTEIN_DEPTH generations, then the verdict is
+    INDETERMINATE. The simplices are held as integer coordinates over one
+    denominator q, doubled each generation, so `_bisect_all` halves integers.
     """
     if poly.is_constant():
         if poly.constant_value() > 0:
             return Positivity.POSITIVE, None
         return Positivity.NOT_POSITIVE, polytope.vertices[0]
     d, r = poly.degree(), polytope.dim
-    pending = [s.vertices for s in polytope.triangulate()]
+    q = lcm(*(c.denominator for v in polytope.vertices for c in v))
+    pending = [[[int(c * q) for c in v] for v in s.vertices] for s in polytope.triangulate()]
     for _ in range(BERNSTEIN_DEPTH + 1):
-        betas, _, rows = barycentric_coefficients(poly, pending)
+        betas, _, rows = barycentric_coefficients(poly, pending, q)
         corners = [betas.index(tuple(d * (i == k) for k in range(r + 1))) for i in range(r + 1)]
         undecided = []
         for vertices, row in zip(pending, rows):
             for corner, vertex in zip(corners, vertices):
                 if row[corner] <= 0:
-                    return Positivity.NOT_POSITIVE, vertex
+                    return Positivity.NOT_POSITIVE, tuple(Fraction(c, q) for c in vertex)
             if min(row) <= 0:
                 undecided.append(vertices)
         if not undecided:
             return Positivity.POSITIVE, None
-        pending = [tuple(map(tuple, s)) for s in _bisect_all(np.array(undecided, dtype=object))]
+        pending, q = _bisect_all(2 * np.array(undecided, dtype=object)).tolist(), 2 * q
     return Positivity.INDETERMINATE, None
 
 

@@ -8,7 +8,7 @@ from torickstab import fibration, invariants, jsonio, quadrature
 from torickstab.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
-from torickstab.weights import WeightFn
+from torickstab.weights import WeightFn, soliton_weight_pair
 
 from conftest import moved_canonical
 
@@ -167,8 +167,17 @@ def test_solver_iteration_cap_exits_solver(capsys):
     ["reeb", "--weight", '"x1+2"', "--tol", "nan"],
     ["futaki", "--all-affine", "--w", "1", "--tol", "nan",
      "--v", '{"sum": [{"exp": {"zeta": ["1/3", "0"], "a": 0}}, 1]}'],
+    # the exact and closed-form paths never read tol: the CLI checks it once
+    ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "nan"],
+    ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "inf"],
+    ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "-1"],
+    ["futaki", "--all-affine", "--w", "1", "--tol", "nan",
+     "--v", '{"exp": {"zeta": ["1/3", "0"], "a": 0}}'],
+    ["extremal", "--v", "1", "--w0", '"x1+2"', "--tol", "nan"],
 ], ids=["soliton-tol-inf", "soliton-tol-nan", "soliton-tol-negative", "soliton-max-iter-negative",
-        "soliton-max-iter-0", "reeb-tol-nan", "futaki-adaptive-tol-nan"])
+        "soliton-max-iter-0", "reeb-tol-nan", "futaki-adaptive-tol-nan",
+        "futaki-exact-tol-nan", "futaki-exact-tol-inf", "futaki-exact-tol-negative",
+        "futaki-closed-form-tol-nan", "extremal-exact-tol-nan"])
 def test_invalid_tolerance_or_iteration_cap_exits_validation(capsys, argv):
     code = main(argv + ["--polytope", P2])
     captured = capsys.readouterr()
@@ -465,6 +474,50 @@ def test_futaki_of_the_soliton_pair_of_a_fractional_affine_v(capsys):
     assert [row["boundary"]["exact"] for row in rep["results"]] == ["0", "9/4", "-9/8"]
     assert all(row["boundary"]["exact"] == row["fano_closed_form"]["exact"]
                for row in rep["results"])
+
+
+def test_futaki_closed_form_row_only_for_the_soliton_pair(capsys):
+    # w = 5 is not the soliton pair 3 x1 + 4 of v = x1/2 + 1: the closed form
+    # 0, 9/4, -9/8 would be the wrong invariant
+    code, rep = _run(capsys, "futaki", "--polytope", P2, "--all-affine",
+                     "--v", '"x1/2+1"', "--w", "5")
+    assert code == EXIT_OK
+    assert [set(row) for row in rep["results"]] == [{"boundary"}] * 3
+    assert [row["boundary"]["exact"] for row in rep["results"]] == ["-9/2", "9", "-9/2"]
+    # the pair written as another sum of the same polynomial keeps the row
+    code, rep = _run(capsys, "futaki", "--polytope", P2, "--all-affine",
+                     "--v", '"x1/2+1"', "--w", '{"sum": ["3*x1", 4]}')
+    assert [row["fano_closed_form"]["exact"] for row in rep["results"]] == ["0", "9/4", "-9/8"]
+
+
+def test_futaki_closed_form_row_for_a_non_polynomial_pair(capsys):
+    v = WeightFn.exp_affine([Fraction(1, 3), 0])
+    pair = jsonio.weight_to_json(soliton_weight_pair(v, 2)[1])
+    args = ["futaki", "--polytope", P2, "--all-affine", "--v", json.dumps(jsonio.weight_to_json(v))]
+    code, rep = _run(capsys, *args, "--w", json.dumps(pair))
+    assert code == EXIT_OK
+    assert all(row["boundary"]["value"] == pytest.approx(row["fano_closed_form"]["value"],
+                                                         abs=1e-12)
+               for row in rep["results"])
+    code, rep = _run(capsys, *args, "--w", json.dumps({"sum": [pair, pair]}))
+    assert code == EXIT_OK
+    assert [set(row) for row in rep["results"]] == [{"boundary"}] * 3
+
+
+def test_futaki_certifies_v_once(capsys, monkeypatch):
+    calls = []
+    original = invariants.require_positive
+
+    def counting(w, polytope, name="weight"):
+        calls.append(name)
+        return original(w, polytope, name)
+
+    monkeypatch.setattr(invariants, "require_positive", counting)
+    code, rep = _run(capsys, "futaki", "--polytope", P2, "--all-affine",
+                     "--v", '"x1/2+1"', "--w", '"3*x1+4"')
+    assert code == EXIT_OK
+    assert all("fano_closed_form" in row for row in rep["results"])
+    assert calls == ["v"]
 
 
 def test_verify_futaki_takes_no_adaptive_cubature(capsys, monkeypatch):

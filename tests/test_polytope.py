@@ -139,6 +139,19 @@ def test_bisect_all_is_exact_on_fractions_and_agrees_with_floats(batch):
         assert kids[2 * s + 1].tolist() == simplex[:j] + [mid] + simplex[j + 1:]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rational_simplex_batch())
+@example([_CORNER])
+def test_bisect_all_on_doubled_integers_is_the_fraction_bisection(batch):
+    # the Bernstein certificate's batches: integers over q, doubled before each split
+    q = lcm(*(c.denominator for s in batch for v in s for c in v))
+    doubled = np.array([[[int(2 * q * c) for c in v] for v in s] for s in batch], dtype=object)
+    kids = _bisect_all(doubled)
+    assert all(type(c) is int for c in kids.flat)
+    want = _bisect_all(np.array(batch, dtype=object)).tolist()
+    assert [[[Fraction(c, 2 * q) for c in v] for v in s] for s in kids.tolist()] == want
+
+
 def test_delzant_determinants(f1):
     # every vertex sits on exactly r facets whose normals form a lattice basis
     from torickstab.exactlinalg import det
