@@ -17,7 +17,7 @@ from .errors import MaxIterations, TorickstabError
 from .jsonio import SchemaError
 from .polynomial import Polynomial
 from .polytope import AffineFunction
-from .quadrature import integrate_boundary, integrate_poly, integrate_weighted
+from .quadrature import DEFAULT_TOL, integrate_boundary, integrate_poly, integrate_weighted
 from .weights import WeightFn, soliton_weight_pair
 
 EXIT_OK = 0
@@ -305,8 +305,8 @@ def _suite_futaki(grid_resolution):
         u = toricmetrics.SymplecticPotential(p)
         grid = toricmetrics.GridSpec(resolution=grid_resolution)
         basis = invariants._affine_basis(p.dim)
-        boundary = invariants.futaki_boundary(p, vv, ww, basis)
-        fano = invariants.futaki_fano(p, vv, [ell.zeta for ell in basis])
+        boundary = invariants.futaki_boundary(p, vv, ww, basis)  # certifies v for both
+        fano = invariants._futaki_fano(p, vv, [ell.zeta for ell in basis], "polytope", DEFAULT_TOL)
         for d, (ell, fb, ff) in enumerate(zip(basis, boundary, fano)):
             fn = toricmetrics.futaki_numeric(p, u, vv, ww, ell, grid)
             rows.append(_check(f"{name} dir {d}: boundary vs closed form",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import NotAdmissible, NotCanonicalFano
@@ -179,8 +178,8 @@ def enumerate_fano(fiber: DelzantPolytope, factors):
 def _admissible_lattice(fiber: DelzantPolytope, k: int):
     """Integer c with <c, v> + k > 0 at every vertex v, tested as <c, q v> + q k > 0
     in integers for the vertices' common denominator q (1 on a canonical Fano polytope)."""
-    q = lcm(*(c.denominator for v in fiber.vertices for c in v))
-    rows = [(tuple(c.numerator * (q // c.denominator) for c in v), q * k) for v in fiber.vertices]
+    q, scaled = fiber.integer_vertices()
+    rows = [(tuple(v), q * k) for v in scaled]
     box = _feasible_box(rows, fiber.dim)
     out = []
     for cand in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):

@@ -320,7 +320,7 @@ class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
     # caches, set per instance on first use; _moments is (degree, MomentTable)
-    _triangulation = _facets = _moments = None
+    _triangulation = _facets = _moments = _int_vertices = None
 
     def __init__(self, halfspaces):
         halfspaces = list(halfspaces)
@@ -389,9 +389,21 @@ class DelzantPolytope:
     def contains_interior(self, x) -> bool:
         return all(h.value(x) > 0 for h in self.halfspaces)
 
+    def integer_vertices(self):
+        """(q, [q v for each vertex v]) for the vertices' common denominator q, cached."""
+        if self._int_vertices is None:
+            q = lcm(*(c.denominator for v in self.vertices for c in v))
+            self._int_vertices = q, [[c.numerator * (q // c.denominator) for c in v]
+                                     for v in self.vertices]
+        return self._int_vertices
+
     def vertex_min(self, affine: AffineFunction) -> Fraction:
-        """Exact minimum of an affine function over the polytope (attained at a vertex)."""
-        return min(affine.eval_exact(v) for v in self.vertices)
+        """Exact minimum of an affine function over the polytope: at a vertex, in integers."""
+        q, verts = self.integer_vertices()
+        den = lcm(affine.const.denominator, *(z.denominator for z in affine.zeta))
+        const, *zeta = [c.numerator * (den // c.denominator) for c in (affine.const, *affine.zeta)]
+        low = min(sum(a * b for a, b in zip(zeta, v, strict=True)) for v in verts)
+        return Fraction(low + const * q, den * q)
 
     def bounding_box(self):
         lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -507,8 +519,7 @@ def _triangulate(p: DelzantPolytope, root_index=0):
             cones.extend([root] + cone for cone in fan(face | {j}, sub, sub[0]))
         return cones
 
-    q = lcm(*(c.denominator for v in p.vertices for c in v))
-    scaled = [[c.numerator * (q // c.denominator) for c in v] for v in p.vertices]
+    scaled = p.integer_vertices()[1]
     simplices = []
     for cone in fan(frozenset(), list(range(len(p.vertices))), root_index):
         verts = [p.vertices[i] for i in cone]

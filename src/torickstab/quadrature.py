@@ -2,11 +2,11 @@
 
 An integrand takes one of three paths, chosen by its form alone: a polynomial
 is exact, read off the cached rational moment tables; a single term Q exp(ell)
-or Q ell^-sigma (Q polynomial, integer sigma > r + deg Q) is a closed-form sum
-of divided differences with a rounding bound as its error; everything else
-(sigma <= r + deg Q, fractional powers, exp times a pole, sums of terms) takes
-adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair
-and longest-edge bisection.
+or Q ell^-sigma (Q polynomial, integer sigma >= 1) is a closed-form sum of
+divided differences with a rounding bound as its error; everything else
+(fractional powers, exp times a pole, sums of terms) takes adaptive
+Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
+longest-edge bisection.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     """Integral of a grammar weight (or polynomial) over the polytope.
 
     Purely polynomial integrands take the exact rational path. A single term
-    Q exp(ell), or Q ell^-sigma with integer sigma > r + deg Q, takes the closed
-    form (see _closed_form): no subdivisions, and a rounding bound as the error
+    Q exp(ell), or Q ell^-sigma with integer sigma >= 1, takes the closed form
+    (see _closed_form): no subdivisions, and a rounding bound as the error
     estimate; tol, abs_floor and max_depth do not apply. Otherwise an adaptive
     embedded GM 7/9 scheme with longest-edge bisection runs until the summed
     rule discrepancy meets max(tol*int|f|, abs_floor), refining in batched
@@ -301,15 +301,15 @@ INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(171)])
 
 
 def _closed_form(polytope: DelzantPolytope, w):
-    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma > r + deg Q) in closed
-    form, or None for any other integrand. With z_i = ell(v_i) and N = r + |beta|,
+    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) in closed form, or
+    None for any other integrand. With z_i = ell(v_i) and N = r + |beta|,
     Hermite--Genocchi on each simplex S of the triangulation gives
 
         int_S lambda^beta G^(N)(ell) dx = r! vol(S) beta! G[z_0^(beta_0 + 1), ..., z_r^(beta_r + 1)],
 
-    summed over Q = sum_beta c_beta(S) lambda^beta (`DelzantPolytope.barycentric`).
-    The error estimate bounds the rounding of the nodes, of each divided
-    difference and of the sum.
+    summed over Q = sum_beta c_beta(S) lambda^beta (`DelzantPolytope.barycentric`); a pole
+    takes `_pole_dd` for sigma > N and `_log_dd`, where G has a log term, otherwise. The error
+    estimate bounds the rounding of the nodes and of the sum, and each divided difference's error.
     """
     if not isinstance(w, WeightFn) or any(p.denominator != 1 for _, p in w.affine_powers):
         return None
@@ -317,12 +317,8 @@ def _closed_form(polytope: DelzantPolytope, w):
     if len(poles) + (w.exp_part is not None) != 1:
         return None
     factor = WeightFn(w.dim, 1, [f for f in w.affine_powers if f[1] > 0], None, w.poly_part)
-    degree = sum(int(p) for aff, p in factor.affine_powers if any(aff.zeta))
-    degree += w.poly_part.degree() if w.poly_part else 0
-    if poles and poles[0][1] <= polytope.dim + degree:
-        return None  # sigma <= r + deg Q, read off the factors before any expansion
     index, table, verts = polytope.barycentric(_factor_polynomial(factor))
-    ell = w.exp_part or poles[0][0]
+    ell, sigma = poles[0] if poles else (w.exp_part, 0)
     zeta, const = np.array([float(c) for c in ell.zeta]), float(ell.const)
     z = verts @ zeta + const  # (S, r + 1)
     z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))
@@ -331,8 +327,8 @@ def _closed_form(polytope: DelzantPolytope, w):
         g, rel = _exp_dd(nodes)
         rel += z_err  # the partial derivatives of exp[...] are positive and sum to exp[...]
     else:
-        g, rel = _pole_dd(nodes, poles[0][1])
-        rel += poles[0][1] * z_err / z.min()  # each term is homogeneous of degree -sigma
+        g, rel = (_pole_dd if sigma >= index.shape[1] else _log_dd)(nodes, sigma)
+        rel += sigma * z_err / z.min()  # G: homogeneous of degree -sigma, decreasing in each node
     terms = float(w.coeff) * table.ravel() * g
     err = (rel + (terms.size + 2) * EPS) * float(np.abs(terms).sum())
     return QuadratureResult(float(terms.sum()), err, 0)
@@ -384,6 +380,30 @@ def _pole_dd(u, sigma):
             h[j] = h[j] + column * h[j - 1]
     scale = math.factorial(q - 1) / math.factorial(sigma - 1)
     return scale * h[-1] * np.prod(1 / u, axis=1), (2 * sigma * q + 2) * EPS
+
+
+LOG_STEP = 0.25  # trapezoid step h in log s: e^(-pi^2 / h) = 7e-18
+
+
+def _log_dd(u, sigma):
+    """G[u_0, ..., u_N] per row of u > 0 (M, N + 1), repeats allowed, for G^(N)(t) = t^-sigma,
+    q = N - sigma >= 0, and a relative error bound. As u^-sigma = int_0^oo s^q (u + s)^-(N+1) ds
+    / B(q + 1, sigma), G = int_0^oo s^q / prod(u_i + s) ds / (q! (sigma - 1)!): positive terms.
+    Rows scaled to max u = 1 (G is homogeneous) take the trapezoid rule in t = log s, cut where
+    the tails e^((q + 1) t) / ((q + 1) prod u) left and e^(-sigma t) / sigma right of t are below
+    eps 2^-(N+1) / sigma <= eps G. On |Im t| < pi/2 the integrand is analytic and at most
+    2^((N+1)/2) times its real value: the rule errs by 2^((N+3)/2) e^(-pi^2/h) at most (Trefethen
+    & Weideman, SIAM Rev. 56 (2014)), and the bound adds the tails and the roundings."""
+    n, top = u.shape[1], u.max(axis=1)
+    q, v = n - 1 - sigma, u / top[:, None]
+    left = (math.log(EPS * 0.5 ** n * (q + 1) / sigma) + np.log(v).sum(axis=1).min()) / (q + 1)
+    right = -math.log(EPS * 0.5 ** n) / sigma
+    s = np.exp(LOG_STEP * np.arange(math.floor(left / LOG_STEP), math.ceil(right / LOG_STEP) + 1))
+    f = np.full((len(v), len(s)), LOG_STEP / math.factorial(q) / math.factorial(sigma - 1))
+    for k, column in enumerate(v.T):  # s^(q + 1) / prod(v + s), no factor above 1 / v_k
+        f *= (s if k <= q else 1.0) / (column[:, None] + s)  # 5 roundings with those of v and s
+    rel = 2 ** ((n + 2) / 2) * math.exp(-math.pi ** 2 / LOG_STEP) + (5 * n + len(s) + 8) * EPS
+    return f.sum(axis=1) * top ** -sigma, rel
 
 
 def exp_divided_difference(values):

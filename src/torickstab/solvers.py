@@ -7,9 +7,9 @@ moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
 damped Newton loop, `_newton_loop`, serves both; each solver supplies only
 the weights g, g', g''. The iterations converge globally from xi = 0.
 The moments are closed forms for polynomial p (also times one exp(affine)
-for the soliton, and for integer s > r + deg p for the Reeb field) and
-adaptive cubatures otherwise; F's noise in the Armijo test is its error
-estimate, a rounding bound on the closed form.
+for the soliton, and for integer s for the Reeb field) and adaptive
+cubatures otherwise; F's noise in the Armijo test is its error estimate, a
+rounding bound on the closed form.
 """
 
 from __future__ import annotations

@@ -219,6 +219,21 @@ def test_vertex_min_attained_at_vertex(p2):
     assert p2.vertex_min(aff) == min(aff.eval_exact(v) for v in p2.vertices)
 
 
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(_RATIONAL, min_size=2, max_size=2), st.lists(_RATIONAL, min_size=3, max_size=3))
+def test_vertex_min_in_integers_on_rational_vertices(shift, data):
+    # the integer minimum over common denominators is the Fraction minimum over the vertices
+    f1 = DelzantPolytope([HalfSpace(n, 1) for n in ((1, 0), (0, 1), (-1, -1), (0, -1))])
+    p = f1.translated(shift)
+    aff = AffineFunction(data[:2], data[2])
+    assert p.vertex_min(aff) == min(aff.eval_exact(v) for v in p.vertices)
+    with pytest.raises(ValueError):
+        p.vertex_min(AffineFunction([1, 2, 3], 0))
+
+
 def test_halfspace_requires_primitive_normal():
     with pytest.raises(ValueError):
         HalfSpace((2, 4), 1)

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from torickstab.quadrature import (
     MAX_DEPTH,
     _adaptive,
     _bisect_all,
+    _log_dd,
+    _pole_dd,
     exp_affine_simplex_exact,
     exp_divided_difference,
     gm_rule,
@@ -378,6 +381,69 @@ def test_exp_divided_difference_equally_spaced():
                 assert exp_divided_difference(nodes[::-1]) == pytest.approx(exact, rel=1e-13)
 
 
+def _dd(u, sigma):
+    """G[u_0, ..., u_N] for G^(N)(t) = t^-sigma from the pole or the log kernel."""
+    u = np.array([u], dtype=float)
+    return (_pole_dd if sigma >= u.shape[1] else _log_dd)(u, sigma)[0][0]
+
+
+def _log_dd_decimal(nodes, sigma):
+    """sum_i G(u_i) / prod_(j != i) (u_i - u_j) at distinct rational nodes, 50 digits, with
+    G(t) = (-1)^(sigma - 1) t^q log t / (q! (sigma - 1)!), q = N - sigma >= 0."""
+    q = len(nodes) - 1 - sigma
+    with decimal.localcontext(decimal.Context(prec=50)):
+        u = [decimal.Decimal(x.numerator) / x.denominator for x in nodes]
+        total = sum(ui ** q * ui.ln() / math.prod(ui - uj for uj in u if uj is not ui) for ui in u)
+        return (-1) ** (sigma - 1) * total / (math.factorial(q) * math.factorial(sigma - 1))
+
+
+_NODES = st.lists(st.integers(1, 40), min_size=2, max_size=7, unique=True).map(
+    lambda ks: [Fraction(k, 8) for k in ks])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_NODES, st.data())
+def test_log_dd_matches_the_decimal_oracle(nodes, data):
+    sigma = data.draw(st.integers(1, len(nodes) - 1))
+    g, rel = _log_dd(np.array([[float(x) for x in nodes]]), sigma)
+    exact = _log_dd_decimal(nodes, sigma)
+    assert abs(decimal.Decimal(g[0]) - exact) <= decimal.Decimal(rel) * exact
+    assert g[0] == pytest.approx(float(exact), rel=1e-14)
+
+
+_SPREAD_NODES = st.lists(st.sampled_from([Fraction(k, 8) for k in range(1, 41)]),
+                         min_size=2, max_size=7)  # repeats allowed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SPREAD_NODES, st.data())
+def test_log_dd_symmetric_and_homogeneous(nodes, data):
+    sigma = data.draw(st.integers(1, len(nodes) - 1))
+    u = [float(x) for x in nodes]
+    g = _dd(u, sigma)
+    assert _dd(data.draw(st.permutations(u)), sigma) == pytest.approx(g, rel=1e-14)
+    lam = data.draw(st.sampled_from([1e-3, 0.3, 1.5, 7.0, 1e3]))
+    assert _dd([lam * x for x in u], sigma) == pytest.approx(lam ** -sigma * g, rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_NODES, st.data())
+def test_log_and_pole_kernels_satisfy_the_recurrences(nodes, data):
+    # The two-point recurrence of the order-(N - 1) kernel for sigma is the order-N divided
+    # difference of a function whose N-th derivative is -sigma t^-(sigma + 1): N - sigma is
+    # kept, so each kernel meets only itself. The node derivative sum_i G[w, w_i] = G'[w] of
+    # the order-N kernel is the order-(N - 1) kernel for the same sigma: at sigma = N, _log_dd
+    # on the left and _pole_dd on the right.
+    u = [float(x) for x in nodes]
+    n = len(u) - 1
+    sigma = data.draw(st.integers(1, n + 1))
+    lower = (_dd(u[1:], sigma) - _dd(u[:-1], sigma)) / (u[-1] - u[0])
+    assert lower == pytest.approx(-sigma * _dd(u, sigma + 1), rel=1e-11)
+    w = u[:-1]
+    sigma = data.draw(st.integers(1, n))
+    assert sum(_dd(w + [x], sigma) for x in w) == pytest.approx(_dd(w, sigma), rel=1e-13)
+
+
 def _canonical(name):
     return make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
 
@@ -540,27 +606,27 @@ def test_zero_polynomial_part_integrates_to_zero(p2):
 
 
 def test_adaptive_fallbacks_keep_their_subdivisions(p2):
-    # sigma <= r + deg Q (a log term), a fractional power, exp times a pole and a sum
-    # of terms are not taken in closed form
+    # a fractional power, exp times a pole and a sum of terms are not taken in closed form
     ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
-    affine = WeightFn.affine_power(AffineFunction([1, 0], 2), 1)
-    for w in (affine * WeightFn.affine_power(ell, -3),
-              WeightFn.affine_power(ell, Fraction(-5, 2)),
+    for w in (WeightFn.affine_power(ell, Fraction(-5, 2)),
               WeightFn.exp_affine([1, 0], 0) * WeightFn.affine_power(ell, -4),
               WeightFn.exp_affine([1, 0], 0) + WeightFn.affine_power(ell, -4)):
         assert integrate_weighted(p2, w).subdivisions > 0
 
 
-def test_log_case_is_refused_before_any_expansion(p2, monkeypatch):
-    """sigma <= r + deg Q is read off the weight's form: Q = x1 + 2 with sigma = 3 on
-    P^2 never asks for Q's barycentric table, while sigma = 4 does."""
-    calls = []
-    barycentric = DelzantPolytope.barycentric
-    monkeypatch.setattr(DelzantPolytope, "barycentric",
-                        lambda self, poly: calls.append(poly) or barycentric(self, poly))
+@pytest.mark.parametrize("name", ["P2", "F1", "P1xP1"])
+def test_log_case_takes_the_closed_form(name):
+    """sigma <= r + deg Q, where G has a log term, is the Stieltjes sum of _log_dd:
+    no subdivisions, and the adaptive cubature at tol 1e-13 agrees within both
+    error estimates."""
+    p = _canonical(name)
     ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
-    q = WeightFn.affine_power(AffineFunction([1, 0], 2), 1)
-    assert integrate_weighted(p2, q * WeightFn.affine_power(ell, -3)).subdivisions > 0
-    assert calls == []
-    assert integrate_weighted(p2, q * WeightFn.affine_power(ell, -4)).subdivisions == 0
-    assert calls == [Polynomial.linear([1, 0], 2)]
+    for kind in sorted(Q_DEGREE):
+        q = _q_factor(kind, 2, 0, 1)
+        for sigma in range(1, 2 + Q_DEGREE[kind] + 1):
+            w = q * WeightFn.affine_power(ell, -sigma)
+            closed = integrate_weighted(p, w)
+            ref = _adaptive(p.triangulate(), w.eval, 1e-13, ABS_FLOOR, MAX_DEPTH)
+            assert closed.subdivisions == 0 and ref.subdivisions > 0
+            assert closed.value == pytest.approx(ref.value, rel=1e-12)
+            assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate

@@ -10,11 +10,11 @@ from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
-from torickstab import solvers
+from torickstab import quadrature, solvers
 from torickstab.solvers import BOUNDARY_FRACTION, _newton_loop, msy_reeb, tian_zhu_soliton
 from torickstab.weights import WeightFn
 
-from conftest import make_polytope
+from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope
 
 
 def _p_affine():
@@ -107,6 +107,19 @@ def test_reeb_iterates_stay_feasible(interval):
         aff = AffineFunction([Fraction(z).limit_denominator(10 ** 15)
                               for z in xi], 1)
         assert interval.vertex_min(aff) > 0
+
+
+@pytest.mark.parametrize("name", POLYGONS)
+def test_reeb_with_affine_p_never_reaches_the_adaptive_cubature(name, monkeypatch):
+    # p = x1 + 2 and s = r + 1: every moment has sigma <= r + deg Q, the log case
+    def refuse(*args):
+        raise AssertionError("adaptive cubature called")
+
+    monkeypatch.setattr(quadrature, "_adaptive", refuse)
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+    res = msy_reeb(polytope, WeightFn.affine_power(AffineFunction([1, 0], 2), 1), 3)
+    assert res.converged and res.iterations > 0
+    assert res.grad_norm <= solvers.DEFAULT_TOL * max(abs(res.objective), 1.0)
 
 
 @pytest.mark.parametrize("polytope, p, s", [
