@@ -109,16 +109,9 @@ def fibration_weight(spec: FibrationSpec) -> WeightFn:
 def base_curvature_weight(spec: FibrationSpec):
     """Curvature weight q(x) = sum_a s_a/(<p_a,x>+c_a)."""
     validate(spec)
-    terms = []
-    for a, (factor, _, _) in enumerate(spec.factors):
-        if factor.s == 0:
-            continue
-        terms.append(WeightFn.affine_power(spec.twist_affine(a), -1, coeff=factor.s))
-    if not terms:
-        return WeightFn.constant(spec.fiber.dim, 0)
-    if len(terms) == 1:
-        return terms[0]
-    return WeightSum(terms)
+    terms = [WeightFn.affine_power(spec.twist_affine(a), -1, coeff=factor.s)
+             for a, (factor, _, _) in enumerate(spec.factors) if factor.s != 0]
+    return WeightSum(terms) if terms else WeightFn.constant(spec.fiber.dim, 0)
 
 
 def extremal_fibration_weights(spec: FibrationSpec, tol=DEFAULT_TOL) -> FibrationWeights:

@@ -39,7 +39,7 @@ def num_from_json(obj, path="value") -> Fraction:
         if isinstance(obj, bool):
             raise TypeError("a boolean")
         return frac(obj)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:  # Infinity overflows
         raise SchemaError(path, f"not a number or 'p/q' string: {obj!r} ({e})")
 
 
@@ -145,7 +145,7 @@ def polytope_from_json(obj, path="polytope") -> DelzantPolytope:
             raise SchemaError(fp, "facet needs 'normal' and 'offset'")
         halfspaces.append(HalfSpace(_vector_from_json(f["normal"], None, f"{fp}.normal",
                                                       _int_from_json),
-                                    num_from_json(f["offset"], fp)))
+                                    num_from_json(f["offset"], f"{fp}.offset")))
     p = DelzantPolytope(halfspaces)
     if "dim" in obj and _int_from_json(obj["dim"], f"{path}.dim") != p.dim:
         raise SchemaError(path, f"declared dim {obj['dim']} != facet dim {p.dim}")

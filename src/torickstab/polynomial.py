@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import add
@@ -136,9 +136,15 @@ class Polynomial:
 
 def linear_terms(zeta, const):
     """const + <zeta, t> as {exponent: coefficient}, zero terms left out."""
-    dim = len(zeta)
-    terms = {tuple(int(j == k) for j in range(dim)): z for k, z in enumerate(zeta) if z}
-    return {(0,) * dim: const, **terms} if const else terms
+    zero, *units = _unit_exponents(len(zeta))
+    terms = {e: z for e, z in zip(units, zeta) if z}
+    return {zero: const, **terms} if const else terms
+
+
+@lru_cache(maxsize=None)
+def _unit_exponents(dim):
+    """The zero exponent tuple and the dim unit ones, built once per dimension."""
+    return ((0,) * dim,) + tuple(tuple(int(j == k) for j in range(dim)) for k in range(dim))
 
 
 def expand(terms, forms, dim):

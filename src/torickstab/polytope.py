@@ -320,7 +320,7 @@ class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
     # caches, set per instance on first use; _moments is (degree, MomentTable)
-    _triangulation = _facets = _moments = _int_vertices = None
+    _triangulation = _facets = _moments = _int_vertices = _barycentric = None
 
     def __init__(self, halfspaces):
         halfspaces = list(halfspaces)
@@ -342,7 +342,6 @@ class DelzantPolytope:
         # vertex <-> facet incidence
         self.facet_adjacency = tuple(incidence[v] for v in self.vertices)
         self._check_delzant()
-        self._barycentric = {}  # polynomial -> barycentric table
 
     @classmethod
     def _from_incidence(cls, halfspaces, vertices, facet_adjacency):
@@ -356,7 +355,6 @@ class DelzantPolytope:
         p.halfspaces = tuple(halfspaces)
         p.vertices = tuple(vertices)
         p.facet_adjacency = tuple(facet_adjacency)
-        p._barycentric = {}
         return p
 
     def _check_delzant(self):
@@ -432,22 +430,26 @@ class DelzantPolytope:
             self._moments = (degree, moment_table(self.triangulate(), degree))
         return self._moments[1]
 
-    def barycentric(self, poly):
-        """poly(sum_i lambda_i v_i) = sum_{|beta| = deg poly} c_beta(S) lambda^beta on each
-        simplex S, cached per polynomial. Returns each beta as a row of vertex indices, i
-        repeated beta_i + 1 times; the (S, B) floats r! vol(S) beta! c_beta(S), each an
-        integer quotient from `barycentric_coefficients` rounded once; and the (S, r + 1, r)
-        float vertices."""
-        if poly not in self._barycentric:
+    def barycentric(self, factor):
+        """f(sum_i lambda_i v_i) = sum_{|beta| = d} c_beta(S) lambda^beta on each simplex S for
+        the polynomial weight term f = factor of degree d, expanded only on a cache miss. Returns
+        each beta as a row of vertex indices, i repeated beta_i + 1 times; the (S, B) floats
+        r! vol(S) beta! c_beta(S), each an integer quotient from `barycentric_coefficients`
+        rounded once; and the (S, r + 1, r) float vertices, which with r! vol(S) are derived
+        once per polytope, when the cache ({factor: result}, volumes, vertices) is made."""
+        if self._barycentric is None:
             simplices = self.triangulate()
-            betas, scale, rows = barycentric_coefficients(poly, [s.vertices for s in simplices])
-            vols = [factorial(self.dim) * s.volume() for s in simplices]
+            self._barycentric = ({}, [factorial(self.dim) * s.volume() for s in simplices],
+                                 np.array([s.float_vertices() for s in simplices]))
+        tables, vols, verts = self._barycentric
+        if factor not in tables:
+            betas, scale, rows = barycentric_coefficients(
+                factor.to_polynomial(), [s.vertices for s in self.triangulate()])
             table = [[v.numerator * prod(map(factorial, b)) * c / (v.denominator * scale)
                       for b, c in zip(betas, row)] for v, row in zip(vols, rows)]
             index = np.array([np.repeat(np.arange(self.dim + 1), np.add(b, 1)) for b in betas])
-            verts = np.array([s.float_vertices() for s in simplices])
-            self._barycentric[poly] = (index, np.array(table), verts)
-        return self._barycentric[poly]
+            tables[factor] = (index, np.array(table), verts)
+        return tables[factor]
 
     # -- facets ---------------------------------------------------------------
 

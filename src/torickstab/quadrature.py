@@ -1,17 +1,18 @@
 """Integration over Delzant polytopes and their boundaries.
 
-An integrand takes one of three paths, chosen by its form alone: a polynomial
-is exact, read off the cached rational moment tables; a single term Q exp(ell)
-or Q ell^-sigma (Q polynomial, integer sigma >= 1) is a closed-form sum of
-divided differences with a rounding bound as its error; everything else
-(fractional powers, exp times a pole, sums of terms) takes adaptive
-Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
-longest-edge bisection.
+An integrand takes one of three paths, chosen by its canonical form alone (see
+`weights`): a polynomial is exact, read off the cached rational moment tables;
+a single term Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) is
+a closed-form sum of divided differences with a rounding bound as its error;
+everything else (fractional powers, exp times a pole, sums of two or more
+terms) takes adaptive Grundmann--Moeller simplex cubature with an embedded
+degree-7/9 pair and longest-edge bisection.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,6 +134,8 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth) -> QuadratureResul
     """
     if not all(math.isfinite(t) and t >= 0 for t in (tol, abs_floor)):
         raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral) or max_depth < 0:
+        raise ValueError(f"max_depth must be an integer >= 0, got {max_depth!r}")
     verts = np.array([s.float_vertices() for s in simplices])
     value, err, mass = _rule_batch(verts, evaluate)
     depth = np.zeros(len(verts), dtype=int)
@@ -177,10 +180,11 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     Purely polynomial integrands take the exact rational path. A single term
     Q exp(ell), or Q ell^-sigma with integer sigma >= 1, takes the closed form
     (see _closed_form): no subdivisions, and a rounding bound as the error
-    estimate; tol, abs_floor and max_depth do not apply. Otherwise an adaptive
-    embedded GM 7/9 scheme with longest-edge bisection runs until the summed
-    rule discrepancy meets max(tol*int|f|, abs_floor), refining in batched
-    rounds (see _adaptive).
+    estimate; tol, abs_floor and max_depth do not apply. Otherwise (fractional
+    powers, exp times a pole, sums of two or more terms) an adaptive embedded
+    GM 7/9 scheme with longest-edge bisection runs until the summed rule
+    discrepancy meets max(tol*int|f|, abs_floor), refining in batched rounds
+    (see _adaptive).
     """
     w = as_weight(integrand, polytope.dim)
     if w.is_polynomial:
@@ -301,9 +305,9 @@ INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(171)])
 
 
 def _closed_form(polytope: DelzantPolytope, w):
-    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) in closed form, or
-    None for any other integrand. With z_i = ell(v_i) and N = r + |beta|,
-    Hermite--Genocchi on each simplex S of the triangulation gives
+    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) in closed form, or None
+    for any other integrand (sums of two or more terms too). With z_i = ell(v_i) and
+    N = r + |beta|, Hermite--Genocchi on each simplex S of the triangulation gives
 
         int_S lambda^beta G^(N)(ell) dx = r! vol(S) beta! G[z_0^(beta_0 + 1), ..., z_r^(beta_r + 1)],
 
@@ -317,7 +321,7 @@ def _closed_form(polytope: DelzantPolytope, w):
     if len(poles) + (w.exp_part is not None) != 1:
         return None
     factor = WeightFn(w.dim, 1, [f for f in w.affine_powers if f[1] > 0], None, w.poly_part)
-    index, table, verts = polytope.barycentric(_factor_polynomial(factor))
+    index, table, verts = polytope.barycentric(factor)
     ell, sigma = poles[0] if poles else (w.exp_part, 0)
     zeta, const = np.array([float(c) for c in ell.zeta]), float(ell.const)
     z = verts @ zeta + const  # (S, r + 1)
@@ -332,12 +336,6 @@ def _closed_form(polytope: DelzantPolytope, w):
     terms = float(w.coeff) * table.ravel() * g
     err = (rel + (terms.size + 2) * EPS) * float(np.abs(terms).sum())
     return QuadratureResult(float(terms.sum()), err, 0)
-
-
-@lru_cache(maxsize=256)
-def _factor_polynomial(factor):
-    """The polynomial factor of a weight, expanded once: a Newton solve asks for it at every step."""
-    return factor.to_polynomial()
 
 
 def _exp_dd(nodes):

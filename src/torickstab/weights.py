@@ -3,6 +3,11 @@
 The grammar is  c * prod_i (affine_i)^{p_i} * exp(affine) * poly  and finite
 sums of such terms. It is closed under products, the soliton log-derivative
 construction and affine pullbacks, which is everything the library needs.
+
+A weight takes its canonical form when it is built: a term merges repeated
+affine factors (exponents add, zero exponents drop, first-seen order is kept),
+and a sum of one term is that term. However it is built, a weight with the same
+factors is the same value, with one hash and one integration path.
 """
 
 from __future__ import annotations
@@ -46,17 +51,15 @@ class WeightFn:
         for name, part in parts + [("affine factor", aff) for aff, _ in affine_powers]:
             if part is not None and part.dim != dim:
                 raise ValueError(f"{name} has dimension {part.dim}, the weight {dim}")
-        factors = []
+        merged = {}  # first-seen order
         for aff, p in affine_powers:
-            p = frac(p)
-            if p != 0:
-                factors.append((aff, p))
+            merged[aff] = merged.get(aff, 0) + frac(p)
         if poly_part is not None and poly_part.is_constant():
             coeff = frac(coeff) * poly_part.constant_value()
             poly_part = None
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeff", frac(coeff))
-        object.__setattr__(self, "affine_powers", tuple(factors))
+        object.__setattr__(self, "affine_powers", tuple((a, p) for a, p in merged.items() if p))
         object.__setattr__(self, "exp_part", exp_part)
         object.__setattr__(self, "poly_part", poly_part)
 
@@ -117,14 +120,6 @@ class WeightFn:
         other = as_weight(other, self.dim)
         if isinstance(other, WeightSum):
             return WeightSum([self * t for t in other.terms()])
-        merged = {}
-        order = []
-        for aff, p in self.affine_powers + other.affine_powers:
-            key = (aff.zeta, aff.const)
-            if key not in merged:
-                merged[key] = (aff, Fraction(0))
-                order.append(key)
-            merged[key] = (aff, merged[key][1] + p)
         exp_part = self.exp_part
         if other.exp_part is not None:
             if exp_part is None:
@@ -138,7 +133,7 @@ class WeightFn:
         if other.poly_part is not None:
             poly = other.poly_part if poly is None else poly * other.poly_part
         return WeightFn(self.dim, self.coeff * other.coeff,
-                        tuple(merged[k] for k in order), exp_part, poly)
+                        self.affine_powers + other.affine_powers, exp_part, poly)
 
     def __add__(self, other):
         return WeightSum(self.terms() + tuple(as_weight(other, self.dim).terms()))
@@ -241,16 +236,20 @@ class WeightFn:
 
 
 class WeightSum:
-    """Finite sum of grammar terms."""
+    """Finite sum of two or more grammar terms: WeightSum([t]) is t itself."""
 
     __slots__ = ("_terms", "dim")
 
-    def __init__(self, terms):
+    def __new__(cls, terms):
         terms = tuple(terms)
         if not terms:
             raise ValueError("empty weight sum")
+        if len(terms) == 1:
+            return terms[0]
+        self = super().__new__(cls)
         self._terms = terms
         self.dim = terms[0].dim
+        return self
 
     def terms(self):
         return self._terms
@@ -374,8 +373,7 @@ def soliton_weight_pair(v, m: int, polytope: DelzantPolytope = None):
     v = as_weight(v)
     if polytope is not None:
         require_positive(v, polytope, "v")
-    w = [_soliton_term(t, m) for t in v.terms()]
-    return v, w[0] if len(w) == 1 else WeightSum(w)
+    return v, WeightSum([_soliton_term(t, m) for t in v.terms()])
 
 
 def _soliton_term(t: WeightFn, m: int) -> WeightFn:

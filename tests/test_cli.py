@@ -363,9 +363,19 @@ def _p2_spec(factor):
     (["futaki", "--polytope", P2, "--w", "1", "--direction", "[1, 0]",
       "--v", '{"poly": {"-1,0": 1}}'],
      "v.poly: multi-index '-1,0' is not 2 nonnegative integers"),
+    # Python's json reads Infinity, which no Fraction holds
+    (["polytope-info", "--polytope",
+      '{"facets": [{"normal": [1], "offset": Infinity}, {"normal": [-1], "offset": 1}]}'],
+     "polytope.facets[0].offset: not a number or 'p/q' string: inf "
+     "(cannot convert Infinity to integer ratio)"),
+    (["futaki", "--polytope", P2, "--w", "1", "--all-affine",
+      "--v", '{"exp": {"zeta": [-Infinity, 0]}}'],
+     "v.exp.zeta[0]: not a number or 'p/q' string: -inf "
+     "(cannot convert Infinity to integer ratio)"),
 ], ids=["fractional-normal", "boolean-normal", "boolean-w0", "facets-not-a-list", "short-twist", "fractional-twist",
         "fractional-n", "fractional-k", "short-affine-factor", "factor-without-zeta",
-        "short-exp", "short-direction", "negative-exponent"])
+        "short-exp", "short-direction", "negative-exponent", "infinite-offset",
+        "infinite-exp-zeta"])
 def test_integer_fields_and_vector_lengths_are_checked(capsys, argv, error):
     assert main(argv) == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err)["error"] == f"SchemaError: {error}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torickstab import quadrature
 from torickstab.errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from torickstab.exactlinalg import det
 from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
@@ -214,6 +215,20 @@ def test_adaptive_rejects_invalid_tolerances(p2, tol, abs_floor):
     w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) + WeightFn.constant(2, 1)
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         integrate_weighted(p2, w, tol=tol, abs_floor=abs_floor)
+
+
+@pytest.mark.parametrize("max_depth", [math.nan, math.inf, -1, 2.5, True, "3"])
+def test_adaptive_rejects_an_invalid_max_depth(p2, monkeypatch, max_depth):
+    # exp times a pole takes the cubature, and a NaN max_depth would switch its depth
+    # cap off; with the rule patched to fail, the check must come before any refinement
+    def rule(*args):
+        raise AssertionError("the cubature ran")
+
+    monkeypatch.setattr(quadrature, "_rule_batch", rule)
+    w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
+        AffineFunction([1, 0], 2), -1)
+    with pytest.raises(ValueError, match="max_depth must be an integer >= 0"):
+        integrate_weighted(p2, w, max_depth=max_depth)
 
 
 def test_simplex_integral_vs_poly_path():

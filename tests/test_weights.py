@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torickstab import quadrature
 from torickstab.errors import NotPositive
+from torickstab.jsonio import weight_from_json
 from torickstab.polynomial import Polynomial, compositions
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
+from torickstab.solvers import msy_reeb
 from torickstab.weights import (
     Positivity,
     WeightFn,
@@ -454,3 +457,93 @@ def test_weight_term_times_a_number_or_a_polynomial():
     assert t * Fraction(1, 2) == t.scale(Fraction(1, 2))
     assert t * q == t * WeightFn.from_polynomial(q)
     assert ((t + 1) * 2).eval(np.array([0.0])) == (t * 2 + 2).eval(np.array([0.0])) == 3.0
+
+
+# -- canonical form at construction -----------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _canonical_polytope(name):
+    return make_polytope(*[(n, 1) for n in CANONICAL_NORMALS[name]])
+
+
+@st.composite
+def _split_powers(draw):
+    """(polytope, ell, p, parts): ell >= 1 on P^2, F_1 or P^3, an integer p, and
+    rational exponents, some of them fractional, that sum to p."""
+    polytope = _canonical_polytope(draw(st.sampled_from(("P2", "F1", "P3"))))
+    zeta = draw(st.lists(st.integers(-2, 2), min_size=polytope.dim, max_size=polytope.dim))
+    low = polytope.vertex_min(AffineFunction(zeta, 0))
+    ell = AffineFunction(zeta, 1 - low + draw(st.integers(0, 2)))
+    p = draw(st.integers(-4, 3))
+    parts = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=3))
+    return polytope, ell, p, parts + [p - sum(parts)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_split_powers())
+def test_a_split_power_is_the_power(case):
+    """ell^p split into several factors, from the constructor, the product or JSON, is the
+    weight built with p: equal, with one hash and the identical integral, the same Fraction
+    on the exact path (p >= 0) and the same float from the closed form (p < 0)."""
+    polytope, ell, p, parts = case
+    whole = WeightFn.affine_power(ell, p)
+    product = WeightFn.constant(polytope.dim)
+    for q in parts:
+        product = product * WeightFn.affine_power(ell, q)
+    entries = [{"zeta": [str(z) for z in ell.zeta], "a": str(ell.const), "pow": str(q)}
+               for q in parts]
+    for split in (WeightFn(polytope.dim, 1, [(ell, q) for q in parts]), product,
+                  weight_from_json({"affine_powers": entries}, polytope.dim)):
+        assert split == whole and hash(split) == hash(whole)
+        assert integrate_weighted(polytope, split) == integrate_weighted(polytope, whole)
+    res = integrate_weighted(polytope, whole)
+    assert (type(res.exact) is Fraction) == (p >= 0) and res.subdivisions == 0
+
+
+def test_repeated_factors_merge_in_first_seen_order():
+    ell, other = _affine([1, 0], 2), _affine([0, 1], 3)
+    w = WeightFn(2, 1, [(ell, 1), (other, Fraction(1, 2)), (ell, -1), (other, 2)])
+    assert w.affine_powers == ((other, Fraction(5, 2)),)
+    assert WeightFn(2, 1, [(other, 1), (ell, 2), (other, -2)]).affine_powers == (
+        (other, -1), (ell, 2))
+
+
+def test_merged_factors_take_the_exact_path(p2):
+    """ell^(1/2) ell^(1/2) = ell and ell ell^-1 = 1 are polynomials: exact, and ell ell^-1
+    is not singular where ell vanishes (x_1 + 1 = 0 on a facet)."""
+    ell = _affine([1, 0], 2)
+    assert integrate_weighted(p2, WeightFn(2, 1, [(ell, Fraction(1, 2))] * 2)).exact == 9
+    assert integrate_weighted(p2, WeightFn(2, 1, [(ell, 1), (ell, -1)])).exact == Fraction(9, 2)
+    edge = _affine([1, 0], 1)
+    assert integrate_weighted(p2, WeightFn(2, 1, [(edge, 1), (edge, -1)])).exact == Fraction(9, 2)
+
+
+def test_a_one_term_sum_is_its_term():
+    t = WeightFn.exp_affine([Fraction(1, 3), 0], 0)
+    assert WeightSum([t]) is t
+    assert WeightSum(x for x in [t]) is t
+    assert isinstance(WeightSum([t, t]), WeightSum)
+    with pytest.raises(ValueError, match="empty weight sum"):
+        WeightSum([])
+    exp = {"exp": {"zeta": ["1/3", "0"], "a": 0}}
+    for obj in ([exp], {"sum": [exp]}):
+        assert weight_from_json(obj, 2) == weight_from_json(exp, 2) == t
+
+
+def test_canonical_weights_never_reach_the_cubature(p2, monkeypatch):
+    """ell^-1 ell^-2, a one-term exp sum and a Reeb solve for the weight ["x1+2"] all take
+    the closed form; the Reeb solve is bit for bit that of "x1+2"."""
+    def cubature(*args):
+        raise AssertionError("the adaptive cubature ran")
+
+    monkeypatch.setattr(quadrature, "_adaptive", cubature)
+    ell = _affine([1, 0], 2)
+    poles = integrate_weighted(p2, WeightFn(2, 1, [(ell, -1), (ell, -2)]))
+    assert poles == integrate_weighted(p2, WeightFn.affine_power(ell, -3))
+    assert poles.value == pytest.approx(9 / 8, rel=1e-13)
+    exp = {"exp": {"zeta": ["1/3", "0"], "a": 0}}
+    assert (integrate_weighted(p2, weight_from_json({"sum": [exp]}, 2))
+            == integrate_weighted(p2, weight_from_json(exp, 2)))
+    listed, plain = (msy_reeb(p2, weight_from_json(w, 2), 3) for w in (["x1+2"], "x1+2"))
+    assert listed.xi0 == plain.xi0 and listed.iterations == plain.iterations
