@@ -72,28 +72,34 @@ def integrate_poly(polytope: DelzantPolytope, poly: Polynomial) -> Fraction:
 def gm_rule(dim: int, order: int):
     """Grundmann--Moeller rule on the standard dim-simplex, exact to degree 2*order+1.
 
-    Returns (barycentric points (P, dim+1) float array, weights (P,) float array);
+    Returns read-only float arrays (barycentric points (P, dim+1), weights (P,));
     weights sum to the simplex volume 1/dim!.
     """
-    s, n = order, dim
-    d = 2 * s + 1
-    points = []
-    weights = []
-    for i in range(s + 1):
-        denom = d + n - 2 * i
-        w = (
-            Fraction((-1) ** i)
-            * Fraction(denom) ** d
-            / (Fraction(2) ** (2 * s) * factorial(i) * factorial(d + n - i))
-        )
-        for k in compositions(s - i, n + 1):
-            points.append([Fraction(2 * kj + 1, denom) for kj in k])
+    d = 2 * order + 1
+    points, weights = [], []
+    for i in range(order + 1):
+        denom = d + dim - 2 * i  # int / int is correctly rounded, as float(Fraction) is
+        w = float(Fraction((-1) ** i * denom ** d,
+                           4 ** order * factorial(i) * factorial(d + dim - i)))
+        for k in compositions(order - i, dim + 1):
+            points.append([(2 * kj + 1) / denom for kj in k])
             weights.append(w)
-    pts = np.array([[float(c) for c in p] for p in points])
-    wts = np.array([float(w) for w in weights])
-    # exactness sanity: weights must sum to vol(std simplex)
-    assert abs(wts.sum() - 1.0 / factorial(n)) < 1e-12
+    pts, wts = np.array(points), np.array(weights)
+    assert abs(wts.sum() - 1.0 / factorial(dim)) < 1e-12  # the volume of the std simplex
+    pts.flags.writeable = wts.flags.writeable = False  # shared by every caller of the cache
     return pts, wts
+
+
+@lru_cache(maxsize=None)
+def _gm_pair(dim: int):
+    """The embedded pair on one node set: the order-s points are (2k + 1) / (2s + 1 + dim - 2i),
+    so each degree-7 point is a degree-9 point; for dim <= 3 the degree-9 rule repeats its centroid.
+    Returns the distinct barycentric nodes (U, dim+1) and, for the degree-9 and then the
+    degree-7 rule, the row of each of its points among them and its weights; read-only."""
+    (pts_hi, wts_hi), (pts_lo, wts_lo) = gm_rule(dim, GM_ORDER_HIGH), gm_rule(dim, GM_ORDER_LOW)
+    nodes, rows = np.unique(np.vstack([pts_hi, pts_lo]), axis=0, return_inverse=True)
+    nodes.flags.writeable = rows.flags.writeable = False
+    return nodes, ((rows[:len(wts_hi)], wts_hi), (rows[len(wts_hi):], wts_lo))
 
 
 # -- adaptive integration ---------------------------------------------------------
@@ -106,20 +112,19 @@ EVAL_CHUNK = 1 << 15
 def _rule_batch(verts, evaluate):
     """Degree-9 value, |9 - 7| error and degree-9 rule on |f| per simplex.
 
-    The nodes of both rules on every simplex go through `evaluate` together,
-    in calls of at most EVAL_CHUNK nodes.
+    The two rules share their nodes (`_gm_pair`): each distinct node of every
+    simplex goes through `evaluate` once, in calls of at most EVAL_CHUNK nodes.
     """
     dim = verts.shape[2]
-    pts_hi, wts_hi = gm_rule(dim, GM_ORDER_HIGH)
-    pts_lo, wts_lo = gm_rule(dim, GM_ORDER_LOW)
-    flat = (np.vstack([pts_hi, pts_lo]) @ verts).reshape(-1, dim)
+    nodes, ((rows_hi, wts_hi), (rows_lo, wts_lo)) = _gm_pair(dim)
+    flat = (nodes @ verts).reshape(-1, dim)
     f = np.concatenate([evaluate(flat[i:i + EVAL_CHUNK])
                         for i in range(0, len(flat), EVAL_CHUNK)])
     f = f.reshape(len(verts), -1)
-    f_hi = f[:, :len(wts_hi)]
+    f_hi = f[:, rows_hi]
     scale = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
     value = scale * (f_hi @ wts_hi)
-    err = np.abs(value - scale * (f[:, len(wts_hi):] @ wts_lo))
+    err = np.abs(value - scale * (f[:, rows_lo] @ wts_lo))
     return value, err, scale * (np.abs(f_hi) @ wts_hi)
 
 

@@ -16,6 +16,7 @@ independent oracle for the closed form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -36,15 +37,18 @@ CHECK_GRID = 9  # per-axis sample grid on which a bumped potential must be conve
 BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid of `futaki_numeric`: the per-axis resolution."""
 
     resolution: int = 400
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"grid resolution must be at least 1, got {self.resolution}")
+        r = self.resolution
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+            raise ValueError(f"grid resolution must be an integer, got {r!r}")
+        if r < 1:
+            raise ValueError(f"grid resolution must be at least 1, got {r}")
 
 
 def _sample_grid(polytope: DelzantPolytope, n_per_axis: int):
@@ -368,14 +372,15 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
                    ell: AffineFunction, grid: GridSpec = None) -> FutakiReport:
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
-    Scal_v is taken in closed form from the potential's derivatives, at the
-    nodes of the embedded GM 9/7 pair (`quadrature._rule_batch`) on a refined
-    triangulation whose nodes are strictly interior, so no boundary truncation
-    is needed. The value is the degree-9 sum. The error estimate is the sum
-    over simplices of |GM9 - GM7| plus N eps times the degree-9 rule on |f|,
-    over the N degree-9 nodes: with no finite-difference truncation left, the
-    first is the cubature error, and the second allows for the rounding of the
-    weighted sum, which the first misses once it reaches the roundoff floor.
+    Scal_v is taken in closed form from the potential's derivatives, once at
+    each node the embedded GM 9/7 pair shares (`quadrature._rule_batch`) on a
+    refined triangulation whose nodes are strictly interior, so no boundary
+    truncation is needed. The value is the degree-9 sum. The error estimate
+    is the sum over simplices of |GM9 - GM7| plus N eps times the degree-9
+    rule on |f|, over the N degree-9 nodes counted with repeats: with no
+    finite-difference truncation left, the first is the cubature error, and
+    the second allows for the rounding of the weighted sum, which the first
+    misses once it reaches the roundoff floor.
     """
     if grid is None:
         grid = GridSpec()

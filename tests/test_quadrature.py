@@ -1,4 +1,6 @@
 import decimal
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,14 +12,17 @@ from hypothesis import strategies as st
 from torickstab import quadrature
 from torickstab.errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
 from torickstab.exactlinalg import det
-from torickstab.polynomial import Polynomial, integrate_monomial_std_simplex
+from torickstab.polynomial import Polynomial, compositions, integrate_monomial_std_simplex
 from torickstab.polytope import AffineFunction, DelzantPolytope, HalfSpace, Simplex
 from torickstab.quadrature import (
     ABS_FLOOR,
     DEFAULT_TOL,
+    GM_ORDER_HIGH,
+    GM_ORDER_LOW,
     MAX_DEPTH,
     _adaptive,
     _bisect_all,
+    _gm_pair,
     _log_dd,
     _pole_dd,
     exp_affine_simplex_exact,
@@ -58,22 +63,113 @@ def test_integrate_poly_examples(interval, p2):
 
 
 def test_gm_rule_exactness():
-    # the embedded pair must integrate all monomials up to its stated degrees
-    for dim in (1, 2):
+    # the embedded pair must integrate all monomials up to its stated degrees,
+    # in every dimension `_rule_batch` runs in (P^3 cubature and futaki_numeric on P^3)
+    for dim in (1, 2, 3):
         for order, degree in ((3, 7), (4, 9)):
             pts, wts = gm_rule(dim, order)
-            simplex = STD2 if dim == 2 else UNIT1
-            verts = np.array(simplex.float_vertices())
-            x = pts @ verts
-            for total in range(degree + 1):
-                for a0 in range(total + 1):
-                    alpha = (a0, total - a0)[:dim] if dim == 2 else (total,)
-                    if sum(alpha) != total:
-                        continue
-                    approx = math.factorial(dim) * float(simplex.volume()) * float(
-                        wts @ np.prod(x ** np.array(alpha), axis=1))
-                    exact = float(integrate_monomial_std_simplex(alpha))
-                    assert approx == pytest.approx(exact, abs=1e-14)
+            x = pts[:, 1:]  # the standard simplex has vertices 0, e_1, ..., e_dim
+            for alpha in itertools.product(range(degree + 1), repeat=dim):
+                if sum(alpha) > degree:
+                    continue
+                approx = float(wts @ np.prod(x ** np.array(alpha), axis=1))
+                exact = float(integrate_monomial_std_simplex(alpha))
+                assert approx == pytest.approx(exact, abs=1e-14), (dim, order, alpha)
+
+
+def _gm_points(dim, order):
+    """The order-s Grundmann--Moeller points (2k + 1) / (2s + 1 + dim - 2i), as Fractions."""
+    return {tuple(Fraction(2 * kj + 1, 2 * order + 1 + dim - 2 * i) for kj in k)
+            for i in range(order + 1) for k in compositions(order - i, dim + 1)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_degree7_points_are_degree9_points(dim):
+    low, high = _gm_points(dim, GM_ORDER_LOW), _gm_points(dim, GM_ORDER_HIGH)
+    assert low <= high
+    assert {tuple(map(float, p)) for p in high} == set(map(tuple, gm_rule(dim, GM_ORDER_HIGH)[0]))
+
+
+@pytest.mark.parametrize("dim, distinct", [(1, 13), (2, 34), (3, 69)])
+def test_gm_pair_rebuilds_each_rule_exactly(dim, distinct):
+    nodes, rules = _gm_pair(dim)
+    assert nodes.shape == (distinct, dim + 1)
+    assert len(np.unique(nodes, axis=0)) == distinct
+    for (rows, wts), order in zip(rules, (GM_ORDER_HIGH, GM_ORDER_LOW)):
+        pts_rule, wts_rule = gm_rule(dim, order)
+        assert np.array_equal(nodes[rows], pts_rule)
+        assert np.array_equal(wts, wts_rule)
+
+
+def test_cached_rules_are_read_only():
+    # gm_rule and _gm_pair hand every caller the same arrays: an edit in place
+    # would corrupt every later cubature
+    nodes, ((rows_hi, wts_hi), (rows_lo, wts_lo)) = _gm_pair(2)
+    pts, wts = gm_rule(2, GM_ORDER_HIGH)
+    for array in (pts, wts, nodes, rows_hi, wts_hi, rows_lo, wts_lo):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        wts *= 2
+    assert gm_rule(2, GM_ORDER_HIGH)[1].sum() == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, distinct", [(1, 13), (2, 34), (3, 69)])
+def test_rule_batch_evaluates_each_distinct_node_once(dim, distinct):
+    # enough simplices that the nodes take more than one call of EVAL_CHUNK at most
+    rng = np.random.default_rng(dim)
+    verts = rng.random((quadrature.EVAL_CHUNK // distinct + 5, dim + 1, dim))
+    calls = []
+
+    def evaluate(x):
+        calls.append(len(x))
+        return 1.0 + x.sum(axis=1)
+
+    quadrature._rule_batch(verts, evaluate)
+    assert sum(calls) == len(verts) * distinct
+    assert len(calls) == 2 and max(calls) <= quadrature.EVAL_CHUNK
+
+
+def _two_rule_batch(verts, evaluate):
+    """Reference for `_rule_batch`: both rules' points on every simplex go
+    through `evaluate`, the shared ones twice. Returns value, error and mass,
+    and the scale of their rounding: both rules on |f| with |weights| (GM
+    weights alternate in sign)."""
+    dim = verts.shape[2]
+    pts_hi, wts_hi = gm_rule(dim, GM_ORDER_HIGH)
+    pts_lo, wts_lo = gm_rule(dim, GM_ORDER_LOW)
+    f = evaluate((np.vstack([pts_hi, pts_lo]) @ verts).reshape(-1, dim))
+    f = f.reshape(len(verts), -1)
+    f_hi = f[:, :len(wts_hi)]
+    scale = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
+    value = scale * (f_hi @ wts_hi)
+    err = np.abs(value - scale * (f[:, len(wts_hi):] @ wts_lo))
+    rounding = scale * (np.abs(f) @ np.abs(np.concatenate([wts_hi, wts_lo])))
+    return value, err, scale * (np.abs(f_hi) @ wts_hi), rounding
+
+
+_INTEGRANDS = {
+    # on [-1, 1]^dim each affine form below is at least 1 / 2
+    "polynomial": lambda x, a: (1 + x @ a) ** 5 - 3 * x[:, 0] ** 2 * x[:, -1] ** 3,
+    "exp_times_pole": lambda x, a: np.exp(x @ a) / (2 + x @ a / np.abs(a).sum() * 1.5),
+    "fractional_power": lambda x, a: (2 + x @ a / np.abs(a).sum() * 1.5) ** 1.5,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.sampled_from(sorted(_INTEGRANDS)), st.data())
+def test_shared_nodes_match_the_two_rule_oracle(dim, kind, data):
+    coord = st.floats(-1, 1, allow_nan=False)
+    simplices = data.draw(st.integers(1, 4))
+    verts = np.array(data.draw(st.lists(coord, min_size=simplices * (dim + 1) * dim,
+                                        max_size=simplices * (dim + 1) * dim)))
+    verts = verts.reshape(simplices, dim + 1, dim)
+    a = np.array(data.draw(st.lists(st.floats(0.1, 1), min_size=dim, max_size=dim)))
+    integrand = functools.partial(_INTEGRANDS[kind], a=a)
+    # the nodes are the same points; only the order of the rules' dot products may differ
+    *oracle, rounding = _two_rule_batch(verts, integrand)
+    for new, old in zip(quadrature._rule_batch(verts, integrand), oracle):
+        assert np.all(np.abs(new - old) <= 4 * np.finfo(float).eps * rounding), (new, old)
 
 
 def test_integrate_weighted_exp(interval):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -419,6 +420,33 @@ def test_futaki_numeric_error_estimate_covers_the_error_at_resolution_1000(inter
 def test_grid_below_one_is_rejected(resolution):
     with pytest.raises(ValueError, match="grid resolution must be at least 1"):
         GridSpec(resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"), True, 2.5, 400.0, "400"])
+def test_grid_resolution_that_is_not_an_integer_is_rejected(resolution):
+    # nan, True and 2.5 once passed `resolution < 1`, and futaki_numeric returned the
+    # unrefined triangulation's value; inf raised an untyped OverflowError
+    with pytest.raises(ValueError, match="grid resolution must be an integer"):
+        GridSpec(resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution, simplices", [(1, 1), (100, 512), (400, 8192), (1000, 32768)])
+def test_refined_mesh_counts_the_degree9_nodes(p2, resolution, simplices):
+    # the least uniform refinement with resolution^2 degree-9 nodes (35 per simplex),
+    # though the two rules share their nodes and evaluate fewer
+    from torickstab.toricmetrics import _refined
+
+    assert len(_refined(p2, resolution)) == simplices
+
+
+def test_grid_resolution_takes_numpy_integers_and_is_checked_once(interval):
+    assert GridSpec(resolution=np.int64(3)).resolution == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GridSpec().resolution = 2.5  # no edit after the check
+    u, v, w = SymplecticPotential(interval), WeightFn.constant(1, 1), WeightFn.constant(1, 2)
+    ell = AffineFunction([1], 0)
+    assert futaki_numeric(interval, u, v, w, ell, GridSpec(resolution=np.int64(20))).value == \
+        futaki_numeric(interval, u, v, w, ell, GridSpec(resolution=20)).value
 
 
 def _near_facets(polytope, delta):
