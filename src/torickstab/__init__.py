@@ -12,6 +12,7 @@ from .errors import (
     IllConditioned,
     MaxDepthExceeded,
     MaxIterations,
+    NonFiniteIntegral,
     NotAdmissible,
     NotCanonicalFano,
     NotDelzant,

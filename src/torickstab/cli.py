@@ -307,8 +307,8 @@ def _suite_futaki(grid_resolution):
         basis = invariants._affine_basis(p.dim)
         boundary = invariants.futaki_boundary(p, vv, ww, basis)  # certifies v for both
         fano = invariants._futaki_fano(p, vv, [ell.zeta for ell in basis], "polytope", DEFAULT_TOL)
-        for d, (ell, fb, ff) in enumerate(zip(basis, boundary, fano)):
-            fn = toricmetrics.futaki_numeric(p, u, vv, ww, ell, grid)
+        numeric = toricmetrics.futaki_numeric(p, u, vv, ww, basis, grid)
+        for d, (fb, ff, fn) in enumerate(zip(boundary, fano, numeric)):
             rows.append(_check(f"{name} dir {d}: boundary vs closed form",
                                abs(fb.value - ff.value), 1e-6))
             rows.append(_check(f"{name} dir {d}: boundary vs metric numeric",

@@ -34,15 +34,23 @@ class SingularOnDomain(TorickstabError):
     """An affine factor with negative exponent vanishes on the closed polytope."""
 
 
-class MaxDepthExceeded(TorickstabError):
+class CarriesResult(TorickstabError):
+    """A failure that carries the partial result as `result`."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
+
+
+class MaxDepthExceeded(CarriesResult):
     """Adaptive quadrature hit the subdivision depth cap.
 
     Carries the best value and an honest error estimate.
     """
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+
+class NonFiniteIntegral(CarriesResult):
+    """An integral's value or error estimate is not finite; carries the result."""
 
 
 class NotPositive(TorickstabError):
@@ -57,12 +65,8 @@ class OriginNotInterior(TorickstabError):
     """Properness precondition 0 in int(polytope) fails."""
 
 
-class MaxIterations(TorickstabError):
+class MaxIterations(CarriesResult):
     """Solver failed to converge within the iteration budget."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class NotAdmissible(TorickstabError):

@@ -21,7 +21,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
+from .errors import DegenerateSimplex, MaxDepthExceeded, NonFiniteIntegral, SingularOnDomain
 from .exactlinalg import frac
 from .polynomial import Polynomial, compositions, expand, linear_terms
 from .polytope import DelzantPolytope, MomentTable, Simplex, _bisect_all, moment_table
@@ -94,38 +94,41 @@ def gm_rule(dim: int, order: int):
 def _gm_pair(dim: int):
     """The embedded pair on one node set: the order-s points are (2k + 1) / (2s + 1 + dim - 2i),
     so each degree-7 point is a degree-9 point; for dim <= 3 the degree-9 rule repeats its centroid.
-    Returns the distinct barycentric nodes (U, dim+1) and, for the degree-9 and then the
-    degree-7 rule, the row of each of its points among them and its weights; read-only."""
+    Returns the distinct barycentric nodes (U, dim+1) and the weights (U, 2): the degree-9
+    weights summed over each node's repeats, and those minus the degree-7 weights; read-only."""
     (pts_hi, wts_hi), (pts_lo, wts_lo) = gm_rule(dim, GM_ORDER_HIGH), gm_rule(dim, GM_ORDER_LOW)
     nodes, rows = np.unique(np.vstack([pts_hi, pts_lo]), axis=0, return_inverse=True)
-    nodes.flags.writeable = rows.flags.writeable = False
-    return nodes, ((rows[:len(wts_hi)], wts_hi), (rows[len(wts_hi):], wts_lo))
+    hi = np.bincount(rows[:len(wts_hi)], wts_hi, len(nodes))
+    lo = np.bincount(rows[len(wts_hi):], wts_lo, len(nodes))
+    weights = np.stack([hi, hi - lo], axis=1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # -- adaptive integration ---------------------------------------------------------
 
-# Most nodes handed to one integrand call: a 3-D round can reach 10^5 nodes,
-# and evaluating them at once raises the peak memory for no gain in speed.
-EVAL_CHUNK = 1 << 15
+# Most nodes handed to one integrand call: the Abreu kernel's temporaries grow with the
+# chunk, and chunks of 2^15 nodes took 4x their memory for no gain in speed.
+EVAL_CHUNK = 1 << 13
 
 
 def _rule_batch(verts, evaluate):
     """Degree-9 value, |9 - 7| error and degree-9 rule on |f| per simplex.
 
     The two rules share their nodes (`_gm_pair`): each distinct node of every
-    simplex goes through `evaluate` once, in calls of at most EVAL_CHUNK nodes.
+    simplex goes through `evaluate` once, in calls of at most EVAL_CHUNK nodes,
+    and each result is f times one of the pair's weight columns. An `evaluate`
+    that returns (n, K) values gives (S, K) arrays, one column per component.
     """
     dim = verts.shape[2]
-    nodes, ((rows_hi, wts_hi), (rows_lo, wts_lo)) = _gm_pair(dim)
+    nodes, weights = _gm_pair(dim)
     flat = (nodes @ verts).reshape(-1, dim)
-    f = np.concatenate([evaluate(flat[i:i + EVAL_CHUNK])
-                        for i in range(0, len(flat), EVAL_CHUNK)])
-    f = f.reshape(len(verts), -1)
-    f_hi = f[:, rows_hi]
+    parts = [evaluate(flat[i:i + EVAL_CHUNK]).T for i in range(0, len(flat), EVAL_CHUNK)]
+    del flat
+    f = np.concatenate(parts, axis=-1).reshape(*parts[0].shape[:-1], len(verts), len(nodes))
     scale = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    value = scale * (f_hi @ wts_hi)
-    err = np.abs(value - scale * (f[:, rows_lo] @ wts_lo))
-    return value, err, scale * (np.abs(f_hi) @ wts_hi)
+    value, err = (f @ weights * scale[:, None]).T
+    return value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T
 
 
 def _adaptive(simplices, evaluate, tol, abs_floor, max_depth) -> QuadratureResult:
@@ -178,6 +181,12 @@ def _check_singularities(polytope: DelzantPolytope, weight):
             )
 
 
+def _finite(res: QuadratureResult) -> QuadratureResult:
+    if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
+        raise NonFiniteIntegral(f"integral {res.value}, error {res.error_estimate}", result=res)
+    return res
+
+
 def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                        abs_floor=ABS_FLOOR, max_depth=MAX_DEPTH) -> QuadratureResult:
     """Integral of a grammar weight (or polynomial) over the polytope.
@@ -189,16 +198,15 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     powers, exp times a pole, sums of two or more terms) an adaptive embedded
     GM 7/9 scheme with longest-edge bisection runs until the summed rule
     discrepancy meets max(tol*int|f|, abs_floor), refining in batched rounds
-    (see _adaptive).
+    (see _adaptive). A value or error that is not finite raises NonFiniteIntegral.
     """
-    w = as_weight(integrand, polytope.dim)
+    w = as_weight(integrand, polytope.dim, "integrand")
     if w.is_polynomial:
         return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
     closed = _closed_form(polytope, w)
-    if closed is not None:
-        return closed
-    return _adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth)
+    return _finite(closed if closed is not None else
+                   _adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth))
 
 
 # -- boundary integration -----------------------------------------------------------
@@ -213,7 +221,7 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     where d(sigma) is Lebesgue, and integrated adaptively as an (r-1)-dimensional
     polytope integral; a point facet (r = 1) has d(sigma)-mass 1.
     """
-    w = as_weight(integrand, polytope.dim)
+    w = as_weight(integrand, polytope.dim, "integrand")
     if w.is_polynomial:
         return integrate_products(polytope, w, [()], boundary=True)[0]
     _check_singularities(polytope, w)
@@ -229,7 +237,7 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
         value += res.value
         err += res.error_estimate
         subdivisions += res.subdivisions
-    return QuadratureResult(value, err, subdivisions)
+    return _finite(QuadratureResult(value, err, subdivisions))
 
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
@@ -242,9 +250,12 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for origin = p / q;
     every result is then exact, a dot product with shifted moments (see
     _dot_shifted). Other integrands take integrate_weighted / integrate_boundary
-    once per product.
+    once per product. A direction of another dimension than the polytope's is a ValueError.
     """
-    w = as_weight(integrand, polytope.dim)
+    w = as_weight(integrand, polytope.dim, "integrand")
+    wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
+    if wrong:
+        raise ValueError(f"direction has dimension {wrong[0]}, the polytope {polytope.dim}")
     if not w.is_polynomial:
         integrate = integrate_boundary if boundary else integrate_weighted
         return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MaxIterations, NotPositiveDefinite, OriginNotInterior
+from .errors import MaxIterations, NonFiniteIntegral, NotPositiveDefinite, OriginNotInterior
 from .exactlinalg import frac
 from .polytope import AffineFunction, DelzantPolytope
 from .quadrature import integrate_products, integrate_weighted
@@ -102,7 +102,10 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
         noise = f_err + NOISE_ULPS * np.spacing(abs(f_val))
         for _ in range(60):
             cand = xi + t * step
-            f_new, err_new = objective(cand)
+            try:
+                f_new, err_new = objective(cand)
+            except NonFiniteIntegral:  # F overflows at the trial point: reject it
+                f_new = math.inf
             if f_new <= f_val + ARMIJO_C * t * slope + noise:
                 break
             t *= 0.5

@@ -24,7 +24,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, TooCloseToBoundary
+from .errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
@@ -369,31 +369,34 @@ def _refined(polytope: DelzantPolytope, resolution: int):
 
 
 def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
-                   ell: AffineFunction, grid: GridSpec = None) -> FutakiReport:
+                   ell, grid: GridSpec = None):
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
     Scal_v is taken in closed form from the potential's derivatives, once at
     each node the embedded GM 9/7 pair shares (`quadrature._rule_batch`) on a
     refined triangulation whose nodes are strictly interior, so no boundary
-    truncation is needed. The value is the degree-9 sum. The error estimate
-    is the sum over simplices of |GM9 - GM7| plus N eps times the degree-9
-    rule on |f|, over the N degree-9 nodes counted with repeats: with no
-    finite-difference truncation left, the first is the cubature error, and
-    the second allows for the rounding of the weighted sum, which the first
-    misses once it reaches the roundoff floor.
+    truncation is needed. A list of directions gives a list of reports from one
+    Scal_v per node times one column of ell values per direction. The value is
+    the degree-9 sum. The error estimate is the sum over simplices of |GM9 - GM7|
+    plus N eps times the degree-9 rule on |f|, over the N degree-9 nodes counted
+    with repeats: with no finite-difference truncation left, the first is the
+    cubature error, and the second allows for the rounding of the weighted sum,
+    which the first misses once it reaches the roundoff floor. A value or error
+    estimate that is not finite raises NonFiniteIntegral with the list of reports.
     """
-    if grid is None:
-        grid = GridSpec()
-    v = as_weight(v, polytope.dim)
-    w = as_weight(w, polytope.dim)
+    grid = grid or GridSpec()
+    v, w = as_weight(v, polytope.dim, "v"), as_weight(w, polytope.dim, "w")
+    many = not isinstance(ell, AffineFunction)
+    directions = list(ell) if many else [ell]
+    if any(d.dim != polytope.dim for d in directions):
+        raise ValueError(f"ell has a direction of another dimension than {polytope.dim}")
     verts = _refined(polytope, grid.resolution)
-    value, gap, mass = _rule_batch(
-        verts, lambda x: (_scal_v_abreu(u, v, x) - w.eval(x)) * ell.eval(x))
+    value, gap, mass = _rule_batch(verts, lambda x: (_scal_v_abreu(u, v, x) - w.eval(x))[:, None]
+                                   * np.stack([d.eval(x) for d in directions], axis=1))
     n = len(verts) * len(gm_rule(polytope.dim, GM_ORDER_HIGH)[1])
-    return FutakiReport(
-        direction=ell,
-        value=float(value.sum()),
-        method="metric_numeric",
-        normalization="polytope",
-        error_estimate=float(gap.sum()) + n * np.finfo(float).eps * float(mass.sum()),
-    )
+    value, error = value.sum(axis=0), gap.sum(axis=0) + n * np.finfo(float).eps * mass.sum(axis=0)
+    reports = [FutakiReport(d, float(val), "metric_numeric", "polytope", error_estimate=float(err))
+               for d, val, err in zip(directions, value, error)]
+    if not np.isfinite([value, error]).all():
+        raise NonFiniteIntegral("metric-side Futaki value is not finite", result=reports)
+    return reports if many else reports[0]

@@ -307,17 +307,20 @@ class WeightSum:
         return "WeightSum(" + " + ".join(repr(t) for t in self._terms) + ")"
 
 
-def as_weight(w, dim=None):
-    """Coerce numbers and polynomials to weight grammar objects."""
-    if isinstance(w, (WeightFn, WeightSum)):
-        return w
+def as_weight(w, dim=None, name="weight"):
+    """Coerce numbers and polynomials to weight grammar objects; given dim, a weight of
+    another dimension is a ValueError that names the argument."""
     if isinstance(w, Polynomial):
-        return WeightFn.from_polynomial(w)
-    if isinstance(w, AffineFunction):
-        return WeightFn.affine_power(w, 1)
-    if dim is None:
-        raise ValueError("dim required to coerce a scalar to a weight")
-    return WeightFn.constant(dim, w)
+        w = WeightFn.from_polynomial(w)
+    elif isinstance(w, AffineFunction):
+        w = WeightFn.affine_power(w, 1)
+    elif not isinstance(w, (WeightFn, WeightSum)):
+        if dim is None:
+            raise ValueError("dim required to coerce a scalar to a weight")
+        return WeightFn.constant(dim, w)
+    if dim is not None and w.dim != dim:
+        raise ValueError(f"{name} has dimension {w.dim}, the polytope {dim}")
+    return w
 
 
 BERNSTEIN_DEPTH = 16  # bisection generations before a simplex is left undecided
@@ -359,7 +362,7 @@ def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
 
 
 def require_positive(w, polytope, name="weight"):
-    verdict = as_weight(w, polytope.dim).positivity_on(polytope)
+    verdict = as_weight(w, polytope.dim, name).positivity_on(polytope)
     if verdict is not Positivity.POSITIVE:
         raise NotPositive(f"{name} not certified positive on the polytope ({verdict.value})")
 

@@ -2,9 +2,10 @@ import csv
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from torickstab import fibration, invariants, jsonio, quadrature
+from torickstab import fibration, invariants, jsonio, quadrature, toricmetrics
 from torickstab.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
@@ -539,6 +540,34 @@ def test_verify_futaki_takes_no_adaptive_cubature(capsys, monkeypatch):
     code, rep = _run(capsys, "verify", "futaki", "--grid", "20")
     assert code == EXIT_OK
     assert all(row["pass"] for row in rep["results"]["checks"])
+
+
+def test_verify_futaki_takes_one_metric_call_per_case(capsys, monkeypatch):
+    # each case's whole affine basis shares one Scal_v per node
+    numeric, calls = toricmetrics.futaki_numeric, []
+
+    def counted(p, u, v, w, ell, grid):
+        calls.append(len(ell))
+        return numeric(p, u, v, w, ell, grid)
+
+    monkeypatch.setattr(toricmetrics, "futaki_numeric", counted)
+    code, rep = _run(capsys, "verify", "futaki", "--grid", "20")
+    assert code == EXIT_OK and len(rep["results"]["checks"]) == 30
+    assert calls == [2, 2, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("v", [
+    '{"exp": {"zeta": ["800", "0"], "a": 0}}',
+    '{"sum": [{"exp": {"zeta": ["800", "0"], "a": 0}}, 1]}',
+], ids=["closed-form", "cubature"])
+def test_a_non_finite_futaki_value_exits_validation(capsys, v):
+    # exp(800 x1) overflows on P^2: the report once held "value": NaN, which is not JSON
+    with np.errstate(all="ignore"):
+        code = main(["futaki", "--polytope", P2, "--all-affine", "--v", v, "--w", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert not captured.out
+    assert json.loads(captured.err)["error"].startswith("NonFiniteIntegral:")
 
 
 def test_verify_futaki_passes_at_the_default_grid(capsys):

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torickstab import quadrature
-from torickstab.errors import DegenerateSimplex, MaxDepthExceeded, SingularOnDomain
+from torickstab.errors import (DegenerateSimplex, MaxDepthExceeded, NonFiniteIntegral,
+                               SingularOnDomain)
 from torickstab.exactlinalg import det
 from torickstab.polynomial import Polynomial, compositions, integrate_monomial_std_simplex
 from torickstab.polytope import AffineFunction, DelzantPolytope, HalfSpace, Simplex
@@ -32,6 +33,7 @@ from torickstab.quadrature import (
     integrate_monomial_simplex,
     integrate_poly,
     integrate_poly_simplex,
+    integrate_products,
     integrate_weighted,
 )
 from torickstab.weights import WeightFn
@@ -90,28 +92,57 @@ def test_degree7_points_are_degree9_points(dim):
     assert {tuple(map(float, p)) for p in high} == set(map(tuple, gm_rule(dim, GM_ORDER_HIGH)[0]))
 
 
+def _summed_weights(nodes, dim, order):
+    """gm_rule's weights summed over its repeated points, on the rows of nodes."""
+    pts, wts = gm_rule(dim, order)
+    summed = {}
+    for point, weight in zip(map(tuple, pts), wts):
+        summed[point] = summed.get(point, 0.0) + weight
+    assert set(summed) <= set(map(tuple, nodes))  # every point of the rule is a node
+    return np.array([summed.get(tuple(node), 0.0) for node in nodes])
+
+
 @pytest.mark.parametrize("dim, distinct", [(1, 13), (2, 34), (3, 69)])
 def test_gm_pair_rebuilds_each_rule_exactly(dim, distinct):
-    nodes, rules = _gm_pair(dim)
-    assert nodes.shape == (distinct, dim + 1)
+    # column 0 is the degree-9 rule and column 0 - column 1 the degree-7 rule, each
+    # point's weight summed over its repeats (the degree-9 centroid appears twice)
+    nodes, weights = _gm_pair(dim)
+    assert nodes.shape == (distinct, dim + 1) and weights.shape == (distinct, 2)
     assert len(np.unique(nodes, axis=0)) == distinct
-    for (rows, wts), order in zip(rules, (GM_ORDER_HIGH, GM_ORDER_LOW)):
-        pts_rule, wts_rule = gm_rule(dim, order)
-        assert np.array_equal(nodes[rows], pts_rule)
-        assert np.array_equal(wts, wts_rule)
+    high = _summed_weights(nodes, dim, GM_ORDER_HIGH)
+    low = _summed_weights(nodes, dim, GM_ORDER_LOW)
+    assert np.array_equal(weights[:, 0], high)
+    assert np.array_equal(weights[:, 1], high - low)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_weight_columns_integrate_degree_9_and_annihilate_degree_7(dim):
+    # on the standard simplex: column 0 is exact to degree 9, and column 1, the
+    # difference of two rules exact to degree 7, integrates every degree <= 7 to 0
+    nodes, weights = _gm_pair(dim)
+    x = nodes[:, 1:]
+    for alpha in itertools.product(range(10), repeat=dim):
+        if sum(alpha) > 9:
+            continue
+        column = np.prod(x ** np.array(alpha), axis=1) @ weights
+        assert column[0] == pytest.approx(float(integrate_monomial_std_simplex(alpha)), abs=1e-14)
+        if sum(alpha) <= 7:
+            assert abs(column[1]) <= 1e-14, (dim, alpha)
 
 
 def test_cached_rules_are_read_only():
     # gm_rule and _gm_pair hand every caller the same arrays: an edit in place
     # would corrupt every later cubature
-    nodes, ((rows_hi, wts_hi), (rows_lo, wts_lo)) = _gm_pair(2)
+    nodes, weights = _gm_pair(2)
     pts, wts = gm_rule(2, GM_ORDER_HIGH)
-    for array in (pts, wts, nodes, rows_hi, wts_hi, rows_lo, wts_lo):
+    for array in (pts, wts, nodes, weights, weights[:, 1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        wts *= 2
+    for array in (wts, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2
     assert gm_rule(2, GM_ORDER_HIGH)[1].sum() == pytest.approx(0.5, abs=1e-12)
+    assert _gm_pair(2)[1][:, 0].sum() == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim, distinct", [(1, 13), (2, 34), (3, 69)])
@@ -170,6 +201,28 @@ def test_shared_nodes_match_the_two_rule_oracle(dim, kind, data):
     *oracle, rounding = _two_rule_batch(verts, integrand)
     for new, old in zip(quadrature._rule_batch(verts, integrand), oracle):
         assert np.all(np.abs(new - old) <= 4 * np.finfo(float).eps * rounding), (new, old)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(2, 4), st.data())
+def test_vector_rule_matches_the_scalar_oracle_column_by_column(dim, k, data):
+    # an evaluate of (n, K) values gives (S, K) arrays whose column j is the scalar
+    # batch of component j, within the two-rule oracle's bound
+    coord = st.floats(-1, 1, allow_nan=False)
+    simplices = data.draw(st.integers(1, 4))
+    verts = np.array(data.draw(st.lists(coord, min_size=simplices * (dim + 1) * dim,
+                                        max_size=simplices * (dim + 1) * dim)))
+    verts = verts.reshape(simplices, dim + 1, dim)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_INTEGRANDS)), min_size=k, max_size=k))
+    a = np.array(data.draw(st.lists(st.floats(0.1, 1), min_size=dim, max_size=dim)))
+    components = [functools.partial(_INTEGRANDS[kind], a=a * (j + 1) / k)
+                  for j, kind in enumerate(kinds)]
+    batch = quadrature._rule_batch(verts, lambda x: np.stack([g(x) for g in components], axis=1))
+    assert all(out.shape == (simplices, k) for out in batch)
+    for j, g in enumerate(components):
+        *oracle, rounding = _two_rule_batch(verts, g)
+        for new, old in zip(batch, oracle):
+            assert np.all(np.abs(new[:, j] - old) <= 4 * np.finfo(float).eps * rounding)
 
 
 def test_integrate_weighted_exp(interval):
@@ -311,6 +364,36 @@ def test_adaptive_rejects_invalid_tolerances(p2, tol, abs_floor):
     w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) + WeightFn.constant(2, 1)
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         integrate_weighted(p2, w, tol=tol, abs_floor=abs_floor)
+
+
+_EXP_800 = WeightFn.exp_affine([800, 0], 0)  # exp(800 x1) overflows at x1 = 1 on P^2
+
+
+@pytest.mark.parametrize("integrand, path", [(_EXP_800, "closed form"),
+                                             (_EXP_800 + WeightFn.constant(2, 1), "cubature")])
+def test_a_non_finite_integral_raises_with_its_result(p2, integrand, path):
+    # both paths once returned value nan, error nan and converged=True
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
+        integrate_weighted(p2, integrand)
+    res = info.value.result
+    assert res is not None and not (math.isfinite(res.value) and math.isfinite(res.error_estimate))
+
+
+def test_a_non_finite_boundary_integral_raises(p2):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral):
+        integrate_boundary(p2, _EXP_800)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral):
+        integrate_products(p2, _EXP_800, [(AffineFunction([1, 0], 0),)], boundary=True)
+
+
+@pytest.mark.parametrize("zeta", [[1, 0, 0], [1]])
+@pytest.mark.parametrize("boundary", [False, True])
+def test_a_direction_of_another_dimension_is_rejected(p2, zeta, boundary):
+    # a 3-D direction on P^2 once integrated to 0.0 and a 1-D one raised KeyError
+    ell = AffineFunction(zeta, 0)
+    for integrand in (WeightFn.constant(2, 1), _EXP_800):  # the exact path and the others
+        with pytest.raises(ValueError, match=f"direction has dimension {len(zeta)}, the polytope 2"):
+            integrate_products(p2, integrand, [(ell,)], boundary=boundary)
 
 
 @pytest.mark.parametrize("max_depth", [math.nan, math.inf, -1, 2.5, True, "3"])

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torickstab.errors import (MaxIterations, NotPositive, NotPositiveDefinite,
-                               OriginNotInterior)
+from torickstab.errors import (MaxIterations, NonFiniteIntegral, NotPositive,
+                               NotPositiveDefinite, OriginNotInterior)
 from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
@@ -179,6 +179,31 @@ def test_max_iterations_carries_partial_result(interval):
     partial = info.value.result
     assert partial is not None and not partial.converged
     assert len(partial.trace) >= 1
+
+
+def test_an_overflowing_trial_point_is_a_rejected_step(interval, monkeypatch):
+    # a Hessian 2^11 times too small at xi = 0 sends the first trial point to xi = -1024,
+    # where exp(<xi, x>) overflows and F is not finite: the line search must halve the
+    # step as it halves any rejected one, and the iteration then finds the soliton's xi
+    def weight(xi, k):
+        return WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0).scale(
+            Fraction(1, 2 ** 11) if k == 2 and not any(xi) else 1)
+
+    raised = []
+
+    def integrate(*args, **kwargs):
+        try:
+            return integrate_weighted(*args, **kwargs)
+        except NonFiniteIntegral:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(solvers, "integrate_weighted", integrate)
+    with np.errstate(all="ignore"):
+        res = _newton_loop(interval, _p_affine(), weight, 1e-10, 50)
+    assert raised and res.converged
+    assert res.trace[1][2] <= 2.0 ** -10  # the first step was halved past the overflow
+    assert res.xi0[0] == pytest.approx(tian_zhu_soliton(interval, _p_affine()).xi0[0], abs=1e-9)
 
 
 def _reeb_s2_gradient_factor(xi):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab.errors import NotPositiveDefinite, TooCloseToBoundary
+from torickstab import toricmetrics
+from torickstab.errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from torickstab.exactlinalg import solve
 from torickstab.invariants import futaki_boundary
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
-from torickstab.quadrature import integrate_boundary
+from torickstab.quadrature import _gm_pair, _rule_batch, integrate_boundary
 from torickstab.toricmetrics import (
     GridSpec,
     SymplecticPotential,
     _ldl_inverse,
+    _refined,
     _scal_v_abreu,
     futaki_numeric,
     hess_inv,
@@ -549,3 +551,72 @@ def test_futaki_numeric_matches_boundary_on_p3(bump, base):
         assert abs(num.value - futaki_boundary(p, v, w, ell).value) <= num.error_estimate
         if bump is None:  # no cubature error left on the Guillemin metric
             assert num.error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("facets, bump", [
+    (P2, None),
+    (P2, {(4, 0): Fraction(1, 20), (2, 2): Fraction(1, 30)}),
+    (F1, None),
+    (P3, None),
+], ids=["P2", "P2-bump", "F1", "P3"])
+def test_futaki_numeric_on_a_list_of_directions_is_the_single_calls(facets, bump, monkeypatch):
+    # one Scal_v per node serves every direction: S U rows reach the Abreu kernel,
+    # not K S U, and each report is the single-direction one within a few ulps of the mass
+    p = make_polytope(*facets)
+    r = p.dim
+    u = SymplecticPotential(p) if bump is None else scaled_bump(p, Polynomial(r, bump))
+    v, w = soliton_weight_pair(WeightFn.exp_affine([Fraction(3, 10)] + [0] * (r - 1), 0), r)
+    directions = [AffineFunction.constant(r, 1)]
+    directions += [AffineFunction.coordinate(r, i) for i in range(r)]
+    directions += [AffineFunction([1, -2, 3][:r], Fraction(1, 3))]
+    grid = GridSpec(resolution=40 if r == 2 else 12)
+    abreu, rows = toricmetrics._scal_v_abreu, []
+
+    def counted(u, v, x):
+        rows.append(len(x))
+        return abreu(u, v, x)
+
+    monkeypatch.setattr(toricmetrics, "_scal_v_abreu", counted)
+    many = futaki_numeric(p, u, v, w, directions, grid)
+    verts = _refined(p, grid.resolution)
+    assert sum(rows) == len(verts) * len(_gm_pair(r)[0])
+    assert len(many) == len(directions)
+    for ell, rep in zip(directions, many):
+        one = futaki_numeric(p, u, v, w, ell, grid)
+        mass = _rule_batch(verts, lambda x: (abreu(u, v, x) - w.eval(x)) * ell.eval(x))[2].sum()
+        assert rep.direction == ell and rep.method == one.method == "metric_numeric"
+        assert abs(rep.value - one.value) <= 4 * np.finfo(float).eps * mass
+        assert abs(rep.error_estimate - one.error_estimate) <= 4 * np.finfo(float).eps * mass
+
+
+def test_futaki_numeric_raises_on_a_non_finite_value(p2):
+    # v = exp(800 x1) overflows near the vertex (1, 1) of P^2; the value read NaN
+    u = SymplecticPotential(p2)
+    v = WeightFn.exp_affine([800, 0], 0)
+    basis = [AffineFunction.coordinate(2, i) for i in range(2)]
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
+        futaki_numeric(p2, u, v, 1, basis, GridSpec(resolution=20))
+    assert [rep.direction for rep in info.value.result] == basis
+
+
+@pytest.mark.parametrize("v, w, ell, name", [
+    (WeightFn.constant(3, 1), 1, AffineFunction([1, 0], 0), "v has dimension 3"),
+    (1, WeightFn.constant(3, 1), AffineFunction([1, 0], 0), "w has dimension 3"),
+    (1, 1, AffineFunction([1, 0, 0], 0), "ell has a direction of another dimension"),
+    (1, 1, AffineFunction([1], 0), "ell has a direction of another dimension"),
+    (1, 1, [AffineFunction([1, 0], 0), AffineFunction([1], 0)],
+     "ell has a direction of another dimension"),
+])
+def test_futaki_numeric_rejects_inputs_of_another_dimension(p2, v, w, ell, name):
+    # a 3-D v once returned a value, and a wrong ell raised numpy's matmul ValueError
+    with pytest.raises(ValueError, match=name):
+        futaki_numeric(p2, SymplecticPotential(p2), v, w, ell, GridSpec(resolution=10))
+
+
+@pytest.mark.parametrize("zeta", [[1, 0, 0], [1]])
+def test_futaki_boundary_rejects_a_direction_of_another_dimension(p2, zeta):
+    # a 3-D ell once gave 0.0 and a 1-D ell a KeyError
+    v, w = soliton_weight_pair(WeightFn.constant(2, 1), 2)
+    for ell in (AffineFunction(zeta, 0), [AffineFunction([1, 0], 0), AffineFunction(zeta, 0)]):
+        with pytest.raises(ValueError, match=f"direction has dimension {len(zeta)}"):
+            futaki_boundary(p2, v, w, ell)

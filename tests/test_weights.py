@@ -309,6 +309,20 @@ def test_parts_of_another_dimension_are_rejected():
         WeightFn(2, poly_part=Polynomial(3, {(1, 0, 0): 1}))
 
 
+@pytest.mark.parametrize("w, dim", [(WeightFn.constant(3, 1), 3),
+                                    (WeightFn.exp_affine([1, 0, 0], 0), 3),
+                                    (WeightFn.constant(3, 1) + WeightFn.constant(3, 2), 3),
+                                    (Polynomial(3, {(1, 0, 0): 1}), 3),
+                                    (_affine([1], 2), 1)])
+def test_a_weight_of_another_dimension_is_rejected_by_name(p2, w, dim):
+    # a 3-D weight on P^2 was once integrated as if it were 2-D
+    with pytest.raises(ValueError, match=f"^v has dimension {dim}, the polytope 2$"):
+        as_weight(w, 2, "v")
+    with pytest.raises(ValueError, match=f"^v has dimension {dim}, the polytope 2$"):
+        require_positive(w, p2, name="v")
+    assert as_weight(w).dim == dim  # with no dim there is nothing to check
+
+
 # -- the one value / gradient / Hessian routine ------------------------------------
 
 DERIVATIVE_EXPONENTS = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1),
