@@ -455,7 +455,8 @@ def main(argv=None) -> int:
     try:
         if not 0 <= getattr(args, "tol", 0) < float("inf"):  # the exact paths never read it
             raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # an overflow is a typed error, so stderr stays JSON
+            return args.func(args)
     except MaxIterations as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_SOLVER

@@ -19,10 +19,11 @@ class Polynomial:
     Canonical form: zero coefficients are dropped. Immutable by convention.
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "coeffs", "_hash")
 
     def __init__(self, dim: int, coeffs=None):
         self.dim = dim
+        self._hash = None  # computed on first use
         clean = {}
         for alpha, c in (coeffs or {}).items():
             c = frac(c)
@@ -125,7 +126,9 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.dim == other.dim and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
+        if self._hash is None:
+            self._hash = hash((self.dim, frozenset(self.coeffs.items())))
+        return self._hash
 
     def __repr__(self):
         if not self.coeffs:

@@ -12,7 +12,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
@@ -30,10 +30,21 @@ class AffineFunction:
 
     zeta: tuple
     const: Fraction
+    _hash = None  # computed on first use (not a dataclass field)
 
     def __init__(self, zeta, const=0):
         object.__setattr__(self, "zeta", tuple(frac(z) for z in zeta))
         object.__setattr__(self, "const", frac(const))
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.zeta, self.const)))
+        return self._hash
+
+    @cached_property
+    def floats(self):
+        """(zeta, const) as a float array and a float, rounded once per object."""
+        return np.array([float(z) for z in self.zeta]), float(self.const)
 
     @classmethod
     def constant(cls, dim, c=1):
@@ -51,9 +62,8 @@ class AffineFunction:
         return sum((z * frac(v) for z, v in zip(self.zeta, x, strict=True)), self.const)
 
     def eval(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        z = np.array([float(v) for v in self.zeta])
-        return pts @ z + float(self.const)
+        zeta, const = self.floats
+        return np.asarray(pts, dtype=float) @ zeta + const
 
     def compose_affine(self, matrix, offset) -> "AffineFunction":
         """Pullback under x = offset + matrix @ t."""
@@ -430,26 +440,28 @@ class DelzantPolytope:
             self._moments = (degree, moment_table(self.triangulate(), degree))
         return self._moments[1]
 
-    def barycentric(self, factor):
+    def barycentric(self, key, poly):
         """f(sum_i lambda_i v_i) = sum_{|beta| = d} c_beta(S) lambda^beta on each simplex S for
-        the polynomial weight term f = factor of degree d, expanded only on a cache miss. Returns
+        the polynomial f = poly() of degree d, cached under key: poly runs only on a miss. Returns
         each beta as a row of vertex indices, i repeated beta_i + 1 times; the (S, B) floats
         r! vol(S) beta! c_beta(S), each an integer quotient from `barycentric_coefficients`
-        rounded once; and the (S, r + 1, r) float vertices, which with r! vol(S) are derived
-        once per polytope, when the cache ({factor: result}, volumes, vertices) is made."""
+        rounded once; and the (S, r + 1, r) float vertices, which with r! vol(S) and the integer
+        simplices are derived once per polytope, when the cache ({key: result}, ...) is made."""
         if self._barycentric is None:
             simplices = self.triangulate()
+            q, scaled = self.integer_vertices()
+            at = dict(zip(self.vertices, scaled))  # each vertex in integers over q
             self._barycentric = ({}, [factorial(self.dim) * s.volume() for s in simplices],
-                                 np.array([s.float_vertices() for s in simplices]))
-        tables, vols, verts = self._barycentric
-        if factor not in tables:
-            betas, scale, rows = barycentric_coefficients(
-                factor.to_polynomial(), [s.vertices for s in self.triangulate()])
+                                 np.array([s.float_vertices() for s in simplices]),
+                                 (q, [[at[v] for v in s.vertices] for s in simplices]))
+        tables, vols, verts, (q, simplices) = self._barycentric
+        if key not in tables:
+            betas, scale, rows = barycentric_coefficients(poly(), simplices, q)
             table = [[v.numerator * prod(map(factorial, b)) * c / (v.denominator * scale)
                       for b, c in zip(betas, row)] for v, row in zip(vols, rows)]
             index = np.array([np.repeat(np.arange(self.dim + 1), np.add(b, 1)) for b in betas])
-            tables[factor] = (index, np.array(table), verts)
-        return tables[factor]
+            tables[key] = (index, np.array(table), verts)
+        return tables[key]
 
     # -- facets ---------------------------------------------------------------
 

@@ -3,10 +3,10 @@
 An integrand takes one of three paths, chosen by its canonical form alone (see
 `weights`): a polynomial is exact, read off the cached rational moment tables;
 a single term Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) is
-a closed-form sum of divided differences with a rounding bound as its error;
-everything else (fractional powers, exp times a pole, sums of two or more
-terms) takes adaptive Grundmann--Moeller simplex cubature with an embedded
-degree-7/9 pair and longest-edge bisection.
+a closed-form sum of divided differences with a rounding bound as its error, and
+so is a sum of such terms and polynomials, term by term; everything else takes
+adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
+longest-edge bisection, one refinement for all the products of a moment batch.
 """
 
 from __future__ import annotations
@@ -131,43 +131,48 @@ def _rule_batch(verts, evaluate):
     return value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T
 
 
-def _adaptive(simplices, evaluate, tol, abs_floor, max_depth) -> QuadratureResult:
-    """Round-based adaptive cubature.
+def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
+    """Round-based adaptive cubature of evaluate's (n,) values, or of its (n, K) columns f_k.
 
-    Each round bisects every simplex whose error exceeds its share target / S
-    of the target max(tol * int|f|, abs_floor) and evaluates all children in
-    one batch; int|f| is estimated by the degree-9 rule applied to |f|. The
-    |9 - 7| estimate assumes a smooth integrand: a kink (say max(0, ell))
-    inside a simplex can make both rules agree while both are wrong.
+    Each round bisects every simplex where some column's error exceeds its share target_k / S
+    of its target max(tol * int|f_k|, abs_floor), int|f_k| by the degree-9 rule on |f_k|, and
+    evaluates all children in one batch, until every column meets its target. Returns a
+    QuadratureResult, or one per column, as MaxDepthExceeded carries. The |9 - 7| estimate
+    assumes a smooth integrand: a kink (say max(0, ell)) can make both rules agree, wrongly.
     """
     if not all(math.isfinite(t) and t >= 0 for t in (tol, abs_floor)):
         raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
     if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral) or max_depth < 0:
         raise ValueError(f"max_depth must be an integer >= 0, got {max_depth!r}")
     verts = np.array([s.float_vertices() for s in simplices])
-    value, err, mass = _rule_batch(verts, evaluate)
+    # (K, S) rows, so that each column is summed pairwise, as a scalar is
+    rows = lambda batch: [np.ascontiguousarray(np.atleast_2d(a.T)) for a in batch]  # noqa: E731
+    first = _rule_batch(verts, evaluate)
+    columns, (value, err, mass) = first[0].ndim == 2, rows(first)
     depth = np.zeros(len(verts), dtype=int)
     subdivisions = 0
+
+    def results(converged=True):
+        out = [QuadratureResult(float(v), float(e), subdivisions, converged=converged)
+               for v, e in zip(value.sum(axis=1), total_err)]
+        return out if columns else out[0]
+
     while True:
-        total_err = float(err.sum())
-        target = max(tol * float(mass.sum()), abs_floor)
-        if not total_err > target:  # a NaN integrand stops here too
-            return QuadratureResult(float(value.sum()), total_err, subdivisions)
-        split = err > target / len(err)
+        total_err = err.sum(axis=1)
+        target = np.maximum(tol * mass.sum(axis=1), abs_floor)
+        if not (total_err > target).any():  # a NaN integrand stops here too
+            return results()
+        split = (err > (target / len(verts))[:, None]).any(axis=0)
         if depth[split].max() >= max_depth:
-            result = QuadratureResult(float(value.sum()), total_err, subdivisions,
-                                      converged=False)
-            raise MaxDepthExceeded(
-                f"bisection depth {max_depth} reached (error estimate {total_err:.3e})",
-                result=result,
-            )
+            raise MaxDepthExceeded(f"bisection depth {max_depth} reached "
+                                   f"(error estimate {total_err.max():.3e})", result=results(False))
         keep = ~split
         children = _bisect_all(verts[split])
-        c_value, c_err, c_mass = _rule_batch(children, evaluate)
+        c_value, c_err, c_mass = rows(_rule_batch(children, evaluate))
         verts = np.concatenate([verts[keep], children])
-        value = np.concatenate([value[keep], c_value])
-        err = np.concatenate([err[keep], c_err])
-        mass = np.concatenate([mass[keep], c_mass])
+        value = np.concatenate([value[:, keep], c_value], axis=1)
+        err = np.concatenate([err[:, keep], c_err], axis=1)
+        mass = np.concatenate([mass[:, keep], c_mass], axis=1)
         depth = np.concatenate([depth[keep], np.repeat(depth[split] + 1, 2)])
         subdivisions += len(children) // 2
 
@@ -181,9 +186,20 @@ def _check_singularities(polytope: DelzantPolytope, weight):
             )
 
 
-def _finite(res: QuadratureResult) -> QuadratureResult:
-    if not (math.isfinite(res.value) and math.isfinite(res.error_estimate)):
-        raise NonFiniteIntegral(f"integral {res.value}, error {res.error_estimate}", result=res)
+def _total(parts):
+    """The sum of the integrals in parts, adding their errors and subdivisions (see _finite)."""
+    if len(parts) == 1:
+        return _finite(parts[0])
+    return _finite(QuadratureResult(sum(r.value for r in parts),
+                                    sum(r.error_estimate for r in parts),
+                                    sum(r.subdivisions for r in parts)))
+
+
+def _finite(res):
+    """res (a QuadratureResult or a list); NonFiniteIntegral carrying res if any is not finite."""
+    for r in res if isinstance(res, list) else [res]:
+        if not (math.isfinite(r.value) and math.isfinite(r.error_estimate)):
+            raise NonFiniteIntegral(f"integral {r.value}, error {r.error_estimate}", result=res)
     return res
 
 
@@ -193,20 +209,21 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
 
     Purely polynomial integrands take the exact rational path. A single term
     Q exp(ell), or Q ell^-sigma with integer sigma >= 1, takes the closed form
-    (see _closed_form): no subdivisions, and a rounding bound as the error
-    estimate; tol, abs_floor and max_depth do not apply. Otherwise (fractional
-    powers, exp times a pole, sums of two or more terms) an adaptive embedded
-    GM 7/9 scheme with longest-edge bisection runs until the summed rule
-    discrepancy meets max(tol*int|f|, abs_floor), refining in batched rounds
-    (see _adaptive). A value or error that is not finite raises NonFiniteIntegral.
+    (see _slot), and so does a sum of such terms and polynomials, term by term
+    with the error bounds added: no subdivisions, and a rounding bound as the
+    error estimate; tol, abs_floor and max_depth do not apply. Otherwise an
+    adaptive embedded GM 7/9 scheme with longest-edge bisection runs until the
+    summed rule discrepancy meets max(tol*int|f|, abs_floor), refining in batched
+    rounds (see _adaptive). A value or error that is not finite raises NonFiniteIntegral.
     """
     w = as_weight(integrand, polytope.dim, "integrand")
     if w.is_polynomial:
         return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
-    closed = _closed_form(polytope, w)
-    return _finite(closed if closed is not None else
-                   _adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth))
+    if not _closed(w):
+        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth))
+    return _total([integrate_products(polytope, t, [()])[0] if t.is_polynomial else
+                   _closed_form(polytope, t) for t in w.terms()])
 
 
 # -- boundary integration -----------------------------------------------------------
@@ -225,19 +242,10 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     if w.is_polynomial:
         return integrate_products(polytope, w, [()], boundary=True)[0]
     _check_singularities(polytope, w)
-    value = 0.0
-    err = 0.0
-    subdivisions = 0
-    for _, facet in polytope.facets():
-        if facet.subpolytope is None:
-            value += float(w.eval(np.array([float(c) for c in facet.origin])))
-            continue
-        pulled = w.compose_affine(facet.basis, facet.origin)
-        res = integrate_weighted(facet.subpolytope, pulled, tol, abs_floor, max_depth)
-        value += res.value
-        err += res.error_estimate
-        subdivisions += res.subdivisions
-    return _finite(QuadratureResult(value, err, subdivisions))
+    return _total([integrate_weighted(f.subpolytope, w.compose_affine(f.basis, f.origin), tol,
+                                      abs_floor, max_depth) if f.subpolytope else
+                   QuadratureResult(float(w.eval(np.array([float(c) for c in f.origin]))), 0.0, 0)
+                   for _, f in polytope.facets()])
 
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
@@ -249,17 +257,23 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     x = origin + B t, where ell = (c + <zeta, x>) / n, scaled to integers once,
     becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for origin = p / q;
     every result is then exact, a dot product with shifted moments (see
-    _dot_shifted). Other integrands take integrate_weighted / integrate_boundary
-    once per product. A direction of another dimension than the polytope's is a ValueError.
+    _dot_shifted). Other integrands take integrate_weighted / integrate_boundary once per product
+    if they have a closed form or boundary=True, else one cubature of the K columns w * prod(ells)
+    (see _adaptive). A direction of another dimension than the polytope's is a ValueError.
     """
     w = as_weight(integrand, polytope.dim, "integrand")
     wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
     if wrong:
         raise ValueError(f"direction has dimension {wrong[0]}, the polytope {polytope.dim}")
     if not w.is_polynomial:
-        integrate = integrate_boundary if boundary else integrate_weighted
-        return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)
-                for ells in products]
+        if boundary or not products or _closed(w):
+            integrate = integrate_boundary if boundary else integrate_weighted
+            return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)
+                    for ells in products]
+        _check_singularities(polytope, w)
+        columns = lambda x: w.eval(x)[:, None] * np.stack(  # noqa: E731
+            [np.prod([np.ones(len(x))] + [ell.eval(x) for ell in ells], 0) for ells in products], 1)
+        return _finite(_adaptive(polytope.triangulate(), columns, tol, ABS_FLOOR, MAX_DEPTH))
     lines = [_integer_line(ells) for ells in products]
     poly = w.to_polynomial()
     if not boundary:
@@ -320,10 +334,25 @@ TAYLOR_TAIL = 14  # Taylor terms past the N-th at least: sum_{j > 14} 2^-j / j! 
 INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(171)])
 
 
+def _slot(w):
+    """(ell, sigma, k): the term is c Q k exp(ell) (sigma = 0) or c Q k ell^-sigma (integer sigma),
+    Q polynomial, k the constant factors (a, p) of p < 0 or fractional bar a lone pole; or None."""
+    odd = [(aff, p) for aff, p in w.affine_powers if p.numerator < 0 or p.denominator != 1]
+    poles = [f for f in odd if any(f[0].zeta)] or ([] if w.exp_part else odd[:1])
+    if len(poles) + (w.exp_part is not None) != 1 or any(p.denominator != 1 for _, p in poles):
+        return None
+    ell, sigma = (poles[0][0], -int(poles[0][1])) if poles else (w.exp_part, 0)
+    return ell, sigma, [f for f in odd if f not in poles]
+
+
+def _closed(w):  # every term of w a polynomial or with a closed form
+    return all(t.is_polynomial or _slot(t) for t in w.terms())
+
+
 def _closed_form(polytope: DelzantPolytope, w):
-    """Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) in closed form, or None
-    for any other integrand (sums of two or more terms too). With z_i = ell(v_i) and
-    N = r + |beta|, Hermite--Genocchi on each simplex S of the triangulation gives
+    """The integral of a term with a closed form (see _slot), its constant factors folded into
+    the coefficient. With z_i = ell(v_i) and N = r + |beta|, Hermite--Genocchi on each simplex
+    S of the triangulation gives
 
         int_S lambda^beta G^(N)(ell) dx = r! vol(S) beta! G[z_0^(beta_0 + 1), ..., z_r^(beta_r + 1)],
 
@@ -331,15 +360,11 @@ def _closed_form(polytope: DelzantPolytope, w):
     takes `_pole_dd` for sigma > N and `_log_dd`, where G has a log term, otherwise. The error
     estimate bounds the rounding of the nodes and of the sum, and each divided difference's error.
     """
-    if not isinstance(w, WeightFn) or any(p.denominator != 1 for _, p in w.affine_powers):
-        return None
-    poles = [(aff, -int(p)) for aff, p in w.affine_powers if p < 0]
-    if len(poles) + (w.exp_part is not None) != 1:
-        return None
-    factor = WeightFn(w.dim, 1, [f for f in w.affine_powers if f[1] > 0], None, w.poly_part)
-    index, table, verts = polytope.barycentric(factor)
-    ell, sigma = poles[0] if poles else (w.exp_part, 0)
-    zeta, const = np.array([float(c) for c in ell.zeta]), float(ell.const)
+    ell, sigma, constants = _slot(w)
+    powers = tuple((aff, p) for aff, p in w.affine_powers if p.numerator > 0 and p.denominator == 1)
+    index, table, verts = polytope.barycentric((powers, w.poly_part), lambda: WeightFn(
+        w.dim, 1, powers, None, w.poly_part).to_polynomial())  # Q, expanded on a cache miss
+    zeta, const = ell.floats
     z = verts @ zeta + const  # (S, r + 1)
     z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))
     nodes = z[:, index].reshape(-1, index.shape[1])  # one row per simplex and beta
@@ -349,9 +374,12 @@ def _closed_form(polytope: DelzantPolytope, w):
     else:
         g, rel = (_pole_dd if sigma >= index.shape[1] else _log_dd)(nodes, sigma)
         rel += sigma * z_err / z.min()  # G: homogeneous of degree -sigma, decreasing in each node
-    terms = float(w.coeff) * table.ravel() * g
+    coeff = float(w.coeff) * prod(aff.floats[1] ** float(p) for aff, p in constants)
+    # a and p rounded (|p| (1 + |log a|) / 2 ulps), the power and the product
+    rel += sum(abs(p) * (1 + abs(math.log(aff.floats[1]))) + 2 for aff, p in constants) * EPS
+    terms = coeff * table.ravel() * g
     err = (rel + (terms.size + 2) * EPS) * float(np.abs(terms).sum())
-    return QuadratureResult(float(terms.sum()), err, 0)
+    return QuadratureResult(float(terms.sum()), float(err), 0)
 
 
 def _exp_dd(nodes):

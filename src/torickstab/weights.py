@@ -32,10 +32,6 @@ class Positivity(Enum):
     INDETERMINATE = "indeterminate"
 
 
-def _is_integral(p: Fraction) -> bool:
-    return p.denominator == 1
-
-
 @dataclass(frozen=True)
 class WeightFn:
     """Single grammar term c * prod (affine)^p * exp(affine) * poly."""
@@ -53,7 +49,7 @@ class WeightFn:
                 raise ValueError(f"{name} has dimension {part.dim}, the weight {dim}")
         merged = {}  # first-seen order
         for aff, p in affine_powers:
-            merged[aff] = merged.get(aff, 0) + frac(p)
+            merged[aff] = merged[aff] + frac(p) if aff in merged else frac(p)
         if poly_part is not None and poly_part.is_constant():
             coeff = frac(coeff) * poly_part.constant_value()
             poly_part = None
@@ -87,12 +83,12 @@ class WeightFn:
     @property
     def is_polynomial(self) -> bool:
         return self.exp_part is None and all(
-            p > 0 and _is_integral(p) for _, p in self.affine_powers
+            p.numerator > 0 and p.denominator == 1 for _, p in self.affine_powers
         )
 
     def singular_factors(self):
         """Affine factors whose exponent is negative or fractional."""
-        return [(aff, p) for aff, p in self.affine_powers if p < 0 or not _is_integral(p)]
+        return [(aff, p) for aff, p in self.affine_powers if p.numerator < 0 or p.denominator != 1]
 
     def to_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -181,7 +177,7 @@ class WeightFn:
         dg = np.zeros((r, r, n)) if order == 2 else None
         for aff, p in self.affine_powers:
             vals = aff.eval(pts)
-            a = a * (vals ** int(p) if _is_integral(p) else np.power(vals, float(p)))
+            a = a * (vals ** int(p) if p.denominator == 1 else np.power(vals, float(p)))
             if order:
                 s = float(p) / vals
                 nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
@@ -219,7 +215,7 @@ class WeightFn:
         """Exact verdict on w > 0: affine factors positive at every vertex and the
         exp part keep the sign; the rest is one polynomial for `_polynomial_sign`."""
         rest = [(aff, p) for aff, p in self.affine_powers if polytope.vertex_min(aff) <= 0]
-        if any(p < 0 or not _is_integral(p) for _, p in rest):
+        if any(p < 0 or p.denominator != 1 for _, p in rest):
             return Positivity.NOT_POSITIVE
         remainder = WeightFn(self.dim, self.coeff, rest, None, self.poly_part)
         return _polynomial_sign(remainder.to_polynomial(), polytope)[0]

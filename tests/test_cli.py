@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -558,8 +559,9 @@ def test_verify_futaki_takes_one_metric_call_per_case(capsys, monkeypatch):
 
 @pytest.mark.parametrize("v", [
     '{"exp": {"zeta": ["800", "0"], "a": 0}}',
+    '{"exp": {"zeta": ["800", "0"], "a": 0}, "affine_powers": [{"zeta": [1, 0], "a": 2, "pow": -1}]}',
     '{"sum": [{"exp": {"zeta": ["800", "0"], "a": 0}}, 1]}',
-], ids=["closed-form", "cubature"])
+], ids=["closed-form", "cubature", "sum"])
 def test_a_non_finite_futaki_value_exits_validation(capsys, v):
     # exp(800 x1) overflows on P^2: the report once held "value": NaN, which is not JSON
     with np.errstate(all="ignore"):
@@ -568,6 +570,19 @@ def test_a_non_finite_futaki_value_exits_validation(capsys, v):
     assert code == EXIT_VALIDATION
     assert not captured.out
     assert json.loads(captured.err)["error"].startswith("NonFiniteIntegral:")
+
+
+def test_a_non_finite_integral_writes_no_numpy_warning(capsys):
+    # numpy's overflow warnings once went to stderr ahead of the JSON error (7 lines);
+    # turned into exceptions here, any warning the command lets out fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["futaki", "--polytope", P2, "--all-affine",
+                     "--v", '{"exp": {"zeta": ["800", "0"], "a": 0}}', "--w", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION and not captured.out
+    assert json.loads(captured.err)["error"].startswith("NonFiniteIntegral:")
+    assert np.geterr()["over"] == "warn"  # the library's callers keep numpy's settings
 
 
 def test_verify_futaki_passes_at_the_default_grid(capsys):

@@ -534,3 +534,27 @@ def test_non_integral_normals_and_short_points_are_rejected():
     assert HalfSpace((Fraction(2, 2), 0.0), 1).normal == (1, 0)
     with pytest.raises(ValueError):  # a point of the wrong dimension is not truncated
         AffineFunction((1, 1), 0).eval_exact((1,))
+
+
+@pytest.mark.parametrize("zeta, const, same_zeta, same_const", [
+    ((1, -2), 3, (Fraction(1), Fraction(-4, 2)), Fraction(6, 2)),
+    ((Fraction(1, 3), 0, 5), Fraction(-7, 2), (Fraction(2, 6), Fraction(0), 5), Fraction(-14, 4)),
+])
+def test_equal_affine_functions_hash_equal(zeta, const, same_zeta, same_const):
+    a, b = AffineFunction(zeta, const), AffineFunction(same_zeta, same_const)
+    assert a == b and hash(a) == hash(b) == hash((a.zeta, a.const))
+    assert hash(a) == hash(a) and {a: 1}[b] == 1  # the hash is kept once computed
+    zeta_floats, const_float = a.floats
+    assert list(zeta_floats) == [float(z) for z in a.zeta] and const_float == float(a.const)
+
+
+@pytest.mark.parametrize("coeffs, same", [
+    ({(1, 0): 1, (0, 2): Fraction(1, 2), (0, 0): -3},
+     {(0, 0): Fraction(-6, 2), (0, 2): Fraction(2, 4), (1, 0): Fraction(1)}),
+    ({(2, 1): Fraction(5, 7)}, {(2, 1): Fraction(10, 14), (1, 1): 0}),
+])
+def test_equal_polynomials_hash_equal(coeffs, same):
+    p, q = Polynomial(2, coeffs), Polynomial(2, same)
+    assert list(p.coeffs) != list(q.coeffs) or len(p.coeffs) == 1  # another key order
+    assert p == q and hash(p) == hash(q) == hash((2, frozenset(p.coeffs.items())))
+    assert hash(p) == hash(p) and {p: 1}[q] == 1

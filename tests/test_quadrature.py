@@ -359,9 +359,10 @@ def test_max_depth_exceeded_carries_result(interval):
 @pytest.mark.parametrize("tol, abs_floor", [(math.nan, 1e-14), (math.inf, 1e-14), (-1e-12, 1e-14),
                                             (1e-12, math.nan), (1e-12, math.inf), (1e-12, -1.0)])
 def test_adaptive_rejects_invalid_tolerances(p2, tol, abs_floor):
-    # a sum of terms takes the cubature; a NaN tol once stopped it before any
-    # refinement, with an error estimate of 4.3e-9 against 2.8e-12 at the default
-    w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) + WeightFn.constant(2, 1)
+    # a sum with a fractional power takes the cubature; a NaN tol once stopped it
+    # before any refinement, with an error estimate of 4.3e-9 against 2.8e-12 at the default
+    w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) + WeightFn.affine_power(
+        AffineFunction([1, 0], 2), Fraction(1, 2))
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         integrate_weighted(p2, w, tol=tol, abs_floor=abs_floor)
 
@@ -369,8 +370,10 @@ def test_adaptive_rejects_invalid_tolerances(p2, tol, abs_floor):
 _EXP_800 = WeightFn.exp_affine([800, 0], 0)  # exp(800 x1) overflows at x1 = 1 on P^2
 
 
-@pytest.mark.parametrize("integrand, path", [(_EXP_800, "closed form"),
-                                             (_EXP_800 + WeightFn.constant(2, 1), "cubature")])
+@pytest.mark.parametrize("integrand, path", [
+    (_EXP_800, "closed form"),
+    (_EXP_800 * WeightFn.affine_power(AffineFunction([1, 0], 2), -1), "cubature"),
+    (_EXP_800 + WeightFn.constant(2, 1), "sum by linearity")])
 def test_a_non_finite_integral_raises_with_its_result(p2, integrand, path):
     # both paths once returned value nan, error nan and converged=True
     with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
@@ -800,11 +803,12 @@ def test_zero_polynomial_part_integrates_to_zero(p2):
 
 
 def test_adaptive_fallbacks_keep_their_subdivisions(p2):
-    # a fractional power, exp times a pole and a sum of terms are not taken in closed form
+    # a fractional power, exp times a pole and a sum with such a term are not taken in
+    # closed form
     ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
     for w in (WeightFn.affine_power(ell, Fraction(-5, 2)),
               WeightFn.exp_affine([1, 0], 0) * WeightFn.affine_power(ell, -4),
-              WeightFn.exp_affine([1, 0], 0) + WeightFn.affine_power(ell, -4)):
+              WeightFn.exp_affine([1, 0], 0) + WeightFn.affine_power(ell, Fraction(-5, 2))):
         assert integrate_weighted(p2, w).subdivisions > 0
 
 
@@ -824,3 +828,142 @@ def test_log_case_takes_the_closed_form(name):
             assert closed.subdivisions == 0 and ref.subdivisions > 0
             assert closed.value == pytest.approx(ref.value, rel=1e-12)
             assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate
+
+
+# -- one refinement for K columns -----------------------------------------------------------
+
+COLUMN_POLYTOPES = {name: _canonical(name) for name in ("P1", "P2", "F1", "P3")}
+
+
+@st.composite
+def _column_case(draw):
+    """exp(<zeta, x>) ell^-sigma on a canonical polytope, with K >= 2 products of the
+    positive x_i + 2, so every column f_k is positive and int |f_k| is its value."""
+    p = COLUMN_POLYTOPES[draw(st.sampled_from(sorted(COLUMN_POLYTOPES)))]
+    r = p.dim
+    zeta = [Fraction(draw(st.integers(-8, 8)), 7) for _ in range(r)]
+    ell = AffineFunction([Fraction(draw(st.integers(-3, 3)), 11) for _ in range(r)], 1)
+    assume(p.vertex_min(ell) >= Fraction(1, 4))
+    sigma = draw(st.sampled_from([1, 3, Fraction(5, 2)]))
+    w = WeightFn.exp_affine(zeta, 0) * WeightFn.affine_power(ell, -sigma)
+    shifted = [AffineFunction([int(i == j) for j in range(r)], 2) for i in range(r)]
+    products = draw(st.lists(st.lists(st.sampled_from(shifted), max_size=2).map(tuple),
+                             min_size=2, max_size=4))
+    return p, w, products, draw(st.sampled_from([1e-8, 1e-10, 1e-12]))
+
+
+def _columns(w, products):
+    return lambda x: np.stack([w.eval(x) * np.prod([ell.eval(x) for ell in ells], axis=0)
+                               for ells in products], axis=1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_column_case())
+def test_each_column_agrees_with_its_own_cubature_and_meets_its_target(case):
+    p, w, products, tol = case
+    simplices = p.triangulate()
+    batch = _adaptive(simplices, _columns(w, products), tol, ABS_FLOOR, MAX_DEPTH)
+    assert len(batch) == len(products)
+    for res, ells in zip(batch, products):
+        (alone,) = _adaptive(simplices, _columns(w, [ells]), tol, ABS_FLOOR, MAX_DEPTH)
+        assert res.converged and res.subdivisions == batch[0].subdivisions >= alone.subdivisions
+        # the |9 - 7| estimates leave out rounding, and a batch of K columns sums the rule
+        # in another order than one column: 64 ulps of the value on top
+        rounding = 64 * np.finfo(float).eps * alone.value
+        assert abs(res.value - alone.value) <= res.error_estimate + alone.error_estimate + rounding
+        # the column's own target max(tol int |f_k|, abs_floor); f_k > 0, so int |f_k|
+        # is its value, up to the order of the rule's sums
+        assert res.error_estimate <= max(tol * res.value * (1 + 1e-12), ABS_FLOOR)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_column_case())
+def test_a_one_column_call_is_the_scalar_call(case):
+    p, w, (ells, *_), tol = case
+    column = _columns(w, [ells])
+    scalar = _adaptive(p.triangulate(), lambda x: column(x)[:, 0], tol, ABS_FLOOR, MAX_DEPTH)
+    (res,) = _adaptive(p.triangulate(), column, tol, ABS_FLOOR, MAX_DEPTH)
+    assert (res.value, res.error_estimate, res.subdivisions, res.converged) == (
+        scalar.value, scalar.error_estimate, scalar.subdivisions, scalar.converged)
+
+
+def test_max_depth_exceeded_carries_every_column(interval):
+    # int_{-1}^{1} (x + 2)^(1/2) x^k dx for k = 0, 1, 2
+    w = WeightFn.affine_power(AffineFunction([1], 2), Fraction(1, 2))
+    evaluate = lambda x: w.eval(x)[:, None] * x ** np.arange(3)  # noqa: E731
+    with pytest.raises(MaxDepthExceeded) as info:
+        _adaptive(interval.triangulate(), evaluate, 1e-16, 1e-30, 2)
+    exact = [2 / 3 * (3 ** 1.5 - 1), 2 / 5 * (3 ** 2.5 - 1) - 4 / 3 * (3 ** 1.5 - 1),
+             2 / 7 * (3 ** 3.5 - 1) - 8 / 5 * (3 ** 2.5 - 1) + 8 / 3 * (3 ** 1.5 - 1)]
+    results = info.value.result
+    assert len(results) == 3 and not any(res.converged for res in results)
+    for res, want in zip(results, exact):
+        assert res.value == pytest.approx(want, rel=1e-6) and res.subdivisions > 0
+
+
+def test_a_moment_batch_without_closed_form_takes_one_cubature(p2, monkeypatch):
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    x = [AffineFunction.coordinate(2, i) for i in range(2)]
+    products = [(), (x[0],), (x[1],), (x[0], x[0]), (x[0], x[1]), (x[1], x[1])]
+    w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
+        AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1), -4)
+    batch = integrate_products(p2, w, products)
+    assert len(calls) == 1 and len(batch) == len(products)
+    assert integrate_products(p2, w, []) == [] and len(calls) == 1
+    for res, ells in zip(batch, products):
+        alone = integrate_weighted(p2, w * WeightFn.from_polynomial(
+            Polynomial(2, {tuple(sum(e.zeta[i] for e in ells) for i in range(2)): 1})))
+        assert res.exact is None and res.subdivisions > 0
+        assert abs(res.value - alone.value) <= res.error_estimate + alone.error_estimate
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
+        integrate_products(p2, _EXP_800 * w, products)
+    assert len(info.value.result) == len(products)
+
+
+# -- sums by linearity and constant factors -------------------------------------------------
+
+
+def test_a_sum_of_closed_forms_is_taken_term_by_term(p2):
+    # on P^2, exp(x1/3) + exp(x2/5) once took 7 subdivisions and reported an error of 2.9e-12
+    x = AffineFunction.coordinate(2, 0)
+    terms = [WeightFn.exp_affine([Fraction(1, 3), 0], 0), WeightFn.exp_affine([0, Fraction(1, 5)], 0),
+             WeightFn.affine_power(AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1), -4),
+             WeightFn.from_polynomial(Polynomial.linear([1, 2], 3))]
+    for w in (terms[0] + terms[1], terms[1] + terms[2] + terms[3]):
+        res = integrate_weighted(p2, w)
+        parts = [integrate_weighted(p2, t) for t in w.terms()]
+        ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+        assert res.subdivisions == 0 and res.exact is None and type(res.error_estimate) is float
+        assert res.error_estimate <= sum(part.error_estimate for part in parts)
+        assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+        assert res.value == pytest.approx(ref.value, rel=1e-13)
+        # integrate_products keeps one closed-form integral per product
+        (moment,) = integrate_products(p2, w, [(x,)])
+        assert moment.subdivisions == 0
+
+
+def test_a_constant_factor_folds_into_the_coefficient(p2):
+    # sqrt(2) exp(x1/3) once took 7 subdivisions: a fractional exponent refused the closed form
+    exp = WeightFn.exp_affine([Fraction(1, 3), 0], 0)
+    pole = WeightFn.affine_power(AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1), -4)
+    for base in (exp, pole):
+        for factor, scale in ((AffineFunction([0, 0], 2), Fraction(1, 2)),
+                              (AffineFunction([0, 0], Fraction(3, 7)), -3),
+                              (AffineFunction([0, 0], 5), Fraction(-7, 3))):
+            w = WeightFn.affine_power(factor, scale) * base
+            res, plain = integrate_weighted(p2, w), integrate_weighted(p2, base)
+            ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+            assert res.subdivisions == 0 and type(res.error_estimate) is float
+            assert res.value == pytest.approx(float(factor.const) ** float(scale) * plain.value,
+                                              rel=1e-15)
+            assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+    # a constant pole alone is still the pole: (1 + <0, x>)^-3 is the Reeb weight at xi = 0
+    lone = integrate_weighted(p2, WeightFn.affine_power(AffineFunction([0, 0], 1), -3))
+    assert lone.subdivisions == 0 and lone.value == pytest.approx(4.5, rel=1e-15)

@@ -339,3 +339,39 @@ def test_reeb_step_rule_where_the_cone_limits_it(interval, monkeypatch, p, s, st
         assert admissible(t) and (t == 1 or not admissible(2 * t))
     assert [t for _, _, t in seen] == steps and min(steps) < 1
     assert res.converged and res.xi0[0] == pytest.approx(xi, abs=1e-9)
+
+
+def test_an_exp_reeb_solve_takes_one_cubature_per_moment_batch(monkeypatch):
+    # exp(<zeta, x>) (1 + <xi, x>)^-s has no closed form once xi != 0: each gradient
+    # batch, each Hessian batch and each line-search trial is one adaptive cubature
+    adaptive, products, objective = quadrature._adaptive, solvers.integrate_products, \
+        solvers.integrate_weighted
+    calls, batches = [], []
+
+    def pole_moves(w):
+        return any(any(aff.zeta) for aff, p in w.affine_powers if p < 0)
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    def moment_batch(polytope, w, prods, **kwargs):
+        if pole_moves(w):
+            batches.append(len(prods))
+        return products(polytope, w, prods, **kwargs)
+
+    def trial(polytope, w, **kwargs):
+        if pole_moves(w):
+            batches.append("F")
+        return objective(polytope, w, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    monkeypatch.setattr(solvers, "integrate_products", moment_batch)
+    monkeypatch.setattr(solvers, "integrate_weighted", trial)
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS["F1"]])
+    res = msy_reeb(polytope, WeightFn.exp_affine([Fraction(3, 10), Fraction(-1, 5)], 0), 3)
+    assert res.converged and res.iterations >= 2
+    # iterate 0 (xi = 0) takes the closed form; iterates 1..n one batch of 2 and one of 3
+    assert batches.count(2) == batches.count(3) == res.iterations
+    assert batches.count("F") >= res.iterations
+    assert len(calls) == len(batches)
