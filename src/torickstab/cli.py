@@ -16,7 +16,7 @@ from . import __version__, fibration, invariants, jsonio, solvers, toricmetrics
 from .errors import MaxIterations, TorickstabError
 from .jsonio import SchemaError
 from .polynomial import Polynomial
-from .polytope import AffineFunction
+from .polytope import AffineFunction, DelzantPolytope, HalfSpace
 from .quadrature import DEFAULT_TOL, integrate_boundary, integrate_poly, integrate_weighted
 from .weights import WeightFn, soliton_weight_pair
 
@@ -239,17 +239,10 @@ def cmd_fibration(args):
 # -- verification suites --------------------------------------------------------------
 
 
-def _interval():
-    return jsonio.polytope_from_json(
-        {"facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]})
-
-
-def _p2():
-    return jsonio.polytope_from_json({"facets": [
-        {"normal": [1, 0], "offset": 1},
-        {"normal": [0, 1], "offset": 1},
-        {"normal": [-1, -1], "offset": 1},
-    ]})
+def _interval_and_p2():
+    """[-1, 1] and the canonical P^2, built afresh for each suite."""
+    return (DelzantPolytope([HalfSpace((1,), 1), HalfSpace((-1,), 1)]),
+            DelzantPolytope([HalfSpace((1, 0), 1), HalfSpace((0, 1), 1), HalfSpace((-1, -1), 1)]))
 
 
 def _check(name, residual, tol):
@@ -262,7 +255,7 @@ def _suite_quadrature():
     import math
 
     rows = []
-    interval, p2 = _interval(), _p2()
+    interval, p2 = _interval_and_p2()
     r = integrate_weighted(interval, WeightFn.exp_affine([1], 0))
     rows.append(_check("interval exp(x) vs 2 sinh 1", r.value - 2 * math.sinh(1.0), 1e-11))
     r = integrate_weighted(
@@ -287,7 +280,7 @@ def _suite_quadrature():
 
 def _suite_futaki(grid_resolution):
     rows = []
-    interval, p2 = _interval(), _p2()
+    interval, p2 = _interval_and_p2()
     cases = [
         ("P1 v=1", interval, WeightFn.constant(1, 1), 1),
         ("P1 v=x+2", interval,
@@ -318,7 +311,7 @@ def _suite_futaki(grid_resolution):
 
 def _suite_identities():
     rows = []
-    interval, p2 = _interval(), _p2()
+    interval, p2 = _interval_and_p2()
     u1 = toricmetrics.SymplecticPotential(interval)
     xs = np.linspace(-0.95, 0.95, 21)[:, None]
     res = np.max(np.abs(toricmetrics.scal(u1, xs, h=1e-3) - 2.0))
@@ -457,9 +450,6 @@ def main(argv=None) -> int:
             raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
         with np.errstate(all="ignore"):  # an overflow is a typed error, so stderr stays JSON
             return args.func(args)
-    except MaxIterations as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_SOLVER
     except (SchemaError, TorickstabError, ValueError) as e:
         print(json.dumps({"error": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_VALIDATION

@@ -20,7 +20,7 @@ from .polytope import AffineFunction, DelzantPolytope, cramer_vertices
 from .quadrature import DEFAULT_TOL
 from .solvers import (DEFAULT_MAX_ITER, DEFAULT_TOL as SOLVER_TOL, SolverResult, msy_reeb,
                       tian_zhu_soliton)
-from .weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
+from .weights import WeightFn, WeightSum, as_weight, require_positive, soliton_weight_pair
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,9 @@ def extremal_fibration_weights(spec: FibrationSpec, tol=DEFAULT_TOL) -> Fibratio
 
 def soliton_fibration_weights(spec: FibrationSpec, v, m: int = None):
     """Soliton weight pair of the total space: soliton pair of p*v in fiber dim m."""
-    p = fibration_weight(spec)
-    v = as_weight(v, spec.fiber.dim)
-    if m is None:
-        m = spec.fiber.dim
-    return soliton_weight_pair(p * v, m, polytope=spec.fiber)
+    pv = fibration_weight(spec) * as_weight(v, spec.fiber.dim)
+    require_positive(pv, spec.fiber, "v")
+    return soliton_weight_pair(pv, spec.fiber.dim if m is None else m)
 
 
 def fano_check(spec: FibrationSpec) -> bool:
@@ -161,10 +159,9 @@ def enumerate_fano(fiber: DelzantPolytope, factors):
         raise NotCanonicalFano("enumeration requires the canonical fiber presentation")
     per_factor = []
     for a, factor in enumerate(factors):
-        if isinstance(factor, BaseFactor) and not factor.is_fano:
+        if not factor.is_fano:
             raise ValueError(f"factor {a} has no Fano constant k")
-        k = int(factor.k if isinstance(factor, BaseFactor) else factor)
-        per_factor.append(_admissible_lattice(fiber, k))
+        per_factor.append(_admissible_lattice(fiber, factor.k))
     return list(itertools.product(*per_factor))
 
 

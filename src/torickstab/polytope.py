@@ -213,13 +213,12 @@ def moment_table(simplices, degree):
         * q ** (degree - sum(a)) for a, total in zip(alphas, sums)}, factorial(top) * q ** top)
 
 
-def barycentric_coefficients(poly, simplices, q=None):
+def barycentric_coefficients(poly, simplices, q):
     """poly on each simplex as an integer form in barycentric coordinates.
 
-    With d = deg poly, den the common denominator of its coefficients and q that
-    of the vertex coordinates (or, given q, integer coordinates over q), returns
-    (betas, scale, rows) with scale = den q^d and, for each simplex (a sequence
-    of r + 1 vertices v_i),
+    With d = deg poly and den the common denominator of its coefficients, returns
+    (betas, scale, rows) with scale = den q^d and, for each simplex of r + 1
+    vertices v_i (given as the integer vectors q v_i),
 
         sum_k rows[s][k] lambda^betas[k] = scale poly(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
 
@@ -229,9 +228,6 @@ def barycentric_coefficients(poly, simplices, q=None):
     is scale poly(v_i). One `expand` per simplex, in integers as in moment_table.
     """
     d, r = poly.degree(), len(simplices[0]) - 1
-    if q is None:
-        q = lcm(*(c.denominator for s in simplices for v in s for c in v))
-        simplices = [[[int(c * q) for c in v] for v in s] for s in simplices]
     den = lcm(*(c.denominator for c in poly.coeffs.values()))
     # den q^d poly(y / q), homogenised with y_r: integer coefficients
     homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))

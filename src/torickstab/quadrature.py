@@ -12,7 +12,6 @@ longest-edge bisection, one refinement for all the products of a moment batch.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -131,19 +130,22 @@ def _rule_batch(verts, evaluate):
     return value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T
 
 
+def _check_tolerances(tol, abs_floor):
+    if not (0 <= tol < math.inf and 0 <= abs_floor < math.inf):  # a NaN fails both
+        raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
+
+
 def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
     """Round-based adaptive cubature of evaluate's (n,) values, or of its (n, K) columns f_k.
 
     Each round bisects every simplex where some column's error exceeds its share target_k / S
     of its target max(tol * int|f_k|, abs_floor), int|f_k| by the degree-9 rule on |f_k|, and
     evaluates all children in one batch, until every column meets its target. Returns a
-    QuadratureResult, or one per column, as MaxDepthExceeded carries. The |9 - 7| estimate
+    QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at depth
+    max_depth (MAX_DEPTH from every caller) is due a split. The |9 - 7| estimate
     assumes a smooth integrand: a kink (say max(0, ell)) can make both rules agree, wrongly.
     """
-    if not all(math.isfinite(t) and t >= 0 for t in (tol, abs_floor)):
-        raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
-    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral) or max_depth < 0:
-        raise ValueError(f"max_depth must be an integer >= 0, got {max_depth!r}")
+    _check_tolerances(tol, abs_floor)
     verts = np.array([s.float_vertices() for s in simplices])
     # (K, S) rows, so that each column is summed pairwise, as a scalar is
     rows = lambda batch: [np.ascontiguousarray(np.atleast_2d(a.T)) for a in batch]  # noqa: E731
@@ -204,24 +206,26 @@ def _finite(res):
 
 
 def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
-                       abs_floor=ABS_FLOOR, max_depth=MAX_DEPTH) -> QuadratureResult:
+                       abs_floor=ABS_FLOOR) -> QuadratureResult:
     """Integral of a grammar weight (or polynomial) over the polytope.
 
     Purely polynomial integrands take the exact rational path. A single term
     Q exp(ell), or Q ell^-sigma with integer sigma >= 1, takes the closed form
     (see _slot), and so does a sum of such terms and polynomials, term by term
     with the error bounds added: no subdivisions, and a rounding bound as the
-    error estimate; tol, abs_floor and max_depth do not apply. Otherwise an
-    adaptive embedded GM 7/9 scheme with longest-edge bisection runs until the
-    summed rule discrepancy meets max(tol*int|f|, abs_floor), refining in batched
-    rounds (see _adaptive). A value or error that is not finite raises NonFiniteIntegral.
+    error estimate; tol and abs_floor do not apply, but must be finite and >= 0
+    on every path. Otherwise an adaptive embedded GM 7/9 scheme with longest-edge
+    bisection runs until the summed rule discrepancy meets max(tol*int|f|, abs_floor),
+    refining in batched rounds to at most MAX_DEPTH generations (see _adaptive). A
+    value or error that is not finite raises NonFiniteIntegral.
     """
+    _check_tolerances(tol, abs_floor)
     w = as_weight(integrand, polytope.dim, "integrand")
     if w.is_polynomial:
         return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
     if not _closed(w):
-        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor, max_depth))
+        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor, MAX_DEPTH))
     return _total([integrate_products(polytope, t, [()])[0] if t.is_polynomial else
                    _closed_form(polytope, t) for t in w.terms()])
 
@@ -230,7 +234,7 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
 
 
 def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
-                       abs_floor=ABS_FLOOR, max_depth=MAX_DEPTH) -> QuadratureResult:
+                       abs_floor=ABS_FLOOR) -> QuadratureResult:
     """Integral over the polytope boundary with the lattice measure d(sigma).
 
     A polynomial integrand is exact, read off the facets' moment tables by
@@ -238,12 +242,13 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     where d(sigma) is Lebesgue, and integrated adaptively as an (r-1)-dimensional
     polytope integral; a point facet (r = 1) has d(sigma)-mass 1.
     """
+    _check_tolerances(tol, abs_floor)
     w = as_weight(integrand, polytope.dim, "integrand")
     if w.is_polynomial:
         return integrate_products(polytope, w, [()], boundary=True)[0]
     _check_singularities(polytope, w)
     return _total([integrate_weighted(f.subpolytope, w.compose_affine(f.basis, f.origin), tol,
-                                      abs_floor, max_depth) if f.subpolytope else
+                                      abs_floor) if f.subpolytope else
                    QuadratureResult(float(w.eval(np.array([float(c) for c in f.origin]))), 0.0, 0)
                    for _, f in polytope.facets()])
 
@@ -259,8 +264,10 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     every result is then exact, a dot product with shifted moments (see
     _dot_shifted). Other integrands take integrate_weighted / integrate_boundary once per product
     if they have a closed form or boundary=True, else one cubature of the K columns w * prod(ells)
-    (see _adaptive). A direction of another dimension than the polytope's is a ValueError.
+    (see _adaptive). A direction of another dimension than the polytope's is a ValueError, and so
+    is a tol that is not finite and >= 0, on every path.
     """
+    _check_tolerances(tol, ABS_FLOOR)
     w = as_weight(integrand, polytope.dim, "integrand")
     wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
     if wrong:

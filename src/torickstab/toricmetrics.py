@@ -10,8 +10,8 @@ batched root-free Cholesky factorisation G = L D L^T of the Hessian per chunk
 of nodes (`_ldl_inverse`), whose pivots D give det G = prod D and are the one
 positive-definiteness test of the production path. `scal`, `scal_v_direct`
 and `scal_v_divergence` evaluate the same curvatures by central finite
-differences of H (inverted by LAPACK in `hess_inv` and `_hinv`); they are the
-independent oracle for the closed form.
+differences of H (inverted by LAPACK in `hess_inv`); they are the independent
+oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import ceil, log2
 
@@ -80,10 +81,6 @@ class SymplecticPotential:
             self._validate()
         else:
             self._bump_partials = None
-
-    @property
-    def kind(self) -> str:
-        return "Guillemin" if self.bump is None else "GuilleminPlusBump"
 
     def _validate(self):
         pts = _sample_grid(self.polytope, CHECK_GRID)
@@ -247,10 +244,6 @@ def _vector_divergence(gfun, x, h_pt):
     return total
 
 
-def _hinv(u):
-    return lambda pts: np.linalg.inv(u.hess(pts))
-
-
 def scal(u: SymplecticPotential, x, h: float = DEFAULT_FD_STEP, margin: float = 0.0):
     """Scalar curvature Scal = -sum_ij d_i d_j H_ij; scalar or (N,) array."""
     return scal_v_divergence(u, 1, x, h, margin)
@@ -263,7 +256,7 @@ def scal_v_direct(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
     single = np.asarray(x, dtype=float).ndim == 1
     xb, h_pt = _prepare(u, x, h, margin)
     v = as_weight(v, u.polytope.dim)
-    hinv = _hinv(u)
+    hinv = partial(hess_inv, u)
     s = -_matrix_double_divergence(hinv, xb, h_pt)
 
     def flux(pts):
@@ -281,7 +274,7 @@ def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
     single = np.asarray(x, dtype=float).ndim == 1
     xb, h_pt = _prepare(u, x, h, margin)
     v = as_weight(v, u.polytope.dim)
-    hinv = _hinv(u)
+    hinv = partial(hess_inv, u)
 
     def vh(pts):
         return v.eval(pts)[:, None, None] * hinv(pts)

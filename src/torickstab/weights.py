@@ -148,9 +148,6 @@ class WeightFn:
     def eval(self, pts):
         return self._jet(pts, 0)[0]
 
-    def eval_exact(self, x) -> Fraction:
-        return self.to_polynomial().eval_exact(x)
-
     def grad(self, pts):
         return self._jet(pts, 1)[1]
 
@@ -275,9 +272,6 @@ class WeightSum:
     def eval(self, pts):
         return self._jet(pts, 0)[0]
 
-    def eval_exact(self, x):
-        return sum(t.eval_exact(x) for t in self._terms)
-
     def grad(self, pts):
         return self._jet(pts, 1)[1]
 
@@ -366,12 +360,10 @@ def require_positive(w, polytope, name="weight"):
 # -- weight pair synthesis -------------------------------------------------------
 
 
-def soliton_weight_pair(v, m: int, polytope: DelzantPolytope = None):
+def soliton_weight_pair(v, m: int):
     """Weights making a v-soliton a weighted-cscK metric: w = 2(m + <dlog v, x>) v, built
     as 2(m v + <x, grad v>), one term of w per term of v (see _soliton_term)."""
     v = as_weight(v)
-    if polytope is not None:
-        require_positive(v, polytope, "v")
     return v, WeightSum([_soliton_term(t, m) for t in v.terms()])
 
 
@@ -408,4 +400,6 @@ def sasaki_weight_pair(xi, a, m: int, polytope: DelzantPolytope):
 def equivalent_sasaki_pair(xi, a, m: int, polytope: DelzantPolytope):
     """Alternative realization of the same soliton: the soliton pair of ell^-(m+2),
     (ell^-(m+2), 2(-2 ell + (m+2) a) ell^-(m+3)) for ell = <xi,x>+a."""
-    return soliton_weight_pair(WeightFn.affine_power(AffineFunction(xi, a), -(m + 2)), m, polytope)
+    v = WeightFn.affine_power(AffineFunction(xi, a), -(m + 2))
+    require_positive(v, polytope, "v")
+    return soliton_weight_pair(v, m)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -77,6 +78,16 @@ def test_reeb_via_fibration(capsys):
     assert code == EXIT_OK
     assert rep["results"]["xi0"][0] == pytest.approx(0.13148290817953467,
                                                      abs=1e-8)
+
+
+def test_fibration_soliton_with_a_base_weight(capsys):
+    # p v with v = x + 3 moves the soliton off the v = 1 value -0.5276...
+    code, rep = _run(capsys, "fibration", "soliton", "--spec", FIB, "--v", '"x+3"')
+    assert code == EXIT_OK and rep["results"]["converged"] is True
+    v = WeightFn.affine_power(AffineFunction([1], 3), 1)
+    want = fibration.pv_soliton_pipeline(jsonio.fibration_from_json(json.loads(FIB)), v).xi0
+    assert rep["results"]["xi0"] == list(want)
+    assert abs(want[0] + 0.5276195198969627) > 1e-3
 
 
 @pytest.mark.parametrize("s", ["-0.5", "inf"])
@@ -420,6 +431,31 @@ def test_json_readers_check_lengths_and_integers():
     assert jsonio.polytope_from_json(
         {"facets": [{"normal": ["2/2"], "offset": 1}, {"normal": [-1.0], "offset": 1}]}
     ).volume() == 2
+
+
+_FACETS = json.loads(INTERVAL)["facets"]
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (lambda o: jsonio.affine_from_json(o, 1, "ell"), {"zeta": 1}, "ell.zeta: expected a list"),
+    (lambda o: jsonio.parse_poly(o, 1), "x +", "poly: cannot parse 'x +'"),
+    (lambda o: jsonio.parse_poly(o, 1), "x % 2", "poly: unsupported syntax in 'x % 2'"),
+    (jsonio.polytope_from_json, {"facets": [{"normal": [1]}]},
+     "polytope.facets[0]: facet needs 'normal' and 'offset'"),
+    (jsonio.polytope_from_json, {"dim": 2, "facets": _FACETS},
+     "polytope: declared dim 2 != facet dim 1"),
+    (lambda o: jsonio.affine_from_json(o, 1, "ell"), None, "ell: cannot read an affine function"),
+    (lambda o: jsonio.weight_from_json(o, 1), None, "weight: cannot read a weight"),
+    (lambda o: jsonio.weight_from_json(o, 1), {"affine_powers": [2]},
+     "weight.affine_powers[0]: expected an object"),
+    (jsonio.fibration_from_json, {"factors": []}, "fibration: expected an object with a 'fiber'"),
+    (jsonio.fibration_from_json, {"fiber": {"facets": _FACETS}, "factors": [2]},
+     "fibration.factors[0]: expected an object, got 2"),
+], ids=["vector", "parse", "syntax", "facet", "dim", "affine", "weight", "affine_powers",
+        "fiber", "factor"])
+def test_json_readers_reject_malformed_input(read, obj, message):
+    with pytest.raises(jsonio.SchemaError, match=f"^{re.escape(message)}"):
+        read(obj)
 
 
 @pytest.mark.parametrize("expr", [

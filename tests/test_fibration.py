@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_fibration_weight_two_factors(interval):
 def test_empty_fibration_is_trivial(interval):
     spec = _spec(interval)
     p = fibration_weight(spec)
-    assert p.eval_exact((Fraction(1, 2),)) == 1
+    assert p.to_polynomial().eval_exact((Fraction(1, 2),)) == 1
     q = base_curvature_weight(spec)
     assert q.eval(np.array([[0.3]]))[0] == 0.0
 
@@ -147,6 +148,22 @@ def test_enumerate_matches_brute_force(p2):
 def test_enumerate_rejects_a_cscK_factor(interval):
     with pytest.raises(ValueError, match="factor 1 has no Fano constant k"):
         enumerate_fano(interval, [BaseFactor(n=1, k=2), BaseFactor(n=1, s=Fraction(2))])
+
+
+def test_enumerate_rejects_a_fibre_that_is_not_canonical():
+    with pytest.raises(NotCanonicalFano, match="enumeration requires the canonical fiber"):
+        enumerate_fano(make_polytope(((1,), 0), ((-1,), 2)), [BaseFactor(n=1, k=2)])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 0, "k": 1}, "base factor dimension must be at least 1"),
+    ({"n": 1, "k": 1, "s": 2}, "specify exactly one of k (Fano) or s (cscK)"),
+    ({"n": 1}, "specify exactly one of k (Fano) or s (cscK)"),
+    ({"n": 1, "k": 0}, "Fano constant k must be a positive integer"),
+])
+def test_base_factor_rejects_invalid_data(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BaseFactor(**fields)
 
 
 def test_enumerate_two_factors(interval):

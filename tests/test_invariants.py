@@ -157,6 +157,9 @@ def test_barycenter_values(interval, p2):
     assert barycenter(p2, one2) == (0, 0)
     # v = x + 2 on [-1, 1]: moment 2/3, mass 4
     assert barycenter(interval, _affine_v([1], 2)) == (Fraction(1, 6),)
+    # v = exp(x) on [-1, 1]: moment 2/e, mass e - 1/e, in floats
+    (x,) = barycenter(interval, WeightFn.exp_affine([1], 0))
+    assert isinstance(x, float) and x == pytest.approx(2 / (math.e ** 2 - 1), rel=1e-13)
 
 
 def test_barycenter_translation(p2):

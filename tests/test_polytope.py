@@ -513,9 +513,10 @@ def _expansion_cases(draw):
 @given(_expansion_cases())
 def test_barycentric_coefficients_expand_the_polynomial(case):
     verts, poly, lam = case
-    betas, scale, (row,) = barycentric_coefficients(poly, [verts])
     d = poly.degree()
     q = lcm(*(c.denominator for v in verts for c in v))
+    points = [[int(c * q) for c in v] for v in verts]
+    betas, scale, (row,) = barycentric_coefficients(poly, [points], q)
     assert scale == lcm(*(c.denominator for c in poly.coeffs.values())) * q ** d
     assert all(isinstance(c, int) for c in row)
     point = [sum(l * v[i] for l, v in zip(lam, verts)) for i in range(len(verts[0]))]

@@ -58,7 +58,7 @@ def _boundary_by_facets(polytope, weight):
     total = Fraction(0)
     for _, facet in polytope.facets():
         if facet.subpolytope is None:  # point facet (r = 1), d(sigma)-mass 1
-            total += weight.eval_exact(facet.origin)
+            total += weight.to_polynomial().eval_exact(facet.origin)
         else:
             pulled = weight.compose_affine(facet.basis, facet.origin)
             total += integrate_weighted(facet.subpolytope, pulled).exact

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torickstab import quadrature
+from torickstab import invariants, quadrature
 from torickstab.errors import (DegenerateSimplex, MaxDepthExceeded, NonFiniteIntegral,
                                SingularOnDomain)
 from torickstab.exactlinalg import det
@@ -346,11 +346,12 @@ def test_monte_carlo_consistency(p2):
     assert abs(res.value - mc) <= 4 * se
 
 
-def test_max_depth_exceeded_carries_result(interval):
+def test_max_depth_exceeded_carries_result(interval, monkeypatch):
     # a fractional power stays on the adaptive path; int_{-1}^{1} (x+2)^(1/2) dx = (2/3)(3^(3/2) - 1)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     with pytest.raises(MaxDepthExceeded) as info:
         integrate_weighted(interval, WeightFn.affine_power(AffineFunction([1], 2), Fraction(1, 2)),
-                           tol=1e-16, abs_floor=1e-30, max_depth=2)
+                           tol=1e-16, abs_floor=1e-30)
     res = info.value.result
     assert res is not None and not res.converged
     assert res.value == pytest.approx(2 / 3 * (3 ** 1.5 - 1), rel=1e-6)
@@ -365,6 +366,30 @@ def test_adaptive_rejects_invalid_tolerances(p2, tol, abs_floor):
         AffineFunction([1, 0], 2), Fraction(1, 2))
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         integrate_weighted(p2, w, tol=tol, abs_floor=abs_floor)
+
+
+_CUBATURE = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
+    AffineFunction([1, 0], 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1])
+@pytest.mark.parametrize("integrand", [WeightFn.constant(2, 1), WeightFn.exp_affine(
+    [Fraction(1, 3), 0], 0), _CUBATURE], ids=["polynomial", "closed form", "cubature"])
+@pytest.mark.parametrize("integrate", [
+    integrate_weighted, integrate_boundary,
+    lambda p, w, tol: integrate_products(p, w, [(AffineFunction([1, 0], 0),)], tol=tol),
+    lambda p, w, tol: invariants.futaki_boundary(p, w, w, AffineFunction([1, 0], 0), tol=tol)],
+    ids=["weighted", "boundary", "products", "futaki_boundary"])
+def test_every_path_rejects_an_invalid_tol(p2, monkeypatch, integrate, integrand, tol):
+    # the exact path and the closed form once ignored tol: on P^2 a NaN tol gave exp(x1/3)
+    # the value 4.632042779163877 and the Futaki invariant of (v, w) = (1, 6) in x1 the value 0
+    def no_path(*args):
+        raise AssertionError("an integration path ran")
+
+    for path in ("_dot_shifted", "_closed_form", "_rule_batch"):
+        monkeypatch.setattr(quadrature, path, no_path)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        integrate(p2, integrand, tol=tol)
 
 
 _EXP_800 = WeightFn.exp_affine([800, 0], 0)  # exp(800 x1) overflows at x1 = 1 on P^2
@@ -397,20 +422,6 @@ def test_a_direction_of_another_dimension_is_rejected(p2, zeta, boundary):
     for integrand in (WeightFn.constant(2, 1), _EXP_800):  # the exact path and the others
         with pytest.raises(ValueError, match=f"direction has dimension {len(zeta)}, the polytope 2"):
             integrate_products(p2, integrand, [(ell,)], boundary=boundary)
-
-
-@pytest.mark.parametrize("max_depth", [math.nan, math.inf, -1, 2.5, True, "3"])
-def test_adaptive_rejects_an_invalid_max_depth(p2, monkeypatch, max_depth):
-    # exp times a pole takes the cubature, and a NaN max_depth would switch its depth
-    # cap off; with the rule patched to fail, the check must come before any refinement
-    def rule(*args):
-        raise AssertionError("the cubature ran")
-
-    monkeypatch.setattr(quadrature, "_rule_batch", rule)
-    w = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
-        AffineFunction([1, 0], 2), -1)
-    with pytest.raises(ValueError, match="max_depth must be an integer >= 0"):
-        integrate_weighted(p2, w, max_depth=max_depth)
 
 
 def test_simplex_integral_vs_poly_path():

@@ -206,6 +206,25 @@ def test_an_overflowing_trial_point_is_a_rejected_step(interval, monkeypatch):
     assert res.xi0[0] == pytest.approx(tian_zhu_soliton(interval, _p_affine()).xi0[0], abs=1e-9)
 
 
+def test_the_line_search_gives_up_with_the_partial_result(interval, monkeypatch):
+    # F is finite at xi = 0 only, where the first call integrates it: every trial
+    # point is rejected, and after 60 halvings the solver stops at xi = 0
+    calls = []
+
+    def integrate(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise NonFiniteIntegral("F is not finite")
+        return integrate_weighted(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "integrate_weighted", integrate)
+    with pytest.raises(MaxIterations, match="line search failed to find a descent step") as info:
+        tian_zhu_soliton(interval, _p_affine())
+    partial = info.value.result
+    assert len(calls) == 61 and partial.xi0 == (0.0,) and not partial.converged
+    assert partial.iterations == 1 and partial.trace == [((0.0,), partial.objective, 0.0)]
+
+
 def _reeb_s2_gradient_factor(xi):
     """int_{-1}^{1} x (x + 2) (xi x + 1)^{-3} dx via u = xi x + 1."""
 
