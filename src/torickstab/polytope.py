@@ -42,6 +42,13 @@ class AffineFunction:
         return self._hash
 
     @cached_property
+    def integers(self):
+        """(c, zeta, n): the integers with ell = (c + <zeta, x>) / n, n least, computed once."""
+        n = lcm(self.const.denominator, *(z.denominator for z in self.zeta))
+        c, *zeta = [x.numerator * (n // x.denominator) for x in (self.const, *self.zeta)]
+        return c, zeta, n
+
+    @cached_property
     def floats(self):
         """(zeta, const) as a float array and a float, rounded once per object."""
         return np.array([float(z) for z in self.zeta]), float(self.const)
@@ -213,32 +220,46 @@ def moment_table(simplices, degree):
         * q ** (degree - sum(a)) for a, total in zip(alphas, sums)}, factorial(top) * q ** top)
 
 
-def barycentric_coefficients(poly, simplices, q):
-    """poly on each simplex as an integer form in barycentric coordinates.
+def barycentric_coefficients(poly, simplices, q, factors=()):
+    """f = poly * prod ell^p on each simplex as an integer form in barycentric coordinates.
 
-    With d = deg poly and den the common denominator of its coefficients, returns
-    (betas, scale, rows) with scale = den q^d and, for each simplex of r + 1
-    vertices v_i (given as the integer vectors q v_i),
+    For (AffineFunction ell, integer p >= 1) factors, d = deg f and den the common denominator of
+    poly's coefficients, returns (betas, scale, rows) with, for each simplex of r + 1 vertices
+    v_i (given as the integer vectors q v_i),
 
-        sum_k rows[s][k] lambda^betas[k] = scale poly(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
+        sum_k rows[s][k] lambda^betas[k] = scale f(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
 
     homogeneous of degree d, over the betas = compositions(d, r + 1). The
     Bernstein coefficients are rows[s][k] betas[k]! / (d! scale) (Farouki, CAGD
     29 (2012)), so they have the signs of the row, and the entry of beta = d e_i
-    is scale poly(v_i). One `expand` per simplex, in integers as in moment_table.
+    is scale f(v_i). A factor (c + <zeta, x>) / n in integers is sum_i (q c + <zeta, q v_i>)
+    lambda_i / (n q), or (c / n)^p if zeta = 0. One `expand` per simplex, in integers.
     """
     d, r = poly.degree(), len(simplices[0]) - 1
     den = lcm(*(c.denominator for c in poly.coeffs.values()))
-    # den q^d poly(y / q), homogenised with y_r: integer coefficients
-    homog = [(a + (d - sum(a),), c.numerator * (den // c.denominator) * q ** (d - sum(a)))
+    lines = [(ell.integers, int(p)) for ell, p in factors if any(ell.zeta)]
+    powers = tuple(p for _, p in lines)
+    const = prod(ell.integers[0] ** int(p) for ell, p in factors if not any(ell.zeta))
+    # const den q^d poly(y / q), homogenised with y_r, times the lines: integer coefficients
+    homog = [(a + (d - sum(a),) + powers,
+              const * c.numerator * (den // c.denominator) * q ** (d - sum(a)))
              for a, c in poly.coeffs.items()]
-    betas = list(compositions(d, r + 1))
+    betas = list(compositions(d + sum(powers), r + 1))
     rows, ones = [], linear_terms([1] * (r + 1), 0)
     for points in simplices:
-        # y_k = sum_i q v_ik lambda_i and y_r = sum_i lambda_i
-        lam = expand(homog, [linear_terms(column, 0) for column in zip(*points)] + [ones], r + 1)
+        # y_k = sum_i q v_ik lambda_i, y_r = sum_i lambda_i and each line's vertex values
+        forms = [linear_terms(column, 0) for column in zip(*points)] + [ones] + [linear_terms(
+            [q * c + sum(map(mul, zeta, v)) for v in points], 0) for (c, zeta, _), _ in lines]
+        lam = expand(homog, forms, r + 1)
         rows.append([lam.get(b, 0) for b in betas])
-    return betas, den * q ** d, rows
+    return betas, den * q ** (d + sum(powers)) * prod(
+        ell.integers[2] ** int(p) for ell, p in factors), rows
+
+
+@lru_cache(maxsize=None)  # the closed form's lambda-index rows per (dim, degree)
+def _lambda_index(dim, degree):  # each beta as vertex indices, i repeated beta_i + 1 times
+    return np.array([np.repeat(np.arange(dim + 1), np.add(b, 1))
+                     for b in compositions(degree, dim + 1)])
 
 
 def _det(rows):
@@ -326,7 +347,7 @@ class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
     # caches, set per instance on first use; _moments is (degree, MomentTable)
-    _triangulation = _facets = _moments = _int_vertices = _barycentric = None
+    _triangulation = _facets = _moments = _int_vertices = _barycentric = _vertex_mins = None
 
     def __init__(self, halfspaces):
         halfspaces = list(halfspaces)
@@ -403,11 +424,13 @@ class DelzantPolytope:
 
     def vertex_min(self, affine: AffineFunction) -> Fraction:
         """Exact minimum of an affine function over the polytope: at a vertex, in integers."""
-        q, verts = self.integer_vertices()
-        den = lcm(affine.const.denominator, *(z.denominator for z in affine.zeta))
-        const, *zeta = [c.numerator * (den // c.denominator) for c in (affine.const, *affine.zeta)]
-        low = min(sum(a * b for a, b in zip(zeta, v, strict=True)) for v in verts)
-        return Fraction(low + const * q, den * q)
+        if self._vertex_mins is None or len(self._vertex_mins) >= 64:  # a memo, for shared poles
+            self._vertex_mins = {}
+        if affine not in self._vertex_mins:
+            (q, verts), (const, zeta, den) = self.integer_vertices(), affine.integers
+            low = min(sum(a * b for a, b in zip(zeta, v, strict=True)) for v in verts)
+            self._vertex_mins[affine] = Fraction(low + const * q, den * q)
+        return self._vertex_mins[affine]
 
     def bounding_box(self):
         lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -436,13 +459,11 @@ class DelzantPolytope:
             self._moments = (degree, moment_table(self.triangulate(), degree))
         return self._moments[1]
 
-    def barycentric(self, key, poly):
+    def barycentric(self, powers, poly):
         """f(sum_i lambda_i v_i) = sum_{|beta| = d} c_beta(S) lambda^beta on each simplex S for
-        the polynomial f = poly() of degree d, cached under key: poly runs only on a miss. Returns
-        each beta as a row of vertex indices, i repeated beta_i + 1 times; the (S, B) floats
-        r! vol(S) beta! c_beta(S), each an integer quotient from `barycentric_coefficients`
-        rounded once; and the (S, r + 1, r) float vertices, which with r! vol(S) and the integer
-        simplices are derived once per polytope, when the cache ({key: result}, ...) is made."""
+        f = poly * prod ell^p over the (ell, p) of powers (poly None is 1), cached. Returns each
+        beta as a row of vertex indices; the (S, B) floats r! vol(S) beta! c_beta(S), integer
+        quotients rounded once; and the (S, r + 1, r) float vertices, derived once per polytope."""
         if self._barycentric is None:
             simplices = self.triangulate()
             q, scaled = self.integer_vertices()
@@ -451,13 +472,13 @@ class DelzantPolytope:
                                  np.array([s.float_vertices() for s in simplices]),
                                  (q, [[at[v] for v in s.vertices] for s in simplices]))
         tables, vols, verts, (q, simplices) = self._barycentric
-        if key not in tables:
-            betas, scale, rows = barycentric_coefficients(poly(), simplices, q)
+        if (powers, poly) not in tables:
+            betas, scale, rows = barycentric_coefficients(
+                Polynomial.constant(self.dim, 1) if poly is None else poly, simplices, q, powers)
             table = [[v.numerator * prod(map(factorial, b)) * c / (v.denominator * scale)
                       for b, c in zip(betas, row)] for v, row in zip(vols, rows)]
-            index = np.array([np.repeat(np.arange(self.dim + 1), np.add(b, 1)) for b in betas])
-            tables[key] = (index, np.array(table), verts)
-        return tables[key]
+            tables[powers, poly] = (_lambda_index(self.dim, sum(betas[0])), np.array(table), verts)
+        return tables[powers, poly]
 
     # -- facets ---------------------------------------------------------------
 

@@ -6,7 +6,7 @@ a single term Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) is
 a closed-form sum of divided differences with a rounding bound as its error, and
 so is a sum of such terms and polynomials, term by term; everything else takes
 adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
-longest-edge bisection, one refinement for all the products of a moment batch.
+longest-edge bisection, one refinement for all the weights and products of a batch.
 """
 
 from __future__ import annotations
@@ -114,20 +114,22 @@ EVAL_CHUNK = 1 << 13
 def _rule_batch(verts, evaluate):
     """Degree-9 value, |9 - 7| error and degree-9 rule on |f| per simplex.
 
-    The two rules share their nodes (`_gm_pair`): each distinct node of every
-    simplex goes through `evaluate` once, in calls of at most EVAL_CHUNK nodes,
-    and each result is f times one of the pair's weight columns. An `evaluate`
-    that returns (n, K) values gives (S, K) arrays, one column per component.
+    The two rules share their nodes (`_gm_pair`): each of the U distinct nodes of every simplex
+    goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call, and f times each
+    of the pair's weight columns is reduced before the next call. An `evaluate` that returns
+    (n, K) values gives (S, K) arrays, one column per component.
     """
     dim = verts.shape[2]
     nodes, weights = _gm_pair(dim)
-    flat = (nodes @ verts).reshape(-1, dim)
-    parts = [evaluate(flat[i:i + EVAL_CHUNK]).T for i in range(0, len(flat), EVAL_CHUNK)]
-    del flat
-    f = np.concatenate(parts, axis=-1).reshape(*parts[0].shape[:-1], len(verts), len(nodes))
-    scale = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1]))
-    value, err = (f @ weights * scale[:, None]).T
-    return value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T
+    step = max(1, EVAL_CHUNK // len(nodes))
+    parts = []
+    for chunk in (verts[i:i + step] for i in range(0, len(verts), step)):
+        f = evaluate((nodes @ chunk).reshape(-1, dim)).T
+        f = f.reshape(*f.shape[:-1], len(chunk), len(nodes))
+        scale = np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))
+        value, err = (f @ weights * scale[:, None]).T
+        parts.append((value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _check_tolerances(tol, abs_floor):
@@ -140,10 +142,10 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
 
     Each round bisects every simplex where some column's error exceeds its share target_k / S
     of its target max(tol * int|f_k|, abs_floor), int|f_k| by the degree-9 rule on |f_k|, and
-    evaluates all children in one batch, until every column meets its target. Returns a
-    QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at depth
-    max_depth (MAX_DEPTH from every caller) is due a split. The |9 - 7| estimate
-    assumes a smooth integrand: a kink (say max(0, ell)) can make both rules agree, wrongly.
+    evaluates all children in one batch, until every column's |9 - 7| gap meets its target.
+    Returns a QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at
+    depth max_depth (MAX_DEPTH from every caller) is due a split; each estimate adds U eps int|f_k|,
+    the U-node sums' rounding, to the gap. A kink (say max(0, ell)) can make both rules agree.
     """
     _check_tolerances(tol, abs_floor)
     verts = np.array([s.float_vertices() for s in simplices])
@@ -155,8 +157,9 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
     subdivisions = 0
 
     def results(converged=True):
+        rounding = len(_gm_pair(verts.shape[2])[0]) * EPS * mass.sum(axis=1)
         out = [QuadratureResult(float(v), float(e), subdivisions, converged=converged)
-               for v, e in zip(value.sum(axis=1), total_err)]
+               for v, e in zip(value.sum(axis=1), total_err + rounding)]
         return out if columns else out[0]
 
     while True:
@@ -255,7 +258,7 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
                        tol=DEFAULT_TOL) -> list:
-    """Integrals of integrand * prod(ells), one per tuple `ells` of AffineFunctions.
+    """Integral of w_k * prod(ells_k) per product ells_k, integrand one w or a list of w_k.
 
     Over the polytope, or with boundary=True over its boundary with d(sigma). A
     polynomial integrand is expanded once and pulled back once per facet chart
@@ -263,24 +266,47 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for origin = p / q;
     every result is then exact, a dot product with shifted moments (see
     _dot_shifted). Other integrands take integrate_weighted / integrate_boundary once per product
-    if they have a closed form or boundary=True, else one cubature of the K columns w * prod(ells)
-    (see _adaptive). A direction of another dimension than the polytope's is a ValueError, and so
-    is a tol that is not finite and >= 0, on every path.
+    if they have a closed form or boundary=True; all the rest take one cubature (_adaptive) of
+    their columns w_k * prod(ells_k), each a product of columns of one matrix of the distinct
+    weights' and affine factors' values at the nodes. A direction of another
+    dimension than the polytope's is a ValueError, and so is a tol that is not finite and >= 0.
     """
     _check_tolerances(tol, ABS_FLOOR)
-    w = as_weight(integrand, polytope.dim, "integrand")
+    single = not isinstance(integrand, list)
+    ws = [as_weight(w, polytope.dim, "integrand") for w in ([integrand] if single else integrand)]
     wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
     if wrong:
         raise ValueError(f"direction has dimension {wrong[0]}, the polytope {polytope.dim}")
-    if not w.is_polynomial:
-        if boundary or not products or _closed(w):
+    ws = ws * len(products) if single else ws
+    groups = {}  # each distinct weight, by identity, with the indices of its products
+    for k, (w, _) in enumerate(zip(ws, products, strict=True)):
+        groups.setdefault(id(w), (w, []))[1].append(k)
+    out, cubature = {}, []
+    for w, ks in groups.values():
+        if w.is_polynomial:
+            out.update(zip(ks, _exact_products(polytope, w, [products[k] for k in ks], boundary)))
+        elif boundary or _closed(w):
             integrate = integrate_boundary if boundary else integrate_weighted
-            return [integrate(polytope, w * _multiplier(polytope.dim, tuple(ells)), tol=tol)
-                    for ells in products]
-        _check_singularities(polytope, w)
-        columns = lambda x: w.eval(x)[:, None] * np.stack(  # noqa: E731
-            [np.prod([np.ones(len(x))] + [ell.eval(x) for ell in ells], 0) for ells in products], 1)
-        return _finite(_adaptive(polytope.triangulate(), columns, tol, ABS_FLOOR, MAX_DEPTH))
+            out.update((k, integrate(polytope, w * _multiplier(polytope.dim, tuple(products[k])),
+                                     tol=tol)) for k in ks)
+        else:
+            _check_singularities(polytope, w)
+            cubature += [(k, (w, *products[k])) for k in ks]
+    if cubature:  # each distinct weight and affine factor evaluated once per node
+        items = list(dict.fromkeys(f for _, row in cubature for f in row))
+        which = [[items.index(f) for f in row] for _, row in cubature]
+
+        def columns(x):
+            values = np.stack([f.eval(x) for f in items], 1)
+            return np.stack([values[:, i].prod(axis=1) for i in which], 1)
+
+        out.update(zip([k for k, _ in cubature], _finite(_adaptive(
+            polytope.triangulate(), columns, tol, ABS_FLOOR, MAX_DEPTH))))
+    return [out[k] for k in range(len(products))]
+
+
+def _exact_products(polytope, w, products, boundary):
+    """The exact integrals of the polynomial weight w times each product (integrate_products)."""
     lines = [_integer_line(ells) for ells in products]
     poly = w.to_polynomial()
     if not boundary:
@@ -309,9 +335,7 @@ def _multiplier(dim, ells):
 
 def _integer_line(ells):
     """(factors, den): integer (c, zeta) factors with prod(ells) = prod(c + <zeta, x>) / den."""
-    dens = [lcm(ell.const.denominator, *(z.denominator for z in ell.zeta)) for ell in ells]
-    return ([(int(ell.const * n), [int(z * n) for z in ell.zeta]) for ell, n in zip(ells, dens)],
-            prod(dens))
+    return [ell.integers[:2] for ell in ells], prod(ell.integers[2] for ell in ells)
 
 
 def _dot_shifted(table, poly, lines):
@@ -369,8 +393,7 @@ def _closed_form(polytope: DelzantPolytope, w):
     """
     ell, sigma, constants = _slot(w)
     powers = tuple((aff, p) for aff, p in w.affine_powers if p.numerator > 0 and p.denominator == 1)
-    index, table, verts = polytope.barycentric((powers, w.poly_part), lambda: WeightFn(
-        w.dim, 1, powers, None, w.poly_part).to_polynomial())  # Q, expanded on a cache miss
+    index, table, verts = polytope.barycentric(powers, w.poly_part)
     zeta, const = ell.floats
     z = verts @ zeta + const  # (S, r + 1)
     z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))

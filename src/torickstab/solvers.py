@@ -6,10 +6,11 @@ g(t) = (1 + t)^(-s) for the Reeb field. The gradient and Hessian are the
 moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
 damped Newton loop, `_newton_loop`, serves both; each solver supplies only
 the weights g, g', g''. The iterations converge globally from xi = 0.
-The moments are closed forms for polynomial p (also times one exp(affine)
-for the soliton, and for integer s for the Reeb field) and adaptive
-cubatures otherwise; F's noise in the Armijo test is its error estimate, a
-rounding bound on the closed form.
+Each trial point integrates F and all its moments in one call; they are
+closed forms for polynomial p (also times one exp(affine) for the soliton,
+and for integer s for the Reeb field) and one adaptive cubature otherwise.
+F's noise in the Armijo test is its error estimate, a rounding bound on the
+closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import MaxIterations, NonFiniteIntegral, NotPositiveDefinite, OriginNotInterior
 from .exactlinalg import frac
 from .polytope import AffineFunction, DelzantPolytope
-from .quadrature import integrate_products, integrate_weighted
+from .quadrature import integrate_products, integrate_weighted  # noqa: F401, perfbench traces it here
 from .weights import WeightFn, as_weight, require_positive
 
 DEFAULT_TOL = 1e-10
@@ -48,10 +49,10 @@ class SolverResult:
 def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
     """Damped Newton minimization of F(xi) = int g(<xi, x>) p(x) dx from xi = 0.
 
-    weight(xi, k) is the weight x -> g^(k)(<xi, x>), for k = 0, 1, 2.
-    F is integrated at trial points, and its gradient and Hessian once per
-    iterate; all moments are taken two orders tighter than `tol`.
-    limit_step(xi, direction) caps the initial step; every shorter step must
+    weight(xi, k) is the weight x -> g^(k)(<xi, x>), for k = 0, 1, 2. Each trial point takes
+    F, its gradient and its Hessian from one integrate_products call over the products (),
+    (x_i,) and (x_i, x_j) with weights p g^(k), two orders tighter than `tol`, and an accepted
+    point keeps them. limit_step(xi, direction) caps the initial step; every shorter step must
     stay admissible.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -62,29 +63,24 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
         raise OriginNotInterior("the functional is proper only when 0 is interior")
     require_positive(p, polytope, name="p")
     p = as_weight(p, polytope.dim)
-    r = polytope.dim
-    qtol = tol * 1e-2
+    r, qtol = polytope.dim, tol * 1e-2
     x = [AffineFunction.coordinate(r, i) for i in range(r)]
     upper = np.triu_indices(r)
-    singles, pairs = [(c,) for c in x], [(x[i], x[j]) for i, j in zip(*upper)]
+    products = [()] + [(c,) for c in x] + [(x[i], x[j]) for i, j in zip(*upper)]
 
-    def objective(xi):
-        res = integrate_weighted(polytope, p * weight(xi, 0), tol=qtol)
-        return res.value, res.error_estimate
-
-    def moments(xi, k, products):
-        return [res.value for res in integrate_products(
-            polytope, p * weight(xi, k), products, tol=qtol)]
+    def integrals(xi):  # F, its error estimate, its gradient and its Hessian at xi
+        ws = [p * weight(xi, k) for k in range(3)]
+        res = integrate_products(polytope, [ws[len(e)] for e in products], products, tol=qtol)
+        hess = np.empty((r, r))
+        hess[upper] = hess[upper[::-1]] = [m.value for m in res[1 + r:]]
+        return res[0].value, res[0].error_estimate, np.array([m.value for m in res[1:1 + r]]), hess
 
     def stopped(iterations):
         return SolverResult(tuple(xi), f_val, gnorm, min_eig, iterations, trace, converged=False)
 
     xi, t, trace = np.zeros(r), 0.0, []
-    f_val, f_err = objective(xi)
+    f_val, f_err, grad, hess = integrals(xi)
     for it in range(max_iter + 1):
-        grad = np.array(moments(xi, 1, singles))
-        hess = np.empty((r, r))
-        hess[upper] = hess[upper[::-1]] = moments(xi, 2, pairs)
         gnorm = float(np.linalg.norm(grad))
         min_eig = float(np.linalg.eigvalsh(hess)[0])
         if it == max_iter:
@@ -103,16 +99,16 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
         for _ in range(60):
             cand = xi + t * step
             try:
-                f_new, err_new = objective(cand)
-            except NonFiniteIntegral:  # F overflows at the trial point: reject it
-                f_new = math.inf
-            if f_new <= f_val + ARMIJO_C * t * slope + noise:
+                new = integrals(cand)
+            except NonFiniteIntegral:  # F or a moment overflows at the trial point: reject it
+                new = (math.inf,)
+            if new[0] <= f_val + ARMIJO_C * t * slope + noise:
                 break
             t *= 0.5
         else:
             raise MaxIterations("line search failed to find a descent step",
                                 result=stopped(it + 1))
-        xi, f_val, f_err = cand, f_new, err_new
+        xi, (f_val, f_err, grad, hess) = cand, new
 
 
 def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add
 
 import numpy as np
@@ -27,7 +27,7 @@ from torickstab.polytope import (
 from torickstab.quadrature import integrate_boundary, integrate_poly
 from torickstab.weights import WeightFn
 
-from conftest import CANONICAL_NORMALS, make_polytope, moved_canonical
+from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope, moved_canonical
 
 
 def test_interval_vertices(interval):
@@ -525,6 +525,48 @@ def test_barycentric_coefficients_expand_the_polynomial(case):
     for i, v in enumerate(verts):
         corner = tuple(d * (i == k) for k in range(len(verts)))
         assert row[betas.index(corner)] == scale * poly.eval_exact(v)
+
+
+@st.composite
+def _factored_cases(draw):
+    """A canonical polygon or P^3, 1-3 affine factors with powers 1-2 (a repeat, a zero
+    slope and rational data drawn often) and a polynomial part of degree <= 2 or None."""
+    name = draw(st.sampled_from(POLYGONS + ("P3",)))
+    dim = len(CANONICAL_NORMALS[name][0])
+    zeta = st.lists(_fractions, min_size=dim, max_size=dim)
+    ell = st.builds(AffineFunction, st.one_of(st.just([0] * dim), zeta), _fractions.filter(bool))
+    factors = draw(st.lists(st.tuples(ell, st.integers(1, 2)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        factors.append((factors[0][0], draw(st.integers(1, 2))))
+    alphas = [a for k in range(3) for a in compositions(k, dim)]
+    coeffs = draw(st.lists(_fractions, min_size=len(alphas), max_size=len(alphas)))
+    poly = Polynomial(dim, dict(zip(alphas, coeffs)))
+    return name, factors, draw(st.sampled_from([None, poly])) if poly.coeffs else None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_factored_cases())
+def test_factored_tables_equal_the_expanded_polynomials(case):
+    # the closed form's tables multiply the factors' vertex values into the polynomial
+    # part's barycentric form; the expanded product is the oracle, row by row and float by float
+    name, factors, poly = case
+    p = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+    q, scaled = p.integer_vertices()
+    at = dict(zip(p.vertices, scaled))
+    simplices = [[at[v] for v in s.vertices] for s in p.triangulate()]
+    base = Polynomial.constant(p.dim, 1) if poly is None else poly
+    expanded = WeightFn(p.dim, 1, factors, None, poly).to_polynomial()
+    betas, scale, rows = barycentric_coefficients(base, simplices, q, factors)
+    want_betas, want_scale, want_rows = barycentric_coefficients(expanded, simplices, q)
+    assert betas == want_betas and all(isinstance(c, int) for row in rows for c in row)
+    assert [[Fraction(c, scale) for c in row] for row in rows] == [
+        [Fraction(c, want_scale) for c in row] for row in want_rows]
+    powers = WeightFn(p.dim, 1, factors, None, poly).affine_powers  # repeats merged
+    index, table, _ = p.barycentric(powers, poly)
+    vols = [factorial(p.dim) * s.volume() for s in p.triangulate()]
+    assert index.tolist() == [sum(([i] * (e + 1) for i, e in enumerate(b)), []) for b in betas]
+    assert table.tolist() == [[float(v * prod(map(factorial, b)) * Fraction(c, want_scale))
+                               for b, c in zip(betas, row)] for v, row in zip(vols, want_rows)]
 
 
 def test_non_integral_normals_and_short_points_are_rejected():

@@ -878,10 +878,9 @@ def test_each_column_agrees_with_its_own_cubature_and_meets_its_target(case):
     for res, ells in zip(batch, products):
         (alone,) = _adaptive(simplices, _columns(w, [ells]), tol, ABS_FLOOR, MAX_DEPTH)
         assert res.converged and res.subdivisions == batch[0].subdivisions >= alone.subdivisions
-        # the |9 - 7| estimates leave out rounding, and a batch of K columns sums the rule
-        # in another order than one column: 64 ulps of the value on top
-        rounding = 64 * np.finfo(float).eps * alone.value
-        assert abs(res.value - alone.value) <= res.error_estimate + alone.error_estimate + rounding
+        # a batch of K columns sums the rule in another order than one column; each estimate
+        # holds the rounding of the rule's sums
+        assert abs(res.value - alone.value) <= res.error_estimate + alone.error_estimate
         # the column's own target max(tol int |f_k|, abs_floor); f_k > 0, so int |f_k|
         # is its value, up to the order of the rule's sums
         assert res.error_estimate <= max(tol * res.value * (1 + 1e-12), ABS_FLOOR)
@@ -912,6 +911,18 @@ def test_max_depth_exceeded_carries_every_column(interval):
         assert res.value == pytest.approx(want, rel=1e-6) and res.subdivisions > 0
 
 
+def test_the_error_estimate_covers_the_rounding_of_the_rule(p2):
+    # for the constant 1 on P^2 both rules are exact and their gap is rounding alone: a 1-column
+    # and a 2-column call, summed in other orders, once read 1 ulp apart with an estimate of
+    # 2.5e-16 each. Each estimate adds U eps int|f|, and must bound the distance from 9/2
+    rounding = len(_gm_pair(2)[0]) * np.finfo(float).eps * 4.5
+    for k in (1, 2):
+        for res in _adaptive(p2.triangulate(), lambda x: np.ones((len(x), k)), 1e-12, ABS_FLOOR,
+                             MAX_DEPTH):
+            assert res.subdivisions == 0 and res.error_estimate >= rounding * (1 - 1e-12)
+            assert abs(Fraction(res.value) - Fraction(9, 2)) <= res.error_estimate
+
+
 def test_a_moment_batch_without_closed_form_takes_one_cubature(p2, monkeypatch):
     calls = []
     adaptive = quadrature._adaptive
@@ -936,6 +947,38 @@ def test_a_moment_batch_without_closed_form_takes_one_cubature(p2, monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
         integrate_products(p2, _EXP_800 * w, products)
     assert len(info.value.result) == len(products)
+
+
+def test_a_list_of_weights_takes_one_weight_per_product(p2, monkeypatch):
+    # one weight per product: polynomials stay exact, closed forms take one integral each and
+    # the rest one cubature of all their columns, each within the errors of its own batch
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    x = [AffineFunction.coordinate(2, i) for i in range(2)]
+    products = [(), (x[0],), (x[1],), (x[0], x[1])]
+    exp = WeightFn.exp_affine([Fraction(1, 3), 0], 0)
+    ell = AffineFunction([Fraction(1, 5), Fraction(1, 7)], 1)
+    cases = [WeightFn.from_polynomial(Polynomial.linear([1, 2], 3)), WeightFn.constant(2, 5),
+             exp, WeightFn.affine_power(ell, -4), exp * WeightFn.affine_power(ell, -4),
+             exp * WeightFn.affine_power(ell, Fraction(1, 2))]
+    for i in (0, 2, 4):
+        ws = [cases[i + k % 2] for k in range(len(products))]
+        batch = integrate_products(p2, ws, products)
+        alone = [integrate_products(p2, w, [ells])[0] for w, ells in zip(ws, products)]
+        for res, ref in zip(batch, alone):
+            if i == 4:
+                assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+            else:  # exact and closed-form values do not depend on the batch
+                assert (res.value, res.exact) == (ref.value, ref.exact)
+    assert len(calls) == 1 + len(products)
+    with pytest.raises(ValueError):
+        integrate_products(p2, cases[:2], products)
 
 
 # -- sums by linearity and constant factors -------------------------------------------------

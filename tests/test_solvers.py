@@ -9,7 +9,7 @@ from torickstab.errors import (MaxIterations, NonFiniteIntegral, NotPositive,
 from torickstab.invariants import futaki_boundary, futaki_fano
 from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
-from torickstab.quadrature import integrate_weighted
+from torickstab.quadrature import integrate_products, integrate_weighted
 from torickstab import quadrature, solvers
 from torickstab.solvers import BOUNDARY_FRACTION, _newton_loop, msy_reeb, tian_zhu_soliton
 from torickstab.weights import WeightFn
@@ -193,12 +193,12 @@ def test_an_overflowing_trial_point_is_a_rejected_step(interval, monkeypatch):
 
     def integrate(*args, **kwargs):
         try:
-            return integrate_weighted(*args, **kwargs)
+            return integrate_products(*args, **kwargs)
         except NonFiniteIntegral:
             raised.append(args)
             raise
 
-    monkeypatch.setattr(solvers, "integrate_weighted", integrate)
+    monkeypatch.setattr(solvers, "integrate_products", integrate)
     with np.errstate(all="ignore"):
         res = _newton_loop(interval, _p_affine(), weight, 1e-10, 50)
     assert raised and res.converged
@@ -215,9 +215,9 @@ def test_the_line_search_gives_up_with_the_partial_result(interval, monkeypatch)
         calls.append(args)
         if len(calls) > 1:
             raise NonFiniteIntegral("F is not finite")
-        return integrate_weighted(*args, **kwargs)
+        return integrate_products(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "integrate_weighted", integrate)
+    monkeypatch.setattr(solvers, "integrate_products", integrate)
     with pytest.raises(MaxIterations, match="line search failed to find a descent step") as info:
         tian_zhu_soliton(interval, _p_affine())
     partial = info.value.result
@@ -360,37 +360,79 @@ def test_reeb_step_rule_where_the_cone_limits_it(interval, monkeypatch, p, s, st
     assert res.converged and res.xi0[0] == pytest.approx(xi, abs=1e-9)
 
 
-def test_an_exp_reeb_solve_takes_one_cubature_per_moment_batch(monkeypatch):
-    # exp(<zeta, x>) (1 + <xi, x>)^-s has no closed form once xi != 0: each gradient
-    # batch, each Hessian batch and each line-search trial is one adaptive cubature
-    adaptive, products, objective = quadrature._adaptive, solvers.integrate_products, \
-        solvers.integrate_weighted
-    calls, batches = [], []
+def test_an_exp_reeb_solve_takes_one_cubature_per_trial_point(monkeypatch):
+    # exp(<zeta, x>) (1 + <xi, x>)^-s has no closed form once xi != 0: each trial point
+    # integrates F, its gradient and its Hessian in one adaptive cubature of 1 + r + r(r+1)/2
+    # columns, and an accepted point's moments serve the next iterate
+    adaptive, products = quadrature._adaptive, solvers.integrate_products
+    columns, trials = [], []
 
-    def pole_moves(w):
-        return any(any(aff.zeta) for aff, p in w.affine_powers if p < 0)
+    def counted(simplices, evaluate, *args):
+        res = adaptive(simplices, evaluate, *args)
+        columns.append(len(res))
+        return res
 
-    def counted(*args):
-        calls.append(args)
-        return adaptive(*args)
-
-    def moment_batch(polytope, w, prods, **kwargs):
-        if pole_moves(w):
-            batches.append(len(prods))
-        return products(polytope, w, prods, **kwargs)
-
-    def trial(polytope, w, **kwargs):
-        if pole_moves(w):
-            batches.append("F")
-        return objective(polytope, w, **kwargs)
+    def trial(polytope, ws, prods, **kwargs):
+        trials.append(ws[0])
+        return products(polytope, ws, prods, **kwargs)
 
     monkeypatch.setattr(quadrature, "_adaptive", counted)
-    monkeypatch.setattr(solvers, "integrate_products", moment_batch)
-    monkeypatch.setattr(solvers, "integrate_weighted", trial)
+    monkeypatch.setattr(solvers, "integrate_products", trial)
     polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS["F1"]])
     res = msy_reeb(polytope, WeightFn.exp_affine([Fraction(3, 10), Fraction(-1, 5)], 0), 3)
-    assert res.converged and res.iterations >= 2
-    # iterate 0 (xi = 0) takes the closed form; iterates 1..n one batch of 2 and one of 3
-    assert batches.count(2) == batches.count(3) == res.iterations
-    assert batches.count("F") >= res.iterations
-    assert len(calls) == len(batches)
+    assert res.converged and res.iterations >= 2 and len(trials) >= res.iterations + 1
+    # xi = 0 takes the closed form (the pole is a constant); every other trial point one cubature
+    moving = [w for w in trials if any(any(aff.zeta) for aff, p in w.affine_powers if p < 0)]
+    assert len(moving) == len(trials) - 1 and columns == [1 + 2 + 3] * len(moving)
+
+
+def _separate_newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
+    """A reference Newton loop: F alone at each trial point, then the gradient and the
+    Hessian at the accepted point, each with integrate_weighted or integrate_products."""
+    r, qtol = polytope.dim, tol * 1e-2
+    x = [AffineFunction.coordinate(r, i) for i in range(r)]
+    upper = np.triu_indices(r)
+    xi, t, trace = np.zeros(r), 0.0, []
+    res = integrate_weighted(polytope, p * weight(xi, 0), tol=qtol)
+    f_val, f_err = res.value, res.error_estimate
+    for it in range(max_iter):
+        grad = np.array([m.value for m in integrate_products(
+            polytope, p * weight(xi, 1), [(c,) for c in x], tol=qtol)])
+        hess = np.empty((r, r))
+        hess[upper] = hess[upper[::-1]] = [m.value for m in integrate_products(
+            polytope, p * weight(xi, 2), [(x[i], x[j]) for i, j in zip(*upper)], tol=qtol)]
+        trace.append((tuple(xi), f_val, t))
+        if np.linalg.norm(grad) <= tol * max(abs(f_val), 1.0):
+            return tuple(xi), f_val, it, trace
+        step = np.linalg.solve(hess, -grad)
+        t, slope = limit_step(xi, step), float(grad @ step)
+        noise = f_err + solvers.NOISE_ULPS * np.spacing(abs(f_val))
+        while True:
+            cand = xi + t * step
+            res = integrate_weighted(polytope, p * weight(cand, 0), tol=qtol)
+            if res.value <= f_val + solvers.ARMIJO_C * t * slope + noise:
+                break
+            t *= 0.5
+        xi, f_val, f_err = cand, res.value, res.error_estimate
+    raise AssertionError("the reference loop did not converge")
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS))
+@pytest.mark.parametrize("kind", ["soliton", "reeb"])
+def test_closed_form_solves_match_the_separate_integration_loop(name, kind, monkeypatch):
+    # with a closed form every moment is its own integrate_weighted call, so integrating
+    # F, the gradient and the Hessian together at each trial point changes no bit
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+    p = WeightFn.affine_power(AffineFunction([1, Fraction(1, 2)], 3), 1)
+    seen = {}
+
+    def loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
+        seen.update(weight=weight, limit_step=limit_step, tol=tol, max_iter=max_iter)
+        return _newton_loop(polytope, p, weight, tol, max_iter, limit_step)
+
+    monkeypatch.setattr(solvers, "_newton_loop", loop)
+    res = tian_zhu_soliton(polytope, p) if kind == "soliton" else msy_reeb(polytope, p, 3)
+    ref = _separate_newton_loop(polytope, p, seen["weight"], seen["tol"], seen["max_iter"],
+                                seen["limit_step"])
+    assert res.converged and res.iterations >= 1
+    assert (res.xi0, res.objective, res.iterations, res.trace) == ref
