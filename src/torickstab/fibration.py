@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 from operator import mul
 
 from .errors import NotAdmissible, NotCanonicalFano
 from .exactlinalg import _integer, frac
 from .invariants import extremal_affine
-from .polytope import AffineFunction, DelzantPolytope, cramer_vertices
+from .polytope import AffineFunction, DelzantPolytope
 from .quadrature import DEFAULT_TOL
 from .solvers import (DEFAULT_MAX_ITER, DEFAULT_TOL as SOLVER_TOL, SolverResult, msy_reeb,
                       tian_zhu_soliton)
@@ -151,9 +152,9 @@ def fano_check(spec: FibrationSpec) -> bool:
 def enumerate_fano(fiber: DelzantPolytope, factors):
     """All lattice twist tuples (p_1..p_k) with <p_a,x>+k_a > 0 on the fiber.
 
-    The admissible region per factor is bounded because 0 is interior, so an
-    exact bounding box from vertex support values suffices; each integer
-    candidate is kept iff strictly positive at every vertex.
+    A factor's twists are the interior lattice points of k_a P*, the dilated
+    polar polytope conv(u_j) of the fiber (see _admissible_lattice); the tuples
+    are their product, in lexicographic order per factor.
     """
     if not fiber.is_canonical_fano():
         raise NotCanonicalFano("enumeration requires the canonical fiber presentation")
@@ -166,27 +167,20 @@ def enumerate_fano(fiber: DelzantPolytope, factors):
 
 
 def _admissible_lattice(fiber: DelzantPolytope, k: int):
-    """Integer c with <c, v> + k > 0 at every vertex v, tested as <c, q v> + q k > 0
-    in integers for the vertices' common denominator q (1 on a canonical Fano polytope)."""
+    """Integer c with <c, v> + k > 0 at every vertex v, in lexicographic order.
+
+    With 0 interior, {c : <c, v> + k >= 0 at every vertex} is k conv(u_j / b_j)
+    for the half-spaces <u_j, x> + b_j >= 0, so coordinate i of a candidate runs
+    from ceil(k min_j u_ji / b_j) to floor(k max_j u_ji / b_j). Each candidate is
+    tested as <c, q v> + q k > 0 in integers for the vertices' common denominator
+    q (1 on a canonical Fano polytope).
+    """
     q, scaled = fiber.integer_vertices()
     rows = [(tuple(v), q * k) for v in scaled]
-    box = _feasible_box(rows, fiber.dim)
-    out = []
-    for cand in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-        if all(sum(map(mul, cand, w)) + b > 0 for w, b in rows):
-            out.append(cand)
-    return out
-
-
-def _feasible_box(rows, r):
-    """Integer bounding box of the bounded region {y : <w, y> + b >= 0 for (w, b) in rows}.
-
-    Its corners are num / D from `cramer_vertices`; the box runs from the least
-    ceil(num_i / D) to the greatest floor(num_i / D) in each coordinate.
-    """
-    corners = [(num, d) for num, d, _ in cramer_vertices(rows, r)]
-    return [(min(-(-num[i] // d) for num, d in corners), max(num[i] // d for num, d in corners))
-            for i in range(r)]
+    polar = [[k * u / h.offset for u in h.normal] for h in fiber.halfspaces]
+    box = [range(ceil(min(col)), floor(max(col)) + 1) for col in zip(*polar)]
+    return [cand for cand in itertools.product(*box)
+            if all(sum(map(mul, cand, w)) + b > 0 for w, b in rows)]
 
 
 def pv_soliton_pipeline(spec: FibrationSpec, v=1, tol=SOLVER_TOL, max_iter=DEFAULT_MAX_ITER,

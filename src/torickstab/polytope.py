@@ -279,47 +279,34 @@ def _det(rows):
                for j, x in enumerate(rows[0]) if x)
 
 
-def cramer_vertices(rows, dim):
-    """Feasible points of {x : <a, x> + b >= 0 for (a, b) in rows} on dim of the hyperplanes.
+def _vertex_incidence(halfspaces, dim):
+    """{vertex: indices of the half-spaces through it}, exact, by Cramer's rule.
 
-    Normals a are integer tuples and offsets b integers. For each dim-subset
-    with determinant D != 0, Cramer's rule gives x = num / D with integer
-    numerators; with D made positive, x is feasible iff <a, num> + b D >= 0 for
-    every row. Yields
-    (num, D, values) with those integers as values, one per row, zero exactly on
-    the hyperplanes through x. A point on more than dim of the hyperplanes is
-    yielded once for every subset through it.
+    The offsets are scaled to integers b by their common denominator q. Each
+    dim-subset of the rows (a, b) with determinant D != 0, made positive, gives
+    integer numerators num of the point num / (D q) on its hyperplanes. The point
+    is a vertex iff <a, num> + b D >= 0 for every row, and the zeros of those
+    integers are its incident half-spaces. The incidence set holds a nonsingular
+    subset, so it names the vertex: a later subset through the same vertex
+    builds no Fraction.
     """
+    q = lcm(*(h.offset.denominator for h in halfspaces))
+    rows = [(h.normal, h.offset.numerator * (q // h.offset.denominator)) for h in halfspaces]
+    found = {}
     for subset in itertools.combinations(rows, dim):
         a = [n for n, _ in subset]
         d = _det(a)
         if d == 0:
             continue
-        rhs = [-b for _, b in subset]
-        num = [_det([row[:i] + (c,) + row[i + 1:] for row, c in zip(a, rhs)])
+        num = [_det([row[:i] + (-b,) + row[i + 1:] for row, (_, b) in zip(a, subset)])
                for i in range(dim)]
         if d < 0:
             d, num = -d, [-x for x in num]
         values = [sum(map(mul, n, num)) + b * d for n, b in rows]
         if min(values) >= 0:
-            yield num, d, values
-
-
-def _vertex_incidence(halfspaces, dim):
-    """{vertex: indices of the half-spaces through it}, exact.
-
-    The offsets are scaled by their common denominator q, so that a vertex is
-    num / (D q) for the integers of `cramer_vertices`. Its incidence set holds a
-    nonsingular subset, so it names the vertex: later subsets through the same
-    vertex are skipped before any Fraction is built.
-    """
-    q = lcm(*(h.offset.denominator for h in halfspaces))
-    rows = [(h.normal, h.offset.numerator * (q // h.offset.denominator)) for h in halfspaces]
-    found = {}
-    for num, d, values in cramer_vertices(rows, dim):
-        incident = tuple(j for j, v in enumerate(values) if v == 0)
-        if incident not in found:
-            found[incident] = tuple(Fraction(x, d * q) for x in num)
+            incident = tuple(j for j, v in enumerate(values) if v == 0)
+            if incident not in found:
+                found[incident] = tuple(Fraction(x, d * q) for x in num)
     return {v: incident for incident, v in found.items()}
 
 

@@ -243,7 +243,7 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
     A polynomial integrand is exact, read off the facets' moment tables by
     integrate_products. Otherwise each facet is pulled back to its lattice chart,
     where d(sigma) is Lebesgue, and integrated adaptively as an (r-1)-dimensional
-    polytope integral; a point facet (r = 1) has d(sigma)-mass 1.
+    polytope integral; a point facet (r = 1) has d(sigma)-mass 1 (see _at_point).
     """
     _check_tolerances(tol, abs_floor)
     w = as_weight(integrand, polytope.dim, "integrand")
@@ -251,9 +251,25 @@ def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
         return integrate_products(polytope, w, [()], boundary=True)[0]
     _check_singularities(polytope, w)
     return _total([integrate_weighted(f.subpolytope, w.compose_affine(f.basis, f.origin), tol,
-                                      abs_floor) if f.subpolytope else
-                   QuadratureResult(float(w.eval(np.array([float(c) for c in f.origin]))), 0.0, 0)
+                                      abs_floor) if f.subpolytope else _at_point(w, f.origin)
                    for _, f in polytope.facets()])
+
+
+def _at_point(w, origin):
+    """w.eval at a point facet's x, with a first-order rounding bound as its error: per term, in
+    ulps of its size, |p| (r + 1)(|x zeta| + |c|) / |ell(x)| per factor ell^p, (r + 1)(|x zeta|
+    + |c|) for the exp argument, deg + r + n for an n-term polynomial part of size sum |c_a x^a|,
+    and one per coefficient, power, product, exp and sum (x, zeta and c are rounded too)."""
+    x, err = np.array([float(c) for c in origin]), 0.0
+    size = lambda ell: (len(x) + 1) * (np.abs(x * ell.floats[0]).sum() + abs(ell.floats[1]))  # noqa: E731
+    for t in w.terms():
+        ulps = 2 + sum(abs(p) * size(ell) / abs(ell.eval(x)) + 2 for ell, p in t.affine_powers)
+        ulps += 0 if t.exp_part is None else size(t.exp_part) + 2
+        q = Polynomial.constant(t.dim, 1) if t.poly_part is None else t.poly_part
+        q_size = Polynomial(t.dim, {a: abs(c) for a, c in q.coeffs.items()}).eval(np.abs(x))
+        ulps += q.degree() + len(x) + len(q.coeffs) + 1
+        err += ulps * q_size * abs(WeightFn(t.dim, t.coeff, t.affine_powers, t.exp_part).eval(x))
+    return QuadratureResult(float(w.eval(x)), float(EPS * err), 0)
 
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,

@@ -25,7 +25,7 @@ from torickstab.fibration import (
 from torickstab.polytope import AffineFunction
 from torickstab.weights import WeightFn, WeightSum
 
-from conftest import CANONICAL_NORMALS, make_polytope, moved_canonical
+from conftest import CANONICAL_NORMALS, fano_twists, make_polytope, moved_canonical
 
 
 def _spec(fiber, *factors):
@@ -223,6 +223,30 @@ def test_integer_twist_test_matches_fraction_oracle(name, shears, shift, k):
     # the twist region is bounded while 0 stays interior
     assume(fiber.contains_interior([Fraction(0)] * fiber.dim))
     assert _admissible_lattice(fiber, k) == _admissible_by_fraction_solves(fiber, Fraction(k))
+
+
+def test_unit_twists_are_zero_and_double_twists_are_the_normals():
+    # the polar conv(u_j) of a smooth Fano polytope is reflexive: 0 is its one interior
+    # lattice point, and the interior lattice points of 2 conv(u_j) are 0 and the u_j
+    counts = []
+    for name, normals in CANONICAL_NORMALS.items():
+        fiber, zero = moved_canonical(name, (), ()), (0,) * len(normals[0])
+        assert fano_twists(fiber, 1) == [zero], name
+        double = fano_twists(fiber, 2)
+        assert set(double) == {zero, *normals} and len(double) == len(normals) + 1, name
+        counts.append(len(double))
+    assert counts == [3, 4, 5, 5, 6, 7, 5, 7, 6, 6]
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_NORMALS))
+def test_triple_twists_match_a_scan_of_the_whole_cube(name):
+    # every c with <c, v> + 3 > 0 at the vertices lies in [-3 max|u|, 3 max|u|]^r, since
+    # it lies in 3 conv(u_j); scanned in lexicographic order with the vertex test in Fractions
+    fiber = moved_canonical(name, (), ())
+    bound = 3 * max(abs(z) for u in CANONICAL_NORMALS[name] for z in u)
+    scan = [c for c in itertools.product(range(-bound, bound + 1), repeat=fiber.dim)
+            if all(sum(Fraction(a) * x for a, x in zip(c, v)) + 3 > 0 for v in fiber.vertices)]
+    assert fano_twists(fiber, 3) == scan
 
 
 def test_non_integral_or_short_twist_data_is_rejected(interval, p2):

@@ -2,6 +2,7 @@ import decimal
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,26 @@ def test_rule_batch_evaluates_each_distinct_node_once(dim, distinct):
     assert len(calls) == 2 and max(calls) <= quadrature.EVAL_CHUNK
 
 
+def test_rule_batch_reads_an_evaluate_output_as_a_view():
+    # one chunk of 240 P^2 simplices (8,160 nodes): the (n, K) output of evaluate is
+    # reduced through a transposed view, so the peak is the (n, 2) node array alone
+    # (0.13 MB), not a copy of the 0.39 MB output
+    nodes = len(_gm_pair(2)[0])
+    count = quadrature.EVAL_CHUNK // nodes
+    assert (nodes, count) == (34, 240)
+    verts = np.tile(np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]]), (count, 1, 1))
+    out = np.ones((count * nodes, 6))
+    quadrature._rule_batch(verts, lambda x: out)  # warm: no allocation is a first call's
+    tracemalloc.start()
+    try:
+        quadrature._rule_batch(verts, lambda x: out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_array = count * nodes * 2 * 8
+    assert node_array <= peak < node_array + out.nbytes // 4, (peak, node_array, out.nbytes)
+
+
 def _two_rule_batch(verts, evaluate):
     """Reference for `_rule_batch`: both rules' points on every simplex go
     through `evaluate`, the shared ones twice. Returns value, error and mass,
@@ -286,6 +307,38 @@ def test_boundary_nonpolynomial(p2):
 def test_boundary_point_masses_nonpolynomial(interval):
     res = integrate_boundary(interval, WeightFn.exp_affine([1], 0))
     assert res.value == pytest.approx(math.e + math.exp(-1), abs=1e-14)
+
+
+_D = lambda f: decimal.Decimal(f.numerator) / f.denominator  # noqa: E731
+_POINT_WEIGHTS = {  # a weight and its terms as functions of a 40-digit Decimal x
+    "exp": (WeightFn.exp_affine([Fraction(1, 3)], 0), [lambda x: (x / 3).exp()]),
+    "fractional_power": (WeightFn.affine_power(AffineFunction([1], 2), Fraction(1, 2)),
+                         [lambda x: (x + 2).sqrt()]),
+    "pole": (WeightFn.affine_power(AffineFunction([Fraction(1, 5)], 2), -3, Fraction(3, 7)),
+             [lambda x: 3 / (7 * (x / 5 + 2) ** 3)]),
+    "exp_times_polynomial": (
+        WeightFn.exp_affine([Fraction(1, 3)], Fraction(-1, 7)) * WeightFn.from_polynomial(
+            Polynomial(1, {(2,): 1, (1,): Fraction(-1, 3), (0,): Fraction(5, 11)})),
+        [lambda x: (x / 3 - _D(Fraction(1, 7))).exp() * (x * x - x / 3 + _D(Fraction(5, 11)))]),
+    "sum": (WeightFn.exp_affine([Fraction(1, 3)], 0)
+            + WeightFn.affine_power(AffineFunction([1], 2), Fraction(-5, 2), 2),
+            [lambda x: (x / 3).exp(), lambda x: 2 / (x + 2) ** 2 / (x + 2).sqrt()]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_POINT_WEIGHTS))
+@pytest.mark.parametrize("ends", [(-1, 1), (Fraction(-2, 3), Fraction(4, 3))])
+def test_point_facet_values_carry_a_rounding_bound(kind, ends):
+    # a point facet's value is w.eval at its point; its error bounds the distance to a
+    # 40-digit reference and stays within 100 ulps of the terms' sizes
+    w, terms = _POINT_WEIGHTS[kind]
+    res = integrate_boundary(make_polytope(((1,), -ends[0]), ((-1,), ends[1])), w)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        values = [[term(_D(Fraction(x))) for term in terms] for x in ends]
+        ref = sum(sum(row) for row in values)
+        size = sum(abs(v) for row in values for v in row)
+        assert abs(decimal.Decimal(res.value) - ref) <= decimal.Decimal(res.error_estimate)
+        assert res.error_estimate <= 100 * np.finfo(float).eps * float(size)
 
 
 def test_exp_affine_simplex_exact():
