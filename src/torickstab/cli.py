@@ -95,10 +95,18 @@ def cmd_polytope_info(args):
     return EXIT_OK
 
 
-def cmd_futaki(args):
+def _inputs(args, *names):
+    """(polytope, the weight of each named option, inputs-echo) from --polytope and those options."""
     p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
-    v = jsonio.weight_from_json(_load_json(args.v, "v"), p.dim, "v")
-    w = jsonio.weight_from_json(_load_json(args.w, "w"), p.dim, "w")
+    weights = [jsonio.weight_from_json(_load_json(getattr(args, name), name), p.dim, name)
+               for name in names]
+    echo = {"polytope": jsonio.polytope_to_json(p)}
+    echo.update((name, jsonio.weight_to_json(w)) for name, w in zip(names, weights))
+    return p, *weights, echo
+
+
+def cmd_futaki(args):
+    p, v, w, echo = _inputs(args, "v", "w")
     if args.all_affine:
         directions = invariants._affine_basis(p.dim)
     elif args.direction is not None:
@@ -115,38 +123,19 @@ def cmd_futaki(args):
         for row, rep in zip(rows, invariants._futaki_fano(  # futaki_boundary certified v
                 p, v, [list(ell.zeta) for ell in directions], args.normalization, args.tol)):
             row["fano_closed_form"] = jsonio.futaki_report_to_json(rep)
-    _emit(args, "futaki", {
-        "polytope": jsonio.polytope_to_json(p),
-        "v": jsonio.weight_to_json(v),
-        "w": jsonio.weight_to_json(w),
-    }, rows, normalization=args.normalization)
+    _emit(args, "futaki", echo, rows, normalization=args.normalization)
     return EXIT_OK
 
 
 def cmd_extremal(args):
-    p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
-    v = jsonio.weight_from_json(_load_json(args.v, "v"), p.dim, "v")
-    w0 = jsonio.weight_from_json(_load_json(args.w0, "w0"), p.dim, "w0")
+    p, v, w0, echo = _inputs(args, "v", "w0")
     extra = None
     if args.extra_source is not None:
         extra = jsonio.weight_from_json(
             _load_json(args.extra_source, "extra_source"), p.dim, "extra_source")
     result = invariants.extremal_affine(p, v, w0, extra_source=extra, tol=args.tol)
-    _emit(args, "extremal", {
-        "polytope": jsonio.polytope_to_json(p),
-        "v": jsonio.weight_to_json(v),
-        "w0": jsonio.weight_to_json(w0),
-    }, jsonio.extremal_to_json(result))
+    _emit(args, "extremal", echo, jsonio.extremal_to_json(result))
     return EXIT_OK
-
-
-def _solver_inputs(args):
-    """Resolve (polytope, weight, inputs-echo) from --polytope and --weight."""
-    p = jsonio.polytope_from_json(_load_json(args.polytope, "polytope"))
-    weight = jsonio.weight_from_json(_load_json(args.weight, "weight"), p.dim, "weight")
-    echo = {"polytope": jsonio.polytope_to_json(p),
-            "weight": jsonio.weight_to_json(weight)}
-    return p, weight, echo
 
 
 def _run_solver(command, echo, solve, args):
@@ -167,13 +156,13 @@ def _run_solver(command, echo, solve, args):
 
 
 def cmd_soliton(args):
-    p, weight, echo = _solver_inputs(args)
+    p, weight, echo = _inputs(args, "weight")
     return _run_solver("soliton", echo, lambda: solvers.tian_zhu_soliton(
         p, weight, tol=args.tol, max_iter=args.max_iter), args)
 
 
 def cmd_reeb(args):
-    p, weight, echo = _solver_inputs(args)
+    p, weight, echo = _inputs(args, "weight")
     s = args.s if args.s is not None else p.dim + 1
     echo["s"] = s
     return _run_solver("reeb", echo, lambda: solvers.msy_reeb(

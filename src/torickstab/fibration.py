@@ -127,11 +127,11 @@ def extremal_fibration_weights(spec: FibrationSpec, tol=DEFAULT_TOL) -> Fibratio
                             residuals=ext.residuals)
 
 
-def soliton_fibration_weights(spec: FibrationSpec, v, m: int = None):
-    """Soliton weight pair of the total space: soliton pair of p*v in fiber dim m."""
+def soliton_fibration_weights(spec: FibrationSpec, v):
+    """Soliton weight pair of the total space: soliton pair of p*v in the fiber dimension."""
     pv = fibration_weight(spec) * as_weight(v, spec.fiber.dim)
     require_positive(pv, spec.fiber, "v")
-    return soliton_weight_pair(pv, spec.fiber.dim if m is None else m)
+    return soliton_weight_pair(pv, spec.fiber.dim)
 
 
 def fano_check(spec: FibrationSpec) -> bool:

@@ -104,10 +104,6 @@ class HalfSpace:
     def dim(self):
         return len(self.normal)
 
-    def affine(self) -> AffineFunction:
-        """The facet function L(x) = <normal, x> + offset."""
-        return AffineFunction(self.normal, self.offset)
-
     def value(self, x) -> Fraction:
         return sum((frac(n) * frac(v) for n, v in zip(self.normal, x)), self.offset)
 
@@ -362,7 +358,7 @@ class DelzantPolytope:
         """A polytope from its sorted vertices and their incidence, taken as given.
 
         For data already known to describe a bounded Delzant polytope, such as a
-        facet of one: no vertex enumeration and no checks.
+        facet of one: none of the constructor's boundedness or Delzant checks.
         """
         p = cls.__new__(cls)
         p.dim = halfspaces[0].dim
@@ -394,9 +390,6 @@ class DelzantPolytope:
     def is_canonical_fano(self) -> bool:
         """True iff every facet offset equals 1 (so 0 is interior)."""
         return all(h.offset == 1 for h in self.halfspaces)
-
-    def contains(self, x) -> bool:
-        return all(h.value(x) >= 0 for h in self.halfspaces)
 
     def contains_interior(self, x) -> bool:
         return all(h.value(x) > 0 for h in self.halfspaces)
@@ -550,11 +543,12 @@ def _triangulate(p: DelzantPolytope, root_index=0):
 def _build_facet(p: DelzantPolytope, j: int) -> Facet:
     """Facet j in its lattice chart, from the parent's vertices and incidence.
 
-    Its vertices are the parent vertices on facet j, in chart coordinates
-    t = rows 1.. of V^-1 applied to x - origin, where V = unimodular_completion
-    has determinant +-1, so V^-1 is its signed adjugate. Its half-spaces are the
-    facets k that share a vertex with j (in parent order), pulled back to the
-    chart and made primitive.
+    Its half-spaces are the facets k that share a vertex with j (in parent
+    order), pulled back to the chart x = origin + basis @ t, with basis columns
+    1.. of V = unimodular_completion, and made primitive. In the hyperplane of a
+    simple polytope's facet those neighbours cut out exactly the facet, so
+    `_vertex_incidence` on them finds the parent's vertices on facet j in chart
+    coordinates, each with the neighbours through it.
     """
     h = p.halfspaces[j]
     incident = [i for i, adj in enumerate(p.facet_adjacency) if j in adj]
@@ -564,29 +558,14 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
     r = p.dim
     v_mat = xla.unimodular_completion(h.normal)
     basis = tuple(tuple(v_mat[i][k] for k in range(1, r)) for i in range(r))
-    sign = _det(v_mat)
-    chart = [[sign * (-1) ** (k + i) * _det([row[:k] + row[k + 1:]
-                                                 for row in v_mat[:i] + v_mat[i + 1:]])
-              for i in range(r)]
-             for k in range(1, r)]
-    q = lcm(*(c.denominator for i in incident for c in p.vertices[i]))
-    scaled = {i: [c.numerator * (q // c.denominator) for c in p.vertices[i]] for i in incident}
-    base = scaled[incident[0]]  # q origin
-    neighbours = sorted({k for i in incident for k in p.facet_adjacency[i]} - {j})
     sub_halfspaces = []
-    for k in neighbours:
+    for k in sorted({k for i in incident for k in p.facet_adjacency[i]} - {j}):
         other = p.halfspaces[k]
         zeta = [sum(map(mul, other.normal, column)) for column in zip(*basis)]
         g = gcd(*zeta)
-        const = Fraction(sum(map(mul, other.normal, base)), q) + other.offset
-        sub_halfspaces.append(HalfSpace([z // g for z in zeta], const / g))
-    position = {k: n for n, k in enumerate(neighbours)}
-    points = sorted(
-        (tuple(Fraction(sum(w * (x - o) for w, x, o in zip(row, scaled[i], base)), q)
-               for row in chart),
-         tuple(position[k] for k in p.facet_adjacency[i] if k != j))
-        for i in incident
-    )
+        sub_halfspaces.append(HalfSpace([z // g for z in zeta], other.value(origin) / g))
+    incidence = _vertex_incidence(sub_halfspaces, r - 1)
+    vertices = sorted(incidence)
     sub = DelzantPolytope._from_incidence(
-        sub_halfspaces, [t for t, _ in points], [adj for _, adj in points])
+        sub_halfspaces, vertices, [incidence[t] for t in vertices])
     return Facet(origin, basis, sub)

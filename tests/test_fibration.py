@@ -107,7 +107,7 @@ def test_soliton_fibration_weights(interval):
     from torickstab.fibration import soliton_fibration_weights
 
     spec = _spec(interval, (BaseFactor(n=1, k=2), (1,), 2))
-    v, w = soliton_fibration_weights(spec, WeightFn.constant(1, 1), m=1)
+    v, w = soliton_fibration_weights(spec, WeightFn.constant(1, 1))
     # v = x + 2, m = 1: w = 2(1 + x/(x+2))(x+2) = 4x + 4
     for x in (-0.5, 0.0, 0.8):
         assert w.eval(np.array([x])) == pytest.approx(4 * x + 4, rel=1e-14)

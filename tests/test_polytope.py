@@ -183,7 +183,7 @@ def test_facet_embedding_lands_on_facet(p2):
         for t in facet.subpolytope.vertices:
             x = _embed(facet, t)
             assert h.value(x) == 0
-            assert p2.contains(x)
+            assert all(other.value(x) >= 0 for other in p2.halfspaces)
 
 
 @pytest.mark.parametrize("poly", [
@@ -339,7 +339,7 @@ def _facet_by_pullback(p, j):
     for k, other in enumerate(p.halfspaces):
         if k == j:
             continue
-        aff = other.affine().compose_affine(basis, origin)
+        aff = AffineFunction(other.normal, other.offset).compose_affine(basis, origin)
         if all(z == 0 for z in aff.zeta):
             continue
         ints = [int(z) for z in aff.zeta]
@@ -348,6 +348,28 @@ def _facet_by_pullback(p, j):
         if hs.normal not in uniq or hs.offset < uniq[hs.normal].offset:
             uniq[hs.normal] = hs
     return origin, basis, pulled, DelzantPolytope(list(uniq.values()))
+
+
+def _facet_points_by_adjugate(p, j):
+    """Oracle: the parent's vertices on facet j in chart coordinates, each with its other
+    facets as positions in the neighbour order, sorted. t is rows 1.. of V^-1 applied to
+    x - origin, where V = unimodular_completion has determinant +-1, so V^-1 is its
+    signed adjugate."""
+    r = p.dim
+    v_mat = xla.unimodular_completion(p.halfspaces[j].normal)
+    sign = xla.det(v_mat)
+    chart = [[sign * (-1) ** (k + i) * xla.det([row[:k] + row[k + 1:]
+                                                for row in v_mat[:i] + v_mat[i + 1:]])
+              for i in range(r)]
+             for k in range(1, r)]
+    incident = [i for i, adj in enumerate(p.facet_adjacency) if j in adj]
+    origin = p.vertices[incident[0]]
+    neighbours = sorted({k for i in incident for k in p.facet_adjacency[i]} - {j})
+    position = {k: n for n, k in enumerate(neighbours)}
+    return sorted(
+        (tuple(sum(w * (x - o) for w, x, o in zip(row, p.vertices[i], origin)) for row in chart),
+         tuple(position[k] for k in p.facet_adjacency[i] if k != j))
+        for i in incident)
 
 
 def _assert_facets_match_oracles(p):
@@ -359,8 +381,11 @@ def _assert_facets_match_oracles(p):
         # the facet's own data passes every check of the public constructor
         rebuilt = DelzantPolytope(sub.halfspaces)
         assert (rebuilt.vertices, rebuilt.facet_adjacency) == (sub.vertices, sub.facet_adjacency)
-        assert all(h.value(_embed(facet, t)) == 0 and p.contains(_embed(facet, t))
+        assert all(h.value(_embed(facet, t)) == 0
+                   and all(other.value(_embed(facet, t)) >= 0 for other in p.halfspaces)
                    for t in sub.vertices)
+        # exactly the parent's vertices on facet j, in order, with their incidence
+        assert list(zip(sub.vertices, sub.facet_adjacency)) == _facet_points_by_adjugate(p, j)
         try:
             origin, basis, pulled, old = _facet_by_pullback(p, j)
         except NotDelzant:  # a pulled-back half-space through a vertex of the facet
