@@ -53,7 +53,7 @@ def _emit(args, command, inputs, results, normalization=None) -> None:
     if normalization is not None:
         report["normalization"] = normalization
     report["timings"] = {"seconds": round(time.monotonic() - args.started, 6)}
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -178,33 +178,30 @@ def _parse_factor(text: str, path: str) -> fibration.BaseFactor:
     return jsonio._factor_from_json(fields, path)
 
 
-def cmd_fibration(args):
-    if args.subcommand == "enumerate":
-        fiber = jsonio.polytope_from_json(_load_json(args.fiber, "fiber"))
-        factors = [_parse_factor(t, f"factor[{i}]") for i, t in enumerate(args.factor)]
-        if not factors:
-            raise SchemaError("factor", "enumerate needs at least one --factor")
-        tuples = fibration.enumerate_fano(fiber, factors)
-        results = {
-            "count": len(tuples),
-            "tuples": [[list(p_a) for p_a in combo] for combo in tuples],
-        }
-        _emit(args, "fibration enumerate", {
-            "fiber": jsonio.polytope_to_json(fiber),
-            "factors": [{"n": f.n, "k": f.k} for f in factors],
-        }, results)
-        return EXIT_OK
+def cmd_fibration_enumerate(args):
+    fiber = jsonio.polytope_from_json(_load_json(args.fiber, "fiber"))
+    factors = [_parse_factor(t, f"factor[{i}]") for i, t in enumerate(args.factor)]
+    if not factors:
+        raise SchemaError("factor", "enumerate needs at least one --factor")
+    tuples = fibration.enumerate_fano(fiber, factors)
+    results = {"count": len(tuples), "tuples": [[list(p_a) for p_a in combo] for combo in tuples]}
+    _emit(args, "fibration enumerate", {
+        "fiber": jsonio.polytope_to_json(fiber),
+        "factors": [{"n": f.n, "k": f.k} for f in factors],
+    }, results)
+    return EXIT_OK
 
+
+def cmd_fibration(args):
     spec = jsonio.fibration_from_json(_load_json(args.spec, "spec"))
     echo = {"fibration": jsonio.fibration_to_json(spec)}
+    command = f"fibration {args.subcommand}"
     if args.subcommand == "validate":
         fibration.validate(spec)
         results = {"admissible": True}
         if all(f.is_fano for f, _, _ in spec.factors) and spec.fiber.is_canonical_fano():
             results["fano"] = fibration.fano_check(spec)
-        _emit(args, "fibration validate", echo, results)
-        return EXIT_OK
-    if args.subcommand == "weights":
+    elif args.subcommand == "weights":
         fw = fibration.extremal_fibration_weights(spec, tol=args.tol)
         results = {
             "p": jsonio.weight_to_json(fw.p),
@@ -213,16 +210,15 @@ def cmd_fibration(args):
             "ell_ext": jsonio.affine_to_json(fw.ell_ext),
             "residuals": list(fw.residuals),
         }
-        _emit(args, "fibration weights", echo, results)
-        return EXIT_OK
-    v = 1  # soliton or reeb: argparse admits no other subcommand
-    if args.v is not None:
-        v = jsonio.weight_from_json(_load_json(args.v, "v"), spec.fiber.dim, "v")
-    return _run_solver(f"fibration {args.subcommand}", echo,
-                       lambda: fibration.pv_soliton_pipeline(
-                           spec, v, tol=args.tol, max_iter=args.max_iter,
-                           reeb=args.subcommand == "reeb", s=args.s),
-                       args)
+    else:  # soliton or reeb
+        v = 1
+        if args.v is not None:
+            v = jsonio.weight_from_json(_load_json(args.v, "v"), spec.fiber.dim, "v")
+        reeb = {"reeb": True, "s": args.s} if args.subcommand == "reeb" else {}
+        return _run_solver(command, echo, lambda: fibration.pv_soliton_pipeline(
+            spec, v, tol=args.tol, max_iter=args.max_iter, **reeb), args)
+    _emit(args, command, echo, results)
+    return EXIT_OK
 
 
 # -- verification suites --------------------------------------------------------------
@@ -362,20 +358,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(parent, name, text, func):  # no abbreviations: `--s` must not read as `--spec`
+        sp = parent.add_parser(name, help=text, allow_abbrev=False)
+        sp.add_argument("--out", help="write the JSON report to a file")
+        sp.set_defaults(func=func)
+        return sp
+
     def common(sp, solver=False):
         sp.add_argument("--tol", type=float,
-                        default=solvers.DEFAULT_TOL if solver else 1e-12)
-        sp.add_argument("--out", help="write the JSON report to a file")
+                        default=solvers.DEFAULT_TOL if solver else DEFAULT_TOL)
         if solver:
             sp.add_argument("--max-iter", type=int, default=solvers.DEFAULT_MAX_ITER)
             sp.add_argument("--csv", help="write the iteration trace as CSV")
 
-    sp = sub.add_parser("polytope-info", help="vertices, volume, boundary measure")
+    sp = command(sub, "polytope-info", "vertices, volume, boundary measure", cmd_polytope_info)
     sp.add_argument("--polytope", required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_polytope_info)
 
-    sp = sub.add_parser("futaki", help="weighted Futaki invariant")
+    sp = command(sub, "futaki", "weighted Futaki invariant", cmd_futaki)
     sp.add_argument("--polytope", required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--w", required=True)
@@ -384,44 +383,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--normalization", choices=["polytope", "symplectic"],
                     default="polytope")
     common(sp)
-    sp.set_defaults(func=cmd_futaki)
 
-    sp = sub.add_parser("extremal", help="extremal affine function")
+    sp = command(sub, "extremal", "extremal affine function", cmd_extremal)
     sp.add_argument("--polytope", required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--w0", required=True)
     sp.add_argument("--extra-source")
     common(sp)
-    sp.set_defaults(func=cmd_extremal)
 
     for name, func in (("soliton", cmd_soliton), ("reeb", cmd_reeb)):
-        sp = sub.add_parser(name, help=f"{name} solver")
+        sp = command(sub, name, f"{name} solver", func)
         sp.add_argument("--polytope", required=True)
         sp.add_argument("--weight", required=True)
         if name == "reeb":
             sp.add_argument("--s", type=float)
         common(sp, solver=True)
-        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("fibration", help="fibration spec operations")
-    sp.add_argument("subcommand",
-                    choices=["validate", "weights", "enumerate", "soliton", "reeb"])
-    sp.add_argument("--spec")
+    fib = sub.add_parser("fibration", help="fibration spec operations").add_subparsers(
+        dest="subcommand", required=True)
+    sp = command(fib, "enumerate", "Fano twists of Fano factors over a fiber",
+                 cmd_fibration_enumerate)
     sp.add_argument("--fiber")
-    sp.add_argument("--factor", action="append", default=[],
-                    help="e.g. n=1,k=2 (repeatable)")
-    sp.add_argument("--v")
-    sp.add_argument("--s", type=float)
-    common(sp, solver=True)
-    sp.set_defaults(func=cmd_fibration)
+    sp.add_argument("--factor", action="append", default=[], help="e.g. n=1,k=2 (repeatable)")
+    for name, text in (("validate", "admissibility, and the Fano check when it applies"),
+                       ("weights", "fibration weights and their extremal affine function"),
+                       ("soliton", "soliton solver for the weight p*v"),
+                       ("reeb", "Reeb solver for the weight p*v")):
+        sp = command(fib, name, text, cmd_fibration)
+        sp.add_argument("--spec")
+        if name in ("soliton", "reeb"):
+            sp.add_argument("--v")
+        if name == "reeb":
+            sp.add_argument("--s", type=float)
+        if name != "validate":
+            common(sp, solver=name != "weights")
 
-    sp = sub.add_parser("verify", help="oracle cross-check suites")
+    sp = command(sub, "verify", "oracle cross-check suites", cmd_verify)
     sp.add_argument("suite",
                     choices=["quadrature", "futaki", "identities", "all"])
     sp.add_argument("--grid", type=int, default=100,
                     help="points-per-axis equivalent for the metric oracle")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -435,8 +436,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.started = time.monotonic()
     try:
-        if not 0 <= getattr(args, "tol", 0) < float("inf"):  # the exact paths never read it
-            raise ValueError(f"tol must be finite and >= 0, got {args.tol}")
         with np.errstate(all="ignore"):  # an overflow is a typed error, so stderr stays JSON
             return args.func(args)
     except (SchemaError, TorickstabError, ValueError) as e:

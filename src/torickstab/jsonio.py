@@ -51,6 +51,13 @@ def _int_from_json(obj, path) -> int:
     return x.numerator
 
 
+def _check_fields(obj: dict, allowed, what, path):
+    """A SchemaError naming each key of `obj` outside `allowed`."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise SchemaError(path, f"unknown {what} field(s) {unknown}")
+
+
 def _vector_from_json(obj, dim, path, read=num_from_json):
     """A list of `dim` entries, each read by `read`."""
     if not isinstance(obj, list):
@@ -138,11 +145,13 @@ def poly_to_json(poly: Polynomial):
 def polytope_from_json(obj, path="polytope") -> DelzantPolytope:
     if not isinstance(obj, dict) or not isinstance(obj.get("facets"), list):
         raise SchemaError(path, "expected an object with a 'facets' list")
+    _check_fields(obj, ("dim", "facets"), "polytope", path)
     halfspaces = []
     for i, f in enumerate(obj["facets"]):
         fp = f"{path}.facets[{i}]"
         if not isinstance(f, dict) or "normal" not in f or "offset" not in f:
             raise SchemaError(fp, "facet needs 'normal' and 'offset'")
+        _check_fields(f, ("normal", "offset"), "facet", fp)
         halfspaces.append(HalfSpace(_vector_from_json(f["normal"], None, f"{fp}.normal",
                                                       _int_from_json),
                                     num_from_json(f["offset"], f"{fp}.offset")))
@@ -168,6 +177,7 @@ def affine_from_json(obj, dim: int, path="affine") -> AffineFunction:
     if isinstance(obj, list):
         return AffineFunction(_vector_from_json(obj, dim, path), 0)
     if isinstance(obj, dict):
+        _check_fields(obj, ("zeta", "a"), "affine", path)
         if "zeta" not in obj:
             raise SchemaError(path, "affine function needs 'zeta'")
         return AffineFunction(_vector_from_json(obj["zeta"], dim, f"{path}.zeta"),
@@ -182,32 +192,39 @@ def affine_to_json(aff: AffineFunction):
 # -- weights ---------------------------------------------------------------------
 
 
+_TERM_FIELDS = ("scalar", "affine_powers", "exp", "poly")
+
+
 def weight_from_json(obj, dim: int, path="weight"):
     if isinstance(obj, (int, float)):
         return WeightFn.constant(dim, num_from_json(obj, path))
-    if isinstance(obj, str):
-        poly = parse_poly(obj, dim, path)
+    if isinstance(obj, list):
+        return WeightSum([weight_from_json(t, dim, f"{path}[{i}]")
+                          for i, t in enumerate(obj)])
+    if isinstance(obj, str) or (isinstance(obj, dict) and obj
+                                and not set(obj) & {"sum", *_TERM_FIELDS}):
+        poly = poly_from_json(obj, dim, path)  # a polynomial string or monomial map
         if poly.degree() == 1:
             # an affine weight keeps its factored form
             zeta = [poly.coeffs.get(tuple(1 if j == i else 0 for j in range(dim)), 0)
                     for i in range(dim)]
             return WeightFn.affine_power(AffineFunction(zeta, poly.constant_value()), 1)
         return WeightFn.from_polynomial(poly)
-    if isinstance(obj, list):
-        return WeightSum([weight_from_json(t, dim, f"{path}[{i}]")
-                          for i, t in enumerate(obj)])
     if not isinstance(obj, dict):
         raise SchemaError(path, f"cannot read a weight from {obj!r}")
     if "sum" in obj:
+        _check_fields(obj, ("sum",), "weight", path)
         return WeightSum([weight_from_json(t, dim, f"{path}.sum[{i}]")
                           for i, t in enumerate(obj["sum"])])
+    _check_fields(obj, _TERM_FIELDS, "weight", path)
     coeff = num_from_json(obj.get("scalar", 1), path)
     powers = []
     for i, ap in enumerate(obj.get("affine_powers", [])):
         app = f"{path}.affine_powers[{i}]"
         if not isinstance(ap, dict):
             raise SchemaError(app, f"expected an object with 'zeta', 'a' and 'pow', got {ap!r}")
-        powers.append((affine_from_json(ap, dim, app), num_from_json(ap.get("pow", 1), app)))
+        factor = {k: v for k, v in ap.items() if k != "pow"}
+        powers.append((affine_from_json(factor, dim, app), num_from_json(ap.get("pow", 1), app)))
     exp_part = None
     if obj.get("exp") is not None:
         exp_part = affine_from_json(obj["exp"], dim, f"{path}.exp")
@@ -241,6 +258,7 @@ def weight_to_json(w):
 def fibration_from_json(obj, path="fibration") -> FibrationSpec:
     if not isinstance(obj, dict) or "fiber" not in obj:
         raise SchemaError(path, "expected an object with a 'fiber' polytope")
+    _check_fields(obj, ("fiber", "factors"), "fibration", path)
     fiber = polytope_from_json(obj["fiber"], f"{path}.fiber")
     factors = []
     for i, f in enumerate(obj.get("factors", [])):
@@ -256,9 +274,7 @@ def fibration_from_json(obj, path="fibration") -> FibrationSpec:
 
 def _factor_from_json(obj: dict, path) -> BaseFactor:
     """A base factor from exactly the fields 'n' and one of 'k' or 's'."""
-    unknown = sorted(set(obj) - {"n", "k", "s"})
-    if unknown:
-        raise SchemaError(path, f"unknown factor field(s) {unknown}")
+    _check_fields(obj, ("n", "k", "s"), "factor", path)
     if "n" not in obj:
         raise SchemaError(path, "factor needs a dimension 'n'")
     if ("k" in obj) == ("s" in obj):

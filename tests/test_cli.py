@@ -180,19 +180,23 @@ def test_solver_iteration_cap_exits_solver(capsys):
     ["reeb", "--weight", '"x1+2"', "--tol", "nan"],
     ["futaki", "--all-affine", "--w", "1", "--tol", "nan",
      "--v", '{"sum": [{"exp": {"zeta": ["1/3", "0"], "a": 0}}, 1]}'],
-    # the exact and closed-form paths never read tol: the CLI checks it once
+    # the exact and closed-form paths check tol as the adaptive path does, in the quadrature
     ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "nan"],
     ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "inf"],
     ["futaki", "--all-affine", "--v", '"x1/2+1"', "--w", '"3*x1+4"', "--tol", "-1"],
     ["futaki", "--all-affine", "--w", "1", "--tol", "nan",
      "--v", '{"exp": {"zeta": ["1/3", "0"], "a": 0}}'],
     ["extremal", "--v", "1", "--w0", '"x1+2"', "--tol", "nan"],
+    ["fibration", "weights", "--spec", FIB, "--tol", "nan"],
+    ["fibration", "soliton", "--spec", FIB, "--tol", "inf"],
+    ["fibration", "reeb", "--spec", FIB, "--tol", "-1"],
 ], ids=["soliton-tol-inf", "soliton-tol-nan", "soliton-tol-negative", "soliton-max-iter-negative",
         "soliton-max-iter-0", "reeb-tol-nan", "futaki-adaptive-tol-nan",
         "futaki-exact-tol-nan", "futaki-exact-tol-inf", "futaki-exact-tol-negative",
-        "futaki-closed-form-tol-nan", "extremal-exact-tol-nan"])
+        "futaki-closed-form-tol-nan", "extremal-exact-tol-nan", "fibration-weights-tol-nan",
+        "fibration-soliton-tol-inf", "fibration-reeb-tol-negative"])
 def test_invalid_tolerance_or_iteration_cap_exits_validation(capsys, argv):
-    code = main(argv + ["--polytope", P2])
+    code = main(argv if argv[0] == "fibration" else argv + ["--polytope", P2])
     captured = capsys.readouterr()
     assert code == EXIT_VALIDATION
     assert not captured.out
@@ -229,6 +233,29 @@ def test_solver_fibration_route_is_gone(capsys, command, extra):
     with pytest.raises(SystemExit) as info:
         main([command, "--polytope", INTERVAL, "--weight", '"x+2"', *extra])
     assert info.value.code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--spec", FIB, "--tol", "1e-9"],
+    ["validate", "--spec", FIB, "--max-iter", "5"],
+    ["validate", "--spec", FIB, "--csv", "t.csv"],
+    ["validate", "--spec", FIB, "--v", '"x+3"'],
+    ["enumerate", "--fiber", INTERVAL, "--factor", "n=1,k=2", "--spec", FIB],
+    ["enumerate", "--fiber", INTERVAL, "--factor", "n=1,k=2", "--tol", "1e-3"],
+    ["weights", "--spec", FIB, "--csv", "t.csv"],
+    ["weights", "--spec", FIB, "--max-iter", "5"],
+    ["weights", "--spec", FIB, "--fiber", INTERVAL],
+    ["soliton", "--spec", FIB, "--s", "3"],
+    ["soliton", "--spec", FIB, "--factor", "n=1,k=2"],
+    ["reeb", "--spec", FIB, "--fiber", INTERVAL],
+], ids=["validate-tol", "validate-max-iter", "validate-csv", "validate-v", "enumerate-spec",
+        "enumerate-tol", "weights-csv", "weights-max-iter", "weights-fiber", "soliton-s",
+        "soliton-factor", "reeb-fiber"])
+def test_fibration_subcommands_take_only_the_options_they_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["fibration", *argv])
+    assert info.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(capsys):
@@ -451,8 +478,26 @@ _FACETS = json.loads(INTERVAL)["facets"]
     (jsonio.fibration_from_json, {"factors": []}, "fibration: expected an object with a 'fiber'"),
     (jsonio.fibration_from_json, {"fiber": {"facets": _FACETS}, "factors": [2]},
      "fibration.factors[0]: expected an object, got 2"),
+    (lambda o: jsonio.weight_from_json(o, 2), {"affine_powers": [
+        {"zeta": [1, 0], "a": 2, "power": 3}]},
+     "weight.affine_powers[0]: unknown affine field(s) ['power']"),
+    (lambda o: jsonio.affine_from_json(o, 2), {"zeta": [1, 0], "b": 5},
+     "affine: unknown affine field(s) ['b']"),
+    (jsonio.fibration_from_json, {"fiber": {"facets": _FACETS}, "factor": [{"n": 1, "k": 2}]},
+     "fibration: unknown fibration field(s) ['factor']"),
+    (lambda o: jsonio.weight_from_json(o, 1), {"scalar": 2, "1": 3},
+     "weight: unknown weight field(s) ['1']"),
+    (lambda o: jsonio.weight_from_json(o, 1), {"sum": [1, 2], "scalar": 2},
+     "weight: unknown weight field(s) ['scalar']"),
+    (lambda o: jsonio.weight_from_json(o, 1), {"exp": {"zeta": [1], "c": 3}},
+     "weight.exp: unknown affine field(s) ['c']"),
+    (jsonio.polytope_from_json, {"facets": _FACETS, "dims": 1},
+     "polytope: unknown polytope field(s) ['dims']"),
+    (jsonio.polytope_from_json, {"facets": [{"normal": [1], "offset": 1, "b": 2}, _FACETS[1]]},
+     "polytope.facets[0]: unknown facet field(s) ['b']"),
 ], ids=["vector", "parse", "syntax", "facet", "dim", "affine", "weight", "affine_powers",
-        "fiber", "factor"])
+        "fiber", "factor", "affine-power-field", "affine-field", "fibration-field",
+        "term-field", "sum-field", "exp-field", "polytope-field", "facet-field"])
 def test_json_readers_reject_malformed_input(read, obj, message):
     with pytest.raises(jsonio.SchemaError, match=f"^{re.escape(message)}"):
         read(obj)
@@ -650,6 +695,16 @@ def test_fibration_validate_leaves_out_fano_on_a_non_fano_spec(capsys):
     code, rep = _run(capsys, "fibration", "validate", "--spec", NON_FANO_FIB)
     assert code == EXIT_OK
     assert rep["results"] == {"admissible": True}
+
+
+def test_monomial_map_weight_reads_as_its_polynomial_string(capsys):
+    assert jsonio.weight_to_json(jsonio.weight_from_json({"1,0": "3", "0,0": 1}, 2)) == (
+        jsonio.weight_to_json(jsonio.weight_from_json("3*x1+1", 2)))
+    reports = [_run(capsys, "extremal", "--polytope", P2, "--v", v, "--w0", "1")
+               for v in ('{"1,0": "1", "0,0": 2}', '"x1+2"')]
+    assert [code for code, _ in reports] == [EXIT_OK, EXIT_OK]
+    assert reports[0][1]["results"]["ell_ext"] == reports[1][1]["results"]["ell_ext"]
+    assert reports[0][1]["inputs"]["v"] == reports[1][1]["inputs"]["v"]
 
 
 def test_extremal_extra_source(capsys):
