@@ -275,8 +275,8 @@ def _det(rows):
                for j, x in enumerate(rows[0]) if x)
 
 
-def _vertex_incidence(halfspaces, dim):
-    """{vertex: indices of the half-spaces through it}, exact, by Cramer's rule.
+def _vertex_incidence(halfspaces, dim, cone=False):
+    """({vertex: indices of the half-spaces through it}, ray), exact, by Cramer's rule.
 
     The offsets are scaled to integers b by their common denominator q. Each
     dim-subset of the rows (a, b) with determinant D != 0, made positive, gives
@@ -285,45 +285,37 @@ def _vertex_incidence(halfspaces, dim):
     integers are its incident half-spaces. The incidence set holds a nonsingular
     subset, so it names the vertex: a later subset through the same vertex
     builds no Fraction.
+
+    With cone, the row (0, 1) of t >= 0 joins those of the cone {(x, t) : <a, x> + b t >= 0}
+    over P, so the same loop finds the recession rays (homogenization). A subset through that
+    row has D = 0, and num holds the signed (dim - 1)-minors of its other normals: the
+    direction of the line they cut out. Once P has a vertex the normals span R^dim, so the
+    recession cone {d : <a, d> >= 0} is pointed, and it is nonzero iff it has an extreme ray,
+    on such a line: iff some nonzero num has <a, num> of one sign on every row. ray is the
+    first one, oriented into the cone, or None (always None without cone).
     """
     q = lcm(*(h.offset.denominator for h in halfspaces))
     rows = [(h.normal, h.offset.numerator * (q // h.offset.denominator)) for h in halfspaces]
-    found = {}
-    for subset in itertools.combinations(rows, dim):
+    found, ray, t_row = {}, None, ((0,) * dim, 1)
+    for subset in itertools.combinations(rows + [t_row] if cone else rows, dim):
         a = [n for n, _ in subset]
-        d = _det(a)
-        if d == 0:
+        d = 0 if subset[-1] is t_row else _det(a)  # the row of t >= 0 has normal 0
+        if d == 0 and (ray or subset[-1] is not t_row):  # no point, and no new ray to find
             continue
         num = [_det([row[:i] + (-b,) + row[i + 1:] for row, (_, b) in zip(a, subset)])
                for i in range(dim)]
         if d < 0:
             d, num = -d, [-x for x in num]
         values = [sum(map(mul, n, num)) + b * d for n, b in rows]
-        if min(values) >= 0:
+        if d == 0:
+            sign = 1 if min(values) >= 0 else -1 if max(values) <= 0 else 0
+            if sign and any(num):
+                ray = tuple(sign * x for x in num)
+        elif min(values) >= 0:
             incident = tuple(j for j, v in enumerate(values) if v == 0)
             if incident not in found:
                 found[incident] = tuple(Fraction(x, d * q) for x in num)
-    return {v: incident for incident, v in found.items()}
-
-
-def _has_recession_direction(halfspaces, dim):
-    """Exact unboundedness test: does {d : <u_j, d> >= 0 for all j} contain d != 0?
-
-    Requires the normals to span R^dim (true once a vertex exists), so the
-    recession cone is pointed and is nonzero iff it has an extreme ray. Every
-    extreme ray lies on a line cut out by dim - 1 of the normals; its direction
-    is their generalized cross product, the signed (dim - 1)-minors.
-    """
-    normals = [h.normal for h in halfspaces]
-    for subset in itertools.combinations(normals, dim - 1):
-        d = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in subset])
-             for i in range(dim)]
-        if not any(d):
-            continue
-        products = [sum(a * b for a, b in zip(u, d)) for u in normals]
-        if all(p >= 0 for p in products) or all(p <= 0 for p in products):
-            return True
-    return False
+    return {v: incident for incident, v in found.items()}, ray
 
 
 class DelzantPolytope:
@@ -340,10 +332,10 @@ class DelzantPolytope:
         if any(h.dim != self.dim for h in halfspaces):
             raise ValueError("inconsistent half-space dimensions")
         self.halfspaces = tuple(halfspaces)
-        incidence = _vertex_incidence(self.halfspaces, self.dim)
+        incidence, ray = _vertex_incidence(self.halfspaces, self.dim, cone=True)
         if not incidence:
             raise NotFullDimensional("no vertices: intersection empty or degenerate")
-        if _has_recession_direction(self.halfspaces, self.dim):
+        if ray:
             raise Unbounded("half-space intersection has a recession direction")
         # a polytope is lower-dimensional iff some half-space is tight at every vertex
         if set.intersection(*map(set, incidence.values())):
@@ -564,7 +556,7 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
         zeta = [sum(map(mul, other.normal, column)) for column in zip(*basis)]
         g = gcd(*zeta)
         sub_halfspaces.append(HalfSpace([z // g for z in zeta], other.value(origin) / g))
-    incidence = _vertex_incidence(sub_halfspaces, r - 1)
+    incidence, _ = _vertex_incidence(sub_halfspaces, r - 1)  # a facet of P is bounded
     vertices = sorted(incidence)
     sub = DelzantPolytope._from_incidence(
         sub_halfspaces, vertices, [incidence[t] for t in vertices])

@@ -137,15 +137,15 @@ def _check_tolerances(tol, abs_floor):
         raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
 
 
-def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
+def _adaptive(simplices, evaluate, tol, abs_floor):
     """Round-based adaptive cubature of evaluate's (n,) values, or of its (n, K) columns f_k.
 
     Each round bisects every simplex where some column's error exceeds its share target_k / S
     of its target max(tol * int|f_k|, abs_floor), int|f_k| by the degree-9 rule on |f_k|, and
     evaluates all children in one batch, until every column's |9 - 7| gap meets its target.
     Returns a QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at
-    depth max_depth (MAX_DEPTH from every caller) is due a split; each estimate adds U eps int|f_k|,
-    the U-node sums' rounding, to the gap. A kink (say max(0, ell)) can make both rules agree.
+    depth MAX_DEPTH is due a split; each estimate adds U eps int|f_k|, the U-node sums'
+    rounding, to the gap. A kink (say max(0, ell)) can make both rules agree.
     """
     _check_tolerances(tol, abs_floor)
     verts = np.array([s.float_vertices() for s in simplices])
@@ -168,8 +168,8 @@ def _adaptive(simplices, evaluate, tol, abs_floor, max_depth):
         if not (total_err > target).any():  # a NaN integrand stops here too
             return results()
         split = (err > (target / len(verts))[:, None]).any(axis=0)
-        if depth[split].max() >= max_depth:
-            raise MaxDepthExceeded(f"bisection depth {max_depth} reached "
+        if depth[split].max() >= MAX_DEPTH:
+            raise MaxDepthExceeded(f"bisection depth {MAX_DEPTH} reached "
                                    f"(error estimate {total_err.max():.3e})", result=results(False))
         keep = ~split
         children = _bisect_all(verts[split])
@@ -228,7 +228,7 @@ def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
         return integrate_products(polytope, w, [()])[0]
     _check_singularities(polytope, w)
     if not _closed(w):
-        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor, MAX_DEPTH))
+        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor))
     return _total([integrate_products(polytope, t, [()])[0] if t.is_polynomial else
                    _closed_form(polytope, t) for t in w.terms()])
 
@@ -317,7 +317,7 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
             return np.stack([values[:, i].prod(axis=1) for i in which], 1)
 
         out.update(zip([k for k, _ in cubature], _finite(_adaptive(
-            polytope.triangulate(), columns, tol, ABS_FLOOR, MAX_DEPTH))))
+            polytope.triangulate(), columns, tol, ABS_FLOOR))))
     return [out[k] for k in range(len(products))]
 
 

@@ -98,7 +98,7 @@ def test_criterion_03_soliton_oracle(interval):
     assert abs(rep.value) <= 1e-9
     # the solve ran on the closed form: its critical-point moment again by cubature
     x = WeightFn.from_polynomial(Polynomial.linear([1]))
-    assert abs(_adaptive(interval.triangulate(), (v * x).eval, 1e-12, 1e-14, 40).value) <= 1e-9
+    assert abs(_adaptive(interval.triangulate(), (v * x).eval, 1e-12, 1e-14).value) <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"criterion 3 PASS: soliton root {xi:.12f} vs oracle, "
@@ -252,7 +252,7 @@ def test_criterion_09_quadrature_oracles(interval, p2, f1):
             coeffs[alpha] = Fraction(int(rng.integers(-9, 10)), 7)
         poly = Polynomial(p.dim, coeffs)
         exact = float(integrate_poly(p, poly))
-        approx = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14, 40).value
+        approx = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14).value
         worst_rel = max(worst_rel,
                         abs(approx - exact) / max(1.0, abs(exact)))
     assert worst_rel <= 1e-12
@@ -288,7 +288,7 @@ def test_criterion_10_reeb_futaki_vanishes(interval, p2, f1):
         # int x_i w dx, which vanish at the critical point, again by cubature
         for ell in _affine_basis(m)[1:]:
             x_w = WeightFn.affine_power(ell, 1) * w
-            worst = max(worst, abs(_adaptive(p.triangulate(), x_w.eval, 1e-12, 1e-14, 40).value))
+            worst = max(worst, abs(_adaptive(p.triangulate(), x_w.eval, 1e-12, 1e-14).value))
     assert worst <= 1e-6
     print(f"criterion 10 PASS: boundary Futaki at the volume-minimizing Reeb "
           f"field vanishes to {worst:.2e} on all affine directions")

@@ -161,7 +161,7 @@ def test_unbounded_polytope_exits_validation(capsys):
     code = main(["polytope-info", "--polytope", UNBOUNDED])
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert "error" in err
+    assert err.startswith('{"error": "Unbounded:'), err
 
 
 def test_solver_iteration_cap_exits_solver(capsys):

@@ -1,12 +1,18 @@
-"""Lattice covariance: results carried by a unimodular change of basis.
+"""Lattice covariance: results carried by a unimodular change of basis and a shift.
 
 With the normals moved to M u by a unimodular M and no shift, a point x of the
-polytope moves to M^-T x, and a function <c, x> to <M c, x>. Such a test needs
-no reference values, so it shares no code or formula with the paths it checks.
+polytope moves to M^-T x, and a function <c, x> to <M c, x>; a rational shift b
+then moves x to M^-T x + b. Such a test needs no reference values, so it shares
+no code or formula with the paths it checks.
 """
+
+from fractions import Fraction
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from torickstab.invariants import barycenter, extremal_affine
 
 from conftest import CANONICAL_NORMALS, POLYGONS, fano_twists, moved_canonical, shear_matrix
 
@@ -26,3 +32,33 @@ def test_twists_move_by_the_basis_change(name, shears, k):
     image = fano_twists(moved_canonical(name, shears, ()), k)
     assert len(image) == len(moved) and set(image) == moved
 
+
+_shifts = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                   min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(POLYGONS + ("P3",)), _shears, _shifts)
+@example("F1", [(0, 1, 2), (1, 0, -1)], [Fraction(1, 3), Fraction(-5, 7), 0])
+@example("P3", [(0, 1, 1), (2, 0, -1)], [Fraction(1, 3), Fraction(-5, 7), Fraction(1, 2)])
+def test_construction_moves_by_the_affine_map(name, shears, shift):
+    # P' = {y : <M u, y - b> + 1 >= 0} is the image of P under T(x) = M^-T x + b, so
+    # T^-1(y) = M^T (y - b) carries P' back to P; T preserves Lebesgue and lattice measure
+    dim = len(CANONICAL_NORMALS[name][0])
+    m, b = shear_matrix(dim, shears), shift[:dim]
+    p, moved = moved_canonical(name, (), ()), moved_canonical(name, shears, b)
+
+    def back(y):  # T^-1(y)
+        return tuple(sum(m[k][i] * (y[k] - b[k]) for k in range(dim)) for i in range(dim))
+
+    assert len(moved.vertices) == len(p.vertices)
+    assert {back(y) for y in moved.vertices} == set(p.vertices)
+    assert moved.volume() == p.volume()
+    assert (sorted(f.sigma_measure() for _, f in moved.facets())
+            == sorted(f.sigma_measure() for _, f in p.facets()))
+    assert back(barycenter(moved, 1)) == barycenter(p, 1)
+    # ell' = ell o T^-1: zeta' = M zeta and const' + <zeta', b> = const
+    ell, image = extremal_affine(p, 1, 1).function, extremal_affine(moved, 1, 1).function
+    assert image.zeta == tuple(sum(map(mul, row, ell.zeta)) for row in m)
+    assert image.const + sum(map(mul, image.zeta, b)) == ell.const
+    assert all(type(c) is Fraction for c in (*image.zeta, image.const, *barycenter(moved, 1)))

@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -172,12 +174,29 @@ def test_enumerate_two_factors(interval):
     assert all(second == (0,) for _, second in out)
 
 
+def _soliton_root():
+    """The root t near -1/2 of t^2 + (3t^2 - 4t + 2) e^(2t) - 2, by Newton's method in 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal("-0.5")
+        for _ in range(50):
+            e = (2 * t).exp()
+            step = (t * t + (3 * t * t - 4 * t + 2) * e - 2) / (2 * t + (6 * t * t - 2 * t) * e)
+            t -= step
+            if abs(step) < Decimal("1e-38"):
+                return t
+    raise AssertionError("Newton's method did not converge")
+
+
 def test_pipeline_soliton_and_reeb(interval):
+    # p = x + 2 on [-1, 1]. The soliton's xi kills int x (x + 2) e^(xi x) dx, which is
+    # (xi^2 + (3 xi^2 - 4 xi + 2) e^(2 xi) - 2) / (xi^3 e^xi); the Reeb field's kills
+    # int x (x + 2) (1 + xi x)^(-4) dx, a multiple of 3 xi^2 - 8 xi + 1, so xi = (4 - sqrt 13) / 3
     spec = _spec(interval, (BaseFactor(n=1, k=2), (1,), 2))
     sol = pv_soliton_pipeline(spec)
-    assert sol.xi0[0] == pytest.approx(-0.5276195198969627, abs=1e-9)
+    assert sol.xi0[0] == pytest.approx(float(_soliton_root()), abs=1e-12)
     reeb = pv_soliton_pipeline(spec, reeb=True, s=3)
-    assert reeb.xi0[0] == pytest.approx(0.13148290817953467, abs=1e-9)
+    assert reeb.xi0[0] == pytest.approx((4 - math.sqrt(13)) / 3, abs=1e-12)
 
 
 def test_pipeline_rejects_non_fano(interval):

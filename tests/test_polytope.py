@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from torickstab.polytope import (
     Simplex,
     _bisect_all,
     _build_facet,
-    _has_recession_direction,
     _triangulate,
     _vertex_incidence,
     barycentric_coefficients,
@@ -274,8 +273,32 @@ def test_recession_test_matches_box_enumeration(case):
     halfspaces, dim = case
     # the extreme-ray test needs the normals to span R^dim, as they do once a vertex exists
     assume(halfspaces and xla.rank([list(h.normal) for h in halfspaces]) == dim)
-    assert _has_recession_direction(halfspaces, dim) == _recession_by_box_vertices(
-        halfspaces, dim)
+    _, ray = _vertex_incidence(halfspaces, dim, cone=True)
+    assert (ray is not None) == _recession_by_box_vertices(halfspaces, dim)
+    if ray is not None:  # a nonzero direction of the recession cone
+        assert any(ray) and all(sum(map(mul, h.normal, ray)) >= 0 for h in halfspaces)
+
+
+@pytest.mark.parametrize("halfspaces, error", [
+    ([((1,), 1)], Unbounded),
+    ([((1, 0), 1), ((0, 1), 1)], Unbounded),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 2)], Unbounded),
+    # three facets meet at the apex, but boundedness is tested before the Delzant condition
+    ([((1, 0), 0), ((0, 1), 0), ((1, 1), 0)], Unbounded),
+    # x = 0 is tight at the only vertex, but boundedness is tested before the dimension
+    ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0)], Unbounded),
+    ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)], Unbounded),
+    ([((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, 0), 1)], Unbounded),
+    # unbounded too, but with no vertex
+    ([((1, 0), 1), ((-1, 0), 1)], NotFullDimensional),
+    ([((1, 0, 0), 1), ((0, 1, 0), 1), ((-1, -1, 0), 1)], NotFullDimensional),
+], ids=["half-line", "quadrant", "quadrant with a redundant x + y >= -2", "wedge x, y, x + y >= 0",
+        "ray {x = 0, y >= 0}", "orthant in R^3", "capped prism x, y, z >= -1, x + y <= 1",
+        "strip |x| <= 1", "infinite prism x, y >= -1, x + y <= 1"])
+def test_unbounded_and_vertexless_inputs_raise_in_order(halfspaces, error):
+    """No vertex is NotFullDimensional, then a ray is Unbounded, before the flat and Delzant tests."""
+    with pytest.raises(error):
+        make_polytope(*halfspaces)
 
 
 # -- a facet chart that used to keep a half-space with no vertex ---------------------
@@ -436,7 +459,8 @@ def _rational_systems(draw):
 def test_integer_vertices_and_facets_match_fraction_oracles(case):
     halfspaces, dim = case
     assume(halfspaces)
-    incidence = _vertex_incidence(halfspaces, dim)
+    incidence, ray = _vertex_incidence(halfspaces, dim)
+    assert ray is None and _vertex_incidence(halfspaces, dim, cone=True)[0] == incidence
     assert sorted(incidence) == _raw_vertices_by_fraction_solves(halfspaces, dim)
     assert all(incidence[v] == tuple(j for j, h in enumerate(halfspaces) if h.value(v) == 0)
                for v in incidence)

@@ -21,7 +21,6 @@ from torickstab.quadrature import (
     DEFAULT_TOL,
     GM_ORDER_HIGH,
     GM_ORDER_LOW,
-    MAX_DEPTH,
     _adaptive,
     _bisect_all,
     _gm_pair,
@@ -286,7 +285,7 @@ def test_adaptive_matches_exact_on_random_polynomials(interval, p2, f1):
                 coeffs[alpha] = Fraction(int(rng.integers(-9, 10)), 7)
         poly = Polynomial(p.dim, coeffs)
         exact = float(integrate_poly(p, poly))
-        res = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14, 40)
+        res = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14)
         assert res.value == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -363,7 +362,7 @@ def test_exp_affine_matches_quadrature_near_confluence():
     closed = exp_affine_simplex_exact(tri.triangulate()[0], xi)
     # integrate_weighted takes this integrand in closed form: compare with the cubature
     adaptive = _adaptive(tri.triangulate(), WeightFn.exp_affine(list(xi), 0).eval,
-                         DEFAULT_TOL, ABS_FLOOR, MAX_DEPTH).value
+                         DEFAULT_TOL, ABS_FLOOR).value
     assert closed == pytest.approx(adaptive, rel=1e-11)
 
 
@@ -531,7 +530,7 @@ def _polygon_and_poly(draw):
 def test_adaptive_matches_exact_on_high_degree_polynomials(case):
     p, poly = case
     exact = float(integrate_poly(p, poly))
-    res = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14, 40)
+    res = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14)
     assert res.value == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -726,7 +725,7 @@ Q_DEGREE = {"one": 0, "affine": 1, "product": 3}
 
 def _assert_matches_adaptive(p, w):
     closed = integrate_weighted(p, w)
-    ref = _adaptive(p.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+    ref = _adaptive(p.triangulate(), w.eval, 1e-14, ABS_FLOOR)
     assert closed.subdivisions == 0 and closed.converged
     assert closed.value == pytest.approx(ref.value, rel=1e-12, abs=1e-13)
     assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate
@@ -888,7 +887,7 @@ def test_log_case_takes_the_closed_form(name):
         for sigma in range(1, 2 + Q_DEGREE[kind] + 1):
             w = q * WeightFn.affine_power(ell, -sigma)
             closed = integrate_weighted(p, w)
-            ref = _adaptive(p.triangulate(), w.eval, 1e-13, ABS_FLOOR, MAX_DEPTH)
+            ref = _adaptive(p.triangulate(), w.eval, 1e-13, ABS_FLOOR)
             assert closed.subdivisions == 0 and ref.subdivisions > 0
             assert closed.value == pytest.approx(ref.value, rel=1e-12)
             assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate
@@ -926,10 +925,10 @@ def _columns(w, products):
 def test_each_column_agrees_with_its_own_cubature_and_meets_its_target(case):
     p, w, products, tol = case
     simplices = p.triangulate()
-    batch = _adaptive(simplices, _columns(w, products), tol, ABS_FLOOR, MAX_DEPTH)
+    batch = _adaptive(simplices, _columns(w, products), tol, ABS_FLOOR)
     assert len(batch) == len(products)
     for res, ells in zip(batch, products):
-        (alone,) = _adaptive(simplices, _columns(w, [ells]), tol, ABS_FLOOR, MAX_DEPTH)
+        (alone,) = _adaptive(simplices, _columns(w, [ells]), tol, ABS_FLOOR)
         assert res.converged and res.subdivisions == batch[0].subdivisions >= alone.subdivisions
         # a batch of K columns sums the rule in another order than one column; each estimate
         # holds the rounding of the rule's sums
@@ -944,18 +943,19 @@ def test_each_column_agrees_with_its_own_cubature_and_meets_its_target(case):
 def test_a_one_column_call_is_the_scalar_call(case):
     p, w, (ells, *_), tol = case
     column = _columns(w, [ells])
-    scalar = _adaptive(p.triangulate(), lambda x: column(x)[:, 0], tol, ABS_FLOOR, MAX_DEPTH)
-    (res,) = _adaptive(p.triangulate(), column, tol, ABS_FLOOR, MAX_DEPTH)
+    scalar = _adaptive(p.triangulate(), lambda x: column(x)[:, 0], tol, ABS_FLOOR)
+    (res,) = _adaptive(p.triangulate(), column, tol, ABS_FLOOR)
     assert (res.value, res.error_estimate, res.subdivisions, res.converged) == (
         scalar.value, scalar.error_estimate, scalar.subdivisions, scalar.converged)
 
 
-def test_max_depth_exceeded_carries_every_column(interval):
+def test_max_depth_exceeded_carries_every_column(interval, monkeypatch):
     # int_{-1}^{1} (x + 2)^(1/2) x^k dx for k = 0, 1, 2
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
     w = WeightFn.affine_power(AffineFunction([1], 2), Fraction(1, 2))
     evaluate = lambda x: w.eval(x)[:, None] * x ** np.arange(3)  # noqa: E731
     with pytest.raises(MaxDepthExceeded) as info:
-        _adaptive(interval.triangulate(), evaluate, 1e-16, 1e-30, 2)
+        _adaptive(interval.triangulate(), evaluate, 1e-16, 1e-30)
     exact = [2 / 3 * (3 ** 1.5 - 1), 2 / 5 * (3 ** 2.5 - 1) - 4 / 3 * (3 ** 1.5 - 1),
              2 / 7 * (3 ** 3.5 - 1) - 8 / 5 * (3 ** 2.5 - 1) + 8 / 3 * (3 ** 1.5 - 1)]
     results = info.value.result
@@ -970,8 +970,7 @@ def test_the_error_estimate_covers_the_rounding_of_the_rule(p2):
     # 2.5e-16 each. Each estimate adds U eps int|f|, and must bound the distance from 9/2
     rounding = len(_gm_pair(2)[0]) * np.finfo(float).eps * 4.5
     for k in (1, 2):
-        for res in _adaptive(p2.triangulate(), lambda x: np.ones((len(x), k)), 1e-12, ABS_FLOOR,
-                             MAX_DEPTH):
+        for res in _adaptive(p2.triangulate(), lambda x: np.ones((len(x), k)), 1e-12, ABS_FLOOR):
             assert res.subdivisions == 0 and res.error_estimate >= rounding * (1 - 1e-12)
             assert abs(Fraction(res.value) - Fraction(9, 2)) <= res.error_estimate
 
@@ -1046,7 +1045,7 @@ def test_a_sum_of_closed_forms_is_taken_term_by_term(p2):
     for w in (terms[0] + terms[1], terms[1] + terms[2] + terms[3]):
         res = integrate_weighted(p2, w)
         parts = [integrate_weighted(p2, t) for t in w.terms()]
-        ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+        ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR)
         assert res.subdivisions == 0 and res.exact is None and type(res.error_estimate) is float
         assert res.error_estimate <= sum(part.error_estimate for part in parts)
         assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
@@ -1066,7 +1065,7 @@ def test_a_constant_factor_folds_into_the_coefficient(p2):
                               (AffineFunction([0, 0], 5), Fraction(-7, 3))):
             w = WeightFn.affine_power(factor, scale) * base
             res, plain = integrate_weighted(p2, w), integrate_weighted(p2, base)
-            ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR, MAX_DEPTH)
+            ref = _adaptive(p2.triangulate(), w.eval, 1e-14, ABS_FLOOR)
             assert res.subdivisions == 0 and type(res.error_estimate) is float
             assert res.value == pytest.approx(float(factor.const) ** float(scale) * plain.value,
                                               rel=1e-15)

@@ -297,7 +297,7 @@ def test_soliton_normalization_identity(interval, p2):
         def inner(pts, v=v):
             return np.einsum("ni,ni->n", v.grad(pts), pts)
 
-        grad_moment = _adaptive(p.triangulate(), inner, 1e-12, 1e-14, 40).value
+        grad_moment = _adaptive(p.triangulate(), inner, 1e-12, 1e-14).value
         assert lhs == pytest.approx(2 * m * int_v + 2 * grad_moment, abs=1e-9)
 
 
