@@ -11,6 +11,7 @@ from operator import add
 import numpy as np
 
 from .exactlinalg import frac
+from .workspace import Workspace
 
 
 class Polynomial:
@@ -89,19 +90,28 @@ class Polynomial:
         x = [frac(v) for v in x]
         return sum((c * prod(map(pow, x, a)) for a, c in self.coeffs.items()), Fraction(0))
 
-    def eval(self, pts):
-        """Float evaluation; pts is (r,) or (N, r) ndarray-like."""
+    def eval(self, pts, work=None):
+        """Float evaluation; pts is (r,) or (N, r) ndarray-like. The (N,) values
+        and every temporary are taken from the Workspace `work`, or a fresh one."""
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        total = np.zeros(pts.shape[0])
-        for a, c in self.coeffs.items():
-            term = np.full(pts.shape[0], float(c))
-            for i, ai in enumerate(a):
-                if ai:
-                    term *= pts[:, i] ** ai
-            total += term
+        work = work or Workspace()
+        total = work.take(len(pts))
+        total.fill(0.0)
+        with work.frame():
+            term, power = work.take(len(pts)), work.take(len(pts))
+            for a, c in self.coeffs.items():
+                term.fill(float(c))
+                for i, ai in enumerate(a):
+                    if ai == 1:
+                        term *= pts[:, i]
+                    elif ai:
+                        power[...] = pts[:, i]
+                        power **= ai  # as `**` computes it: a square for ai = 2
+                        term *= power
+                total += term
         return total[0] if single else total
 
     def compose_affine(self, matrix, offset) -> "Polynomial":

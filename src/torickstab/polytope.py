@@ -68,9 +68,12 @@ class AffineFunction:
     def eval_exact(self, x) -> Fraction:
         return sum((z * frac(v) for z, v in zip(self.zeta, x, strict=True)), self.const)
 
-    def eval(self, pts):
+    def eval(self, pts, out=None):
+        """ell at (r,) or (N, r) points, written to the (N,) array out if given."""
         zeta, const = self.floats
-        return np.asarray(pts, dtype=float) @ zeta + const
+        out = np.matmul(np.asarray(pts, dtype=float), zeta, out=out)
+        out += const
+        return out
 
     def compose_affine(self, matrix, offset) -> "AffineFunction":
         """Pullback under x = offset + matrix @ t."""
@@ -550,12 +553,17 @@ def _build_facet(p: DelzantPolytope, j: int) -> Facet:
     r = p.dim
     v_mat = xla.unimodular_completion(h.normal)
     basis = tuple(tuple(v_mat[i][k] for k in range(1, r)) for i in range(r))
+    q, scaled = p.integer_vertices()
+    at = scaled[incident[0]]  # q * origin, in integers
     sub_halfspaces = []
     for k in sorted({k for i in incident for k in p.facet_adjacency[i]} - {j}):
         other = p.halfspaces[k]
         zeta = [sum(map(mul, other.normal, column)) for column in zip(*basis)]
         g = gcd(*zeta)
-        sub_halfspaces.append(HalfSpace([z // g for z in zeta], other.value(origin) / g))
+        # the chart offset L_k(origin) / g = (<u_k, q origin> b + a q) / (q b g) for offset a / b
+        a, b = other.offset.numerator, other.offset.denominator
+        offset = Fraction(sum(map(mul, other.normal, at)) * b + a * q, q * b * g)
+        sub_halfspaces.append(HalfSpace([z // g for z in zeta], offset))
     incidence, _ = _vertex_incidence(sub_halfspaces, r - 1)  # a facet of P is bounded
     vertices = sorted(incidence)
     sub = DelzantPolytope._from_incidence(

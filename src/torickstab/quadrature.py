@@ -7,6 +7,9 @@ a closed-form sum of divided differences with a rounding bound as its error, and
 so is a sum of such terms and polynomials, term by term; everything else takes
 adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
 longest-edge bisection, one refinement for all the weights and products of a batch.
+The cubature hands its nodes to the integrand in chunks of at most EVAL_CHUNK, written
+into a `Workspace` that an integrand can share (`futaki_numeric` does), so that every
+chunk reuses the first one's arrays and its speed does not depend on earlier frees.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .exactlinalg import frac
 from .polynomial import Polynomial, compositions, expand, linear_terms
 from .polytope import DelzantPolytope, MomentTable, Simplex, _bisect_all, moment_table
 from .weights import WeightFn, WeightSum, as_weight
+from .workspace import Workspace
 
 DEFAULT_TOL = 1e-12
 ABS_FLOOR = 1e-14
@@ -106,29 +110,34 @@ def _gm_pair(dim: int):
 
 # -- adaptive integration ---------------------------------------------------------
 
-# Most nodes handed to one integrand call: the Abreu kernel's temporaries grow with the
+# Most nodes handed to one integrand call: the Abreu kernel's workspace columns grow with the
 # chunk, and chunks of 2^15 nodes took 4x their memory for no gain in speed.
 EVAL_CHUNK = 1 << 13
 
 
-def _rule_batch(verts, evaluate):
+def _rule_batch(verts, evaluate, work=None):
     """Degree-9 value, |9 - 7| error and degree-9 rule on |f| per simplex.
 
     The two rules share their nodes (`_gm_pair`): each of the U distinct nodes of every simplex
     goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call, and f times each
     of the pair's weight columns is reduced before the next call. An `evaluate` that returns
-    (n, K) values gives (S, K) arrays, one column per component.
+    (n, K) values gives (S, K) arrays, one column per component. The nodes are written to the
+    Workspace `work` (or a fresh one) in one frame per chunk, which an `evaluate` that takes
+    its columns from the same workspace shares: every chunk then reuses the first one's arrays.
     """
     dim = verts.shape[2]
     nodes, weights = _gm_pair(dim)
     step = max(1, EVAL_CHUNK // len(nodes))
+    work = work or Workspace()
     parts = []
     for chunk in (verts[i:i + step] for i in range(0, len(verts), step)):
-        f = evaluate((nodes @ chunk).reshape(-1, dim)).T
-        f = f.reshape(*f.shape[:-1], len(chunk), len(nodes))
-        scale = np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))
-        value, err = (f @ weights * scale[:, None]).T
-        parts.append((value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T))
+        with work.frame():
+            x = np.matmul(nodes, chunk, out=work.take(len(chunk), len(nodes), dim))
+            f = evaluate(x.reshape(-1, dim)).T
+            f = f.reshape(*f.shape[:-1], len(chunk), len(nodes))
+            scale = np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))
+            value, err = (f @ weights * scale[:, None]).T
+            parts.append((value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

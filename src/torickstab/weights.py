@@ -24,6 +24,7 @@ from .errors import NotPositive
 from .exactlinalg import frac
 from .polynomial import Polynomial, _symmetric_partials, expand, linear_terms
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
+from .workspace import Workspace
 
 
 class Positivity(Enum):
@@ -145,8 +146,8 @@ class WeightFn:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval(self, pts):
-        return self._jet(pts, 0)[0]
+    def eval(self, pts, work=None):
+        return self._jet(pts, 0, work)[0]
 
     def grad(self, pts):
         return self._jet(pts, 1)[1]
@@ -154,7 +155,7 @@ class WeightFn:
     def hess(self, pts):
         return self._jet(pts, 2)[2]
 
-    def _jet(self, pts, order):
+    def _jet(self, pts, order, work=None):
         """[value, gradient, Hessian][:order + 1] at (r,) or (N, r) points, in one pass.
 
         With a = c * prod l^p * exp(m), g = grad log a = sum p zeta / l + grad m
@@ -163,47 +164,75 @@ class WeightFn:
         a ((g g^T + dg) q + (g dq^T + dq g^T) + Hess q), all on length-N columns
         (skipping zero entries of a factor's zeta): g and dq one per i, dg and the
         Hessian one per i <= j, written to [i, j] and [j, i] so the Hessian is
-        exactly symmetric. Returns (N,), (N, r) and (N, r, r) views.
+        exactly symmetric. Returns (N,), (N, r) and (N, r, r) views of columns
+        taken from the Workspace `work` (or a fresh one), as are the temporaries.
         """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         n, r = pts.shape
-        a = np.full(n, float(self.coeff))
-        g = np.zeros((r, n)) if order else None
-        dg = np.zeros((r, r, n)) if order == 2 else None
-        for aff, p in self.affine_powers:
-            vals = aff.eval(pts)
-            a = a * (vals ** int(p) if p.denominator == 1 else np.power(vals, float(p)))
-            if order:
-                s = float(p) / vals
-                nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
-                for i, z in nonzero:
-                    g[i] += z * s
-                if order == 2:
-                    s = s / vals
-                    for (i, y), (j, z) in combinations_with_replacement(nonzero, 2):
-                        dg[i, j] -= (y * z) * s
-        if self.exp_part is not None:
-            a = a * np.exp(self.exp_part.eval(pts))
-            if order:
-                g += np.array([[float(z)] for z in self.exp_part.zeta])
+        work = work or Workspace()
+        jet = [work.take(*shape) for shape in ((n,), (r, n), (r, r, n))[:order + 1]]
         q = self.poly_part
-        qv = None if q is None else q.eval(pts)
-        jet = [a if q is None else a * qv]
-        if order:
+        with work.frame():
+            a = jet[0] if q is None else work.take(n)
+            a.fill(float(self.coeff))
+            vals = work.take(n)
+            if order:
+                s, tmp, g = work.take(n), work.take(n), work.take(r, n)
+                g.fill(0.0)
+            if order == 2:
+                dg = work.take(r, r, n)
+                dg.fill(0.0)
+            for aff, p in self.affine_powers:
+                aff.eval(pts, out=vals)
+                if order:
+                    np.divide(float(p), vals, out=s)
+                    nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
+                    for i, z in nonzero:
+                        g[i] += np.multiply(s, z, out=tmp)
+                    if order == 2:
+                        s /= vals
+                        for (i, y), (j, z) in combinations_with_replacement(nonzero, 2):
+                            dg[i, j] -= np.multiply(s, y * z, out=tmp)
+                if p.denominator != 1:
+                    np.power(vals, float(p), out=vals)
+                elif p != 1:
+                    vals **= int(p)  # as `**` computes it: a square for p = 2
+                a *= vals
+            if self.exp_part is not None:
+                a *= np.exp(self.exp_part.eval(pts, out=vals), out=vals)
+                if order:
+                    g += self.exp_part.floats[0][:, None]
             if q is not None:
-                dq = np.array([d.eval(pts) for d in _symmetric_partials(q, 1).values()])
-            jet.append((g * a if q is None else (g * qv + dq) * a).T)
-        if order == 2:
-            ddq = {} if q is None else _symmetric_partials(q, 2)
-            hess = np.empty((r, r, n))
-            for i, j in combinations_with_replacement(range(r), 2):
-                h = g[i] * g[j] + dg[i, j]
-                if q is not None:
-                    h = h * qv + (g[i] * dq[j] + dq[i] * g[j]) + ddq[i, j].eval(pts)
-                hess[i, j] = hess[j, i] = a * h
-            jet.append(hess.transpose(2, 0, 1))
+                qv = q.eval(pts, work)
+                np.multiply(a, qv, out=jet[0])
+            if order:
+                grad = jet[1]
+                if q is None:
+                    np.multiply(g, a, out=grad)
+                else:
+                    dq = [d.eval(pts, work) for d in _symmetric_partials(q, 1).values()]
+                    np.multiply(g, qv, out=grad)
+                    for row, d in zip(grad, dq):
+                        row += d
+                    grad *= a
+            if order == 2:
+                hess = jet[2]
+                ddq = {} if q is None else _symmetric_partials(q, 2)
+                for i, j in combinations_with_replacement(range(r), 2):
+                    h = np.multiply(g[i], g[j], out=hess[i, j])
+                    h += dg[i, j]
+                    if q is not None:
+                        h *= qv
+                        np.multiply(g[i], dq[j], out=tmp)
+                        tmp += np.multiply(dq[i], g[j], out=s)
+                        h += tmp
+                        with work.frame():
+                            h += ddq[i, j].eval(pts, work)
+                    h *= a
+                    hess[j, i] = h
+        jet[1:] = [part.transpose(*axes) for part, axes in zip(jet[1:], ((1, 0), (2, 0, 1)))]
         return [out[0] for out in jet] if single else jet
 
     # -- positivity ---------------------------------------------------------------
@@ -269,8 +298,8 @@ class WeightSum:
     def compose_affine(self, matrix, offset):
         return WeightSum([t.compose_affine(matrix, offset) for t in self._terms])
 
-    def eval(self, pts):
-        return self._jet(pts, 0)[0]
+    def eval(self, pts, work=None):
+        return self._jet(pts, 0, work)[0]
 
     def grad(self, pts):
         return self._jet(pts, 1)[1]
@@ -278,8 +307,19 @@ class WeightSum:
     def hess(self, pts):
         return self._jet(pts, 2)[2]
 
-    def _jet(self, pts, order):
-        return [sum(parts) for parts in zip(*(t._jet(pts, order) for t in self._terms))]
+    def _jet(self, pts, order, work=None):
+        """The terms' jets added in order, into the first term's columns."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            return [part[0] for part in self._jet(pts[None, :], order, work)]
+        work = work or Workspace()
+        first, *rest = self._terms
+        jet = first._jet(pts, order, work)
+        for t in rest:
+            with work.frame():
+                for out, part in zip(jet, t._jet(pts, order, work)):
+                    out += part
+        return jet
 
     def positivity_on(self, polytope):
         """Certify the polynomial terms as one sum and every other term alone."""

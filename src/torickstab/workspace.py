@@ -1,0 +1,55 @@
+"""Scratch float arrays that the chunks of one cubature share.
+
+The metric kernel (`toricmetrics._scal_v_abreu` and the weight and polynomial
+evaluations under it) writes every length-N column into arrays taken from a
+`Workspace` with numpy `out=` arguments. `quadrature._rule_batch` opens one
+frame per chunk of nodes, so each chunk takes the same arrays in the same order
+as the first: after the first chunk nothing is allocated, and nothing is freed
+for the C allocator to hand back to the system and fault in again.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+import numpy as np
+
+
+class Workspace:
+    """A stack of float buffers handed out as uninitialised arrays.
+
+    `take(*shape)` returns a view of the next buffer in line, allocated when
+    first asked for and replaced by a larger one only if it is too small.
+    `with work.frame():` hands back, on exit, every array taken inside it, so
+    the next take reuses those buffers: what a frame computes for its caller
+    must be taken before it opens. A caller that takes the same shapes in the
+    same order, with no more nodes than the first time, allocates nothing. A
+    fresh `Workspace()` serves a one-off evaluation.
+    """
+
+    __slots__ = ("_buffers", "_top", "_marks")
+
+    def __init__(self):
+        self._buffers, self._top, self._marks = [], 0, []
+
+    def take(self, *shape):
+        top, buffers = self._top, self._buffers
+        self._top = top + 1
+        if top < len(buffers):
+            buffer = buffers[top]
+            if buffer.shape == shape:
+                return buffer
+            if buffer.size >= prod(shape):
+                return buffer.reshape(-1)[:prod(shape)].reshape(shape)
+        buffers[top:top + 1] = [np.empty(shape)]  # a new buffer, or a larger one in its place
+        return buffers[top]
+
+    def frame(self):
+        self._marks.append(self._top)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._top = self._marks.pop()

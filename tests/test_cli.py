@@ -1,8 +1,13 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +152,30 @@ def test_verify_quadrature_all_pass(capsys):
     assert code == EXIT_OK
     assert rep["results"]["all_pass"] is True
     assert all(row["pass"] for row in rep["results"]["checks"])
+
+
+def test_verify_quadrature_checks_the_exp_integral_exactly(capsys):
+    # the closed form of int exp(x/2 + y/5) over P^2 against Hermite--Genocchi at
+    # machine precision
+    code, rep = _run(capsys, "verify", "quadrature")
+    rows = {row["check"]: row for row in rep["results"]["checks"]}
+    row = rows["P2 exp(x/2 + y/5) vs divided differences at the vertices"]
+    assert code == EXIT_OK and row["pass"] and row["tol"] == 1e-12
+
+
+def test_verify_all_leaves_numpy_random_unloaded():
+    # the suites draw no numpy random numbers: a fresh interpreter that runs them
+    # never imports numpy.random (5.7 MB of resident memory)
+    script = ("import sys\n"
+              "from torickstab.cli import main\n"
+              "code = main(['verify', 'all', '--out', sys.argv[1]])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-c", script, str(Path(tmp) / "report.json")],
+                              capture_output=True, text=True, timeout=300, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["0", "False"], proc
 
 
 def test_verify_identities_checks_closed_form_curvature(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab import toricmetrics
+from torickstab import quadrature, toricmetrics, workspace
 from torickstab.errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from torickstab.exactlinalg import solve
 from torickstab.invariants import futaki_boundary
@@ -572,9 +572,9 @@ def test_futaki_numeric_on_a_list_of_directions_is_the_single_calls(facets, bump
     grid = GridSpec(resolution=40 if r == 2 else 12)
     abreu, rows = toricmetrics._scal_v_abreu, []
 
-    def counted(u, v, x):
+    def counted(u, v, x, work=None):
         rows.append(len(x))
-        return abreu(u, v, x)
+        return abreu(u, v, x, work)
 
     monkeypatch.setattr(toricmetrics, "_scal_v_abreu", counted)
     many = futaki_numeric(p, u, v, w, directions, grid)
@@ -611,6 +611,70 @@ def test_futaki_numeric_rejects_inputs_of_another_dimension(p2, v, w, ell, name)
     # a 3-D v once returned a value, and a wrong ell raised numpy's matmul ValueError
     with pytest.raises(ValueError, match=name):
         futaki_numeric(p2, SymplecticPotential(p2), v, w, ell, GridSpec(resolution=10))
+
+
+def test_futaki_numeric_rejects_a_potential_of_another_polytope(p2):
+    # P^2 halved (offsets 1/2) with the potential of P^2 once returned 0.28125,
+    # where futaki_boundary gives 1.40625
+    halved = make_polytope(((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2)),
+                           ((-1, -1), Fraction(1, 2)))
+    v, w = soliton_weight_pair(WeightFn.affine_power(AffineFunction([1, 0], 2), 1), 2)
+    with pytest.raises(ValueError, match="^u "):
+        futaki_numeric(halved, SymplecticPotential(p2), v, w, AffineFunction([1, 0], 0),
+                       GridSpec(resolution=10))
+    # the same half-spaces in another order define the same potential
+    shuffled = make_polytope(*reversed(P2))
+    value = futaki_numeric(shuffled, SymplecticPotential(p2), v, w, AffineFunction([1, 0], 0),
+                           GridSpec(resolution=10)).value
+    assert value == pytest.approx(futaki_boundary(p2, v, w, AffineFunction([1, 0], 0)).value,
+                                  abs=1e-9)
+
+
+def test_futaki_numeric_of_no_direction_is_an_empty_list(p2):
+    # as futaki_boundary returns; np.stack once raised on the empty list
+    v, w = soliton_weight_pair(WeightFn.constant(2, 1), 2)
+    assert futaki_numeric(p2, SymplecticPotential(p2), v, w, []) == []
+    assert futaki_boundary(p2, v, w, []) == []
+
+
+class _CountedWorkspace(workspace.Workspace):
+    """A Workspace that counts the buffers it allocates, the replaced ones included."""
+
+    __slots__ = ("allocations",)
+
+    def __init__(self):
+        super().__init__()
+        self.allocations = 0
+
+    def take(self, *shape):
+        buffers = [id(b) for b in self._buffers]
+        out = super().take(*shape)
+        self.allocations += buffers != [id(b) for b in self._buffers]
+        return out
+
+
+def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatch):
+    # every chunk takes the same workspace arrays, so a call over 35 chunks allocates as
+    # many buffers as a call over one chunk, all of them on its first chunk
+    p = make_polytope(*P2)
+    u = scaled_bump(p, Polynomial(2, {(4, 0): Fraction(1, 30), (2, 2): Fraction(1, 50)}))
+    v, w = soliton_weight_pair(WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 7)], 0)
+                               + WeightFn.affine_power(AffineFunction([1, 0], 2), 1), 2)
+    basis = [AffineFunction.constant(2, 1), AffineFunction.coordinate(2, 0)]
+    step = quadrature.EVAL_CHUNK // len(_gm_pair(2)[0])
+    made = []
+
+    def counted():
+        made.append(_CountedWorkspace())
+        return made[-1]
+
+    monkeypatch.setattr(toricmetrics, "Workspace", counted)
+    counts = {}
+    for resolution in (30, 400):
+        futaki_numeric(p, u, v, w, basis, GridSpec(resolution))
+        counts[-(-len(_refined(p, resolution)) // step)] = made.pop().allocations
+    assert not made
+    assert list(counts) == [1, 35] and counts[1] == counts[35] > 0, counts
 
 
 @pytest.mark.parametrize("zeta", [[1, 0, 0], [1]])
