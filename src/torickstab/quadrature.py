@@ -146,7 +146,7 @@ def _check_tolerances(tol, abs_floor):
         raise ValueError(f"tol and abs_floor must be finite and >= 0, got {tol} and {abs_floor}")
 
 
-def _adaptive(simplices, evaluate, tol, abs_floor):
+def _adaptive(simplices, evaluate, tol, abs_floor, mesh=None):
     """Round-based adaptive cubature of evaluate's (n,) values, or of its (n, K) columns f_k.
 
     Each round bisects every simplex where some column's error exceeds its share target_k / S
@@ -155,14 +155,22 @@ def _adaptive(simplices, evaluate, tol, abs_floor):
     Returns a QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at
     depth MAX_DEPTH is due a split; each estimate adds U eps int|f_k|, the U-node sums'
     rounding, to the gap. A kink (say max(0, ell)) can make both rules agree.
+    The first round evaluates the simplices or, when the list `mesh` holds the [verts, depth]
+    an earlier cubature over the same simplices left in it, that refinement: float simplices
+    (S, r + 1, r) and each one's depth, its bisections from the simplex it came from, so that
+    MAX_DEPTH still counts from the simplices. A converged cubature leaves its own final
+    [verts, depth] in `mesh`.
     """
     _check_tolerances(tol, abs_floor)
-    verts = np.array([s.float_vertices() for s in simplices])
+    if mesh:
+        verts, depth = mesh
+    else:
+        verts = np.array([s.float_vertices() for s in simplices])
+        depth = np.zeros(len(verts), dtype=int)
     # (K, S) rows, so that each column is summed pairwise, as a scalar is
     rows = lambda batch: [np.ascontiguousarray(np.atleast_2d(a.T)) for a in batch]  # noqa: E731
     first = _rule_batch(verts, evaluate)
     columns, (value, err, mass) = first[0].ndim == 2, rows(first)
-    depth = np.zeros(len(verts), dtype=int)
     subdivisions = 0
 
     def results(converged=True):
@@ -175,6 +183,8 @@ def _adaptive(simplices, evaluate, tol, abs_floor):
         total_err = err.sum(axis=1)
         target = np.maximum(tol * mass.sum(axis=1), abs_floor)
         if not (total_err > target).any():  # a NaN integrand stops here too
+            if mesh is not None:
+                mesh[:] = verts, depth
             return results()
         split = (err > (target / len(verts))[:, None]).any(axis=0)
         if depth[split].max() >= MAX_DEPTH:
@@ -282,7 +292,7 @@ def _at_point(w, origin):
 
 
 def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
-                       tol=DEFAULT_TOL) -> list:
+                       tol=DEFAULT_TOL, mesh=None) -> list:
     """Integral of w_k * prod(ells_k) per product ells_k, integrand one w or a list of w_k.
 
     Over the polytope, or with boundary=True over its boundary with d(sigma). A
@@ -292,9 +302,12 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     every result is then exact, a dot product with shifted moments (see
     _dot_shifted). Other integrands take integrate_weighted / integrate_boundary once per product
     if they have a closed form or boundary=True; all the rest take one cubature (_adaptive) of
-    their columns w_k * prod(ells_k), each a product of columns of one matrix of the distinct
-    weights' and affine factors' values at the nodes. A direction of another
-    dimension than the polytope's is a ValueError, and so is a tol that is not finite and >= 0.
+    their columns w_k * prod(ells_k): each distinct weight and affine factor is evaluated once
+    per node, and each column is their product, built in place in one (K, n) block. That
+    cubature starts from the refinement in the list `mesh`, if given and not empty, and leaves
+    its own there (see _adaptive): a caller that integrates nearby weights over one polytope
+    hands the last mesh on. A direction of another dimension than the polytope's is a
+    ValueError, and so is a tol that is not finite and >= 0.
     """
     _check_tolerances(tol, ABS_FLOOR)
     single = not isinstance(integrand, list)
@@ -321,12 +334,16 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
         items = list(dict.fromkeys(f for _, row in cubature for f in row))
         which = [[items.index(f) for f in row] for _, row in cubature]
 
-        def columns(x):
-            values = np.stack([f.eval(x) for f in items], 1)
-            return np.stack([values[:, i].prod(axis=1) for i in which], 1)
+        def columns(x):  # (n, K): the transpose of one (K, n) block of in-place products
+            values, block = [f.eval(x) for f in items], np.empty((len(which), len(x)))
+            for row, (first, *rest) in zip(block, which):
+                row[:] = values[first]
+                for i in rest:
+                    row *= values[i]
+            return block.T
 
         out.update(zip([k for k, _ in cubature], _finite(_adaptive(
-            polytope.triangulate(), columns, tol, ABS_FLOOR))))
+            polytope.triangulate(), columns, tol, ABS_FLOOR, mesh))))
     return [out[k] for k in range(len(products))]
 
 

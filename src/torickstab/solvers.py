@@ -9,8 +9,10 @@ the weights g, g', g''. The iterations converge globally from xi = 0.
 Each trial point integrates F and all its moments in one call; they are
 closed forms for polynomial p (also times one exp(affine) for the soliton,
 and for integer s for the Reeb field) and one adaptive cubature otherwise.
-F's noise in the Armijo test is its error estimate, a rounding bound on the
-closed form.
+That cubature starts from the mesh the last accepted point's cubature ended
+on (the first one of a solve from the triangulation), and builds its columns
+in place. F's noise in the Armijo test is its error estimate, a rounding
+bound on the closed form.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
     weight(xi, k) is the weight x -> g^(k)(<xi, x>), for k = 0, 1, 2. Each trial point takes
     F, its gradient and its Hessian from one integrate_products call over the products (),
     (x_i,) and (x_i, x_j) with weights p g^(k), two orders tighter than `tol`, and an accepted
-    point keeps them. limit_step(xi, direction) caps the initial step; every shorter step must
-    stay admissible.
+    point keeps them. It keeps its cubature's final mesh with them too (see
+    quadrature._adaptive), where the next trial point's cubature starts; a rejected trial
+    point's mesh is dropped with its moments, and the mesh does not outlive the solve.
+    limit_step(xi, direction) caps the initial step; every shorter step must stay admissible.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -68,18 +72,20 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
     upper = np.triu_indices(r)
     products = [()] + [(c,) for c in x] + [(x[i], x[j]) for i, j in zip(*upper)]
 
-    def integrals(xi):  # F, its error estimate, its gradient and its Hessian at xi
-        ws = [p * weight(xi, k) for k in range(3)]
-        res = integrate_products(polytope, [ws[len(e)] for e in products], products, tol=qtol)
+    def integrals(xi, start):  # F, its error estimate, gradient, Hessian and cubature mesh at xi
+        ws, mesh = [p * weight(xi, k) for k in range(3)], list(start)  # the trial's own mesh
+        res = integrate_products(polytope, [ws[len(e)] for e in products], products, tol=qtol,
+                                 mesh=mesh)
         hess = np.empty((r, r))
         hess[upper] = hess[upper[::-1]] = [m.value for m in res[1 + r:]]
-        return res[0].value, res[0].error_estimate, np.array([m.value for m in res[1:1 + r]]), hess
+        return (res[0].value, res[0].error_estimate, np.array([m.value for m in res[1:1 + r]]),
+                hess, mesh)
 
     def stopped(iterations):
         return SolverResult(tuple(xi), f_val, gnorm, min_eig, iterations, trace, converged=False)
 
     xi, t, trace = np.zeros(r), 0.0, []
-    f_val, f_err, grad, hess = integrals(xi)
+    f_val, f_err, grad, hess, mesh = integrals(xi, [])
     for it in range(max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         min_eig = float(np.linalg.eigvalsh(hess)[0])
@@ -99,7 +105,7 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
         for _ in range(60):
             cand = xi + t * step
             try:
-                new = integrals(cand)
+                new = integrals(cand, mesh)
             except NonFiniteIntegral:  # F or a moment overflows at the trial point: reject it
                 new = (math.inf,)
             if new[0] <= f_val + ARMIJO_C * t * slope + noise:
@@ -108,7 +114,7 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
         else:
             raise MaxIterations("line search failed to find a descent step",
                                 result=stopped(it + 1))
-        xi, (f_val, f_err, grad, hess) = cand, new
+        xi, (f_val, f_err, grad, hess, mesh) = cand, new
 
 
 def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,

@@ -9,10 +9,14 @@ no code or formula with the paths it checks.
 from fractions import Fraction
 from operator import mul
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickstab.invariants import barycenter, extremal_affine
+from torickstab.polytope import AffineFunction
+from torickstab.solvers import msy_reeb, tian_zhu_soliton
+from torickstab.weights import WeightFn
 
 from conftest import CANONICAL_NORMALS, POLYGONS, fano_twists, moved_canonical, shear_matrix
 
@@ -62,3 +66,31 @@ def test_construction_moves_by_the_affine_map(name, shears, shift):
     assert image.zeta == tuple(sum(map(mul, row, ell.zeta)) for row in m)
     assert image.const + sum(map(mul, image.zeta, b)) == ell.const
     assert all(type(c) is Fraction for c in (*image.zeta, image.const, *barycenter(moved, 1)))
+
+
+def _moved_weight(kind, zeta):
+    """p = 1, x1 + 2 + <zeta, x> / 2 or exp(<zeta, x>), given its linear part zeta."""
+    if kind == "one":
+        return WeightFn.constant(len(zeta), 1)
+    if kind == "affine":
+        return WeightFn.affine_power(AffineFunction([z / 2 for z in zeta], 2), 1)
+    return WeightFn.exp_affine(zeta, 0)
+
+
+@pytest.mark.parametrize("name", ["F1", "Bl2P2"])
+@pytest.mark.parametrize("shears", [[(0, 1, 2), (1, 0, -1)], [(1, 0, 1)]])
+@pytest.mark.parametrize("kind", ["one", "affine", "exp"])
+@pytest.mark.parametrize("solve", [tian_zhu_soliton, lambda p, w: msy_reeb(p, w, 3)],
+                         ids=["soliton", "reeb"])
+def test_solvers_move_by_the_basis_change(name, shears, kind, solve):
+    # F'(xi') = int g(<xi', y>) p(M^T y) dy over the image is F(M^T xi'), as M^-T keeps
+    # Lebesgue measure, so the Newton iterates move to xi' = M xi. The exp Reeb solves
+    # take the adaptive cubature on both triangulations
+    m = shear_matrix(2, shears)
+    zeta = [Fraction(3, 10), Fraction(-1, 5)]
+    moved_zeta = [sum(map(mul, row, zeta)) for row in m]
+    res = solve(moved_canonical(name, (), ()), _moved_weight(kind, zeta))
+    image = solve(moved_canonical(name, shears, ()), _moved_weight(kind, moved_zeta))
+    assert res.converged and image.converged and image.iterations == res.iterations
+    moved_xi = [sum(map(mul, row, res.xi0)) for row in m]
+    assert max(abs(a - b) for a, b in zip(image.xi0, moved_xi)) <= 1e-12

@@ -964,6 +964,54 @@ def test_max_depth_exceeded_carries_every_column(interval, monkeypatch):
         assert res.value == pytest.approx(want, rel=1e-6) and res.subdivisions > 0
 
 
+def _mesh_volumes(mesh):
+    verts, _ = mesh
+    return np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / 2
+
+
+def test_a_handed_on_refinement_keeps_its_depths(p2):
+    # the mesh a cubature leaves holds each simplex with its bisections from the triangulation,
+    # each of which halves the volume; a cubature started from it counts on from those depths
+    tri = p2.triangulate()
+    top = {float(s.volume()) for s in tri}
+    first, second = (WeightFn.exp_affine([Fraction(a), 0], 0).eval for a in (2, 4))
+    mesh = []
+    ref = _adaptive(tri, first, 1e-12, ABS_FLOOR, mesh)
+    start = list(mesh)
+    for m in (mesh, start):
+        assert len(m) == 2 and m[1].min() >= 0 and m[1].max() >= 2
+        assert set((_mesh_volumes(m) * 2.0 ** m[1]).round(12)) <= top
+    # a converged mesh needs no split for its own integrand, and is handed on as it is
+    again = _adaptive(tri, first, 1e-12, ABS_FLOOR, mesh)
+    assert again.subdivisions == 0 and all(a is b for a, b in zip(mesh, start))
+    assert abs(again.value - ref.value) <= again.error_estimate + ref.error_estimate
+    res = _adaptive(tri, second, 1e-12, ABS_FLOOR, mesh)
+    assert res.subdivisions > 0 and len(mesh[1]) > len(start[1])
+    assert set((_mesh_volumes(mesh) * 2.0 ** mesh[1]).round(12)) <= top
+    # the same start seven bisections deeper splits alike and counts seven more
+    deeper = [start[0], start[1] + 7]
+    assert _adaptive(tri, second, 1e-12, ABS_FLOOR, deeper) == res
+    assert np.array_equal(deeper[0], mesh[0]) and np.array_equal(deeper[1], mesh[1] + 7)
+
+
+def test_a_refinement_started_deep_stops_at_max_depth(p2):
+    # depth counts from the triangulation, not from the start of a cubature: started at
+    # MAX_DEPTH - d, where d is the deepest a cold start goes, it converges to the same
+    # integral; started at MAX_DEPTH - 1, it is refused with partial results
+    tri, w = p2.triangulate(), WeightFn.exp_affine([Fraction(6), 0], 0)
+    verts, cold = np.array([s.float_vertices() for s in tri]), []
+    ref = _adaptive(tri, w.eval, 1e-12, ABS_FLOOR, cold)
+    d = cold[1].max()
+    assert d >= 2
+    deep = lambda depth: [verts, np.full(len(tri), quadrature.MAX_DEPTH - depth)]  # noqa: E731
+    assert _adaptive(tri, w.eval, 1e-12, ABS_FLOOR, deep(d)) == ref
+    with pytest.raises(MaxDepthExceeded) as info:
+        _adaptive(tri, w.eval, 1e-12, ABS_FLOOR, deep(1))
+    partial = info.value.result
+    assert not partial.converged and partial.subdivisions > 0
+    assert abs(partial.value - ref.value) <= partial.error_estimate
+
+
 def test_the_error_estimate_covers_the_rounding_of_the_rule(p2):
     # for the constant 1 on P^2 both rules are exact and their gap is rounding alone: a 1-column
     # and a 2-column call, summed in other orders, once read 1 ulp apart with an estimate of

@@ -417,13 +417,8 @@ def _separate_newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda 
     raise AssertionError("the reference loop did not converge")
 
 
-@pytest.mark.parametrize("name", sorted(POLYGONS))
-@pytest.mark.parametrize("kind", ["soliton", "reeb"])
-def test_closed_form_solves_match_the_separate_integration_loop(name, kind, monkeypatch):
-    # with a closed form every moment is its own integrate_weighted call, so integrating
-    # F, the gradient and the Hessian together at each trial point changes no bit
-    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
-    p = WeightFn.affine_power(AffineFunction([1, Fraction(1, 2)], 3), 1)
+def _solve_and_separate_loop(kind, polytope, p, monkeypatch):
+    """The solver's result, and the separate loop's with the solver's weight and step rule."""
     seen = {}
 
     def loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
@@ -432,7 +427,81 @@ def test_closed_form_solves_match_the_separate_integration_loop(name, kind, monk
 
     monkeypatch.setattr(solvers, "_newton_loop", loop)
     res = tian_zhu_soliton(polytope, p) if kind == "soliton" else msy_reeb(polytope, p, 3)
-    ref = _separate_newton_loop(polytope, p, seen["weight"], seen["tol"], seen["max_iter"],
-                                seen["limit_step"])
+    return res, _separate_newton_loop(polytope, p, seen["weight"], seen["tol"],
+                                      seen["max_iter"], seen["limit_step"])
+
+
+@pytest.mark.parametrize("name", sorted(POLYGONS))
+@pytest.mark.parametrize("kind", ["soliton", "reeb"])
+def test_closed_form_solves_match_the_separate_integration_loop(name, kind, monkeypatch):
+    # with a closed form every moment is its own integrate_weighted call, so integrating
+    # F, the gradient and the Hessian together at each trial point changes no bit
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+    p = WeightFn.affine_power(AffineFunction([1, Fraction(1, 2)], 3), 1)
+    res, ref = _solve_and_separate_loop(kind, polytope, p, monkeypatch)
     assert res.converged and res.iterations >= 1
     assert (res.xi0, res.objective, res.iterations, res.trace) == ref
+
+
+_EXP_P = WeightFn.exp_affine([Fraction(3, 10), Fraction(-1, 5)], 0)  # exp(3 x1 / 10 - x2 / 5)
+_ROOT_P = WeightFn.affine_power(AffineFunction([1, 0], 2), Fraction(1, 2))  # (x1 + 2)^(1/2)
+
+
+@pytest.mark.parametrize("name, kind, p", [(name, "reeb", _EXP_P) for name in sorted(POLYGONS)]
+                         + [("P2", "soliton", _ROOT_P)])
+def test_cubature_solves_match_the_cold_separate_loop(name, kind, p, monkeypatch):
+    # without a closed form each trial point's cubature starts from the accepted point's
+    # refinement, where the separate loop starts every cubature from the triangulation
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+    res, (xi, objective, iterations, _) = _solve_and_separate_loop(kind, polytope, p, monkeypatch)
+    assert res.converged and res.iterations == iterations >= 2
+    assert max(abs(a - b) for a, b in zip(res.xi0, xi)) <= 1e-12
+    assert abs(res.objective - objective) <= 1e-13 * abs(objective)
+
+
+def test_trial_points_refine_from_the_accepted_point(monkeypatch):
+    # an exp Reeb solve hands fewer simplices to the rule than cold cubatures of its trial points
+    rule_batch, products = quadrature._rule_batch, solvers.integrate_products
+    simplices, trials = [0], []
+
+    def counted(verts, *args):
+        simplices[0] += len(verts)
+        return rule_batch(verts, *args)
+
+    def trial(polytope, ws, prods, tol, mesh):
+        trials.append((polytope, ws, prods, tol))
+        return products(polytope, ws, prods, tol=tol, mesh=mesh)
+
+    monkeypatch.setattr(quadrature, "_rule_batch", counted)
+    monkeypatch.setattr(solvers, "integrate_products", trial)
+    polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS["F1"]])
+    assert msy_reeb(polytope, _EXP_P, 3).converged
+    warm, simplices[0] = simplices[0], 0
+    for polytope, ws, prods, tol in trials:
+        integrate_products(polytope, ws, prods, tol=tol)
+    assert 0 < warm < simplices[0]
+
+
+def test_a_rejected_trial_point_drops_its_refinement(p2, monkeypatch):
+    # a Hessian 4 times too small at xi = 0 makes the first step too long for the Armijo test:
+    # each trial point starts from the mesh the last accepted point left, never a rejected one's
+    def weight(xi, k):
+        return WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0).scale(
+            Fraction(1, 4) if k == 2 and not any(xi) else 1)
+
+    products, calls = solvers.integrate_products, []
+
+    def trial(*args, mesh, **kwargs):
+        start = list(mesh)
+        res = products(*args, mesh=mesh, **kwargs)
+        calls.append((start, list(mesh), res[0].value))
+        return res
+
+    monkeypatch.setattr(solvers, "integrate_products", trial)
+    res = _newton_loop(p2, _ROOT_P, weight, 1e-10, 50)
+    accepted, last = {f for _, f, _ in res.trace}, []
+    assert res.converged and res.trace[1][2] < 1 and len(calls) > res.iterations + 1
+    for start, end, f in calls:
+        assert len(start) == len(last) and all(a is b for a, b in zip(start, last))
+        assert len(end) == 2 and len(end[0]) >= len(start and start[0])
+        last = end if f in accepted else last
