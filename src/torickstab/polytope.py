@@ -262,10 +262,8 @@ def _lambda_index(dim, degree):  # each beta as vertex indices, i repeated beta_
 
 
 def _det(rows):
-    """Exact determinant of a small int or Fraction matrix: explicit to 3 x 3, Laplace above."""
+    """Exact determinant of r >= 1 int or Fraction rows: explicit to 3 x 3, Laplace above."""
     n = len(rows)
-    if n == 0:
-        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:

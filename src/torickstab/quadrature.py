@@ -1,12 +1,13 @@
 """Integration over Delzant polytopes and their boundaries.
 
-An integrand takes one of three paths, chosen by its canonical form alone (see
-`weights`): a polynomial is exact, read off the cached rational moment tables;
-a single term Q exp(ell) or Q ell^-sigma (Q polynomial, integer sigma >= 1) is
-a closed-form sum of divided differences with a rounding bound as its error, and
-so is a sum of such terms and polynomials, term by term; everything else takes
-adaptive Grundmann--Moeller simplex cubature with an embedded degree-7/9 pair and
-longest-edge bisection, one refinement for all the weights and products of a batch.
+integrate_products picks each distinct weight's path by its canonical form (see `weights`):
+a polynomial is exact, read off the cached rational moment tables; a single term Q exp(ell)
+or Q ell^-sigma (Q polynomial, integer sigma >= 1) is a closed-form sum of divided
+differences with a rounding bound as its error, and so is a sum of such terms and
+polynomials, term by term; everything else takes adaptive Grundmann--Moeller simplex
+cubature with an embedded degree-7/9 pair and longest-edge bisection, one refinement for all
+the weights and products of a batch, on the boundary per facet chart. integrate_weighted
+and integrate_boundary are the one-product case.
 The cubature hands its nodes to the integrand in chunks of at most EVAL_CHUNK, written
 into a `Workspace` that an integrand can share (`futaki_numeric` does), so that every
 chunk reuses the first one's arrays and its speed does not depend on earlier frees.
@@ -229,49 +230,108 @@ def _finite(res):
 
 def integrate_weighted(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                        abs_floor=ABS_FLOOR) -> QuadratureResult:
-    """Integral of a grammar weight (or polynomial) over the polytope.
-
-    Purely polynomial integrands take the exact rational path. A single term
-    Q exp(ell), or Q ell^-sigma with integer sigma >= 1, takes the closed form
-    (see _slot), and so does a sum of such terms and polynomials, term by term
-    with the error bounds added: no subdivisions, and a rounding bound as the
-    error estimate; tol and abs_floor do not apply, but must be finite and >= 0
-    on every path. Otherwise an adaptive embedded GM 7/9 scheme with longest-edge
-    bisection runs until the summed rule discrepancy meets max(tol*int|f|, abs_floor),
-    refining in batched rounds to at most MAX_DEPTH generations (see _adaptive). A
-    value or error that is not finite raises NonFiniteIntegral.
-    """
-    _check_tolerances(tol, abs_floor)
+    """Integral of a grammar weight (or polynomial) over the polytope: the one-product case
+    of integrate_products, except for the closed-form leaf it hands back here, a weight each
+    term of which is a polynomial or has a closed form (see _slot), integrated term by term
+    with the error bounds added. Failures carry one QuadratureResult."""
     w = as_weight(integrand, polytope.dim, "integrand")
-    if w.is_polynomial:
-        return integrate_products(polytope, w, [()])[0]
+    if w.is_polynomial or not _closed(w):
+        return _one(polytope, w, False, tol, abs_floor)
+    _check_tolerances(tol, abs_floor)
     _check_singularities(polytope, w)
-    if not _closed(w):
-        return _finite(_adaptive(polytope.triangulate(), w.eval, tol, abs_floor))
     return _total([integrate_products(polytope, t, [()])[0] if t.is_polynomial else
                    _closed_form(polytope, t) for t in w.terms()])
 
 
-# -- boundary integration -----------------------------------------------------------
-
-
 def integrate_boundary(polytope: DelzantPolytope, integrand, tol=DEFAULT_TOL,
                        abs_floor=ABS_FLOOR) -> QuadratureResult:
-    """Integral over the polytope boundary with the lattice measure d(sigma).
+    """Integral over the polytope boundary with the lattice measure d(sigma): the
+    one-product case of integrate_products(boundary=True). Failures carry one
+    QuadratureResult."""
+    return _one(polytope, integrand, True, tol, abs_floor)
 
-    A polynomial integrand is exact, read off the facets' moment tables by
-    integrate_products. Otherwise each facet is pulled back to its lattice chart,
-    where d(sigma) is Lebesgue, and integrated adaptively as an (r-1)-dimensional
-    polytope integral; a point facet (r = 1) has d(sigma)-mass 1 (see _at_point).
+
+def _one(polytope, w, boundary, tol, abs_floor):
+    """integrate_products of w alone, a failure carrying its one QuadratureResult."""
+    try:
+        return integrate_products(polytope, w, [()], boundary, tol, abs_floor)[0]
+    except (MaxDepthExceeded, NonFiniteIntegral) as exc:
+        exc.result = exc.result[0] if isinstance(exc.result, list) else exc.result
+        raise
+
+
+def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
+                       tol=DEFAULT_TOL, abs_floor=ABS_FLOOR, mesh=None) -> list:
+    """Integral of w_k * prod(ells_k) per product ells_k, integrand one w or a list of w_k,
+    over the polytope or, with boundary=True, over its boundary with d(sigma).
+
+    The one place a path is picked, once per distinct weight. A polynomial is expanded once
+    and pulled back once per facet chart x = origin + B t, where ell = (c + <zeta, x>) / n,
+    scaled to integers once, becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for
+    origin = p / q; every result is exact, a dot product with shifted moments (_dot_shifted).
+    On the boundary any other weight and its products are pulled back once per facet chart
+    and integrated there in one call (_facet_products). A weight with a closed form takes
+    integrate_weighted once per product, the rest one cubature (_adaptive) of their columns
+    w_k * prod(ells_k), one (K, n) block of in-place products of each distinct weight's and
+    affine factor's values, started from and leaving its refinement in the list `mesh` if
+    given: a caller integrating nearby weights over one polytope hands the last mesh on.
+    tol and abs_floor must be finite and >= 0, and each direction of the polytope's dimension
+    (else ValueError); a failure carries the results of the integral that failed.
     """
     _check_tolerances(tol, abs_floor)
-    w = as_weight(integrand, polytope.dim, "integrand")
-    if w.is_polynomial:
-        return integrate_products(polytope, w, [()], boundary=True)[0]
-    _check_singularities(polytope, w)
-    return _total([integrate_weighted(f.subpolytope, w.compose_affine(f.basis, f.origin), tol,
-                                      abs_floor) if f.subpolytope else _at_point(w, f.origin)
-                   for _, f in polytope.facets()])
+    single = not isinstance(integrand, list)
+    ws = [as_weight(w, polytope.dim, "integrand") for w in ([integrand] if single else integrand)]
+    wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
+    if wrong:
+        raise ValueError(f"direction has dimension {wrong[0]}, the polytope {polytope.dim}")
+    ws = ws * len(products) if single else ws
+    groups = {}  # each distinct weight, by identity, with the indices of its products
+    for k, (w, _) in enumerate(zip(ws, products, strict=True)):
+        groups.setdefault(id(w), (w, []))[1].append(k)
+    out, cubature = {}, []
+    for w, ks in groups.values():
+        own = [products[k] for k in ks]
+        if w.is_polynomial:
+            out.update(zip(ks, _exact_products(polytope, w, own, boundary)))
+        elif boundary:
+            _check_singularities(polytope, w)
+            out.update(zip(ks, _facet_products(polytope, w, own, tol, abs_floor)))
+        elif _closed(w):
+            out.update((k, integrate_weighted(polytope, w * _multiplier(polytope.dim, tuple(ells)),
+                                              tol, abs_floor)) for k, ells in zip(ks, own))
+        else:
+            _check_singularities(polytope, w)
+            cubature += [(k, (w, *ells)) for k, ells in zip(ks, own)]
+    if cubature:  # each distinct weight and affine factor evaluated once per node
+        items = list(dict.fromkeys(f for _, row in cubature for f in row))
+        which = [[items.index(f) for f in row] for _, row in cubature]
+
+        def columns(x):  # (n, K): the transpose of one (K, n) block of in-place products
+            values, block = [f.eval(x) for f in items], np.empty((len(which), len(x)))
+            for row, (first, *rest) in zip(block, which):
+                row[:] = values[first]
+                for i in rest:
+                    row *= values[i]
+            return block.T
+
+        out.update(zip([k for k, _ in cubature], _finite(_adaptive(
+            polytope.triangulate(), columns, tol, abs_floor, mesh))))
+    return [out[k] for k in range(len(products))]
+
+
+def _facet_products(polytope, w, products, tol, abs_floor):
+    """Boundary integrals of a non-polynomial w times each product, summed over the facets."""
+    parts = []
+    for _, f in polytope.facets():
+        if f.subpolytope is None:
+            parts.append([_at_point(w * _multiplier(polytope.dim, tuple(ells)), f.origin)
+                          for ells in products])
+        else:
+            parts.append(integrate_products(
+                f.subpolytope, w.compose_affine(f.basis, f.origin),
+                [[ell.compose_affine(f.basis, f.origin) for ell in ells] for ells in products],
+                tol=tol, abs_floor=abs_floor))
+    return [_total(column) for column in zip(*parts)]
 
 
 def _at_point(w, origin):
@@ -289,62 +349,6 @@ def _at_point(w, origin):
         ulps += q.degree() + len(x) + len(q.coeffs) + 1
         err += ulps * q_size * abs(WeightFn(t.dim, t.coeff, t.affine_powers, t.exp_part).eval(x))
     return QuadratureResult(float(w.eval(x)), float(EPS * err), 0)
-
-
-def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=False,
-                       tol=DEFAULT_TOL, mesh=None) -> list:
-    """Integral of w_k * prod(ells_k) per product ells_k, integrand one w or a list of w_k.
-
-    Over the polytope, or with boundary=True over its boundary with d(sigma). A
-    polynomial integrand is expanded once and pulled back once per facet chart
-    x = origin + B t, where ell = (c + <zeta, x>) / n, scaled to integers once,
-    becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for origin = p / q;
-    every result is then exact, a dot product with shifted moments (see
-    _dot_shifted). Other integrands take integrate_weighted / integrate_boundary once per product
-    if they have a closed form or boundary=True; all the rest take one cubature (_adaptive) of
-    their columns w_k * prod(ells_k): each distinct weight and affine factor is evaluated once
-    per node, and each column is their product, built in place in one (K, n) block. That
-    cubature starts from the refinement in the list `mesh`, if given and not empty, and leaves
-    its own there (see _adaptive): a caller that integrates nearby weights over one polytope
-    hands the last mesh on. A direction of another dimension than the polytope's is a
-    ValueError, and so is a tol that is not finite and >= 0.
-    """
-    _check_tolerances(tol, ABS_FLOOR)
-    single = not isinstance(integrand, list)
-    ws = [as_weight(w, polytope.dim, "integrand") for w in ([integrand] if single else integrand)]
-    wrong = [ell.dim for ells in products for ell in ells if ell.dim != polytope.dim]
-    if wrong:
-        raise ValueError(f"direction has dimension {wrong[0]}, the polytope {polytope.dim}")
-    ws = ws * len(products) if single else ws
-    groups = {}  # each distinct weight, by identity, with the indices of its products
-    for k, (w, _) in enumerate(zip(ws, products, strict=True)):
-        groups.setdefault(id(w), (w, []))[1].append(k)
-    out, cubature = {}, []
-    for w, ks in groups.values():
-        if w.is_polynomial:
-            out.update(zip(ks, _exact_products(polytope, w, [products[k] for k in ks], boundary)))
-        elif boundary or _closed(w):
-            integrate = integrate_boundary if boundary else integrate_weighted
-            out.update((k, integrate(polytope, w * _multiplier(polytope.dim, tuple(products[k])),
-                                     tol=tol)) for k in ks)
-        else:
-            _check_singularities(polytope, w)
-            cubature += [(k, (w, *products[k])) for k in ks]
-    if cubature:  # each distinct weight and affine factor evaluated once per node
-        items = list(dict.fromkeys(f for _, row in cubature for f in row))
-        which = [[items.index(f) for f in row] for _, row in cubature]
-
-        def columns(x):  # (n, K): the transpose of one (K, n) block of in-place products
-            values, block = [f.eval(x) for f in items], np.empty((len(which), len(x)))
-            for row, (first, *rest) in zip(block, which):
-                row[:] = values[first]
-                for i in rest:
-                    row *= values[i]
-            return block.T
-
-        out.update(zip([k for k, _ in cubature], _finite(_adaptive(
-            polytope.triangulate(), columns, tol, ABS_FLOOR, mesh))))
-    return [out[k] for k in range(len(products))]
 
 
 def _exact_products(polytope, w, products, boundary):

@@ -39,7 +39,7 @@ from .weights import as_weight
 from .workspace import Workspace
 
 DEFAULT_FD_STEP = 1e-4
-FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the margin
+FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the least facet value
 CHECK_GRID = 9  # per-axis sample grid on which a bumped potential must be convex
 BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
@@ -142,14 +142,11 @@ def scaled_bump(polytope: DelzantPolytope, poly: Polynomial) -> SymplecticPotent
     raise NotPositiveDefinite("bump could not be scaled into convexity")
 
 
-def _prepare(u: SymplecticPotential, x, h, margin):
+def _prepare(u: SymplecticPotential, x, h):
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    L = u.facet_values(x)
-    lmin = L.min(axis=1)
-    if lmin.min() <= margin:
-        raise TooCloseToBoundary(
-            f"minimum facet value {lmin.min():.3e} within margin {margin:.3e}"
-        )
+    lmin = u.facet_values(x).min(axis=1)
+    if lmin.min() <= 0:
+        raise TooCloseToBoundary(f"minimum facet value {lmin.min():.3e}: not an interior point")
     # shrink the step near the boundary so stencils stay strictly interior
     h_pt = np.minimum(h, FD_BOUNDARY_FRACTION * lmin / u.normal_scale())
     return x, h_pt
@@ -264,17 +261,16 @@ def _vector_divergence(gfun, x, h_pt):
     return total
 
 
-def scal(u: SymplecticPotential, x, h: float = DEFAULT_FD_STEP, margin: float = 0.0):
+def scal(u: SymplecticPotential, x, h: float = DEFAULT_FD_STEP):
     """Scalar curvature Scal = -sum_ij d_i d_j H_ij; scalar or (N,) array."""
-    return scal_v_divergence(u, 1, x, h, margin)
+    return scal_v_divergence(u, 1, x, h)
 
 
-def scal_v_direct(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
-                  margin: float = 0.0):
+def scal_v_direct(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP):
     """Weighted scalar curvature v*Scal + 2*Lap(v) + <H, Hess v>, with the
     positive Laplacian Lap(v) = -sum_i d_i(H_ij v_j)."""
     single = np.asarray(x, dtype=float).ndim == 1
-    xb, h_pt = _prepare(u, x, h, margin)
+    xb, h_pt = _prepare(u, x, h)
     v = as_weight(v, u.polytope.dim)
     hinv = partial(hess_inv, u)
     s = -_matrix_double_divergence(hinv, xb, h_pt)
@@ -288,11 +284,10 @@ def scal_v_direct(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
     return float(out[0]) if single else out
 
 
-def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP,
-                      margin: float = 0.0):
+def scal_v_divergence(u: SymplecticPotential, v, x, h: float = DEFAULT_FD_STEP):
     """Weighted scalar curvature in divergence form: -sum_ij d_i d_j (v H_ij)."""
     single = np.asarray(x, dtype=float).ndim == 1
-    xb, h_pt = _prepare(u, x, h, margin)
+    xb, h_pt = _prepare(u, x, h)
     v = as_weight(v, u.polytope.dim)
     hinv = partial(hess_inv, u)
 

@@ -60,6 +60,17 @@ def test_futaki_all_affine(capsys):
     assert linear["fano_closed_form"]["value"] == pytest.approx(4.0 / 3.0)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["futaki", "--polytope", P2, "--v", "1", "--w", "3"],
+     "SchemaError: direction: need --direction or --all-affine"),
+    (["fibration", "enumerate", "--fiber", INTERVAL],
+     "SchemaError: factor: enumerate needs at least one --factor")],
+    ids=["futaki-no-direction", "enumerate-no-factor"])
+def test_a_command_missing_its_one_required_choice_exits_2(capsys, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": message}
+
+
 def test_extremal(capsys):
     code, rep = _run(capsys, "extremal", "--polytope", INTERVAL,
                      "--v", "1", "--w0", "1")

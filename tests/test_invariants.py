@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torickstab import invariants
-from torickstab.errors import NotCanonicalFano
+from torickstab.errors import IllConditioned, NotCanonicalFano
 from torickstab.fibration import BaseFactor, FibrationSpec, extremal_fibration_weights
 from torickstab.invariants import (
     barycenter,
@@ -103,6 +103,17 @@ def test_symplectic_normalization_scales(interval):
     sym = futaki_fano(interval, v, [1], normalization="symplectic")
     assert sym.value == pytest.approx(2 * math.pi * base.value, rel=1e-14)
     assert sym.exact is None
+
+
+def test_an_unknown_normalization_is_rejected(p2):
+    with pytest.raises(ValueError, match="^unknown normalization 'bogus'$"):
+        futaki_boundary(p2, 1, 3, AffineFunction([1, 0], 0), normalization="bogus")
+
+
+def test_extremal_on_a_long_interval_is_ill_conditioned():
+    # on [-1, 10^7] the Gram matrix of 1 and x has condition number 1.3e14
+    with pytest.raises(IllConditioned, match="^Gram matrix condition number 1.333e[+]14, "):
+        extremal_affine(make_polytope(((1,), 1), ((-1,), 10 ** 7)), 1, 1)
 
 
 def test_extremal_interval_constant(interval):

@@ -51,6 +51,13 @@ def test_redundant_half_space_rejected():
         make_polytope(((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 0), 5))
 
 
+def test_no_half_space_or_mixed_dimensions_rejected():
+    with pytest.raises(ValueError, match="^need at least one half-space$"):
+        DelzantPolytope([])
+    with pytest.raises(ValueError, match="^inconsistent half-space dimensions$"):
+        DelzantPolytope([HalfSpace((1,), 1), HalfSpace((1, 0), 1)])
+
+
 def test_unbounded_rejected():
     with pytest.raises(Unbounded):
         make_polytope(((1,), 1))

@@ -430,8 +430,12 @@ _CUBATURE = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
 @pytest.mark.parametrize("integrate", [
     integrate_weighted, integrate_boundary,
     lambda p, w, tol: integrate_products(p, w, [(AffineFunction([1, 0], 0),)], tol=tol),
-    lambda p, w, tol: invariants.futaki_boundary(p, w, w, AffineFunction([1, 0], 0), tol=tol)],
-    ids=["weighted", "boundary", "products", "futaki_boundary"])
+    lambda p, w, tol: invariants.futaki_boundary(p, w, w, AffineFunction([1, 0], 0), tol=tol),
+    lambda p, w, tol: integrate_products(p, w, [(AffineFunction([1, 0], 0),)], abs_floor=tol),
+    lambda p, w, tol: integrate_products(p, w, [(AffineFunction([1, 0], 0),)], boundary=True,
+                                         abs_floor=tol)],
+    ids=["weighted", "boundary", "products", "futaki_boundary", "products abs_floor",
+         "boundary products abs_floor"])
 def test_every_path_rejects_an_invalid_tol(p2, monkeypatch, integrate, integrand, tol):
     # the exact path and the closed form once ignored tol: on P^2 a NaN tol gave exp(x1/3)
     # the value 4.632042779163877 and the Futaki invariant of (v, w) = (1, 6) in x1 the value 0
@@ -474,6 +478,13 @@ def test_a_direction_of_another_dimension_is_rejected(p2, zeta, boundary):
     for integrand in (WeightFn.constant(2, 1), _EXP_800):  # the exact path and the others
         with pytest.raises(ValueError, match=f"direction has dimension {len(zeta)}, the polytope 2"):
             integrate_products(p2, integrand, [(ell,)], boundary=boundary)
+
+
+def test_exp_on_a_degenerate_simplex_is_rejected():
+    flat = Simplex(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+                    (Fraction(2), Fraction(2))))
+    with pytest.raises(DegenerateSimplex, match="^simplex has zero volume$"):
+        exp_affine_simplex_exact(flat, [1, 0])
 
 
 def test_simplex_integral_vs_poly_path():
@@ -1079,6 +1090,63 @@ def test_a_list_of_weights_takes_one_weight_per_product(p2, monkeypatch):
     assert len(calls) == 1 + len(products)
     with pytest.raises(ValueError):
         integrate_products(p2, cases[:2], products)
+
+
+# -- the path chooser on the boundary --------------------------------------------------------
+
+
+def _no_closed_form(r):
+    """exp(x1 / 3) (x1 + 2)^(1/2) in dimension r: a closed form only on the facet x1 = -1."""
+    e1 = [1] + [0] * (r - 1)
+    return WeightFn.exp_affine([Fraction(1, 3)] + e1[1:], 0) * WeightFn.affine_power(
+        AffineFunction(e1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name, cubatures", [("P2", 2), ("P3", 3)])
+def test_a_boundary_batch_takes_one_cubature_per_facet(monkeypatch, name, cubatures):
+    # the weight and its products are pulled back once per facet chart and integrated there
+    # together; a boundary batch once took one cubature per product and facet (6 on P^2, 12 on P^3)
+    p = make_polytope(*[(n, 1) for n in CANONICAL_NORMALS[name]])
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    w = _no_closed_form(p.dim)
+    products = [()] + [(AffineFunction.coordinate(p.dim, i),) for i in range(p.dim)]
+    batch = integrate_products(p, w, products, boundary=True)
+    assert len(calls) == cubatures
+    for res, ells in zip(batch, products):
+        alone = integrate_boundary(p, math.prod(map(WeightFn.affine_power, ells), start=w))
+        assert res.exact is None and res.subdivisions > 0
+        assert abs(res.value - alone.value) <= res.error_estimate + alone.error_estimate
+    assert len(calls) == cubatures * (1 + len(products))
+
+
+def test_max_depth_exceeded_on_the_boundary_carries_one_result(p2, monkeypatch):
+    # the facet x1 = -1 takes the closed form, and the facet x2 = -1 is the first cubature
+    w = _no_closed_form(2)
+    _, facet = p2.facets()[1]
+    ref = integrate_weighted(facet.subpolytope, w.compose_affine(facet.basis, facet.origin))
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
+    with pytest.raises(MaxDepthExceeded) as info:
+        integrate_boundary(p2, w, tol=1e-16, abs_floor=1e-30)
+    res = info.value.result
+    assert isinstance(res, quadrature.QuadratureResult) and not res.converged
+    assert res.value == pytest.approx(ref.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("integrand", [_EXP_800, _EXP_800 * WeightFn.affine_power(
+    AffineFunction([1, 0], 2), Fraction(1, 2))], ids=["closed form", "cubature"])
+def test_a_non_finite_boundary_integral_carries_one_result(p2, integrand):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegral) as info:
+        integrate_boundary(p2, integrand)
+    res = info.value.result
+    assert isinstance(res, quadrature.QuadratureResult)
+    assert not (math.isfinite(res.value) and math.isfinite(res.error_estimate))
 
 
 # -- sums by linearity and constant factors -------------------------------------------------

@@ -142,7 +142,7 @@ def test_bump_convexity_guard(interval):
 def test_too_close_to_boundary(interval):
     u = SymplecticPotential(interval)
     with pytest.raises(TooCloseToBoundary):
-        scal(u, np.array([0.9999]), h=1e-4, margin=1e-3)
+        scal(u, np.array([1.0]), h=1e-4)  # a point on the facet x = 1
     with pytest.raises(TooCloseToBoundary):
         hess_inv(u, np.array([1.0]))
 
@@ -385,6 +385,22 @@ def test_scal_v_abreu_matches_fd_at_curvature_anchors(interval):
     exact = _scal_v_abreu(u, v, pts)
     for fd in (scal_v_direct, scal_v_divergence):
         assert np.max(np.abs(exact - fd(u, v, pts, h=2.5e-4))) <= 1e-6
+
+
+def test_scal_v_abreu_matches_fd_with_a_normal_entry_of_2():
+    # the Hirzebruch surface F_2: the normal (-1, 2) takes `_combine`'s general coefficient,
+    # which no canonical Fano polytope reaches; the two forms agree to 6.8e-7 at h = 2.5e-4,
+    # and the bound is `verify`'s for the closed form against finite differences
+    p = make_polytope(((1, 0), 1), ((0, 1), 1), ((-1, 2), 3), ((0, -1), 1))
+    u = SymplecticPotential(p)
+    v = WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 10)], 0)
+    pts = _interior_points(p, np.random.default_rng(7), 50, 0.05)
+    assert np.max(np.abs(_scal_v_abreu(u, v, pts) - scal_v_divergence(u, v, pts, h=2.5e-4))) <= 1e-5
+
+
+def test_a_bump_of_another_dimension_is_rejected(p2):
+    with pytest.raises(ValueError, match="^bump dimension does not match the polytope$"):
+        SymplecticPotential(p2, Polynomial(1, {(2,): Fraction(1)}))
 
 
 def test_futaki_numeric_matches_boundary_at_resolution_400(interval, p2):

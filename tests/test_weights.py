@@ -474,6 +474,29 @@ def test_weight_term_times_a_number_or_a_polynomial():
     assert ((t + 1) * 2).eval(np.array([0.0])) == (t * 2 + 2).eval(np.array([0.0])) == 3.0
 
 
+def test_a_term_times_a_sum_distributes():
+    t = WeightFn.exp_affine([Fraction(1, 3), 0], 0) * WeightFn.affine_power(
+        _affine([1, 0], 2), Fraction(1, 2))
+    s = WeightFn.from_polynomial(Polynomial.linear([1, 2], 3)) + WeightFn.affine_power(
+        _affine([0, 1], 2), -1)
+    product = t * s
+    assert isinstance(product, WeightSum) and len(product.terms()) == 2
+    pts = np.random.default_rng(5).random((20, 2)) - 0.5
+    terms = [(t * term).eval(pts) for term in s.terms()]
+    np.testing.assert_array_equal(product.eval(pts), terms[0] + terms[1])
+    np.testing.assert_allclose(product.eval(pts), t.eval(pts) * s.eval(pts), rtol=1e-14)
+
+
+def test_an_exp_weight_is_not_a_polynomial():
+    with pytest.raises(ValueError, match="^weight is not purely polynomial$"):
+        WeightFn.exp_affine([1, 0], 0).to_polynomial()
+
+
+def test_a_number_needs_a_dimension_to_be_a_weight():
+    with pytest.raises(ValueError, match="^dim required to coerce a scalar to a weight$"):
+        as_weight(2)
+
+
 # -- canonical form at construction -----------------------------------------------
 
 
