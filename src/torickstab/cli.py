@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite",
                     choices=["quadrature", "futaki", "identities", "all"])
     sp.add_argument("--grid", type=int, default=100,
-                    help="points-per-axis equivalent for the metric oracle")
+                    help="metric oracle resolution: at least grid^r evaluated nodes")
     return parser
 
 

@@ -5,7 +5,7 @@ a toric Kahler metric through the inverse Hessian H. `futaki_numeric` takes
 the weighted scalar curvature Scal_v = -sum_ij d_i d_j (v H_ij) in closed form
 from the analytic third and fourth derivatives of the potential (Abreu's
 formula, `_scal_v_abreu`, elementwise on length-N columns of nodes) and
-integrates the Futaki integrand over a refined triangulation. H comes from one
+integrates the Futaki integrand with the Gauss pair on a refined triangulation. H comes from one
 batched root-free Cholesky factorisation G = L D L^T of the Hessian per chunk
 of nodes (`_ldl_inverse`), whose pivots D give det G = prod D and are the one
 positive-definiteness test of the production path. Every per-node column of
@@ -34,7 +34,7 @@ from .errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
-from .quadrature import GM_ORDER_HIGH, _rule_batch, gm_rule
+from .quadrature import _gauss_pair, _rule_batch
 from .weights import as_weight
 from .workspace import Workspace
 
@@ -46,7 +46,7 @@ BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid of `futaki_numeric`: the per-axis resolution."""
+    """Evaluation grid of `futaki_numeric`: at least resolution^r evaluated nodes."""
 
     resolution: int = 400
 
@@ -429,10 +429,9 @@ def _sum_products(out, pairs, tmp):
 
 
 def _refined(polytope: DelzantPolytope, resolution: int):
-    """The triangulation bisected uniformly until the degree-9 rule has at
-    least resolution^dim nodes on it; float vertices (S, r+1, r)."""
+    """The triangulation bisected uniformly to >= resolution^r pair nodes; (S, r+1, r)."""
     verts = np.array([s.float_vertices() for s in polytope.triangulate()])
-    nodes = len(verts) * len(gm_rule(polytope.dim, GM_ORDER_HIGH)[1])
+    nodes = len(verts) * len(_gauss_pair(polytope.dim)[0])
     for _ in range(ceil(log2(max(1.0, resolution ** polytope.dim / nodes)))):
         verts = _bisect_all(verts)
     return verts
@@ -442,18 +441,18 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
                    ell, grid: GridSpec = None):
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
-    Scal_v is taken in closed form from the potential's derivatives, once at
-    each node the embedded GM 9/7 pair shares (`quadrature._rule_batch`) on a
-    refined triangulation whose nodes are strictly interior, so no boundary
-    truncation is needed. A list of directions gives a list of reports from one
-    Scal_v per node times one column of ell values per direction. The value is
-    the degree-9 sum. The error estimate is the sum over simplices of |GM9 - GM7|
-    plus N eps times the degree-9 rule on |f|, over the N degree-9 nodes counted
-    with repeats: with no finite-difference truncation left, the first is the
-    cubature error, and the second allows for the rounding of the weighted sum,
-    which the first misses once it reaches the roundoff floor. A value or error
-    estimate that is not finite raises NonFiniteIntegral with the list of reports,
-    a potential `u` on other half-spaces than the polytope's is a ValueError, and
+    Scal_v is taken in closed form from the potential's derivatives, once at each
+    node of the Gauss pair (`quadrature._rule_batch`) on the triangulation bisected
+    uniformly to at least resolution^r nodes (`_refined`), all strictly interior,
+    so no boundary truncation is needed. A list of directions gives a list of
+    reports from one Scal_v per node times one column of ell values per direction.
+    The value is the high rule's sum. The error estimate is the sum over simplices
+    of |high - low| plus N eps times the high rule on |f|, over the N evaluated
+    nodes: with no finite-difference truncation left, the first is the cubature
+    error, and the second allows for the rounding of the weighted sum, which the
+    first misses once it reaches the roundoff floor. A value or error estimate
+    that is not finite raises NonFiniteIntegral with the list of reports, a
+    potential `u` on other half-spaces than the polytope's is a ValueError, and
     an empty list of directions gives an empty list. All chunks of nodes share one
     Workspace for their columns (see the module docstring).
     """
@@ -481,7 +480,7 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
         return f.T
 
     value, gap, mass = _rule_batch(verts, integrand, work)
-    n = len(verts) * len(gm_rule(polytope.dim, GM_ORDER_HIGH)[1])
+    n = len(verts) * len(_gauss_pair(polytope.dim)[0])
     value, error = value.sum(axis=0), gap.sum(axis=0) + n * np.finfo(float).eps * mass.sum(axis=0)
     reports = [FutakiReport(d, float(val), "metric_numeric", "polytope", error_estimate=float(err))
                for d, val, err in zip(directions, value, error)]
