@@ -93,9 +93,9 @@ def gm_rule(dim: int, order: int):
 @lru_cache(maxsize=None)
 def _gauss_pair(dim: int):
     """Collapsed (Duffy) Gauss rules of orders GAUSS_ORDER_*: n points per axis of [0, 1]^dim,
-    lambda_(k-1) = t_k prod_{j<k} (1 - t_j), weights times prod_j (1 - t_j)^(dim - j): positive, sum
-    1/dim!, exact to degree 2n - dim (Stroud 1971). Even orders share no point. Returns the nodes
-    (U, dim+1) and weights (U, 2), the high rule's (0 on low nodes) and high - low; read-only."""
+    lambda_(k-1) = t_k prod_{j<k} (1 - t_j), weights times prod_j (1 - t_j)^(dim - j): positive,
+    sum 1/dim!, exact to degree 2n - dim (Stroud 1971); even orders share no point. Nodes (U,
+    dim+1), the high rule's first; weights (U, 2): high (0 on low nodes), high - low. Read-only."""
     nodes, weights = [], []
     for order in (GAUSS_ORDER_HIGH, GAUSS_ORDER_LOW):
         x, w = np.polynomial.legendre.leggauss(order)
@@ -121,25 +121,25 @@ def _rule_batch(verts, evaluate, work=None):
     """High-rule value, |high - low| error and high rule on |f| per simplex (`_gauss_pair`).
 
     Each of the pair's U nodes of every simplex (8^r + 6^r: 14, 100 and 728 for r = 1, 2, 3)
-    goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call, and f times each
-    of the pair's weight columns is reduced before the next call. An `evaluate` that returns
-    (n, K) values gives (S, K) arrays, one column per component. The nodes are written to the
-    Workspace `work` (or a fresh one) in one frame per chunk, which an `evaluate` that takes
-    its columns from the same workspace shares: every chunk then reuses the first one's arrays.
+    goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call. Each column of its
+    (n,) or (n, K) values, which give (S,) or (S, K) arrays, is overwritten by f (high - low)
+    and summed pairwise per simplex (numpy's sum) before the next call: the high rule's part for
+    the value and, on |f|, the mass. The nodes go to the Workspace `work` (or a fresh one), one
+    frame a chunk; an `evaluate` taking its columns from it makes every chunk reuse the first's.
     """
-    dim = verts.shape[2]
+    dim, work, parts = verts.shape[2], work or Workspace(), []
     nodes, weights = _gauss_pair(dim)
-    step = max(1, EVAL_CHUNK // len(nodes))
-    work = work or Workspace()
-    parts = []
+    high, step = GAUSS_ORDER_HIGH ** dim, max(1, EVAL_CHUNK // len(nodes))  # high nodes first
     for chunk in (verts[i:i + step] for i in range(0, len(verts), step)):
         with work.frame():
             x = np.matmul(nodes, chunk, out=work.take(len(chunk), len(nodes), dim))
-            f = evaluate(x.reshape(-1, dim)).T
-            f = f.reshape(*f.shape[:-1], len(chunk), len(nodes))
-            scale = np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))
-            value, err = (f @ weights * scale[:, None]).T
-            parts.append((value, np.abs(err), (np.abs(f, out=f) @ weights[:, 0] * scale).T))
+            f, sums = evaluate(x.reshape(-1, dim)).T, []
+            for column in f.reshape(-1, len(chunk), len(nodes)):  # one row for (n,) values
+                column *= weights[:, 1]  # f w_high, then -f w_low
+                sums.append([column[:, :high].sum(axis=1), np.abs(column.sum(axis=1)),
+                             np.abs(column, out=column)[:, :high].sum(axis=1)])
+            sums = np.array(sums) * np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))  # (K, 3, S)
+            parts.append(sums.transpose(1, 2, 0) if f.ndim == 2 else sums[0])
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -157,17 +157,17 @@ def _adaptive(simplices, evaluate, tol, abs_floor, mesh=None):
     Returns a QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at
     depth MAX_DEPTH is due a split; each estimate adds U eps int|f_k|, the U-node sums'
     rounding, to the gap. It is blind to kinks: on max(0, ell), say, both rules can agree.
-    The first round evaluates the simplices or, when the list `mesh` holds the [verts, depth]
-    an earlier cubature over the same simplices left in it, that refinement: float simplices
-    (S, r + 1, r) and each one's depth, its bisections from the simplex it came from, so that
-    MAX_DEPTH still counts from the simplices. A converged cubature leaves its own final
-    [verts, depth] in `mesh`.
+    The first round evaluates the simplices, their vertices sorted so that neither the rule nor
+    bisection's ties depend on their order, or, when the list `mesh` holds the [verts, depth]
+    an earlier cubature over the same simplices left, that refinement: float simplices (S, r +
+    1, r) and each one's depth, its bisections from the simplex it came from, so that MAX_DEPTH
+    still counts from the simplices. A converged cubature leaves its final [verts, depth] there.
     """
     _check_tolerances(tol, abs_floor)
     if mesh:
         verts, depth = mesh
     else:
-        verts = np.array([s.float_vertices() for s in simplices])
+        verts = np.array([sorted(s.float_vertices().tolist()) for s in simplices])
         depth = np.zeros(len(verts), dtype=int)
     # (K, S) rows, so that each column is summed pairwise, as a scalar is
     rows = lambda batch: [np.ascontiguousarray(np.atleast_2d(a.T)) for a in batch]  # noqa: E731
