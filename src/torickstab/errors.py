@@ -43,7 +43,8 @@ class CarriesResult(TorickstabError):
 
 
 class MaxDepthExceeded(CarriesResult):
-    """Adaptive quadrature hit the subdivision depth cap.
+    """Adaptive quadrature hit its bisection depth cap (`MAX_DEPTH`) or its cap on
+    the simplices one refinement may hold (`MAX_SIMPLICES`).
 
     Carries the best value and an honest error estimate.
     """

@@ -8,9 +8,9 @@ polynomials, term by term; everything else takes adaptive simplex cubature with 
 Gauss--Legendre pair (`_gauss_pair`) and longest-edge bisection, one refinement for all the
 weights and products of a batch, on the boundary per facet chart. integrate_weighted and
 integrate_boundary are the one-product case.
-The cubature hands its nodes to the integrand in chunks of at most EVAL_CHUNK, written
-into a `Workspace` that an integrand can share (`futaki_numeric` does), so that every
-chunk reuses the first one's arrays and its speed does not depend on earlier frees.
+The cubature hands its nodes to the integrand in chunks of at most EVAL_CHUNK and takes back
+one (K, n) block of K columns per chunk; `_results` turns the (K, S) rows of a refinement
+into one result per column, for `_adaptive` and for `toricmetrics.futaki_numeric` alike.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from .exactlinalg import frac
 from .polynomial import Polynomial, compositions, expand, linear_terms
 from .polytope import DelzantPolytope, MomentTable, Simplex, _bisect_all, moment_table
 from .weights import WeightFn, WeightSum, as_weight
-from .workspace import Workspace
 
 DEFAULT_TOL = 1e-12
 ABS_FLOOR = 1e-14
 MAX_DEPTH = 40
+MAX_SIMPLICES = 1 << 17  # most simplices an adaptive refinement may hold
 
 GAUSS_ORDER_HIGH, GAUSS_ORDER_LOW = 8, 6  # points per axis of the pair of every float cubature
 GM_ORDER_LOW, GM_ORDER_HIGH = 3, 4  # gm_rule's orders, named only by the benchmark (perfbench)
@@ -117,30 +117,34 @@ def _gauss_pair(dim: int):
 EVAL_CHUNK = 1 << 13
 
 
-def _rule_batch(verts, evaluate, work=None):
-    """High-rule value, |high - low| error and high rule on |f| per simplex (`_gauss_pair`).
+def _rule_batch(verts, evaluate):
+    """High-rule value, |high - low| error and high rule on |f| per simplex (`_gauss_pair`):
+    C-contiguous (K, S) rows, for an `evaluate` that returns a (K, n) block at n nodes.
 
     Each of the pair's U nodes of every simplex (8^r + 6^r: 14, 100 and 728 for r = 1, 2, 3)
-    goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call. Each column of its
-    (n,) or (n, K) values, which give (S,) or (S, K) arrays, is overwritten by f (high - low)
-    and summed pairwise per simplex (numpy's sum) before the next call: the high rule's part for
-    the value and, on |f|, the mass. The nodes go to the Workspace `work` (or a fresh one), one
-    frame a chunk; an `evaluate` taking its columns from it makes every chunk reuse the first's.
+    goes through `evaluate` once, for EVAL_CHUNK // U whole simplices a call. Each row of the
+    block is overwritten by f (high - low) and summed pairwise per simplex (numpy's sum) before
+    the next call: the high rule's part for the value and, on |f|, the mass.
     """
-    dim, work, parts = verts.shape[2], work or Workspace(), []
+    dim, parts = verts.shape[2], []
     nodes, weights = _gauss_pair(dim)
     high, step = GAUSS_ORDER_HIGH ** dim, max(1, EVAL_CHUNK // len(nodes))  # high nodes first
     for chunk in (verts[i:i + step] for i in range(0, len(verts), step)):
-        with work.frame():
-            x = np.matmul(nodes, chunk, out=work.take(len(chunk), len(nodes), dim))
-            f, sums = evaluate(x.reshape(-1, dim)).T, []
-            for column in f.reshape(-1, len(chunk), len(nodes)):  # one row for (n,) values
-                column *= weights[:, 1]  # f w_high, then -f w_low
-                sums.append([column[:, :high].sum(axis=1), np.abs(column.sum(axis=1)),
-                             np.abs(column, out=column)[:, :high].sum(axis=1)])
-            sums = np.array(sums) * np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1]))  # (K, 3, S)
-            parts.append(sums.transpose(1, 2, 0) if f.ndim == 2 else sums[0])
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        f, sums = evaluate(np.matmul(nodes, chunk).reshape(-1, dim)), []
+        for column in f.reshape(len(f), len(chunk), len(nodes)):
+            column *= weights[:, 1]  # f w_high, then -f w_low
+            sums.append([column[:, :high].sum(axis=1), np.abs(column.sum(axis=1)),
+                         np.abs(column, out=column)[:, :high].sum(axis=1)])
+        parts.append(np.array(sums) * np.abs(np.linalg.det(chunk[:, 1:] - chunk[:, :1])))
+    return tuple(map(np.ascontiguousarray, np.concatenate(parts, axis=2).swapaxes(0, 1)))
+
+
+def _results(dim, value, err, mass, subdivisions=0, converged=True):
+    """One QuadratureResult per (K, S) row: the sums of the value and of the |high - low| gap
+    over the S simplices, the estimate adding U eps int|f_k|, the U-node sums' rounding."""
+    rounding = len(_gauss_pair(dim)[0]) * EPS * mass.sum(axis=1)
+    return [QuadratureResult(float(v), float(e), subdivisions, converged=converged)
+            for v, e in zip(value.sum(axis=1), err.sum(axis=1) + rounding)]
 
 
 def _check_tolerances(tol, abs_floor):
@@ -149,14 +153,14 @@ def _check_tolerances(tol, abs_floor):
 
 
 def _adaptive(simplices, evaluate, tol, abs_floor, mesh=None):
-    """Round-based adaptive cubature of evaluate's (n,) values, or of its (n, K) columns f_k.
+    """Round-based adaptive cubature of the K columns f_k of evaluate's (K, n) blocks.
 
     Each round bisects every simplex where some column's error exceeds its share target_k / S
     of its target max(tol * int|f_k|, abs_floor), int|f_k| by the high rule on |f_k|, and
     evaluates all children in one batch, until every column's |high - low| gap meets its target.
-    Returns a QuadratureResult, or one per column, as MaxDepthExceeded carries when a simplex at
-    depth MAX_DEPTH is due a split; each estimate adds U eps int|f_k|, the U-node sums'
-    rounding, to the gap. It is blind to kinks: on max(0, ell), say, both rules can agree.
+    Returns one QuadratureResult per column (`_results`), as MaxDepthExceeded carries when a
+    simplex at depth MAX_DEPTH is due a split or the split would leave more than MAX_SIMPLICES.
+    It is blind to kinks: on max(0, ell), say, both rules can agree.
     The first round evaluates the simplices, their vertices sorted so that neither the rule nor
     bisection's ties depend on their order, or, when the list `mesh` holds the [verts, depth]
     an earlier cubature over the same simplices left, that refinement: float simplices (S, r +
@@ -169,32 +173,23 @@ def _adaptive(simplices, evaluate, tol, abs_floor, mesh=None):
     else:
         verts = np.array([sorted(s.float_vertices().tolist()) for s in simplices])
         depth = np.zeros(len(verts), dtype=int)
-    # (K, S) rows, so that each column is summed pairwise, as a scalar is
-    rows = lambda batch: [np.ascontiguousarray(np.atleast_2d(a.T)) for a in batch]  # noqa: E731
-    first = _rule_batch(verts, evaluate)
-    columns, (value, err, mass) = first[0].ndim == 2, rows(first)
-    subdivisions = 0
-
-    def results(converged=True):
-        rounding = len(_gauss_pair(verts.shape[2])[0]) * EPS * mass.sum(axis=1)
-        out = [QuadratureResult(float(v), float(e), subdivisions, converged=converged)
-               for v, e in zip(value.sum(axis=1), total_err + rounding)]
-        return out if columns else out[0]
-
+    (value, err, mass), subdivisions = _rule_batch(verts, evaluate), 0
     while True:
         total_err = err.sum(axis=1)
         target = np.maximum(tol * mass.sum(axis=1), abs_floor)
         if not (total_err > target).any():  # a NaN integrand stops here too
             if mesh is not None:
                 mesh[:] = verts, depth
-            return results()
+            return _results(verts.shape[2], value, err, mass, subdivisions)
         split = (err > (target / len(verts))[:, None]).any(axis=0)
-        if depth[split].max() >= MAX_DEPTH:
-            raise MaxDepthExceeded(f"bisection depth {MAX_DEPTH} reached "
-                                   f"(error estimate {total_err.max():.3e})", result=results(False))
+        if depth[split].max() >= MAX_DEPTH or len(verts) + split.sum() > MAX_SIMPLICES:
+            raise MaxDepthExceeded(
+                f"refinement capped at depth {MAX_DEPTH} and {MAX_SIMPLICES} simplices (error "
+                f"estimate {total_err.max():.3e})",
+                result=_results(verts.shape[2], value, err, mass, subdivisions, False))
         keep = ~split
         children = _bisect_all(verts[split])
-        c_value, c_err, c_mass = rows(_rule_batch(children, evaluate))
+        c_value, c_err, c_mass = _rule_batch(children, evaluate)
         verts = np.concatenate([verts[keep], children])
         value = np.concatenate([value[:, keep], c_value], axis=1)
         err = np.concatenate([err[:, keep], c_err], axis=1)
@@ -307,13 +302,13 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
         items = list(dict.fromkeys(f for _, row in cubature for f in row))
         which = [[items.index(f) for f in row] for _, row in cubature]
 
-        def columns(x):  # (n, K): the transpose of one (K, n) block of in-place products
+        def columns(x):  # one (K, n) block of in-place products
             values, block = [f.eval(x) for f in items], np.empty((len(which), len(x)))
             for row, (first, *rest) in zip(block, which):
                 row[:] = values[first]
                 for i in rest:
                     row *= values[i]
-            return block.T
+            return block
 
         out.update(zip([k for k, _ in cubature], _finite(_adaptive(
             polytope.triangulate(), columns, tol, abs_floor, mesh))))

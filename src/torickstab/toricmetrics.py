@@ -5,18 +5,19 @@ a toric Kahler metric through the inverse Hessian H. `futaki_numeric` takes
 the weighted scalar curvature Scal_v = -sum_ij d_i d_j (v H_ij) in closed form
 from the analytic third and fourth derivatives of the potential (Abreu's
 formula, `_scal_v_abreu`, elementwise on length-N columns of nodes) and
-integrates the Futaki integrand with the Gauss pair on a refined triangulation. H comes from one
-batched root-free Cholesky factorisation G = L D L^T of the Hessian per chunk
-of nodes (`_ldl_inverse`), whose pivots D give det G = prod D and are the one
-positive-definiteness test of the production path. Every per-node column of
-the kernel (facet values, G and H, P_f, q_f, Q_fg, t, the bump partials, v's
-jet and the integrand) is written through numpy `out=` arguments into one
-`Workspace` per `futaki_numeric` call, which every chunk of nodes reuses: after
-the first chunk nothing is allocated, so no chunk's temporaries are freed and
-faulted in again, and the speed of a call no longer depends on what the process
-freed before it. `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the
-same curvatures by central finite differences of H (inverted by LAPACK in
-`hess_inv`); they are the independent oracle for the closed form.
+integrates the Futaki integrand with the Gauss pair on a refined triangulation.
+H comes from one batched root-free Cholesky factorisation G = L D L^T of the
+Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D give det G = prod D
+and are the one positive-definiteness test of the production path. Every
+per-node column of the kernel (facet values, G and H, P_f, q_f, Q_fg, t, the
+bump partials, v's jet and the integrand) is written through numpy `out=`
+arguments into one `Workspace` per `futaki_numeric` call, in which the
+integrand opens one frame per chunk of nodes: after the first chunk nothing is
+allocated, so no chunk's temporaries are freed and faulted in again, and the
+speed of a call does not depend on what the process freed before it.
+`scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same curvatures
+by central finite differences of H (inverted by LAPACK in `hess_inv`); they
+are the independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
-from .quadrature import _gauss_pair, _rule_batch
+from .quadrature import _gauss_pair, _results, _rule_batch
 from .weights import as_weight
 from .workspace import Workspace
 
@@ -446,15 +447,12 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     uniformly to at least resolution^r nodes (`_refined`), all strictly interior,
     so no boundary truncation is needed. A list of directions gives a list of
     reports from one Scal_v per node times one column of ell values per direction.
-    The value is the high rule's sum. The error estimate is the sum over simplices
-    of |high - low| plus N eps times the high rule on |f|, over the N evaluated
-    nodes: with no finite-difference truncation left, the first is the cubature
-    error, and the second allows for the rounding of the weighted sum, which the
-    first misses once it reaches the roundoff floor. A value or error estimate
-    that is not finite raises NonFiniteIntegral with the list of reports, a
-    potential `u` on other half-spaces than the polytope's is a ValueError, and
-    an empty list of directions gives an empty list. All chunks of nodes share one
-    Workspace for their columns (see the module docstring).
+    Value and error estimate are the adaptive cubature's (`quadrature._results`):
+    with no finite-difference truncation left, the |high - low| gap is the cubature
+    error, and the U eps int|f| term the rounding of each simplex's sum. A value or
+    error estimate that is not finite raises NonFiniteIntegral with the list of
+    reports, a potential `u` on other half-spaces than the polytope's is a
+    ValueError, and an empty list of directions gives an empty list.
     """
     grid = grid or GridSpec()
     v, w = as_weight(v, polytope.dim, "v"), as_weight(w, polytope.dim, "w")
@@ -469,21 +467,19 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     verts = _refined(polytope, grid.resolution)
     work = Workspace()
 
-    def integrand(x):  # (n, K) values, a view of (K, n) columns
-        f = work.take(len(directions), len(x))
+    def integrand(x):  # (K, n) columns, intact until the next chunk's first take
         with work.frame():
+            f = work.take(len(directions), len(x))
             scal_v = _scal_v_abreu(u, v, x, work)
             scal_v -= w.eval(x, work)
             for row, d in zip(f, directions):
                 d.eval(x, out=row)
                 row *= scal_v
-        return f.T
+        return f
 
-    value, gap, mass = _rule_batch(verts, integrand, work)
-    n = len(verts) * len(_gauss_pair(polytope.dim)[0])
-    value, error = value.sum(axis=0), gap.sum(axis=0) + n * np.finfo(float).eps * mass.sum(axis=0)
-    reports = [FutakiReport(d, float(val), "metric_numeric", "polytope", error_estimate=float(err))
-               for d, val, err in zip(directions, value, error)]
-    if not np.isfinite([value, error]).all():
+    results = _results(polytope.dim, *_rule_batch(verts, integrand))
+    reports = [FutakiReport(d, r.value, "metric_numeric", "polytope",
+                            error_estimate=r.error_estimate) for d, r in zip(directions, results)]
+    if not np.isfinite([(r.value, r.error_estimate) for r in results]).all():
         raise NonFiniteIntegral("metric-side Futaki value is not finite", result=reports)
     return reports if many else reports[0]

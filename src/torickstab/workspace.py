@@ -2,10 +2,10 @@
 
 The metric kernel (`toricmetrics._scal_v_abreu` and the weight and polynomial
 evaluations under it) writes every length-N column into arrays taken from a
-`Workspace` with numpy `out=` arguments. `quadrature._rule_batch` opens one
-frame per chunk of nodes, so each chunk takes the same arrays in the same order
-as the first: after the first chunk nothing is allocated, and nothing is freed
-for the C allocator to hand back to the system and fault in again.
+`Workspace` with numpy `out=` arguments. `futaki_numeric`'s integrand opens
+one frame per chunk of nodes, so each chunk takes the same arrays in the same
+order as the first: after the first chunk nothing is allocated, and nothing is
+freed for the C allocator to hand back to the system and fault in again.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ class Workspace:
 
     `take(*shape)` returns a view of the next buffer in line, allocated when
     first asked for and replaced by a larger one only if it is too small.
-    `with work.frame():` hands back, on exit, every array taken inside it, so
-    the next take reuses those buffers: what a frame computes for its caller
-    must be taken before it opens. A caller that takes the same shapes in the
-    same order, with no more nodes than the first time, allocates nothing. A
-    fresh `Workspace()` serves a one-off evaluation.
+    `with work.frame():` hands back, on exit, every array taken inside it for
+    the next take to reuse. Until that take such an array stays intact, so a
+    frame may return one to a caller that reads it before taking again; what
+    must outlive later takes is taken before the frame opens. A caller taking
+    the same shapes in the same order, with no more nodes than the first
+    time, allocates nothing. A fresh `Workspace()` serves one evaluation.
     """
 
     __slots__ = ("_buffers", "_top", "_marks")

@@ -10,6 +10,11 @@ def make_polytope(*halfspaces):
     return DelzantPolytope([HalfSpace(n, o) for n, o in halfspaces])
 
 
+def one_row(evaluate):
+    """An integrand of (n,) values as the one-row (1, n) block that the cubature takes."""
+    return lambda x: evaluate(x)[None]
+
+
 @pytest.fixture
 def interval():
     """Canonical Fano segment [-1, 1] (the P^1 polytope)."""

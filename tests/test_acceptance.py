@@ -40,7 +40,7 @@ from torickstab.toricmetrics import (
 )
 from torickstab.weights import WeightFn, soliton_weight_pair
 
-from conftest import make_polytope
+from conftest import make_polytope, one_row
 
 
 def _affine_basis(dim):
@@ -98,7 +98,8 @@ def test_criterion_03_soliton_oracle(interval):
     assert abs(rep.value) <= 1e-9
     # the solve ran on the closed form: its critical-point moment again by cubature
     x = WeightFn.from_polynomial(Polynomial.linear([1]))
-    assert abs(_adaptive(interval.triangulate(), (v * x).eval, 1e-12, 1e-14).value) <= 1e-9
+    (moment,) = _adaptive(interval.triangulate(), one_row((v * x).eval), 1e-12, 1e-14)
+    assert abs(moment.value) <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"criterion 3 PASS: soliton root {xi:.12f} vs oracle, "
@@ -194,7 +195,7 @@ def test_criterion_07_curvature_anchors(interval):
     scal_residual = float(np.max(np.abs(scal(u, xs, h=1e-3) - 2.0)))
     assert scal_residual <= 1e-8
 
-    total = _rule_batch(_refined(interval, 200), lambda x: scal(u, x, h=1e-3))[0].sum()
+    total = _rule_batch(_refined(interval, 200), one_row(lambda x: scal(u, x, h=1e-3)))[0].sum()
     boundary_mass = integrate_boundary(
         interval, WeightFn.constant(1, 1)).exact
     assert total == pytest.approx(4.0, abs=1e-6)
@@ -252,7 +253,8 @@ def test_criterion_09_quadrature_oracles(interval, p2, f1):
             coeffs[alpha] = Fraction(int(rng.integers(-9, 10)), 7)
         poly = Polynomial(p.dim, coeffs)
         exact = float(integrate_poly(p, poly))
-        approx = _adaptive(p.triangulate(), poly.eval, 1e-12, 1e-14).value
+        (approx,) = _adaptive(p.triangulate(), one_row(poly.eval), 1e-12, 1e-14)
+        approx = approx.value
         worst_rel = max(worst_rel,
                         abs(approx - exact) / max(1.0, abs(exact)))
     assert worst_rel <= 1e-12
@@ -288,7 +290,8 @@ def test_criterion_10_reeb_futaki_vanishes(interval, p2, f1):
         # int x_i w dx, which vanish at the critical point, again by cubature
         for ell in _affine_basis(m)[1:]:
             x_w = WeightFn.affine_power(ell, 1) * w
-            worst = max(worst, abs(_adaptive(p.triangulate(), x_w.eval, 1e-12, 1e-14).value))
+            (moment,) = _adaptive(p.triangulate(), one_row(x_w.eval), 1e-12, 1e-14)
+            worst = max(worst, abs(moment.value))
     assert worst <= 1e-6
     print(f"criterion 10 PASS: boundary Futaki at the volume-minimizing Reeb "
           f"field vanishes to {worst:.2e} on all affine directions")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab import quadrature, toricmetrics, workspace
+from torickstab import invariants, quadrature, toricmetrics, workspace
 from torickstab.errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from torickstab.exactlinalg import solve
 from torickstab.invariants import futaki_boundary
@@ -28,7 +28,7 @@ from torickstab.toricmetrics import (
 )
 from torickstab.weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
 
-from conftest import make_polytope
+from conftest import make_polytope, one_row
 
 P2 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)
 P3 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)
@@ -85,7 +85,7 @@ def test_scal_integral_equals_twice_boundary_mass(interval, square):
 
     for p in (interval, square):
         u = SymplecticPotential(p)
-        total = _rule_batch(_refined(p, 200), lambda x: scal(u, x, h=1e-3))[0].sum()
+        total = _rule_batch(_refined(p, 200), one_row(lambda x: scal(u, x, h=1e-3)))[0].sum()
         target = 2 * integrate_boundary(p, WeightFn.constant(p.dim, 1)).exact
         assert total == pytest.approx(float(target), abs=1e-6)
 
@@ -613,7 +613,8 @@ def test_futaki_numeric_on_a_list_of_directions_is_the_single_calls(facets, bump
     assert len(many) == len(directions)
     for ell, rep in zip(directions, many):
         one = futaki_numeric(p, u, v, w, ell, grid)
-        mass = _rule_batch(verts, lambda x: (abreu(u, v, x) - w.eval(x)) * ell.eval(x))[2].sum()
+        mass = _rule_batch(verts, one_row(lambda x: (abreu(u, v, x) - w.eval(x)) * ell.eval(x)))
+        mass = mass[2].sum()
         assert rep.direction == ell and rep.method == one.method == "metric_numeric"
         assert abs(rep.value - one.value) <= 4 * np.finfo(float).eps * mass
         assert abs(rep.error_estimate - one.error_estimate) <= 4 * np.finfo(float).eps * mass
@@ -681,6 +682,37 @@ class _CountedWorkspace(workspace.Workspace):
         out = super().take(*shape)
         self.allocations += buffers != [id(b) for b in self._buffers]
         return out
+
+
+def test_an_array_taken_in_a_frame_stays_intact_until_the_next_take():
+    # futaki_numeric's integrand returns the columns it takes inside its frame, and the
+    # cubature reads them before the next chunk takes again
+    work = workspace.Workspace()
+    with work.frame():
+        f = work.take(2, 5)
+        f[...] = 7.0
+        with work.frame():
+            work.take(2, 5).fill(1.0)
+    assert (f == 7.0).all()
+    again = work.take(2, 5)
+    assert np.shares_memory(again, f)
+
+
+def test_futaki_numeric_estimate_bounds_its_error_and_does_not_grow_with_resolution():
+    # CI's bumped P^2: with N eps int|f| over all N nodes as its rounding term, the estimate of
+    # x1 grew from 4.6e-10 at resolution 400 to 1.8e-9 at 800, where the error fell to 6.4e-14
+    p = make_polytope(*P2)
+    u = scaled_bump(p, Polynomial(2, {(4, 0): Fraction(1, 30)}))
+    v, w = soliton_weight_pair(WeightFn.affine_power(AffineFunction([1, 0], 2), 1), 2)
+    basis = invariants._affine_basis(2)
+    exact = [rep.value for rep in futaki_boundary(p, v, w, basis)]
+    estimates = []
+    for resolution in (100, 200, 400, 800):
+        reports = futaki_numeric(p, u, v, w, basis, GridSpec(resolution))
+        for rep, want in zip(reports, exact):
+            assert abs(rep.value - want) <= rep.error_estimate, (resolution, rep, want)
+        estimates.append([rep.error_estimate for rep in reports])
+    assert all(late <= early for late, early in zip(estimates[-1], estimates[-2])), estimates
 
 
 def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatch):

@@ -26,7 +26,7 @@ from torickstab.weights import (
     soliton_weight_pair,
 )
 
-from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope
+from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope, one_row
 
 
 def _affine(zeta, a):
@@ -297,8 +297,8 @@ def test_soliton_normalization_identity(interval, p2):
         def inner(pts, v=v):
             return np.einsum("ni,ni->n", v.grad(pts), pts)
 
-        grad_moment = _adaptive(p.triangulate(), inner, 1e-12, 1e-14).value
-        assert lhs == pytest.approx(2 * m * int_v + 2 * grad_moment, abs=1e-9)
+        (grad_moment,) = _adaptive(p.triangulate(), one_row(inner), 1e-12, 1e-14)
+        assert lhs == pytest.approx(2 * m * int_v + 2 * grad_moment.value, abs=1e-9)
 
 
 def test_parts_of_another_dimension_are_rejected():
