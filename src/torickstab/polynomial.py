@@ -11,7 +11,6 @@ from operator import add
 import numpy as np
 
 from .exactlinalg import frac
-from .workspace import Workspace
 
 
 class Polynomial:
@@ -87,32 +86,29 @@ class Polynomial:
         return Polynomial(self.dim, out)
 
     def eval_exact(self, x) -> Fraction:
+        self._check_dim(len(x))
         x = [frac(v) for v in x]
         return sum((c * prod(map(pow, x, a)) for a, c in self.coeffs.items()), Fraction(0))
 
-    def eval(self, pts, work=None):
-        """Float evaluation; pts is (r,) or (N, r) ndarray-like. The (N,) values
-        and every temporary are taken from the Workspace `work`, or a fresh one."""
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        work = work or Workspace()
-        total = work.take(len(pts))
-        total.fill(0.0)
-        with work.frame():
-            term, power = work.take(len(pts)), work.take(len(pts))
-            for a, c in self.coeffs.items():
-                term.fill(float(c))
-                for i, ai in enumerate(a):
-                    if ai == 1:
-                        term *= pts[:, i]
-                    elif ai:
-                        power[...] = pts[:, i]
-                        power **= ai  # as `**` computes it: a square for ai = 2
-                        term *= power
-                total += term
+    def eval(self, pts):
+        """Float evaluation at (r,) or (N, r) points: a float or a fresh (N,) array."""
+        single = np.ndim(pts) == 1
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        self._check_dim(pts.shape[1])
+        total = np.zeros(len(pts))
+        for a, c in self.coeffs.items():
+            term = np.full(len(pts), float(c))
+            for i, ai in enumerate(a):
+                if ai == 1:
+                    term *= pts[:, i]
+                elif ai:
+                    term *= pts[:, i] ** ai  # as `**` computes it: a square for ai = 2
+            total += term
         return total[0] if single else total
+
+    def _check_dim(self, dim):
+        if dim != self.dim:
+            raise ValueError(f"a point of dimension {dim} for a polynomial in {self.dim} variables")
 
     def compose_affine(self, matrix, offset) -> "Polynomial":
         """Substitute x = offset + matrix @ t; returns a polynomial in t.

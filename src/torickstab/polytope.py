@@ -68,12 +68,10 @@ class AffineFunction:
     def eval_exact(self, x) -> Fraction:
         return sum((z * frac(v) for z, v in zip(self.zeta, x, strict=True)), self.const)
 
-    def eval(self, pts, out=None):
-        """ell at (r,) or (N, r) points, written to the (N,) array out if given."""
+    def eval(self, pts):
+        """ell at (r,) or (N, r) points: a float or a fresh (N,) array."""
         zeta, const = self.floats
-        out = np.matmul(np.asarray(pts, dtype=float), zeta, out=out)
-        out += const
-        return out
+        return np.asarray(pts, dtype=float) @ zeta + const
 
     def compose_affine(self, matrix, offset) -> "AffineFunction":
         """Pullback under x = offset + matrix @ t."""

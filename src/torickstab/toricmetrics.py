@@ -8,13 +8,14 @@ formula, `_scal_v_abreu`, elementwise on length-N columns of nodes) and
 integrates the Futaki integrand with the Gauss pair on a refined triangulation.
 H comes from one batched root-free Cholesky factorisation G = L D L^T of the
 Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D give det G = prod D
-and are the one positive-definiteness test of the production path. Every
-per-node column of the kernel (facet values, G and H, P_f, q_f, Q_fg, t, the
-bump partials, v's jet and the integrand) is written through numpy `out=`
-arguments into one `Workspace` per `futaki_numeric` call, in which the
-integrand opens one frame per chunk of nodes: after the first chunk nothing is
-allocated, so no chunk's temporaries are freed and faulted in again, and the
-speed of a call does not depend on what the process freed before it.
+and are the one positive-definiteness test of the production path. The
+kernel's own per-node blocks (facet values, G and H, P_f, q_f, Q_fg, t, v's
+jet and the integrand; the bump partials, w and ell are fresh `eval` arrays)
+are written through numpy `out=` arguments into one `Workspace` per
+`futaki_numeric` call, in which the integrand opens one frame per chunk of
+nodes: after the first chunk no block is allocated, so none is freed and
+faulted in again, and a call's speed does not depend on what the process
+freed before it.
 `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same curvatures
 by central finite differences of H (inverted by LAPACK in `hess_inv`); they
 are the independent oracle for the closed form.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import ceil, log2
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from .invariants import FutakiReport
 from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
-from .quadrature import _gauss_pair, _results, _rule_batch
+from .quadrature import MAX_SIMPLICES, _gauss_pair, _results, _rule_batch
 from .weights import as_weight
 from .workspace import Workspace
 
@@ -123,8 +123,7 @@ class SymplecticPotential:
             for i, j in combinations_with_replacement(range(x.shape[1]), 2):
                 _combine(G[i, j], self.normals[:, i] * self.normals[:, j], half, work)
                 if self._bump_partials is not None:
-                    with work.frame():
-                        G[i, j] += self._bump_partials[2][i, j].eval(x, work)
+                    G[i, j] += self._bump_partials[2][i, j].eval(x)
                 G[j, i] = G[i, j]
         return L, G
 
@@ -320,10 +319,10 @@ def _scal_v_abreu(u: SymplecticPotential, v, x, work=None):
     index tuple, contracted by symmetry: T_bump into t, and into |T|_H^2 through
     2 sum_f a_f T_bump[P_f, P_f, P_f] + sum_cd H_cd tr(H T_c H T_d); D_bump
     through the pairings (H_ab H_cd + H_ac H_bd + H_ad H_bc) / 3 of each
-    arrangement. `v` is a weight; x is (N, r) with interior points. Every column,
-    the (N,) result included, is taken from the Workspace `work` (or a fresh
-    one) and written through numpy `out=` arguments; the sums keep the order of
-    terms of the elementwise formulas above.
+    arrangement. `v` is a weight; x is (N, r) with interior points. Every column
+    but the bump partials' values, the (N,) result included, is taken from the
+    Workspace `work` (or a fresh one) and written through numpy `out=`
+    arguments; the sums keep the order of terms of the elementwise formulas above.
     """
     r, n, nf = x.shape[1], len(x), len(u.normals)
     normals = u.normals
@@ -359,7 +358,7 @@ def _scal_v_abreu(u: SymplecticPotential, v, x, work=None):
         if u.bump is not None:
             tb = {}  # one column per sorted tuple, looked up by every arrangement of it
             for idx, d in u._bump_partials[3].items():
-                tb.update(dict.fromkeys(permutations(idx), d.eval(x, work)))
+                tb.update(dict.fromkeys(permutations(idx), d.eval(x)))
             for a, b, c in product(range(r), repeat=3):
                 t[c] += np.multiply(H[a, b], tb[a, b, c], out=col)
             for a, b, c in u._bump_partials[3]:
@@ -380,10 +379,9 @@ def _scal_v_abreu(u: SymplecticPotential, v, x, work=None):
             for (a, b, c, d), poly in u._bump_partials[4].items():
                 pairs = _sum_products(col2, [(H[a, b], H[c, d]), (H[a, c], H[b, d]),
                                              (H[a, d], H[b, c])], col)
-                with work.frame():
-                    term = poly.eval(x, work)
-                    term *= len(set(permutations((a, b, c, d)))) / 3.0
-                    trace_d += np.multiply(term, pairs, out=term)
+                term = poly.eval(x)
+                term *= len(set(permutations((a, b, c, d)))) / 3.0
+                trace_d += np.multiply(term, pairs, out=term)
         ht = work.take(r, n)
         for i in range(r):
             _sum_products(ht[i], [(H[i, j], t[j]) for j in range(r)], col)
@@ -430,10 +428,15 @@ def _sum_products(out, pairs, tmp):
 
 
 def _refined(polytope: DelzantPolytope, resolution: int):
-    """The triangulation bisected uniformly to >= resolution^r pair nodes; (S, r+1, r)."""
+    """The triangulation bisected uniformly to >= resolution^r pair nodes; (S, r+1, r).
+    Past MAX_SIMPLICES simplices a ValueError, before any bisection."""
     verts = np.array([s.float_vertices() for s in polytope.triangulate()])
     nodes = len(verts) * len(_gauss_pair(polytope.dim)[0])
-    for _ in range(ceil(log2(max(1.0, resolution ** polytope.dim / nodes)))):
+    halvings = (-(-int(resolution) ** polytope.dim // nodes) - 1).bit_length()
+    if len(verts) << halvings > MAX_SIMPLICES:
+        raise ValueError(f"grid resolution {resolution} needs {len(verts) << halvings} "
+                         f"simplices, more than MAX_SIMPLICES = {MAX_SIMPLICES}")
+    for _ in range(halvings):
         verts = _bisect_all(verts)
     return verts
 
@@ -451,8 +454,9 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     with no finite-difference truncation left, the |high - low| gap is the cubature
     error, and the U eps int|f| term the rounding of each simplex's sum. A value or
     error estimate that is not finite raises NonFiniteIntegral with the list of
-    reports, a potential `u` on other half-spaces than the polytope's is a
-    ValueError, and an empty list of directions gives an empty list.
+    reports; a potential `u` on other half-spaces than the polytope's, or a grid of
+    more than MAX_SIMPLICES simplices, is a ValueError; and an empty list of
+    directions gives an empty list.
     """
     grid = grid or GridSpec()
     v, w = as_weight(v, polytope.dim, "v"), as_weight(w, polytope.dim, "w")
@@ -471,10 +475,9 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
         with work.frame():
             f = work.take(len(directions), len(x))
             scal_v = _scal_v_abreu(u, v, x, work)
-            scal_v -= w.eval(x, work)
+            scal_v -= w.eval(x)
             for row, d in zip(f, directions):
-                d.eval(x, out=row)
-                row *= scal_v
+                np.multiply(d.eval(x), scal_v, out=row)
         return f
 
     results = _results(polytope.dim, *_rule_batch(verts, integrand))

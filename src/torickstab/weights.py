@@ -146,8 +146,8 @@ class WeightFn:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval(self, pts, work=None):
-        return self._jet(pts, 0, work)[0]
+    def eval(self, pts):
+        return self._jet(pts, 0)[0]
 
     def grad(self, pts):
         return self._jet(pts, 1)[1]
@@ -165,19 +165,20 @@ class WeightFn:
         (skipping zero entries of a factor's zeta): g and dq one per i, dg and the
         Hessian one per i <= j, written to [i, j] and [j, i] so the Hessian is
         exactly symmetric. Returns (N,), (N, r) and (N, r, r) views of columns
-        taken from the Workspace `work` (or a fresh one), as are the temporaries.
+        taken from the Workspace `work` (or a fresh one), as are the temporaries;
+        the factor, exp and q values are fresh arrays from their `eval`.
         """
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        single = np.ndim(pts) == 1
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n, r = pts.shape
+        if r != self.dim:
+            raise ValueError(f"a point of dimension {r} for a weight of dimension {self.dim}")
         work = work or Workspace()
         jet = [work.take(*shape) for shape in ((n,), (r, n), (r, r, n))[:order + 1]]
         q = self.poly_part
         with work.frame():
             a = jet[0] if q is None else work.take(n)
             a.fill(float(self.coeff))
-            vals = work.take(n)
             if order:
                 s, tmp, g = work.take(n), work.take(n), work.take(r, n)
                 g.fill(0.0)
@@ -185,7 +186,7 @@ class WeightFn:
                 dg = work.take(r, r, n)
                 dg.fill(0.0)
             for aff, p in self.affine_powers:
-                aff.eval(pts, out=vals)
+                vals = aff.eval(pts)
                 if order:
                     np.divide(float(p), vals, out=s)
                     nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
@@ -201,18 +202,18 @@ class WeightFn:
                     vals **= int(p)  # as `**` computes it: a square for p = 2
                 a *= vals
             if self.exp_part is not None:
-                a *= np.exp(self.exp_part.eval(pts, out=vals), out=vals)
+                a *= np.exp(self.exp_part.eval(pts))
                 if order:
                     g += self.exp_part.floats[0][:, None]
             if q is not None:
-                qv = q.eval(pts, work)
+                qv = q.eval(pts)
                 np.multiply(a, qv, out=jet[0])
             if order:
                 grad = jet[1]
                 if q is None:
                     np.multiply(g, a, out=grad)
                 else:
-                    dq = [d.eval(pts, work) for d in _symmetric_partials(q, 1).values()]
+                    dq = [d.eval(pts) for d in _symmetric_partials(q, 1).values()]
                     np.multiply(g, qv, out=grad)
                     for row, d in zip(grad, dq):
                         row += d
@@ -228,8 +229,7 @@ class WeightFn:
                         np.multiply(g[i], dq[j], out=tmp)
                         tmp += np.multiply(dq[i], g[j], out=s)
                         h += tmp
-                        with work.frame():
-                            h += ddq[i, j].eval(pts, work)
+                        h += ddq[i, j].eval(pts)
                     h *= a
                     hess[j, i] = h
         jet[1:] = [part.transpose(*axes) for part, axes in zip(jet[1:], ((1, 0), (2, 0, 1)))]
@@ -298,8 +298,8 @@ class WeightSum:
     def compose_affine(self, matrix, offset):
         return WeightSum([t.compose_affine(matrix, offset) for t in self._terms])
 
-    def eval(self, pts, work=None):
-        return self._jet(pts, 0, work)[0]
+    def eval(self, pts):
+        return self._jet(pts, 0)[0]
 
     def grad(self, pts):
         return self._jet(pts, 1)[1]

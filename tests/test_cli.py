@@ -71,6 +71,14 @@ def test_a_command_missing_its_one_required_choice_exits_2(capsys, argv, message
     assert json.loads(capsys.readouterr().err) == {"error": message}
 
 
+def test_verify_futaki_rejects_a_grid_past_the_simplex_cap(capsys):
+    # resolution 10^5 on P^2 would bisect to 2^27 simplices
+    assert main(["verify", "futaki", "--grid", "100000"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": (
+        "ValueError: grid resolution 100000 needs 134217728 simplices, "
+        "more than MAX_SIMPLICES = 131072")}
+
+
 def test_extremal(capsys):
     code, rep = _run(capsys, "extremal", "--polytope", INTERVAL,
                      "--v", "1", "--w0", "1")

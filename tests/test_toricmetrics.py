@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -462,13 +463,37 @@ def test_grid_resolution_that_is_not_an_integer_is_rejected(resolution):
         GridSpec(resolution=resolution)
 
 
-@pytest.mark.parametrize("resolution, simplices", [(1, 1), (100, 128), (400, 2048), (1000, 16384)])
+@pytest.mark.parametrize("resolution, simplices", [(1, 1), (100, 128), (400, 2048), (800, 8192),
+                                                    (1000, 16384), (3620, 1 << 17)])
 def test_refined_mesh_counts_the_evaluated_nodes(p2, resolution, simplices):
     # the least uniform refinement on which the pair evaluates resolution^2 nodes (100 per
-    # simplex: 64 of the order-8 rule and 36 of the order-6 rule)
+    # simplex: 64 of the order-8 rule and 36 of the order-6 rule); 3620 is the largest
+    # resolution within MAX_SIMPLICES
     from torickstab.toricmetrics import _refined
 
     assert len(_refined(p2, resolution)) == simplices
+
+
+def test_the_3d_grid_in_use_fits_and_one_past_the_simplex_cap_does_not(p2):
+    # 100 is the largest resolution in use in 3-D; on P^2, 3621 needs twice MAX_SIMPLICES
+    assert len(_refined(make_polytope(*P3), 100)) == 2048
+    with pytest.raises(ValueError, match=r"^grid resolution 3621 needs 262144 simplices, "
+                                         r"more than MAX_SIMPLICES = 131072$"):
+        _refined(p2, 3621)
+
+
+@pytest.mark.parametrize("dim, resolution", [(2, 10 ** 5), (2, 10 ** 200), (1, 10 ** 200)])
+def test_a_grid_past_the_simplex_cap_is_rejected_before_any_bisection(dim, resolution):
+    # 10^5 on P^2 once asked for 2^27 simplices, about 6 GB of vertices, and 10^200 on the
+    # interval bisected until it was killed; the halvings are counted in integers
+    p = make_polytope(*P2) if dim == 2 else make_polytope(((1,), 1), ((-1,), 1))
+    v, w = soliton_weight_pair(WeightFn.constant(dim, 1), dim)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^grid resolution {resolution} needs .* simplices, "
+                                         f"more than MAX_SIMPLICES = 131072$"):
+        futaki_numeric(p, SymplecticPotential(p), v, w, AffineFunction([1] * dim, 0),
+                       GridSpec(resolution))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grid_resolution_takes_numpy_integers_and_is_checked_once(interval):

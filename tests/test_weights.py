@@ -128,6 +128,66 @@ def test_eval_examples():
     assert g == pytest.approx([2 / 3, -1 / 5])
 
 
+@pytest.mark.parametrize("x", [[1, 2, 5], [1]])
+def test_a_point_of_another_dimension_is_rejected(x):
+    # x1 + 3 x2^2 read 13.0 at (1, 2, 5), dropping the third coordinate; at (1,) eval
+    # raised a bare IndexError and eval_exact read 4
+    q = Polynomial(2, {(1, 0): 1, (0, 2): 3})
+    message = f"^a point of dimension {len(x)} for a polynomial in 2 variables$"
+    for evaluate in (q.eval, q.eval_exact, lambda x: q.eval([x])):
+        with pytest.raises(ValueError, match=message):
+            evaluate(x)
+    for w in (WeightFn.from_polynomial(q), WeightFn.constant(2, 3)):
+        with pytest.raises(ValueError, match=f"^a point of dimension {len(x)} for a weight of "
+                                             f"dimension 2$"):
+            w.eval(x)
+    assert q.eval([1, 2]) == q.eval_exact([1, 2]) == 13
+
+
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+@st.composite
+def _polynomials_and_points(draw):
+    """A polynomial in 1-3 variables with exponents 0-5 and up to four points of
+    [-3, 3]^dim on a grid of step 1/100, where no term overflows or underflows."""
+    dim = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 5)] * dim)
+    coeff = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+    poly = Polynomial(dim, draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5)))
+    coordinate = st.integers(-300, 300).map(lambda k: k / 100)
+    pts = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                        min_size=1, max_size=4))
+    return poly, np.array(pts)
+
+
+def _roundings(poly):
+    """Units of roundoff in `Polynomial.eval` and float(eval_exact), as a count: per term
+    its coefficient, one product per variable that appears and the power of an exponent
+    past 1 (a square is one rounding, `pow` is within one ulp, two units); then the
+    additions of the terms after the first, and float(eval_exact)."""
+    per_term = max(1 + sum(1 + (2 if a > 2 else a > 1) for a in alpha if a)
+                   for alpha in poly.coeffs)
+    return per_term + len(poly.coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polynomials_and_points())
+def test_float_evaluation_is_the_exact_value_within_its_rounding(case):
+    # the error of n roundings is at most gamma_n sum_a |c_a| |x^a|, gamma_n = n u / (1 - n u)
+    poly, pts = case
+    values = poly.eval(pts)
+    n = _roundings(poly)
+    gamma = n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+    size = Polynomial(poly.dim, {a: abs(c) for a, c in poly.coeffs.items()})
+    for row, x in enumerate(pts):
+        exact = Fraction(float(poly.eval_exact(x)))
+        assert abs(Fraction(values[row]) - exact) <= gamma * size.eval_exact(np.abs(x))
+        assert poly.eval(x) == values[row]
+    w = WeightFn.from_polynomial(poly)
+    assert np.array_equal(w.eval(pts), w._jet(pts, 2)[0])
+
+
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(42)
     w = (WeightFn.exp_affine([Fraction(1, 3), Fraction(-1, 4)], 0)
@@ -424,6 +484,7 @@ def test_jet_orders_and_single_points_agree_bitwise(case):
     w, pts = case
     full = w._jet(pts, 2)
     assert [part.shape for part in full] == [pts.shape[:1], pts.shape, pts.shape + pts.shape[1:]]
+    assert np.array_equal(w.eval(pts), full[0])  # the value the metric kernel reads
     for order in range(3):
         jet = w._jet(pts, order)
         assert len(jet) == order + 1
