@@ -220,9 +220,9 @@ def moment_table(simplices, degree):
 def barycentric_coefficients(poly, simplices, q, factors=()):
     """f = poly * prod ell^p on each simplex as an integer form in barycentric coordinates.
 
-    For (AffineFunction ell, integer p >= 1) factors, d = deg f and den the common denominator of
-    poly's coefficients, returns (betas, scale, rows) with, for each simplex of r + 1 vertices
-    v_i (given as the integer vectors q v_i),
+    For (AffineFunction ell, zeta != 0, integer p >= 1) factors (a weight folds constant ones),
+    d = deg f and den the common denominator of poly's coefficients, returns (betas, scale,
+    rows) with, for each simplex of r + 1 vertices v_i (given as the integer vectors q v_i),
 
         sum_k rows[s][k] lambda^betas[k] = scale f(sum_i lambda_i v_i)  when sum_i lambda_i = 1,
 
@@ -230,16 +230,14 @@ def barycentric_coefficients(poly, simplices, q, factors=()):
     Bernstein coefficients are rows[s][k] betas[k]! / (d! scale) (Farouki, CAGD
     29 (2012)), so they have the signs of the row, and the entry of beta = d e_i
     is scale f(v_i). A factor (c + <zeta, x>) / n in integers is sum_i (q c + <zeta, q v_i>)
-    lambda_i / (n q), or (c / n)^p if zeta = 0. One `expand` per simplex, in integers.
+    lambda_i / (n q). One `expand` per simplex, in integers.
     """
     d, r = poly.degree(), len(simplices[0]) - 1
     den = lcm(*(c.denominator for c in poly.coeffs.values()))
-    lines = [(ell.integers, int(p)) for ell, p in factors if any(ell.zeta)]
+    lines = [(ell.integers, int(p)) for ell, p in factors]
     powers = tuple(p for _, p in lines)
-    const = prod(ell.integers[0] ** int(p) for ell, p in factors if not any(ell.zeta))
-    # const den q^d poly(y / q), homogenised with y_r, times the lines: integer coefficients
-    homog = [(a + (d - sum(a),) + powers,
-              const * c.numerator * (den // c.denominator) * q ** (d - sum(a)))
+    # den q^d poly(y / q), homogenised with y_r, times the lines: integer coefficients
+    homog = [(a + (d - sum(a),) + powers, c.numerator * (den // c.denominator) * q ** (d - sum(a)))
              for a, c in poly.coeffs.items()]
     betas = list(compositions(d + sum(powers), r + 1))
     rows, ones = [], linear_terms([1] * (r + 1), 0)

@@ -409,9 +409,9 @@ INV_FACTORIAL = np.array([1 / math.factorial(k) for k in range(171)])
 
 def _slot(w):
     """(ell, sigma, k): the term is c Q k exp(ell) (sigma = 0) or c Q k ell^-sigma (integer sigma),
-    Q polynomial, k the constant factors (a, p) of p < 0 or fractional bar a lone pole; or None."""
+    Q polynomial, k the constant factors a^p, p fractional, that WeightFn does not fold; or None."""
     odd = [(aff, p) for aff, p in w.affine_powers if p.numerator < 0 or p.denominator != 1]
-    poles = [f for f in odd if any(f[0].zeta)] or ([] if w.exp_part else odd[:1])
+    poles = [f for f in odd if any(f[0].zeta)]
     if len(poles) + (w.exp_part is not None) != 1 or any(p.denominator != 1 for _, p in poles):
         return None
     ell, sigma = (poles[0][0], -int(poles[0][1])) if poles else (w.exp_part, 0)

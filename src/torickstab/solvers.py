@@ -5,7 +5,8 @@ smooth and strictly convex on its feasible set: g = exp for the soliton and
 g(t) = (1 + t)^(-s) for the Reeb field. The gradient and Hessian are the
 moments int g'(<xi, x>) x_i p dx and int g''(<xi, x>) x_i x_j p dx, so one
 damped Newton loop, `_newton_loop`, serves both; each solver supplies only
-the weights g, g', g''. The iterations converge globally from xi = 0.
+the weights g, g', g'' (the soliton's are one weight). The iterations converge
+globally from xi = 0, where g^(k) is a constant: polynomial p has exact moments.
 Each trial point integrates F and all its moments in one call; they are
 closed forms for polynomial p (also times one exp(affine) for the soliton,
 and for integer s for the Reeb field) and one adaptive cubature otherwise.
@@ -48,15 +49,16 @@ class SolverResult:
     converged: bool = True
 
 
-def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
+def _newton_loop(polytope, p, weights, tol, max_iter, limit_step=lambda xi, d: 1.0):
     """Damped Newton minimization of F(xi) = int g(<xi, x>) p(x) dx from xi = 0.
 
-    weight(xi, k) is the weight x -> g^(k)(<xi, x>), for k = 0, 1, 2. Each trial point takes
-    F, its gradient and its Hessian from one integrate_products call over the products (),
-    (x_i,) and (x_i, x_j) with weights p g^(k), two orders tighter than `tol`, and an accepted
-    point keeps them. It keeps its cubature's final mesh with them too (see
-    quadrature._adaptive), where the next trial point's cubature starts; a rejected trial
-    point's mesh is dropped with its moments, and the mesh does not outlive the solve.
+    weights(xi) is (g, g', g'') as weights x -> g^(k)(<xi, x>); equal ones may be one object,
+    and p g^(k) is built once per object. Each trial point takes F, its gradient and its Hessian
+    from one integrate_products call over the products (), (x_i,) and (x_i, x_j) with weights
+    p g^(k), two orders tighter than `tol`, and an accepted point keeps them. It keeps its
+    cubature's final mesh with them too (see quadrature._adaptive), where the next trial
+    point's cubature starts; a rejected trial point's mesh is dropped with its moments, and
+    the mesh does not outlive the solve.
     limit_step(xi, direction) caps the initial step; every shorter step must stay admissible.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -73,9 +75,10 @@ def _newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.
     products = [()] + [(c,) for c in x] + [(x[i], x[j]) for i, j in zip(*upper)]
 
     def integrals(xi, start):  # F, its error estimate, gradient, Hessian and cubature mesh at xi
-        ws, mesh = [p * weight(xi, k) for k in range(3)], list(start)  # the trial's own mesh
-        res = integrate_products(polytope, [ws[len(e)] for e in products], products, tol=qtol,
-                                 mesh=mesh)
+        gs, mesh = weights(xi), list(start)  # the trial's own mesh
+        pg = {id(g): p * g for g in {id(g): g for g in gs}.values()}  # p g once per distinct g
+        res = integrate_products(polytope, [pg[id(gs[len(e)])] for e in products], products,
+                                 tol=qtol, mesh=mesh)
         hess = np.empty((r, r))
         hess[upper] = hess[upper[::-1]] = [m.value for m in res[1 + r:]]
         return (res[0].value, res[0].error_estimate, np.array([m.value for m in res[1:1 + r]]),
@@ -122,10 +125,10 @@ def tian_zhu_soliton(polytope: DelzantPolytope, p, tol=DEFAULT_TOL,
     """Minimize F(xi) = int exp(<xi,x>) p(x) dx; the critical point is the
     soliton vector field, where the p-weighted exp-barycenter sits at 0."""
 
-    def weight(xi, k):
-        return WeightFn.exp_affine([frac(float(z)) for z in xi], 0)
+    def weights(xi):
+        return (WeightFn.exp_affine([frac(float(z)) for z in xi], 0),) * 3
 
-    return _newton_loop(polytope, p, weight, tol, max_iter)
+    return _newton_loop(polytope, p, weights, tol, max_iter)
 
 
 def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
@@ -146,8 +149,9 @@ def msy_reeb(polytope: DelzantPolytope, p, s, tol=DEFAULT_TOL,
         room = np.min((now[down] - floor) / -rate[down], initial=1.0)
         return max(2.0 ** (math.frexp(room)[1] - 1), 2.0 ** -200)
 
-    def weight(xi, k):
-        return WeightFn.affine_power(AffineFunction([frac(float(z)) for z in xi], 1),
-                                     frac(-s - k), coeff=(1, -s, s * (s + 1))[k])
+    def weights(xi):
+        ell = AffineFunction([frac(float(z)) for z in xi], 1)
+        return tuple(WeightFn.affine_power(ell, frac(-s - k), coeff=c)
+                     for k, c in enumerate((1, -s, s * (s + 1))))
 
-    return _newton_loop(polytope, p, weight, tol, max_iter, limit_step)
+    return _newton_loop(polytope, p, weights, tol, max_iter, limit_step)

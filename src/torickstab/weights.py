@@ -6,6 +6,7 @@ construction and affine pullbacks, which is everything the library needs.
 
 A weight takes its canonical form when it is built: a term merges repeated
 affine factors (exponents add, zero exponents drop, first-seen order is kept),
+folds each constant factor of rational value into its coefficient, drops exp(0),
 and a sum of one term is that term. However it is built, a weight with the same
 factors is the same value, with one hash and one integration path.
 """
@@ -48,15 +49,21 @@ class WeightFn:
         for name, part in parts + [("affine factor", aff) for aff, _ in affine_powers]:
             if part is not None and part.dim != dim:
                 raise ValueError(f"{name} has dimension {part.dim}, the weight {dim}")
-        merged = {}  # first-seen order
+        merged, coeff, powers = {}, frac(coeff), []  # first-seen order
         for aff, p in affine_powers:
             merged[aff] = merged[aff] + frac(p) if aff in merged else frac(p)
+        for aff, p in merged.items():  # c^p (integer p, c != 0), 0^p (p > 0) and 1^p fold
+            if not any(aff.zeta) and (aff.const == 1 or p.denominator == 1 and (aff.const or p > 0)):
+                coeff *= aff.const ** p.numerator
+            elif p:
+                powers.append((aff, p))
         if poly_part is not None and poly_part.is_constant():
-            coeff = frac(coeff) * poly_part.constant_value()
+            coeff *= poly_part.constant_value()
             poly_part = None
+        exp_part = exp_part if exp_part is None or any(exp_part.zeta) or exp_part.const else None
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeff", frac(coeff))
-        object.__setattr__(self, "affine_powers", tuple((a, p) for a, p in merged.items() if p))
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "affine_powers", tuple(powers))
         object.__setattr__(self, "exp_part", exp_part)
         object.__setattr__(self, "poly_part", poly_part)
 

@@ -84,8 +84,9 @@ def _moved_weight(kind, zeta):
                          ids=["soliton", "reeb"])
 def test_solvers_move_by_the_basis_change(name, shears, kind, solve):
     # F'(xi') = int g(<xi', y>) p(M^T y) dy over the image is F(M^T xi'), as M^-T keeps
-    # Lebesgue measure, so the Newton iterates move to xi' = M xi. The exp Reeb solves
-    # take the adaptive cubature on both triangulations
+    # Lebesgue measure, so the Newton iterates move to xi' = M xi and the objectives agree,
+    # from the exact origin on. The exp Reeb solves take the adaptive cubature on both
+    # triangulations
     m = shear_matrix(2, shears)
     zeta = [Fraction(3, 10), Fraction(-1, 5)]
     moved_zeta = [sum(map(mul, row, zeta)) for row in m]
@@ -94,3 +95,4 @@ def test_solvers_move_by_the_basis_change(name, shears, kind, solve):
     assert res.converged and image.converged and image.iterations == res.iterations
     moved_xi = [sum(map(mul, row, res.xi0)) for row in m]
     assert max(abs(a - b) for a, b in zip(image.xi0, moved_xi)) <= 1e-12
+    assert abs(image.objective - res.objective) <= 1e-12 * abs(res.objective)

@@ -603,22 +603,25 @@ def _factored_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_factored_cases())
 def test_factored_tables_equal_the_expanded_polynomials(case):
-    # the closed form's tables multiply the factors' vertex values into the polynomial
-    # part's barycentric form; the expanded product is the oracle, row by row and float by float
+    # the weight merges repeated factors and folds constant ones into its coefficient; the
+    # closed form's tables multiply the vertex values of the factors it keeps into the
+    # polynomial part's barycentric form. Their expanded product is the oracle, row by row
+    # and float by float
     name, factors, poly = case
     p = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
     q, scaled = p.integer_vertices()
     at = dict(zip(p.vertices, scaled))
     simplices = [[at[v] for v in s.vertices] for s in p.triangulate()]
     base = Polynomial.constant(p.dim, 1) if poly is None else poly
-    expanded = WeightFn(p.dim, 1, factors, None, poly).to_polynomial()
-    betas, scale, rows = barycentric_coefficients(base, simplices, q, factors)
+    w = WeightFn(p.dim, 1, factors, None, poly)
+    expanded = WeightFn(p.dim, 1, w.affine_powers, None, poly).to_polynomial()
+    assert expanded.scale(w.coeff) == w.to_polynomial()
+    betas, scale, rows = barycentric_coefficients(base, simplices, q, w.affine_powers)
     want_betas, want_scale, want_rows = barycentric_coefficients(expanded, simplices, q)
     assert betas == want_betas and all(isinstance(c, int) for row in rows for c in row)
     assert [[Fraction(c, scale) for c in row] for row in rows] == [
         [Fraction(c, want_scale) for c in row] for row in want_rows]
-    powers = WeightFn(p.dim, 1, factors, None, poly).affine_powers  # repeats merged
-    index, table, _ = p.barycentric(powers, poly)
+    index, table, _ = p.barycentric(w.affine_powers, poly)
     vols = [factorial(p.dim) * s.volume() for s in p.triangulate()]
     assert index.tolist() == [sum(([i] * (e + 1) for i, e in enumerate(b)), []) for b in betas]
     assert table.tolist() == [[float(v * prod(map(factorial, b)) * Fraction(c, want_scale))

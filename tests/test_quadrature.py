@@ -870,14 +870,23 @@ def test_exp_matches_brion(name, xi):
 
 
 def test_coincident_nodes_at_zero_xi(f1):
-    # every node equal: exp(0) = 1 and (1 + 0)^-sigma = 1 leave the exact polynomial integral
+    # exp(0) and (1 + 0)^-6 fold away, leaving the exact polynomial integral; exp(0 x + 1/3)
+    # keeps its closed form with every node at 1/3, and the pole kernels at N + 1 equal nodes u
+    # read G[u, ..., u] = G^(N)(u) / N! = u^-sigma / N!
     q = _q_factor("product", 2, 0, 1)
     exact = integrate_weighted(f1, q).exact
     zero = AffineFunction([0, 0], 1)
     for w in (q * WeightFn.exp_affine([0, 0], 0), q * WeightFn.affine_power(zero, -6)):
-        res = integrate_weighted(f1, w)
-        assert res.value == pytest.approx(float(exact), rel=1e-14)
-        assert abs(Fraction(res.value) - exact) <= res.error_estimate
+        assert integrate_weighted(f1, w).exact == exact
+    res = integrate_weighted(f1, q * WeightFn.exp_affine([0, 0], Fraction(1, 3)))
+    want = math.exp(1 / 3) * float(exact)
+    assert res.exact is None and res.subdivisions == 0
+    assert res.value == pytest.approx(want, rel=1e-14)
+    assert abs(res.value - want) <= res.error_estimate + 2 * quadrature.EPS * abs(want)
+    for kernel, sigma in ((_pole_dd, 6), (_log_dd, 3)):  # N = 5, as for q on F_1
+        (g,), rel = kernel(np.full((1, 6), 1.5), sigma)
+        want = 1.5 ** -sigma / math.factorial(5)
+        assert abs(g - want) <= (rel + 2 * quadrature.EPS) * want
 
 
 def test_coincident_nodes_on_an_edge(p2):
@@ -1232,6 +1241,29 @@ def test_a_constant_factor_folds_into_the_coefficient(p2):
             assert res.value == pytest.approx(float(factor.const) ** float(scale) * plain.value,
                                               rel=1e-15)
             assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
-    # a constant pole alone is still the pole: (1 + <0, x>)^-3 is the Reeb weight at xi = 0
+    # a constant pole alone folds away: (1 + <0, x>)^-3, the Reeb weight at xi = 0, is 1
     lone = integrate_weighted(p2, WeightFn.affine_power(AffineFunction([0, 0], 1), -3))
-    assert lone.subdivisions == 0 and lone.value == pytest.approx(4.5, rel=1e-15)
+    assert lone.exact == Fraction(9, 2) and lone.value == 4.5
+
+
+@pytest.mark.parametrize("c, p", [(-2, -1), (2, -3)])
+def test_a_rational_constant_factor_integrates_exactly(p2, c, p):
+    # (-2)^-1 (x1 + 2) was SingularOnDomain ("attains -2") and 2^-3 (x1 + 2) the float
+    # 1.1249999999999998: both fold into the coefficient and take the exact path
+    ell = AffineFunction([1, 0], 2)
+    whole = integrate_weighted(p2, WeightFn.affine_power(ell, 1)).exact
+    res = integrate_weighted(p2, WeightFn(2, 1, [(AffineFunction([0, 0], c), p), (ell, 1)]))
+    assert type(res.exact) is Fraction and res.exact == Fraction(c) ** p * whole
+
+
+@pytest.mark.parametrize("c, p", [(0, -1), (0, Fraction(1, 2)), (-2, Fraction(1, 2))])
+@pytest.mark.parametrize("integrate", [
+    integrate_weighted, integrate_boundary, lambda p2, w: integrate_products(p2, w, [()])[0]],
+    ids=["weighted", "boundary", "products"])
+def test_a_singular_constant_factor_is_rejected_on_every_path(p2, c, p, integrate):
+    # 0^-1, 0^(1/2) and (-2)^(1/2) stay factors (no ZeroDivisionError from a fold), and every
+    # entry point rejects them before any closed form runs
+    w = WeightFn(2, 1, [(AffineFunction([0, 0], c), p), (AffineFunction([1, 0], 2), 1)])
+    assert w.affine_powers[0] == (AffineFunction([0, 0], c), p)
+    with pytest.raises(SingularOnDomain, match=f"exponent {p} attains {c} "):
+        integrate(p2, w)

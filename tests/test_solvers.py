@@ -164,13 +164,13 @@ def test_a_critical_point_with_an_indefinite_hessian_is_no_minimiser(p2):
     # the Reeb weights g^(k) of g(t) = (1 + t)^(1/2), s = -1/2 taken past msy_reeb's
     # check: the gradient vanishes at xi = 0 by symmetry, and the Hessian there is
     # negative definite
-    def weight(xi, k):
-        return WeightFn.affine_power(AffineFunction([Fraction(z) for z in xi], 1),
-                                     Fraction(1, 2) - k,
-                                     coeff=(1, Fraction(1, 2), Fraction(-1, 4))[k])
+    def weights(xi):
+        ell = AffineFunction([Fraction(z) for z in xi], 1)
+        return tuple(WeightFn.affine_power(ell, Fraction(1, 2) - k, coeff=c)
+                     for k, c in enumerate((1, Fraction(1, 2), Fraction(-1, 4))))
 
     with pytest.raises(NotPositiveDefinite):
-        _newton_loop(p2, WeightFn.constant(2, 1), weight, 1e-10, 10)
+        _newton_loop(p2, WeightFn.constant(2, 1), weights, 1e-10, 10)
 
 
 def test_max_iterations_carries_partial_result(interval):
@@ -185,9 +185,9 @@ def test_an_overflowing_trial_point_is_a_rejected_step(interval, monkeypatch):
     # a Hessian 2^11 times too small at xi = 0 sends the first trial point to xi = -1024,
     # where exp(<xi, x>) overflows and F is not finite: the line search must halve the
     # step as it halves any rejected one, and the iteration then finds the soliton's xi
-    def weight(xi, k):
-        return WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0).scale(
-            Fraction(1, 2 ** 11) if k == 2 and not any(xi) else 1)
+    def weights(xi):
+        g = WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0)
+        return g, g, g.scale(Fraction(1, 2 ** 11) if not any(xi) else 1)
 
     raised = []
 
@@ -200,7 +200,7 @@ def test_an_overflowing_trial_point_is_a_rejected_step(interval, monkeypatch):
 
     monkeypatch.setattr(solvers, "integrate_products", integrate)
     with np.errstate(all="ignore"):
-        res = _newton_loop(interval, _p_affine(), weight, 1e-10, 50)
+        res = _newton_loop(interval, _p_affine(), weights, 1e-10, 50)
     assert raised and res.converged
     assert res.trace[1][2] <= 2.0 ** -10  # the first step was halved past the overflow
     assert res.xi0[0] == pytest.approx(tian_zhu_soliton(interval, _p_affine()).xi0[0], abs=1e-9)
@@ -381,26 +381,61 @@ def test_an_exp_reeb_solve_takes_one_cubature_per_trial_point(monkeypatch):
     polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS["F1"]])
     res = msy_reeb(polytope, WeightFn.exp_affine([Fraction(3, 10), Fraction(-1, 5)], 0), 3)
     assert res.converged and res.iterations >= 2 and len(trials) >= res.iterations + 1
-    # xi = 0 takes the closed form (the pole is a constant); every other trial point one cubature
+    # at xi = 0 the pole 1^-s folds away and the exp keeps its closed form; every other trial
+    # point takes one cubature
     moving = [w for w in trials if any(any(aff.zeta) for aff, p in w.affine_powers if p < 0)]
     assert len(moving) == len(trials) - 1 and columns == [1 + 2 + 3] * len(moving)
 
 
-def _separate_newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
+def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
+    # at xi = 0, exp(0) and 1^(-s-k) fold away and p g^(k) is a polynomial: one exact batch for
+    # the soliton's one weight, three for the Reeb's three. Past xi = 0 each of the six
+    # products takes one integrate_weighted call and one closed-form evaluation
+    products, counts, trials = solvers.integrate_products, [0, 0, 0], []
+
+    def counting(name, k):
+        inner = getattr(quadrature, name)
+
+        def counted(*args, **kwargs):
+            counts[k] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(quadrature, name, counted)
+
+    def trial(*args, **kwargs):
+        before = list(counts)
+        res = products(*args, **kwargs)
+        trials.append([b - a for a, b in zip(before, counts)])
+        return res
+
+    for k, name in enumerate(["_closed_form", "integrate_weighted", "_exact_products"]):
+        counting(name, k)
+    monkeypatch.setattr(solvers, "integrate_products", trial)
+    for name in POLYGONS:
+        polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
+        for p in (WeightFn.constant(2, 1), WeightFn.affine_power(AffineFunction([1, 0], 2), 1)):
+            for origin_batches, solve in ((1, tian_zhu_soliton), (3, lambda *a: msy_reeb(*a, 3))):
+                trials.clear()
+                assert solve(polytope, p).converged
+                assert trials[0] == [0, 0, origin_batches]
+                assert all(t == [6, 6, 0] for t in trials[1:]), (name, p, trials)
+    assert counts[0] == counts[1] == 306 and counts[2] == 40
+
+
+def _separate_newton_loop(polytope, p, weights, tol, max_iter, limit_step=lambda xi, d: 1.0):
     """A reference Newton loop: F alone at each trial point, then the gradient and the
     Hessian at the accepted point, each with integrate_weighted or integrate_products."""
     r, qtol = polytope.dim, tol * 1e-2
     x = [AffineFunction.coordinate(r, i) for i in range(r)]
     upper = np.triu_indices(r)
     xi, t, trace = np.zeros(r), 0.0, []
-    res = integrate_weighted(polytope, p * weight(xi, 0), tol=qtol)
+    res = integrate_weighted(polytope, p * weights(xi)[0], tol=qtol)
     f_val, f_err = res.value, res.error_estimate
     for it in range(max_iter):
         grad = np.array([m.value for m in integrate_products(
-            polytope, p * weight(xi, 1), [(c,) for c in x], tol=qtol)])
+            polytope, p * weights(xi)[1], [(c,) for c in x], tol=qtol)])
         hess = np.empty((r, r))
         hess[upper] = hess[upper[::-1]] = [m.value for m in integrate_products(
-            polytope, p * weight(xi, 2), [(x[i], x[j]) for i, j in zip(*upper)], tol=qtol)]
+            polytope, p * weights(xi)[2], [(x[i], x[j]) for i, j in zip(*upper)], tol=qtol)]
         trace.append((tuple(xi), f_val, t))
         if np.linalg.norm(grad) <= tol * max(abs(f_val), 1.0):
             return tuple(xi), f_val, it, trace
@@ -409,7 +444,7 @@ def _separate_newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda 
         noise = f_err + solvers.NOISE_ULPS * np.spacing(abs(f_val))
         while True:
             cand = xi + t * step
-            res = integrate_weighted(polytope, p * weight(cand, 0), tol=qtol)
+            res = integrate_weighted(polytope, p * weights(cand)[0], tol=qtol)
             if res.value <= f_val + solvers.ARMIJO_C * t * slope + noise:
                 break
             t *= 0.5
@@ -418,16 +453,16 @@ def _separate_newton_loop(polytope, p, weight, tol, max_iter, limit_step=lambda 
 
 
 def _solve_and_separate_loop(kind, polytope, p, monkeypatch):
-    """The solver's result, and the separate loop's with the solver's weight and step rule."""
+    """The solver's result, and the separate loop's with the solver's weights and step rule."""
     seen = {}
 
-    def loop(polytope, p, weight, tol, max_iter, limit_step=lambda xi, d: 1.0):
-        seen.update(weight=weight, limit_step=limit_step, tol=tol, max_iter=max_iter)
-        return _newton_loop(polytope, p, weight, tol, max_iter, limit_step)
+    def loop(polytope, p, weights, tol, max_iter, limit_step=lambda xi, d: 1.0):
+        seen.update(weights=weights, limit_step=limit_step, tol=tol, max_iter=max_iter)
+        return _newton_loop(polytope, p, weights, tol, max_iter, limit_step)
 
     monkeypatch.setattr(solvers, "_newton_loop", loop)
     res = tian_zhu_soliton(polytope, p) if kind == "soliton" else msy_reeb(polytope, p, 3)
-    return res, _separate_newton_loop(polytope, p, seen["weight"], seen["tol"],
+    return res, _separate_newton_loop(polytope, p, seen["weights"], seen["tol"],
                                       seen["max_iter"], seen["limit_step"])
 
 
@@ -485,9 +520,9 @@ def test_trial_points_refine_from_the_accepted_point(monkeypatch):
 def test_a_rejected_trial_point_drops_its_refinement(p2, monkeypatch):
     # a Hessian 4 times too small at xi = 0 makes the first step too long for the Armijo test:
     # each trial point starts from the mesh the last accepted point left, never a rejected one's
-    def weight(xi, k):
-        return WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0).scale(
-            Fraction(1, 4) if k == 2 and not any(xi) else 1)
+    def weights(xi):
+        g = WeightFn.exp_affine([Fraction(float(z)) for z in xi], 0)
+        return g, g, g.scale(Fraction(1, 4) if not any(xi) else 1)
 
     products, calls = solvers.integrate_products, []
 
@@ -498,7 +533,7 @@ def test_a_rejected_trial_point_drops_its_refinement(p2, monkeypatch):
         return res
 
     monkeypatch.setattr(solvers, "integrate_products", trial)
-    res = _newton_loop(p2, _ROOT_P, weight, 1e-10, 50)
+    res = _newton_loop(p2, _ROOT_P, weights, 1e-10, 50)
     accepted, last = {f for _, f, _ in res.trace}, []
     assert res.converged and res.trace[1][2] < 1 and len(calls) > res.iterations + 1
     for start, end, f in calls:

@@ -584,7 +584,8 @@ def _split_powers(draw):
 def test_a_split_power_is_the_power(case):
     """ell^p split into several factors, from the constructor, the product or JSON, is the
     weight built with p: equal, with one hash and the identical integral, the same Fraction
-    on the exact path (p >= 0) and the same float from the closed form (p < 0)."""
+    on the exact path (p >= 0, or a constant ell, which folds into the coefficient) and the
+    same float from the closed form (p < 0)."""
     polytope, ell, p, parts = case
     whole = WeightFn.affine_power(ell, p)
     product = WeightFn.constant(polytope.dim)
@@ -597,7 +598,34 @@ def test_a_split_power_is_the_power(case):
         assert split == whole and hash(split) == hash(whole)
         assert integrate_weighted(polytope, split) == integrate_weighted(polytope, whole)
     res = integrate_weighted(polytope, whole)
-    assert (type(res.exact) is Fraction) == (p >= 0) and res.subdivisions == 0
+    assert (type(res.exact) is Fraction) == (p >= 0 or not any(ell.zeta))
+    assert res.subdivisions == 0
+
+
+@pytest.mark.parametrize("c, p, coeff", [
+    (-2, -1, Fraction(-1, 2)), (2, -3, Fraction(1, 8)), (0, 2, 0), (1, Fraction(-5, 2), 1),
+    (0, -1, None), (0, Fraction(1, 2), None), (-2, Fraction(1, 2), None), (3, Fraction(2, 3), None)])
+def test_a_constant_factor_of_rational_value_folds(c, p, coeff):
+    """c^p with integer p and c != 0, 0^p with p > 0 and 1^p fold into the coefficient from the
+    constructor, the product and JSON alike, with one hash; 0^p with p < 0 and c^(a/b) with
+    c != 1 stay factors."""
+    const, ell = AffineFunction([0, 0], c), AffineFunction([1, 0], 2)
+    entries = [{"zeta": [0, 0], "a": c, "pow": str(p)}, {"zeta": [1, 0], "a": 2, "pow": 1}]
+    built = WeightFn(2, 1, [(const, p), (ell, 1)])
+    for same in (WeightFn.affine_power(const, p) * WeightFn.affine_power(ell, 1),
+                 weight_from_json({"affine_powers": entries}, 2)):
+        assert same == built and hash(same) == hash(built)
+    if coeff is None:
+        assert built.coeff == 1 and built.affine_powers == ((const, p), (ell, 1))
+    else:
+        assert built.coeff == coeff and built.affine_powers == ((ell, 1),)
+
+
+def test_exp_of_zero_drops():
+    # exp(0) is the constant 1; exp(0 x + c) with c != 0 keeps its exp part
+    zero, third = WeightFn.exp_affine([0, 0], 0), WeightFn.exp_affine([0, 0], Fraction(1, 3))
+    assert zero == WeightFn.constant(2) and zero.exp_part is None
+    assert third.exp_part == AffineFunction([0, 0], Fraction(1, 3))
 
 
 def test_repeated_factors_merge_in_first_seen_order():
