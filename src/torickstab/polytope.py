@@ -401,11 +401,6 @@ class DelzantPolytope:
             self._vertex_mins[affine] = Fraction(low + const * q, den * q)
         return self._vertex_mins[affine]
 
-    def bounding_box(self):
-        lo = [min(v[i] for v in self.vertices) for i in range(self.dim)]
-        hi = [max(v[i] for v in self.vertices) for i in range(self.dim)]
-        return lo, hi
-
     # -- triangulation -------------------------------------------------------
 
     def triangulate(self):
@@ -498,15 +493,15 @@ class Facet:
         return self.subpolytope.volume()
 
 
-def _triangulate(p: DelzantPolytope, root_index=0):
+def _triangulate(p: DelzantPolytope):
     """Fan triangulation read off the vertex-facet incidence.
 
     A face is named by the set of facets through it; its vertices are the
     vertices on all of them. In a simple polytope, F meets H_j in a facet of F
-    exactly when some vertex of F lies on H_j. The polytope is coned from
-    vertex root_index over each facet that misses it, every lower face from its
-    lexicographically smallest vertex, down to the edges. A negatively oriented
-    simplex has its second and third vertices swapped.
+    exactly when some vertex of F lies on H_j. The polytope and every lower face
+    are coned from their lexicographically smallest vertex over each facet that
+    misses it, down to the edges. A negatively oriented simplex has its second
+    and third vertices swapped.
     """
     incidence = [set(adj) for adj in p.facet_adjacency]
 
@@ -521,7 +516,7 @@ def _triangulate(p: DelzantPolytope, root_index=0):
 
     scaled = p.integer_vertices()[1]
     simplices = []
-    for cone in fan(frozenset(), list(range(len(p.vertices))), root_index):
+    for cone in fan(frozenset(), list(range(len(p.vertices))), 0):
         verts = [p.vertices[i] for i in cone]
         if _det(_edge_matrix([scaled[i] for i in cone])) < 0:  # the sign, in integers
             verts[1], verts[2] = verts[2], verts[1]

@@ -8,7 +8,9 @@ formula, `_scal_v_abreu`, elementwise on length-N columns of nodes) and
 integrates the Futaki integrand with the Gauss pair on a refined triangulation.
 H comes from one batched root-free Cholesky factorisation G = L D L^T of the
 Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D give det G = prod D
-and are the one positive-definiteness test of the production path. The
+and are the one positive-definiteness test of the production path; a bumped
+potential runs it when it is built, at the Gauss pair's nodes in every simplex
+of the triangulation, the nodes `futaki_numeric` starts from. The
 kernel's own per-node blocks (facet values, G and H, P_f, q_f, Q_fg, t, v's
 jet and the integrand; the bump partials, w and ell are fresh `eval` arrays)
 are written through numpy `out=` arguments into one `Workspace` per
@@ -41,7 +43,6 @@ from .workspace import Workspace
 
 DEFAULT_FD_STEP = 1e-4
 FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the least facet value
-CHECK_GRID = 9  # per-axis sample grid on which a bumped potential must be convex
 BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
 
@@ -59,18 +60,15 @@ class GridSpec:
             raise ValueError(f"grid resolution must be at least 1, got {r}")
 
 
-def _sample_grid(polytope: DelzantPolytope, n_per_axis: int):
-    """A regular grid over the polytope's bounding box; (n_per_axis^r, r)."""
-    lo, hi = polytope.bounding_box()
-    axes = [np.linspace(float(a), float(b), n_per_axis) for a, b in zip(lo, hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
-
-
 class SymplecticPotential:
     """Guillemin potential of a Delzant polytope, plus an optional bump.
 
     u(x) = 1/2 sum_j L_j log L_j + bump(x); the Hessian is analytic:
-    Hess u = 1/2 sum_j u_j u_j^T / L_j + Hess(bump).
+    Hess u = 1/2 sum_j u_j u_j^T / L_j + Hess(bump). With a bump it raises
+    `NotPositiveDefinite` unless Hess u is positive definite at the Gauss pair's
+    nodes (`quadrature._gauss_pair`) in every simplex of `polytope.triangulate()`:
+    14, 100 or 728 strictly interior nodes per simplex for r = 1, 2, 3, which move
+    with the lattice basis when the polytope is one simplex, such as P^2.
     """
 
     def __init__(self, polytope: DelzantPolytope, bump: Polynomial = None):
@@ -90,10 +88,9 @@ class SymplecticPotential:
             self._bump_partials = None
 
     def _validate(self):
-        pts = _sample_grid(self.polytope, CHECK_GRID)
-        pts = pts[self.facet_values(pts).min(axis=1) > 1e-9]  # interior points
-        if pts.size:
-            _ldl_inverse(self.hess(pts))  # raises unless every pivot is positive
+        simplices = _refined(self.polytope, 1)  # resolution 1: the triangulation itself
+        nodes = np.matmul(_gauss_pair(self.polytope.dim)[0], simplices)
+        _ldl_inverse(self.hess(nodes.reshape(-1, self.polytope.dim)))
 
     def facet_values(self, x, work=None):
         """L_j(x) for every facet, (N, F); x is (N, r) or (r,). A view of (F, N)
@@ -127,9 +124,6 @@ class SymplecticPotential:
                 G[j, i] = G[i, j]
         return L, G
 
-    def normal_scale(self) -> float:
-        return float(np.max(np.linalg.norm(self.normals, axis=1)))
-
 
 def scaled_bump(polytope: DelzantPolytope, poly: Polynomial) -> SymplecticPotential:
     """Halve the bump until the potential Hessian is positive definite."""
@@ -148,7 +142,7 @@ def _prepare(u: SymplecticPotential, x, h):
     if lmin.min() <= 0:
         raise TooCloseToBoundary(f"minimum facet value {lmin.min():.3e}: not an interior point")
     # shrink the step near the boundary so stencils stay strictly interior
-    h_pt = np.minimum(h, FD_BOUNDARY_FRACTION * lmin / u.normal_scale())
+    h_pt = np.minimum(h, FD_BOUNDARY_FRACTION * lmin / np.linalg.norm(u.normals, axis=1).max())
     return x, h_pt
 
 

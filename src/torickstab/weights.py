@@ -6,9 +6,11 @@ construction and affine pullbacks, which is everything the library needs.
 
 A weight takes its canonical form when it is built: a term merges repeated
 affine factors (exponents add, zero exponents drop, first-seen order is kept),
-folds each constant factor of rational value into its coefficient, drops exp(0),
-and a sum of one term is that term. However it is built, a weight with the same
-factors is the same value, with one hash and one integration path.
+folds each constant factor of rational value into its coefficient, and of a
+constant c > 0 with a fractional power p folds c^floor(p) and keeps
+c^(p - floor(p)); it drops exp(0), and a sum of one term is that term. However
+it is built, a weight with the same factors is the same value, with one hash
+and one integration path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm, prod
+from math import floor, lcm, prod
 
 import numpy as np
 
@@ -53,9 +55,14 @@ class WeightFn:
         for aff, p in affine_powers:
             merged[aff] = merged[aff] + frac(p) if aff in merged else frac(p)
         for aff, p in merged.items():  # c^p (integer p, c != 0), 0^p (p > 0) and 1^p fold
-            if not any(aff.zeta) and (aff.const == 1 or p.denominator == 1 and (aff.const or p > 0)):
-                coeff *= aff.const ** p.numerator
-            elif p:
+            if not any(aff.zeta):
+                if aff.const == 1 or p.denominator == 1 and (aff.const or p > 0):
+                    coeff *= aff.const ** p.numerator
+                    continue
+                if aff.const > 0:  # c^p = c^floor(p) c^(p - floor(p)), the first part folded
+                    coeff *= aff.const ** floor(p)
+                    p -= floor(p)
+            if p:
                 powers.append((aff, p))
         if poly_part is not None and poly_part.is_constant():
             coeff *= poly_part.constant_value()

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torickstab.invariants import barycenter, extremal_affine
+from torickstab.invariants import barycenter, extremal_affine, futaki_boundary
+from torickstab.polynomial import Polynomial
 from torickstab.polytope import AffineFunction
 from torickstab.solvers import msy_reeb, tian_zhu_soliton
-from torickstab.weights import WeightFn
+from torickstab.toricmetrics import GridSpec, futaki_numeric, scaled_bump
+from torickstab.weights import WeightFn, soliton_weight_pair
 
 from conftest import CANONICAL_NORMALS, POLYGONS, fano_twists, moved_canonical, shear_matrix
 
@@ -96,3 +98,24 @@ def test_solvers_move_by_the_basis_change(name, shears, kind, solve):
     moved_xi = [sum(map(mul, row, res.xi0)) for row in m]
     assert max(abs(a - b) for a, b in zip(image.xi0, moved_xi)) <= 1e-12
     assert abs(image.objective - res.objective) <= 1e-12 * abs(res.objective)
+
+
+@pytest.mark.parametrize("shears", [[], [(1, 0, -2)], [(1, 0, -4)], [(1, 0, -7)],
+                                    [(1, 0, -2), (0, 1, -2), (1, 0, -1)]],
+                         ids=["I", "[[1,2],[0,1]]", "[[1,4],[0,1]]", "[[1,7],[0,1]]", "[[3,7],[2,5]]"])
+def test_the_metric_side_moves_by_the_basis_change(shears):
+    # P^2 with normals M u is P^2 moved by x -> M^-T x (the ids name M^-T), and the bump
+    # b = 3 x1^2 x2^2 + 2 x1^3 moves along to b(M^T y). The convexity check evaluates Hess u at
+    # the Gauss pair's nodes in the moved simplex, so scaled_bump halves b three times in every
+    # basis; the metric-side Futaki values of the soliton pair of v = x1 + 2, moved along, lie
+    # within their error estimates of the boundary formula
+    m = shear_matrix(2, shears)
+    p = moved_canonical("P2", shears, ())
+    bump = Polynomial(2, {(2, 2): Fraction(3), (3, 0): Fraction(2)}).compose_affine(
+        [list(column) for column in zip(*m)], [0, 0])
+    u = scaled_bump(p, bump)
+    v, w = soliton_weight_pair(WeightFn.affine_power(AffineFunction([row[0] for row in m], 2), 1), 2)
+    directions = [AffineFunction([1, 0], 0), AffineFunction([0, 1], 0)]
+    for ell, num in zip(directions, futaki_numeric(p, u, v, w, directions, GridSpec(400))):
+        assert abs(num.value - futaki_boundary(p, v, w, ell).value) <= num.error_estimate
+    assert u.bump == bump.scale(Fraction(1, 8))

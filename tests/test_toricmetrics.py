@@ -41,9 +41,8 @@ P1xP1 = ((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)
 
 
 def _interior_points(polytope, rng, n, margin):
-    lo, hi = polytope.bounding_box()
-    lo = [float(c) for c in lo]
-    hi = [float(c) for c in hi]
+    vertices = np.array([[float(c) for c in v] for v in polytope.vertices])
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     normals = np.array([[float(c) for c in h.normal]
                         for h in polytope.halfspaces])
     offsets = np.array([float(h.offset) for h in polytope.halfspaces])
@@ -344,10 +343,11 @@ def test_scal_v_abreu_rejects_a_node_on_a_facet():
 
 
 def test_scal_v_abreu_rejects_a_node_where_the_potential_is_not_convex(interval):
-    u = scaled_bump(interval, _nonconvex_bump())
+    u = scaled_bump(interval, _nonconvex_bump(interval))
     grid = np.linspace(-1.0, 1.0, 2003)[1:-1, None]
     bad = grid[u.hess(grid)[:, 0, 0] < 0][:1]
-    xs = np.vstack([[[-0.5]], bad, [[0.5]]])  # check-grid points on either side
+    nodes = np.sort(_pair_nodes(interval))
+    xs = np.vstack([nodes[:1], bad, nodes[-1:]])  # the outermost pair nodes, which the check saw
     assert np.all(u.hess(xs[[0, 2]]) > 0)
     with pytest.raises(NotPositiveDefinite):
         _scal_v_abreu(u, as_weight(1, 1), xs)
@@ -566,21 +566,27 @@ def test_ldl_inverse_rejects_indefinite_and_nan():
             _ldl_inverse(np.stack([good, bad, good]))
 
 
-def _nonconvex_bump():
-    """b with b'' = -2^24 prod_g (x - g)^2 over the 7 interior points g = k/4 of
-    the 9-point check grid on [-1, 1], so b'' vanishes on every check point."""
+def _pair_nodes(polytope):
+    """The Gauss pair's nodes in the triangulation's simplices, as the convexity check maps
+    them; (S U, r)."""
+    return np.matmul(_gauss_pair(polytope.dim)[0], _refined(polytope, 1)).reshape(-1, polytope.dim)
+
+
+def _nonconvex_bump(interval):
+    """b with b'' = -2^40 prod_g (x - g)^2 over the 14 pair nodes g of [-1, 1], each the
+    exact Fraction of its float, so b'' vanishes on every node that the check evaluates."""
     x = Polynomial.linear([1])
-    b2 = Polynomial.constant(1, -2 ** 24)
-    for k in range(-3, 4):
-        b2 = b2 * (x - Polynomial.constant(1, Fraction(k, 4))).power(2)
+    b2 = Polynomial.constant(1, -2 ** 40)
+    for (g,) in _pair_nodes(interval):
+        b2 = b2 * (x - Polynomial.constant(1, Fraction(g))).power(2)
     for _ in range(2):
         b2 = Polynomial(1, {(a + 1,): c / (a + 1) for (a,), c in b2.coeffs.items()})
     return b2
 
 
 def test_futaki_numeric_rejects_a_nonconvex_potential(interval):
-    # the check grid sees a convex potential, but between its points Hess u < 0
-    bump = _nonconvex_bump()
+    # the check sees a convex potential at the pair nodes, but between them Hess u < 0
+    bump = _nonconvex_bump(interval)
     u = scaled_bump(interval, bump)
     assert u.bump == bump
     xs = np.linspace(-1.0, 1.0, 2003)[1:-1, None]

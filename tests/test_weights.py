@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torickstab import quadrature
 from torickstab.errors import NotPositive
-from torickstab.jsonio import weight_from_json
+from torickstab.jsonio import weight_from_json, weight_to_json
 from torickstab.polynomial import Polynomial, compositions
 from torickstab.polytope import AffineFunction
 from torickstab.quadrature import integrate_weighted
@@ -619,6 +619,22 @@ def test_a_constant_factor_of_rational_value_folds(c, p, coeff):
         assert built.coeff == 1 and built.affine_powers == ((const, p), (ell, 1))
     else:
         assert built.coeff == coeff and built.affine_powers == ((ell, 1),)
+
+
+@pytest.mark.parametrize("c, p", [(2, Fraction(3, 2)), (Fraction(3, 5), Fraction(-7, 3))])
+def test_a_fractional_power_of_a_positive_constant_has_one_form(p2, c, p):
+    """c^p for c > 0, c != 1 and fractional p folds c^floor(p) into the coefficient and keeps
+    c^(p - floor(p)), so c^p and the product c^floor(p) c^(p - floor(p)) are one weight: equal,
+    with one hash and one JSON echo, and times exp(x1) one integral."""
+    const, whole_part = AffineFunction([0, 0], c), math.floor(p)
+    built = WeightFn(2, 1, [(const, p)])
+    split = WeightFn.affine_power(const, whole_part) * WeightFn.affine_power(const, p - whole_part)
+    assert built.coeff == Fraction(c) ** whole_part
+    assert built.affine_powers == ((const, p - whole_part),)
+    assert split == built and hash(split) == hash(built)
+    assert weight_to_json(split) == weight_to_json(built)
+    exp = WeightFn.exp_affine([1, 0], 0)
+    assert integrate_weighted(p2, split * exp) == integrate_weighted(p2, built * exp)
 
 
 def test_exp_of_zero_drops():
