@@ -112,7 +112,7 @@ def _gauss_pair(dim: int):
 
 # -- adaptive integration ---------------------------------------------------------
 
-# Most nodes handed to one integrand call: the Abreu kernel's workspace columns grow with the
+# Most nodes handed to one integrand call: the Abreu kernel's columns grow with the
 # chunk, and chunks of 2^15 nodes took 4x their memory for no gain in speed.
 EVAL_CHUNK = 1 << 13
 
@@ -261,7 +261,9 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     """Integral of w_k * prod(ells_k) per product ells_k, integrand one w or a list of w_k,
     over the polytope or, with boundary=True, over its boundary with d(sigma).
 
-    The one place a path is picked, once per distinct weight. A polynomial is expanded once
+    The one place a path is picked, once per distinct weight. Polynomial WeightFns that differ
+    only in a nonzero coefficient are one weight here: one exact batch over the
+    unit-coefficient weight, each result times its own coefficient. A polynomial is expanded once
     and pulled back once per facet chart x = origin + B t, where ell = (c + <zeta, x>) / n,
     scaled to integers once, becomes (q c + <zeta, p> + sum_k q <zeta, B_k> t_k) / (n q) for
     origin = p / q; every result is exact, a dot product with shifted moments (_dot_shifted).
@@ -284,11 +286,12 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
     groups = {}  # each distinct weight, by identity, with the indices of its products
     for k, (w, _) in enumerate(zip(ws, products, strict=True)):
         groups.setdefault(id(w), (w, []))[1].append(k)
-    out, cubature = {}, []
+    out, cubature, exact = {}, [], {}
     for w, ks in groups.values():
         own = [products[k] for k in ks]
-        if w.is_polynomial:
-            out.update(zip(ks, _exact_products(polytope, w, own, boundary)))
+        if w.is_polynomial:  # a WeightFn by its unit-coefficient weight, with its coefficient
+            c = w.coeff if isinstance(w, WeightFn) and w.coeff else 1
+            exact.setdefault(w.scale(1 / c) if c != 1 else w, []).extend((k, c) for k in ks)
         elif boundary:
             _check_singularities(polytope, w)
             out.update(zip(ks, _facet_products(polytope, w, own, tol, abs_floor)))
@@ -298,6 +301,10 @@ def integrate_products(polytope: DelzantPolytope, integrand, products, boundary=
         else:
             _check_singularities(polytope, w)
             cubature += [(k, (w, *ells)) for k, ells in zip(ks, own)]
+    for w, scaled in exact.items():
+        ks, coeffs = zip(*scaled)
+        out.update(zip(ks, _exact_products(polytope, w, [products[k] for k in ks], boundary,
+                                           coeffs)))
     if cubature:  # each distinct weight and affine factor evaluated once per node
         items = list(dict.fromkeys(f for _, row in cubature for f in row))
         which = [[items.index(f) for f in row] for _, row in cubature]
@@ -347,8 +354,9 @@ def _at_point(w, origin):
     return QuadratureResult(float(w.eval(x)), float(EPS * err), 0)
 
 
-def _exact_products(polytope, w, products, boundary):
-    """The exact integrals of the polynomial weight w times each product (integrate_products)."""
+def _exact_products(polytope, w, products, boundary, coeffs):
+    """The exact integrals of c * w times each product, for the polynomial weight w and the
+    coefficient c of each product (integrate_products): one batch, scaled per product."""
     lines = [_integer_line(ells) for ells in products]
     poly = w.to_polynomial()
     if not boundary:
@@ -365,7 +373,7 @@ def _exact_products(polytope, w, products, boundary):
                       for factors, den in lines]
             exact = list(map(add, exact, _dot_shifted(
                 table, poly.compose_affine(f.basis, f.origin), pulled)))
-    return [QuadratureResult(float(e), 0.0, 0, exact=e) for e in exact]
+    return [QuadratureResult(float(c * e), 0.0, 0, exact=c * e) for c, e in zip(coeffs, exact)]
 
 
 @lru_cache(maxsize=256)

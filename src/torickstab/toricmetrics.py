@@ -10,14 +10,12 @@ H comes from one batched root-free Cholesky factorisation G = L D L^T of the
 Hessian per chunk of nodes (`_ldl_inverse`), whose pivots D give det G = prod D
 and are the one positive-definiteness test of the production path; a bumped
 potential runs it when it is built, at the Gauss pair's nodes in every simplex
-of the triangulation, the nodes `futaki_numeric` starts from. The
-kernel's own per-node blocks (facet values, G and H, P_f, q_f, Q_fg, t, v's
-jet and the integrand; the bump partials, w and ell are fresh `eval` arrays)
-are written through numpy `out=` arguments into one `Workspace` per
-`futaki_numeric` call, in which the integrand opens one frame per chunk of
-nodes: after the first chunk no block is allocated, so none is freed and
-faulted in again, and a call's speed does not depend on what the process
-freed before it.
+of the triangulation, the nodes `futaki_numeric` starts from. The kernel's
+blocks (facet values, G and H, P_f, q_f, Q_fg, t and the integrand) are plain
+numpy expressions on fresh arrays. Only v's jet is written into a `Workspace`,
+one per `futaki_numeric` call, in which the integrand opens one frame per
+chunk of nodes, so every chunk reuses the jet's buffers: with the jet on fresh
+arrays the C heap was trimmed and faulted in again after every chunk.
 `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same curvatures
 by central finite differences of H (inverted by LAPACK in `hess_inv`); they
 are the independent oracle for the closed form.
@@ -92,36 +90,28 @@ class SymplecticPotential:
         nodes = np.matmul(_gauss_pair(self.polytope.dim)[0], simplices)
         _ldl_inverse(self.hess(nodes.reshape(-1, self.polytope.dim)))
 
-    def facet_values(self, x, work=None):
-        """L_j(x) for every facet, (N, F); x is (N, r) or (r,). A view of (F, N)
-        columns taken from the Workspace `work`, or a fresh one."""
+    def facet_values(self, x):
+        """L_j(x) for every facet, (N, F); x is (N, r) or (r,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        work = work or Workspace()
-        L = work.take(len(self.offsets), len(x))
-        for lf, uf, c in zip(L, self.normals, self.offsets):
-            _combine(lf, uf, x.T, work)
-            lf += c
-        return L.T
+        return np.array([_combine(uf, x.T) + c for uf, c in zip(self.normals, self.offsets)]).T
 
     def hess(self, x):
         """Analytic Hessian of the potential at interior points; (N, r, r)."""
         return self._facets_and_hess(np.atleast_2d(np.asarray(x, float)))[1].transpose(2, 0, 1)
 
-    def _facets_and_hess(self, x, work=None):
+    def _facets_and_hess(self, x):
         """The facet values L (F, N) and the Hessian G (r, r, N) at (N, r) points,
-        on length-N columns taken from the Workspace `work`, or a fresh one."""
-        work = work or Workspace()
-        L = self.facet_values(x, work).T
+        on length-N columns."""
+        L = self.facet_values(x).T
         if L.min() <= 0:
             raise TooCloseToBoundary("potential Hessian needs interior points")
-        G = work.take(x.shape[1], x.shape[1], len(x))
-        with work.frame():
-            half = np.divide(0.5, L, out=work.take(*L.shape))
-            for i, j in combinations_with_replacement(range(x.shape[1]), 2):
-                _combine(G[i, j], self.normals[:, i] * self.normals[:, j], half, work)
-                if self._bump_partials is not None:
-                    G[i, j] += self._bump_partials[2][i, j].eval(x)
-                G[j, i] = G[i, j]
+        half = 0.5 / L
+        G = np.empty((x.shape[1],) * 2 + (len(x),))
+        for i, j in combinations_with_replacement(range(x.shape[1]), 2):
+            G[i, j] = _combine(self.normals[:, i] * self.normals[:, j], half)
+            if self._bump_partials is not None:
+                G[i, j] += self._bump_partials[2][i, j].eval(x)
+            G[j, i] = G[i, j]
         return L, G
 
 
@@ -156,7 +146,7 @@ def hess_inv(u: SymplecticPotential, x):
     return H[0] if single else H
 
 
-def _ldl_inverse(G, work=None):
+def _ldl_inverse(G):
     """Inverse and pivots of a batch of symmetric matrices; H (N, r, r), D (N, r).
 
     Root-free Cholesky G = L D L^T with L unit lower triangular, then
@@ -167,51 +157,42 @@ def _ldl_inverse(G, work=None):
     not positive (or not a number). det G = prod D and log det G = sum log D.
     Like `np.linalg.inv`, and unlike the adjugate, it keeps the relative error
     of H within a small multiple of eps cond(G) next to a facet, where cond(G)
-    is of order 1/L. H, D and the temporaries are columns taken from the
-    Workspace `work`, or a fresh one.
+    is of order 1/L. G is left as it is: H and D are fresh arrays, and each
+    pivot term is subtracted on its own, in order, from a copy of G's column.
     """
     n, r = G.shape[:2]
-    work = work or Workspace()
-    H, d = work.take(r, r, n), work.take(r, n)
-    with work.frame():
-        tmp = work.take(n)
-        low, scaled = {}, {}  # L_ij and L_ij D_j for i > j
-        for j in range(r):
-            dj = d[j]
-            dj[...] = G[:, j, j]
+    d = np.empty((r, n))
+    low, scaled = {}, {}  # L_ij and L_ij D_j for i > j
+    for j in range(r):
+        dj = d[j]
+        dj[...] = G[:, j, j]
+        for k in range(j):
+            dj -= low[j, k] * scaled[j, k]
+        if not dj.min() > 0:
+            raise NotPositiveDefinite(
+                f"pivot {j} of the potential Hessian is not positive at "
+                f"{np.sum(~(dj > 0))} of {n} points")
+        for i in range(j + 1, r):
+            s = scaled[i, j] = G[:, i, j].copy()
             for k in range(j):
-                dj -= np.multiply(low[j, k], scaled[j, k], out=tmp)
-            if not dj.min() > 0:
-                raise NotPositiveDefinite(
-                    f"pivot {j} of the potential Hessian is not positive at "
-                    f"{np.sum(~(dj > 0))} of {n} points")
-            for i in range(j + 1, r):
-                s = scaled[i, j] = work.take(n)
-                s[...] = G[:, i, j]
-                for k in range(j):
-                    s -= np.multiply(low[i, k], scaled[j, k], out=tmp)
-                low[i, j] = np.divide(s, dj, out=work.take(n))
-        inv_d = np.divide(1.0, d, out=work.take(r, n))
-        m = {}  # M_ij for i > j: M_ij = -(L_ij + sum_{j<k<i} L_ik M_kj)
-        for j in range(r):
-            for i in range(j + 1, r):
-                s = m[i, j] = work.take(n)
-                s[...] = low[i, j]
-                for k in range(j + 1, i):
-                    s += np.multiply(low[i, k], m[k, j], out=tmp)
-                np.negative(s, out=s)
-        for i in range(r):
-            for j in range(i, r):
-                # H_ij = sum_{k >= j} M_ki M_kj / D_k, with M_jj = 1
-                h = H[i, j]
-                if i == j:
-                    h[...] = inv_d[j]
-                else:
-                    np.multiply(m[j, i], inv_d[j], out=h)
-                for k in range(j + 1, r):
-                    np.multiply(m[k, i], m[k, j], out=tmp)
-                    h += np.multiply(tmp, inv_d[k], out=tmp)
-                H[j, i] = h
+                s -= low[i, k] * scaled[j, k]
+            low[i, j] = s / dj
+    inv_d = 1.0 / d
+    m = {}  # M_ij for i > j: M_ij = -(L_ij + sum_{j<k<i} L_ik M_kj)
+    for j in range(r):
+        for i in range(j + 1, r):
+            s = low[i, j].copy()
+            for k in range(j + 1, i):
+                s += low[i, k] * m[k, j]
+            m[i, j] = -s
+    H = np.empty((r, r, n))
+    for i in range(r):
+        for j in range(i, r):
+            # H_ij = sum_{k >= j} M_ki M_kj / D_k, with M_jj = 1
+            h = inv_d[j].copy() if i == j else m[j, i] * inv_d[j]
+            for k in range(j + 1, r):
+                h += m[k, i] * m[k, j] * inv_d[k]
+            H[i, j] = H[j, i] = h
     return H.transpose(2, 0, 1), d.T
 
 
@@ -313,111 +294,78 @@ def _scal_v_abreu(u: SymplecticPotential, v, x, work=None):
     index tuple, contracted by symmetry: T_bump into t, and into |T|_H^2 through
     2 sum_f a_f T_bump[P_f, P_f, P_f] + sum_cd H_cd tr(H T_c H T_d); D_bump
     through the pairings (H_ab H_cd + H_ac H_bd + H_ad H_bc) / 3 of each
-    arrangement. `v` is a weight; x is (N, r) with interior points. Every column
-    but the bump partials' values, the (N,) result included, is taken from the
-    Workspace `work` (or a fresh one) and written through numpy `out=`
-    arguments; the sums keep the order of terms of the elementwise formulas above.
+    arrangement. `v` is a weight; x is (N, r) with interior points. The columns
+    are fresh arrays, the (N,) result included, and each sum adds its terms in
+    the order of the formulas above. `work` is handed on to `v._jet`, whose
+    value, gradient and Hessian are the only columns taken from a `Workspace`.
     """
-    r, n, nf = x.shape[1], len(x), len(u.normals)
+    r = x.shape[1]
     normals = u.normals
-    work = work or Workspace()
-    out = work.take(n)
-    with work.frame():
-        L, G = u._facets_and_hess(x, work)
-        H = _ldl_inverse(G.transpose(2, 0, 1), work)[0].transpose(1, 2, 0)
-        rows, col, col2 = work.take(nf, n), work.take(n), work.take(n)  # scratch
-        inv_l = np.divide(1.0, L, out=work.take(nf, n))
-        alpha = np.multiply(inv_l, -0.5, out=work.take(nf, n))
-        alpha *= inv_l
-        P = work.take(nf, r, n)  # P_f = H u_f
-        for pf, uf in zip(P, normals):
-            _combine(pf, uf, H, work)
-        q = work.take(nf, n)  # q_f = Q_ff
-        for qf, uf, pf in zip(q, normals, P):
-            _combine(qf, uf, pf, work)
-        aq = np.multiply(alpha, q, out=work.take(nf, n))
-        np.multiply(aq, aq, out=rows)
-        norm_t = np.sum(np.multiply(rows, q, out=rows), axis=0, out=work.take(n))
-        for f, g in combinations(range(nf), 2):
-            Q = _combine(col, normals[f], P[g], work)
-            term = np.multiply(Q, 2.0, out=col2)
-            for factor in (Q, Q, alpha[f], alpha[g]):
-                term *= factor
-            norm_t += term
-        t = work.take(r, n)
-        for i in range(r):
-            _combine(t[i], normals[:, i], aq, work)
-        np.square(np.multiply(q, inv_l, out=rows), out=rows)
-        trace_d = np.sum(np.multiply(rows, inv_l, out=rows), axis=0, out=work.take(n))
-        if u.bump is not None:
-            tb = {}  # one column per sorted tuple, looked up by every arrangement of it
-            for idx, d in u._bump_partials[3].items():
-                tb.update(dict.fromkeys(permutations(idx), d.eval(x)))
-            for a, b, c in product(range(r), repeat=3):
-                t[c] += np.multiply(H[a, b], tb[a, b, c], out=col)
-            for a, b, c in u._bump_partials[3]:
-                for row, pf in zip(rows, P):
-                    np.multiply(pf[a], pf[b], out=row)
-                    row *= pf[c]
-                rows *= alpha
-                term = np.multiply(tb[a, b, c], 2.0 * len(set(permutations((a, b, c)))), out=col2)
-                norm_t += np.multiply(term, np.sum(rows, axis=0, out=col), out=col2)
-            K = {(c, i, j): _sum_products(work.take(n), [(H[i, a], tb[a, j, c]) for a in range(r)],
-                                          col)  # (H T_c)_ij
-                 for c, i, j in product(range(r), repeat=3)}
-            for c, d in combinations_with_replacement(range(r), 2):
-                trace = _sum_products(col2, [(K[c, i, j], K[d, j, i])
-                                             for i, j in product(range(r), repeat=2)], col)
-                trace *= np.multiply(H[c, d], 1.0 if c == d else 2.0, out=col)
-                norm_t += trace
-            for (a, b, c, d), poly in u._bump_partials[4].items():
-                pairs = _sum_products(col2, [(H[a, b], H[c, d]), (H[a, c], H[b, d]),
-                                             (H[a, d], H[b, c])], col)
-                term = poly.eval(x)
-                term *= len(set(permutations((a, b, c, d)))) / 3.0
-                trace_d += np.multiply(term, pairs, out=term)
-        ht = work.take(r, n)
-        for i in range(r):
-            _sum_products(ht[i], [(H[i, j], t[j]) for j in range(r)], col)
-        second = _sum_products(work.take(n), list(zip(t, ht)), col)
-        second += norm_t
-        second -= trace_d
-        value, grad, hess = v._jet(x, 2, work)
-        np.multiply(value, second, out=out)
-        out -= np.multiply(_sum_products(second, list(zip(grad.T, ht)), col), 2.0, out=second)
-        hess = hess.transpose(1, 2, 0)
-        out += _sum_products(second, [(H[i, j], hess[i, j])
-                                      for i, j in product(range(r), repeat=2)], col)
-    return np.negative(out, out=out)
+    L, G = u._facets_and_hess(x)
+    H = _ldl_inverse(G.transpose(2, 0, 1))[0].transpose(1, 2, 0)
+    inv_l = 1.0 / L
+    alpha = -0.5 * inv_l * inv_l
+    P = np.array([_combine(uf, H) for uf in normals])  # P_f = H u_f
+    q = np.array([_combine(uf, pf) for uf, pf in zip(normals, P)])  # q_f = Q_ff
+    aq = alpha * q
+    norm_t = (aq * aq * q).sum(axis=0)
+    for f, g in combinations(range(len(normals)), 2):
+        Q = _combine(normals[f], P[g])
+        term = 2.0 * Q  # one fresh column a pair, multiplied in place in the formula's order
+        for factor in (Q, Q, alpha[f], alpha[g]):
+            term *= factor
+        norm_t += term
+    t = np.array([_combine(normals[:, i], aq) for i in range(r)])
+    trace_d = ((q * inv_l) ** 2 * inv_l).sum(axis=0)
+    if u.bump is not None:
+        tb = {}  # one column per sorted tuple, looked up by every arrangement of it
+        for idx, d in u._bump_partials[3].items():
+            tb.update(dict.fromkeys(permutations(idx), d.eval(x)))
+        for a, b, c in product(range(r), repeat=3):
+            t[c] += H[a, b] * tb[a, b, c]
+        for a, b, c in u._bump_partials[3]:
+            norm_t += (2.0 * len(set(permutations((a, b, c))))) * tb[a, b, c] * (
+                alpha * [pf[a] * pf[b] * pf[c] for pf in P]).sum(axis=0)
+        K = {(c, i, j): _sum_products((H[i, a], tb[a, j, c]) for a in range(r))  # (H T_c)_ij
+             for c, i, j in product(range(r), repeat=3)}
+        for c, d in combinations_with_replacement(range(r), 2):
+            trace = _sum_products((K[c, i, j], K[d, j, i]) for i, j in product(range(r), repeat=2))
+            norm_t += (1.0 if c == d else 2.0) * H[c, d] * trace
+        for (a, b, c, d), poly in u._bump_partials[4].items():
+            pairs = _sum_products([(H[a, b], H[c, d]), (H[a, c], H[b, d]), (H[a, d], H[b, c])])
+            trace_d += len(set(permutations((a, b, c, d)))) / 3.0 * poly.eval(x) * pairs
+    ht = [_sum_products((H[i, j], t[j]) for j in range(r)) for i in range(r)]
+    second = _sum_products(zip(t, ht)) + norm_t - trace_d
+    value, grad, hess = v._jet(x, 2, work)
+    hess = hess.transpose(1, 2, 0)
+    return -(value * second - 2.0 * _sum_products(zip(grad.T, ht))
+             + _sum_products((H[i, j], hess[i, j]) for i, j in product(range(r), repeat=2)))
 
 
-def _combine(out, coeffs, rows, work):
-    """out = sum_k coeffs[k] rows[k] over the nonzero coefficients only (normals are
-    mostly 0), added in order; a coefficient of 1 or -1 takes no product."""
+def _combine(coeffs, rows):
+    """sum_k coeffs[k] rows[k] over the nonzero coefficients only (normals are mostly 0),
+    added in order; a coefficient of 1 or -1 takes no product."""
     terms = [(c, row) for c, row in zip(coeffs, rows) if c]
     if not terms:
-        out.fill(0.0)
-        return out
+        return np.zeros(np.shape(rows[0]))
     (c, row), *rest = terms
-    np.multiply(row, c, out=out)
-    with work.frame():
-        tmp = work.take(*out.shape)
-        for c, row in rest:
-            if c == 1:
-                out += row
-            elif c == -1:
-                out -= row
-            else:
-                out += np.multiply(row, c, out=tmp)
+    out = row * c
+    for c, row in rest:
+        if c == 1:
+            out += row
+        elif c == -1:
+            out -= row
+        else:
+            out += row * c
     return out
 
 
-def _sum_products(out, pairs, tmp):
-    """out = sum of a * b over the (a, b) of pairs, added in order; tmp is scratch."""
+def _sum_products(pairs):
+    """The sum of a * b over the (a, b) of pairs, added in order into the first product."""
     (a, b), *rest = pairs
-    np.multiply(a, b, out=out)
+    out = a * b
     for a, b in rest:
-        out += np.multiply(a, b, out=tmp)
+        out += a * b
     return out
 
 
@@ -463,16 +411,12 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     if not directions:
         return []
     verts = _refined(polytope, grid.resolution)
-    work = Workspace()
+    work = Workspace()  # v's jet, the same buffers for every chunk
 
-    def integrand(x):  # (K, n) columns, intact until the next chunk's first take
+    def integrand(x):  # a fresh (K, n) block
         with work.frame():
-            f = work.take(len(directions), len(x))
-            scal_v = _scal_v_abreu(u, v, x, work)
-            scal_v -= w.eval(x)
-            for row, d in zip(f, directions):
-                np.multiply(d.eval(x), scal_v, out=row)
-        return f
+            scal_v = _scal_v_abreu(u, v, x, work) - w.eval(x)
+        return np.array([d.eval(x) for d in directions]) * scal_v
 
     results = _results(polytope.dim, *_rule_batch(verts, integrand))
     reports = [FutakiReport(d, r.value, "metric_numeric", "polytope",

@@ -1,12 +1,12 @@
 """Scratch float arrays that the chunks of one cubature share.
 
-The metric kernel (`toricmetrics._scal_v_abreu`, the blocks under it and the
-weight jet `_jet`; not the value evaluators, whose `eval` returns fresh arrays)
-writes its length-N blocks into arrays taken from a `Workspace` with numpy
-`out=` arguments. `futaki_numeric`'s integrand opens one frame per chunk of
-nodes, so each chunk takes the same arrays in the same order as the first:
-after the first chunk no block is allocated, and none is freed for the C
-allocator to hand back to the system and fault in again.
+Its one consumer is a weight's jet (`WeightFn._jet`, `WeightSum._jet`), which
+writes the value, gradient and Hessian columns and its temporaries into arrays
+taken from a `Workspace` with numpy `out=` arguments. `futaki_numeric`'s
+integrand opens one frame per chunk of nodes around the Abreu kernel, which
+hands the workspace on to `v._jet`, so each chunk takes the same arrays in the
+same order as the first: after the first chunk the jet allocates nothing, and
+frees nothing for the C allocator to hand back to the system and fault in again.
 """
 
 from __future__ import annotations

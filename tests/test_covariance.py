@@ -70,6 +70,52 @@ def test_construction_moves_by_the_affine_map(name, shears, shift):
     assert all(type(c) is Fraction for c in (*image.zeta, image.const, *barycenter(moved, 1)))
 
 
+_terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=6)), max_size=4)
+
+
+def _polynomial(dim, terms):
+    """The sum of the monomials c x^a over the (a, c) of terms, a cut to dim entries."""
+    return sum((Polynomial.monomial(dim, a[:dim], c) for a, c in terms),
+               Polynomial.constant(dim, 0))
+
+
+def _pulled_back(f, m, b):
+    """f o T^-1 for T^-1(y) = M^T (y - b)."""
+    mt = [list(column) for column in zip(*m)]
+    return f.compose_affine(mt, [-sum(map(mul, row, b)) for row in mt])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(POLYGONS + ("P3",)), _shears, _shifts, _terms, _terms,
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+@example("F1", [(0, 1, 2), (1, 0, -1)], [Fraction(1, 3), Fraction(-5, 7), 0],
+         [((1, 2, 0), Fraction(-2)), ((0, 1, 0), Fraction(1, 3))],
+         [((2, 0, 0), Fraction(3, 2)), ((0, 0, 0), Fraction(-1))], [1, -2, 0, 1])
+@example("P3", [(0, 1, 1), (2, 0, -1)], [Fraction(1, 3), Fraction(-5, 7), Fraction(1, 2)],
+         [((1, 1, 1), Fraction(1)), ((0, 2, 0), Fraction(-1, 2))],
+         [((0, 1, 2), Fraction(2)), ((1, 0, 0), Fraction(-3))], [2, 1, -1, -2])
+def test_exact_futaki_values_move_by_the_affine_map(name, shears, shift, v_terms, w_terms, ell):
+    # with T(x) = M^-T x + b preserving Lebesgue and lattice boundary measure, the boundary
+    # formula of v o T^-1, w o T^-1 and ell o T^-1 over T(P) is the identical Fraction, and the
+    # positivity certificate gives the same verdict on each weight and its pull-back
+    dim = len(CANONICAL_NORMALS[name][0])
+    m, b = shear_matrix(dim, shears), shift[:dim]
+    p, moved = moved_canonical(name, (), ()), moved_canonical(name, shears, b)
+    # |x_i| <= 3 on these polytopes, so both factors of v are at least 1 there
+    bound = 1 + sum(abs(c) * 3 ** sum(a[:dim]) for a, c in v_terms)
+    v = (WeightFn.from_polynomial(_polynomial(dim, v_terms) + Polynomial.constant(dim, bound))
+         * WeightFn.affine_power(AffineFunction(ell[:dim], 1 + 3 * sum(map(abs, ell[:dim]))), 1))
+    w = WeightFn.from_polynomial(_polynomial(dim, w_terms))
+    direction = AffineFunction(ell[:dim], ell[3])
+    report = futaki_boundary(p, v, w, direction)
+    image = futaki_boundary(moved, _pulled_back(v, m, b), _pulled_back(w, m, b),
+                            _pulled_back(direction, m, b))
+    assert type(report.exact) is Fraction and image.exact == report.exact
+    for weight in (v, w, w * direction):
+        assert _pulled_back(weight, m, b).positivity_on(moved) is weight.positivity_on(p)
+
+
 def _moved_weight(kind, zeta):
     """p = 1, x1 + 2 + <zeta, x> / 2 or exp(<zeta, x>), given its linear part zeta."""
     if kind == "one":

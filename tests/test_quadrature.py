@@ -1147,6 +1147,32 @@ def test_a_list_of_weights_takes_one_weight_per_product(p2, monkeypatch):
         integrate_products(p2, cases[:2], products)
 
 
+@pytest.mark.parametrize("boundary", [False, True])
+def test_polynomial_weights_that_differ_in_a_coefficient_take_one_exact_batch(p2, boundary,
+                                                                            monkeypatch):
+    # p, -3 p and 7/2 p are the weight p / c0 times three coefficients: one batch over it,
+    # each result times its coefficient, gives the Fractions of the separate integrals; the
+    # zero weight and a weight sum keep batches of their own
+    batches = []
+    exact_products = quadrature._exact_products
+
+    def counted(*args):
+        batches.append(args)
+        return exact_products(*args)
+
+    p = WeightFn.affine_power(AffineFunction([1, 2], 3), 2, coeff=Fraction(2, 5))
+    x = [AffineFunction.coordinate(2, i) for i in range(2)]
+    ws = [p, p.scale(-3), p.scale(Fraction(7, 2)), p.scale(0), p + WeightFn.constant(2, 1)]
+    products = [(), (x[0],), (x[0], x[1]), (x[1],), (x[1], x[1])]
+    alone = [integrate_products(p2, w, [ells], boundary=boundary)[0]
+             for w, ells in zip(ws, products)]
+    monkeypatch.setattr(quadrature, "_exact_products", counted)
+    batch = integrate_products(p2, ws, products, boundary=boundary)
+    assert [(res.value, res.exact) for res in batch] == [(res.value, res.exact) for res in alone]
+    assert all(type(res.exact) is Fraction for res in batch) and batch[3].exact == 0
+    assert [len(args[2]) for args in batches] == [3, 1, 1]
+
+
 # -- the path chooser on the boundary --------------------------------------------------------
 
 

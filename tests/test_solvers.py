@@ -389,8 +389,9 @@ def test_an_exp_reeb_solve_takes_one_cubature_per_trial_point(monkeypatch):
 
 def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
     # at xi = 0, exp(0) and 1^(-s-k) fold away and p g^(k) is a polynomial: one exact batch for
-    # the soliton's one weight, three for the Reeb's three. Past xi = 0 each of the six
-    # products takes one integrate_weighted call and one closed-form evaluation
+    # the soliton's one weight, and one for the Reeb's three, which differ only in their
+    # coefficients 1, -s and s(s + 1). Past xi = 0 each of the six products takes one
+    # integrate_weighted call and one closed-form evaluation
     products, counts, trials = solvers.integrate_products, [0, 0, 0], []
 
     def counting(name, k):
@@ -413,12 +414,12 @@ def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
     for name in POLYGONS:
         polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
         for p in (WeightFn.constant(2, 1), WeightFn.affine_power(AffineFunction([1, 0], 2), 1)):
-            for origin_batches, solve in ((1, tian_zhu_soliton), (3, lambda *a: msy_reeb(*a, 3))):
+            for origin_batches, solve in ((1, tian_zhu_soliton), (1, lambda *a: msy_reeb(*a, 3))):
                 trials.clear()
                 assert solve(polytope, p).converged
                 assert trials[0] == [0, 0, origin_batches]
                 assert all(t == [6, 6, 0] for t in trials[1:]), (name, p, trials)
-    assert counts[0] == counts[1] == 306 and counts[2] == 40
+    assert counts[0] == counts[1] == 306 and counts[2] == 20
 
 
 def _separate_newton_loop(polytope, p, weights, tol, max_iter, limit_step=lambda xi, d: 1.0):

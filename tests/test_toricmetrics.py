@@ -566,6 +566,34 @@ def test_ldl_inverse_rejects_indefinite_and_nan():
             _ldl_inverse(np.stack([good, bad, good]))
 
 
+def test_ldl_inverse_leaves_g_as_it_is_and_shares_no_memory_with_it(square):
+    # the factorisation copies G's columns before it subtracts the pivot terms from them,
+    # so G keeps its values and H and D are arrays of their own, for a C-ordered batch and
+    # for the transposed columns that SymplecticPotential.hess returns
+    rng = np.random.default_rng(7)
+    batches = [SymplecticPotential(square).hess(_interior_points(square, rng, 9, 1e-3))]
+    for r in (1, 2, 3):
+        a = rng.normal(size=(9, r, r))
+        batches.append(a @ a.transpose(0, 2, 1) + np.eye(r))
+    for G in batches:
+        before = G.copy()
+        H, D = _ldl_inverse(G)
+        assert np.array_equal(G, before)
+        assert not np.shares_memory(H, G) and not np.shares_memory(D, G)
+
+
+def test_hess_off_the_diagonal_of_the_square_is_the_bump_partial(square):
+    # on P^1 x P^1 every product of normals off the diagonal is 0, so the Guillemin part
+    # adds no term there: the mixed entry reads 0 with no bump and the bump's d1 d2 b with one
+    x = _interior_points(square, np.random.default_rng(3), 50, 1e-3)
+    G = SymplecticPotential(square).hess(x)
+    assert np.array_equal(G[:, 0, 1], np.zeros(len(x))) and np.array_equal(G[:, 1, 0], G[:, 0, 1])
+    u = scaled_bump(square, Polynomial(2, {(2, 2): Fraction(1, 20), (3, 1): Fraction(-1, 30),
+                                           (1, 1): Fraction(1, 7)}))
+    G, mixed = u.hess(x), u.bump.partial(0).partial(1).eval(x)
+    assert mixed.any() and np.array_equal(G[:, 0, 1], mixed) and np.array_equal(G[:, 1, 0], mixed)
+
+
 def _pair_nodes(polytope):
     """The Gauss pair's nodes in the triangulation's simplices, as the convexity check maps
     them; (S U, r)."""
@@ -716,8 +744,8 @@ class _CountedWorkspace(workspace.Workspace):
 
 
 def test_an_array_taken_in_a_frame_stays_intact_until_the_next_take():
-    # futaki_numeric's integrand returns the columns it takes inside its frame, and the
-    # cubature reads them before the next chunk takes again
+    # a frame hands its arrays back on exit, so the next take reuses them: v's jet takes
+    # the same buffers in every chunk of futaki_numeric's nodes
     work = workspace.Workspace()
     with work.frame():
         f = work.take(2, 5)
@@ -747,8 +775,8 @@ def test_futaki_numeric_estimate_bounds_its_error_and_does_not_grow_with_resolut
 
 
 def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatch):
-    # every chunk takes the same workspace arrays, so a call over 26 chunks allocates as
-    # many buffers as a call over one chunk, all of them on its first chunk
+    # v's jet takes the same workspace arrays in every chunk, so a call over 26 chunks
+    # allocates as many buffers as a call over one chunk, all of them on its first chunk
     p = make_polytope(*P2)
     u = scaled_bump(p, Polynomial(2, {(4, 0): Fraction(1, 30), (2, 2): Fraction(1, 50)}))
     v, w = soliton_weight_pair(WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 7)], 0)
