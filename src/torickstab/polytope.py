@@ -319,7 +319,8 @@ class DelzantPolytope:
     """Bounded full-dimensional polytope satisfying the Delzant condition."""
 
     # caches, set per instance on first use; _moments is (degree, MomentTable)
-    _triangulation = _facets = _moments = _int_vertices = _barycentric = _vertex_mins = None
+    _triangulation = _facets = _moments = _int_vertices = _barycentric = None
+    _vertex_mins = _divided_differences = None  # <= 64-entry memos: vertex_min's, _closed_form's
 
     def __init__(self, halfspaces):
         halfspaces = list(halfspaces)

@@ -3,11 +3,12 @@
 integrate_products picks each distinct weight's path by its canonical form (see `weights`):
 a polynomial is exact, read off the cached rational moment tables; a single term Q exp(ell)
 or Q ell^-sigma (Q polynomial, integer sigma >= 1) is a closed-form sum of divided
-differences with a rounding bound as its error, and so is a sum of such terms and
-polynomials, term by term; everything else takes adaptive simplex cubature with a collapsed
-Gauss--Legendre pair (`_gauss_pair`) and longest-edge bisection, one refinement for all the
-weights and products of a batch, on the boundary per facet chart. integrate_weighted and
-integrate_boundary are the one-product case.
+differences with a rounding bound as its error (one evaluation per ell, sigma and deg Q,
+memoised on the polytope), and so is a sum of such terms and polynomials, term by term;
+everything else takes adaptive simplex cubature with a collapsed Gauss--Legendre pair
+(`_gauss_pair`) and longest-edge bisection, one refinement for all the weights and products
+of a batch, on the boundary per facet chart. integrate_weighted and integrate_boundary are
+the one-product case.
 The cubature hands its nodes to the integrand in chunks of at most EVAL_CHUNK and takes back
 one (K, n) block of K columns per chunk; `_results` turns the (K, S) rows of a refinement
 into one result per column, for `_adaptive` and for `toricmetrics.futaki_numeric` alike.
@@ -440,20 +441,29 @@ def _closed_form(polytope: DelzantPolytope, w):
     summed over Q = sum_beta c_beta(S) lambda^beta (`DelzantPolytope.barycentric`); a pole
     takes `_pole_dd` for sigma > N and `_log_dd`, where G has a log term, otherwise. The error
     estimate bounds the rounding of the nodes and of the sum, and each divided difference's error.
+    The divided differences and their bound depend on (ell, sigma, N + 1) alone: the polytope
+    keeps them read-only in a memo that a miss empties at 64 entries, for products to share.
     """
     ell, sigma, constants = _slot(w)
     powers = tuple((aff, p) for aff, p in w.affine_powers if p.numerator > 0 and p.denominator == 1)
     index, table, verts = polytope.barycentric(powers, w.poly_part)
-    zeta, const = ell.floats
-    z = verts @ zeta + const  # (S, r + 1)
-    z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))
-    nodes = z[:, index].reshape(-1, index.shape[1])  # one row per simplex and beta
-    if w.exp_part is not None:
-        g, rel = _exp_dd(nodes)
-        rel += z_err  # the partial derivatives of exp[...] are positive and sum to exp[...]
-    else:
-        g, rel = (_pole_dd if sigma >= index.shape[1] else _log_dd)(nodes, sigma)
-        rel += sigma * z_err / z.min()  # G: homogeneous of degree -sigma, decreasing in each node
+    key, memo = (ell, sigma, index.shape[1]), polytope._divided_differences
+    if memo is None or (key not in memo and len(memo) >= 64):
+        memo = polytope._divided_differences = {}
+    if key not in memo:
+        zeta, const = ell.floats
+        z = verts @ zeta + const  # (S, r + 1)
+        z_err = (polytope.dim + 3) * EPS * (np.abs(zeta).sum() * np.abs(verts).max() + abs(const))
+        nodes = z[:, index].reshape(-1, index.shape[1])  # one row per simplex and beta
+        if w.exp_part is not None:
+            g, rel = _exp_dd(nodes)
+            rel += z_err  # the partial derivatives of exp[...] are positive and sum to exp[...]
+        else:
+            g, rel = (_pole_dd if sigma >= index.shape[1] else _log_dd)(nodes, sigma)
+            rel += sigma * z_err / z.min()  # G: homogeneous, degree -sigma, decreasing in each node
+        g.flags.writeable = False  # shared by every product with these nodes
+        memo[key] = g, rel
+    g, rel = memo[key]
     coeff = float(w.coeff) * prod(aff.floats[1] ** float(p) for aff, p in constants)
     # a and p rounded (|p| (1 + |log a|) / 2 ulps), the power and the product
     rel += sum(abs(p) * (1 + abs(math.log(aff.floats[1]))) + 2 for aff, p in constants) * EPS

@@ -9,7 +9,9 @@ the weights g, g', g'' (the soliton's are one weight). The iterations converge
 globally from xi = 0, where g^(k) is a constant: polynomial p has exact moments.
 Each trial point integrates F and all its moments in one call; they are
 closed forms for polynomial p (also times one exp(affine) for the soliton,
-and for integer s for the Reeb field) and one adaptive cubature otherwise.
+and for integer s for the Reeb field, with one divided-difference evaluation
+per degree deg p + k, k = 0, 1, 2, see quadrature._closed_form) and one
+adaptive cubature otherwise.
 That cubature starts from the mesh the last accepted point's cubature ended
 on (the first one of a solve from the triangulation), and builds its columns
 in place. F's noise in the Armijo test is its error estimate, a rounding

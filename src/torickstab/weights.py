@@ -18,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import floor, lcm, prod
+from math import comb, floor, lcm, prod
 
 import numpy as np
 
 from .errors import NotPositive
 from .exactlinalg import frac
-from .polynomial import Polynomial, _symmetric_partials, expand, linear_terms
+from .polynomial import Polynomial, _symmetric_partials, compositions, expand, linear_terms
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
 from .workspace import Workspace
 
@@ -373,14 +374,15 @@ BERNSTEIN_DEPTH = 16  # bisection generations before a simplex is left undecided
 def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
     """(verdict, witness) for poly > 0 on the polytope, from the signs of its exact
     Bernstein coefficients on the simplices of its triangulation, read off
-    `barycentric_coefficients`.
+    `barycentric_coefficients` once.
 
     All coefficients > 0 certify a simplex. A vertex coefficient <= 0 is the
     value there, and that vertex is the witness of NOT_POSITIVE (the witness is
     None for the other verdicts). Undecided simplices are bisected exactly along
     their longest edge for BERNSTEIN_DEPTH generations, then the verdict is
     INDETERMINATE. The simplices are held as integer coordinates over one
-    denominator q, doubled each generation, so `_bisect_all` halves integers.
+    denominator q, doubled each generation, so `_bisect_all` halves integers,
+    and each half's row is split off its parent's (`_halving`).
     """
     if poly.is_constant():
         if poly.constant_value() > 0:
@@ -389,20 +391,40 @@ def _polynomial_sign(poly: Polynomial, polytope: DelzantPolytope):
     d, r = poly.degree(), polytope.dim
     q = lcm(*(c.denominator for v in polytope.vertices for c in v))
     pending = [[[int(c * q) for c in v] for v in s.vertices] for s in polytope.triangulate()]
-    for _ in range(BERNSTEIN_DEPTH + 1):
-        betas, _, rows = barycentric_coefficients(poly, pending, q)
-        corners = [betas.index(tuple(d * (i == k) for k in range(r + 1))) for i in range(r + 1)]
+    betas, _, rows = barycentric_coefficients(poly, pending, q)
+    corners = [betas.index(tuple(d * (i == k) for k in range(r + 1))) for i in range(r + 1)]
+    for depth in range(BERNSTEIN_DEPTH + 1):
         undecided = []
         for vertices, row in zip(pending, rows):
             for corner, vertex in zip(corners, vertices):
                 if row[corner] <= 0:
                     return Positivity.NOT_POSITIVE, tuple(Fraction(c, q) for c in vertex)
             if min(row) <= 0:
-                undecided.append(vertices)
-        if not undecided:
-            return Positivity.POSITIVE, None
-        pending, q = _bisect_all(2 * np.array(undecided, dtype=object)).tolist(), 2 * q
-    return Positivity.INDETERMINATE, None
+                undecided.append((vertices, row))
+        if not undecided or depth == BERNSTEIN_DEPTH:
+            return (Positivity.INDETERMINATE if undecided else Positivity.POSITIVE), None
+        doubled = 2 * np.array([vertices for vertices, _ in undecided], dtype=object)
+        halves, q = _bisect_all(doubled), 2 * q
+        moved = (halves != np.repeat(doubled, 2, axis=0)).any(axis=2).argmax(axis=1).tolist()
+        pending, rows = halves.tolist(), [[0] * len(betas) for _ in halves]
+        for k, half in enumerate(rows):  # halves 2s and 2s + 1 move the ends of one edge of s
+            for src, dst, factor in _halving(d, r + 1, moved[k], moved[k ^ 1]):
+                half[dst] += factor * undecided[k // 2][1][src]
+
+
+@lru_cache(maxsize=None)
+def _halving(d, n, a, b):
+    """(src, dst, factor) with half[dst] = sum factor row[src]: the degree-d row of
+    `barycentric_coefficients` on the half of an n-vertex simplex whose vertex a moves to the
+    midpoint of edge (a, b), over the doubled denominator, from the simplex's row. De Casteljau
+    at 1/2: lambda_a = mu_a / 2, lambda_b = mu_b + mu_a / 2 in the half's mu, times 2^d."""
+    betas = list(compositions(d, n))
+    at, out = {beta: k for k, beta in enumerate(betas)}, []
+    for src, beta in enumerate(betas):
+        for k in range(beta[b] + 1):
+            gamma = tuple(beta[m] + k * ((m == a) - (m == b)) for m in range(n))
+            out.append((src, at[gamma], comb(beta[b], k) << (d - beta[a] - k)))
+    return out
 
 
 def require_positive(w, polytope, name="weight"):

@@ -934,6 +934,70 @@ def test_log_case_takes_the_closed_form(name):
             assert abs(closed.value - ref.value) <= closed.error_estimate + ref.error_estimate
 
 
+# -- the closed form's divided-difference memo ------------------------------------------------
+
+
+def _newton_products(r):
+    x = [AffineFunction.coordinate(r, i) for i in range(r)]
+    return [()] + [(c,) for c in x] + [(x[i], x[j]) for i in range(r) for j in range(i, r)]
+
+
+def _trial_weights(r, p):
+    """A soliton trial point's one weight and a Reeb trial point's three, s = 3, times p."""
+    xi = [Fraction((-1) ** i, 5 + 2 * i) for i in range(r)]
+    ell = AffineFunction(xi, 1)
+    reeb = [WeightFn.affine_power(ell, -3 - k, coeff=c) for k, c in enumerate((1, -3, 12))]
+    return [p * WeightFn.exp_affine(xi, 0)] + [p * g for g in reeb]
+
+
+@pytest.mark.parametrize("name", ["P2", "F1", "P3"])
+def test_a_warm_memo_gives_the_fresh_polytope_results_bit_for_bit(name):
+    # every product is integrated first on a polytope whose memo the other products have
+    # filled, then on a polytope of the same half-spaces that has not integrated anything
+    r = len(CANONICAL_NORMALS[name][0])
+    products = _newton_products(r)
+    warm, hits, ell = _canonical(name), 0, AffineFunction([1] + [0] * (r - 1), 2)
+    for p in (WeightFn.constant(r, 1), WeightFn.affine_power(ell, 1)):
+        for w in _trial_weights(r, p):
+            integrate_products(warm, w, products[::-1])
+            for ells in products:
+                before = len(warm._divided_differences)
+                (res,) = integrate_products(warm, w, [ells])
+                hits += len(warm._divided_differences) == before
+                (fresh,) = integrate_products(_canonical(name), w, [ells])
+                assert (res.value, res.error_estimate) == (fresh.value, fresh.error_estimate)
+                assert res.exact is None and res.subdivisions == 0
+    assert hits == 2 * 4 * len(products)
+    assert all(not g.flags.writeable for g, _ in warm._divided_differences.values())
+
+
+def test_memo_keys_tell_sigma_and_the_degree_apart(p2):
+    # the Reeb weights g' and g'' at one ell take one entry each though their nodes are the same
+    # points; the soliton's () and (x1) share ell and sigma = 0 but not their nodes per row
+    x1 = AffineFunction.coordinate(2, 0)
+    exp, _, g1, g2 = _trial_weights(2, WeightFn.constant(2, 1))
+    for w, products in ((g1, [()]), (g2, [()]), (exp, [(), (x1,)])):
+        fresh = _canonical("P2")
+        res = integrate_products(p2, w, products)
+        assert res == integrate_products(fresh, w, products)
+        assert len(fresh._divided_differences) == len(products)
+    ell = g1.affine_powers[0][0]
+    assert set(p2._divided_differences) == {(ell, 4, 3), (ell, 5, 3), (exp.exp_part, 0, 3),
+                                            (exp.exp_part, 0, 4)}
+
+
+def test_memo_never_holds_more_than_64_entries(p2, monkeypatch):
+    # a miss on a full memo empties it; a hit leaves it as it is
+    calls, sizes, dd = [], [], quadrature._exp_dd
+    monkeypatch.setattr(quadrature, "_exp_dd", lambda nodes: calls.append(1) or dd(nodes))
+    for k in range(150):
+        w = WeightFn.exp_affine([Fraction(k, 97), Fraction(-1, 3)], 0)
+        first = integrate_weighted(p2, w)
+        assert integrate_weighted(p2, w) == first and len(calls) == k + 1
+        sizes.append(len(p2._divided_differences))
+    assert sizes == list(range(1, 65)) * 2 + list(range(1, 23))
+
+
 # -- one refinement for K columns -----------------------------------------------------------
 
 COLUMN_POLYTOPES = {name: _canonical(name) for name in ("P1", "P2", "F1", "P3")}

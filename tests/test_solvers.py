@@ -391,8 +391,9 @@ def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
     # at xi = 0, exp(0) and 1^(-s-k) fold away and p g^(k) is a polynomial: one exact batch for
     # the soliton's one weight, and one for the Reeb's three, which differ only in their
     # coefficients 1, -s and s(s + 1). Past xi = 0 each of the six products takes one
-    # integrate_weighted call and one closed-form evaluation
-    products, counts, trials = solvers.integrate_products, [0, 0, 0], []
+    # integrate_weighted call and one closed-form evaluation, and the six share three divided
+    # differences: the soliton's degrees deg p + 0, 1, 2, or the Reeb's (s + k, deg p + k)
+    products, counts, trials = solvers.integrate_products, [0, 0, 0, 0], []
 
     def counting(name, k):
         inner = getattr(quadrature, name)
@@ -410,6 +411,8 @@ def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
 
     for k, name in enumerate(["_closed_form", "integrate_weighted", "_exact_products"]):
         counting(name, k)
+    for name in ("_exp_dd", "_pole_dd", "_log_dd"):
+        counting(name, 3)
     monkeypatch.setattr(solvers, "integrate_products", trial)
     for name in POLYGONS:
         polytope = make_polytope(*[(normal, 1) for normal in CANONICAL_NORMALS[name]])
@@ -417,9 +420,9 @@ def test_origins_are_exact_and_trial_points_take_six_closed_forms(monkeypatch):
             for origin_batches, solve in ((1, tian_zhu_soliton), (1, lambda *a: msy_reeb(*a, 3))):
                 trials.clear()
                 assert solve(polytope, p).converged
-                assert trials[0] == [0, 0, origin_batches]
-                assert all(t == [6, 6, 0] for t in trials[1:]), (name, p, trials)
-    assert counts[0] == counts[1] == 306 and counts[2] == 20
+                assert trials[0] == [0, 0, origin_batches, 0]
+                assert all(t == [6, 6, 0, 3] for t in trials[1:]), (name, p, trials)
+    assert counts[0] == counts[1] == 306 and counts[2] == 20 and counts[3] == 153
 
 
 def _separate_newton_loop(polytope, p, weights, tol, max_iter, limit_step=lambda xi, d: 1.0):

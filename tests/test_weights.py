@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -11,13 +12,14 @@ from torickstab import quadrature
 from torickstab.errors import NotPositive
 from torickstab.jsonio import weight_from_json, weight_to_json
 from torickstab.polynomial import Polynomial, compositions
-from torickstab.polytope import AffineFunction
+from torickstab.polytope import AffineFunction, barycentric_coefficients
 from torickstab.quadrature import integrate_weighted
 from torickstab.solvers import msy_reeb
 from torickstab.weights import (
     Positivity,
     WeightFn,
     WeightSum,
+    _halving,
     _polynomial_sign,
     as_weight,
     equivalent_sasaki_pair,
@@ -315,6 +317,29 @@ def test_polynomial_sign_agrees_with_exact_values(case):
         assert witness is None
     lifted = raw + Polynomial.constant(polytope.dim, bound)
     assert _polynomial_sign(lifted, polytope) == (Positivity.POSITIVE, None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_sign_cases(), st.integers(1, 9), st.data())
+def test_halving_splits_the_row_of_each_half(case, q, data):
+    """The row that _halving splits off a simplex's row, for either half of any of its edges,
+    is barycentric_coefficients of that half: equal, over the doubled denominator 2q."""
+    polytope, poly, _, _ = case
+    simplices = polytope.triangulate()
+    simplex = simplices[data.draw(st.integers(0, len(simplices) - 1))]
+    shift = [Fraction(data.draw(st.integers(-4, 4)), q) for _ in range(polytope.dim)]
+    vertices = [[int(q * (c + s)) for c, s in zip(v, shift)] for v in simplex.vertices]
+    poly = poly.compose_affine(np.eye(polytope.dim, dtype=int).tolist(), [-s for s in shift])
+    _, scale, (row,) = barycentric_coefficients(poly, [vertices], q)
+    d, n = poly.degree(), len(vertices)
+    for a, b in itertools.permutations(range(n), 2):
+        half = [[2 * c for c in v] for v in vertices]
+        half[a] = [x + y for x, y in zip(vertices[a], vertices[b])]
+        _, half_scale, (expected,) = barycentric_coefficients(poly, [half], 2 * q)
+        split = [0] * len(row)
+        for src, dst, factor in _halving(d, n, a, b):
+            split[dst] += factor * row[src]
+        assert split == expected and half_scale == 2 ** d * scale
 
 
 def test_weight_sum_algebra(interval):
