@@ -394,13 +394,14 @@ class DelzantPolytope:
 
     def vertex_min(self, affine: AffineFunction) -> Fraction:
         """Exact minimum of an affine function over the polytope: at a vertex, in integers."""
-        if self._vertex_mins is None or len(self._vertex_mins) >= 64:  # a memo, for shared poles
-            self._vertex_mins = {}
-        if affine not in self._vertex_mins:
+        memo = self._vertex_mins  # for shared poles; a miss empties it at 64 entries
+        if memo is None or (affine not in memo and len(memo) >= 64):
+            memo = self._vertex_mins = {}
+        if affine not in memo:
             (q, verts), (const, zeta, den) = self.integer_vertices(), affine.integers
             low = min(sum(a * b for a, b in zip(zeta, v, strict=True)) for v in verts)
-            self._vertex_mins[affine] = Fraction(low + const * q, den * q)
-        return self._vertex_mins[affine]
+            memo[affine] = Fraction(low + const * q, den * q)
+        return memo[affine]
 
     # -- triangulation -------------------------------------------------------
 

@@ -13,9 +13,10 @@ potential runs it when it is built, at the Gauss pair's nodes in every simplex
 of the triangulation, the nodes `futaki_numeric` starts from. The kernel's
 blocks (facet values, G and H, P_f, q_f, Q_fg, t and the integrand) are plain
 numpy expressions on fresh arrays. Only v's jet is written into a `Workspace`,
-one per `futaki_numeric` call, in which the integrand opens one frame per
-chunk of nodes, so every chunk reuses the jet's buffers: with the jet on fresh
-arrays the C heap was trimmed and faulted in again after every chunk.
+one per `futaki_numeric` call, which the integrand resets once per chunk of
+nodes, so every chunk takes the jet's buffers again in the same order: with
+the jet on fresh arrays the C heap was trimmed and faulted in again after
+every chunk.
 `scal`, `scal_v_direct` and `scal_v_divergence` evaluate the same curvatures
 by central finite differences of H (inverted by LAPACK in `hess_inv`); they
 are the independent oracle for the closed form.
@@ -23,6 +24,7 @@ are the independent oracle for the closed form.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,6 @@ from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
 from .quadrature import MAX_SIMPLICES, _gauss_pair, _results, _rule_batch
 from .weights import as_weight
-from .workspace import Workspace
 
 DEFAULT_FD_STEP = 1e-4
 FD_BOUNDARY_FRACTION = 0.1  # per-point step capped at this fraction of the least facet value
@@ -297,7 +298,7 @@ def _scal_v_abreu(u: SymplecticPotential, v, x, work=None):
     arrangement. `v` is a weight; x is (N, r) with interior points. The columns
     are fresh arrays, the (N,) result included, and each sum adds its terms in
     the order of the formulas above. `work` is handed on to `v._jet`, whose
-    value, gradient and Hessian are the only columns taken from a `Workspace`.
+    columns and temporaries are the only arrays taken from a `Workspace`.
     """
     r = x.shape[1]
     normals = u.normals
@@ -383,6 +384,30 @@ def _refined(polytope: DelzantPolytope, resolution: int):
     return verts
 
 
+class Workspace:
+    """Float buffers handed out in order: the k-th `take(*shape)` after a `reset()`
+    returns a view of the k-th buffer, allocated when first asked for and replaced by
+    a larger one only if it is too small. A caller taking the same shapes in the same
+    order after each reset, with no more nodes than the first time, allocates nothing."""
+
+    __slots__ = ("_buffers", "_top")
+
+    def __init__(self):
+        self._buffers, self._top = [], 0
+
+    def take(self, *shape):
+        top, size = self._top, math.prod(shape)
+        self._top = top + 1
+        if top == len(self._buffers):
+            self._buffers.append(np.empty(size))
+        elif self._buffers[top].size < size:
+            self._buffers[top] = np.empty(size)
+        return self._buffers[top][:size].reshape(shape)
+
+    def reset(self):
+        self._top = 0
+
+
 def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
                    ell, grid: GridSpec = None):
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
@@ -414,8 +439,8 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     work = Workspace()  # v's jet, the same buffers for every chunk
 
     def integrand(x):  # a fresh (K, n) block
-        with work.frame():
-            scal_v = _scal_v_abreu(u, v, x, work) - w.eval(x)
+        work.reset()
+        scal_v = _scal_v_abreu(u, v, x, work) - w.eval(x)
         return np.array([d.eval(x) for d in directions]) * scal_v
 
     results = _results(polytope.dim, *_rule_batch(verts, integrand))

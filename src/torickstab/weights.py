@@ -28,7 +28,6 @@ from .errors import NotPositive
 from .exactlinalg import frac
 from .polynomial import Polynomial, _symmetric_partials, compositions, expand, linear_terms
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all, barycentric_coefficients
-from .workspace import Workspace
 
 
 class Positivity(Enum):
@@ -179,74 +178,74 @@ class WeightFn:
         a ((g g^T + dg) q + (g dq^T + dq g^T) + Hess q), all on length-N columns
         (skipping zero entries of a factor's zeta): g and dq one per i, dg and the
         Hessian one per i <= j, written to [i, j] and [j, i] so the Hessian is
-        exactly symmetric. Returns (N,), (N, r) and (N, r, r) views of columns
-        taken from the Workspace `work` (or a fresh one), as are the temporaries;
-        the factor, exp and q values are fresh arrays from their `eval`.
+        exactly symmetric. Returns (N,), (N, r) and (N, r, r) views of columns.
+        Given `work` (`toricmetrics.Workspace`), every column and temporary is
+        `work.take(*shape)`, valid until its next `reset()`; without it, `np.empty`.
+        The factor, exp and q values are fresh arrays from their `eval`.
         """
         single = np.ndim(pts) == 1
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n, r = pts.shape
         if r != self.dim:
             raise ValueError(f"a point of dimension {r} for a weight of dimension {self.dim}")
-        work = work or Workspace()
-        jet = [work.take(*shape) for shape in ((n,), (r, n), (r, r, n))[:order + 1]]
+        take = work.take if work is not None else lambda *shape: np.empty(shape)
+        jet = [take(*shape) for shape in ((n,), (r, n), (r, r, n))[:order + 1]]
         q = self.poly_part
-        with work.frame():
-            a = jet[0] if q is None else work.take(n)
-            a.fill(float(self.coeff))
+        a = jet[0] if q is None else take(n)
+        a.fill(float(self.coeff))
+        if order:
+            s, tmp, g = take(n), take(n), take(r, n)
+            g.fill(0.0)
+        if order == 2:
+            dg = take(r, r, n)
+            dg.fill(0.0)
+        for aff, p in self.affine_powers:
+            vals = aff.eval(pts)
             if order:
-                s, tmp, g = work.take(n), work.take(n), work.take(r, n)
-                g.fill(0.0)
-            if order == 2:
-                dg = work.take(r, r, n)
-                dg.fill(0.0)
-            for aff, p in self.affine_powers:
-                vals = aff.eval(pts)
-                if order:
-                    np.divide(float(p), vals, out=s)
-                    nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
-                    for i, z in nonzero:
-                        g[i] += np.multiply(s, z, out=tmp)
-                    if order == 2:
-                        s /= vals
-                        for (i, y), (j, z) in combinations_with_replacement(nonzero, 2):
-                            dg[i, j] -= np.multiply(s, y * z, out=tmp)
-                if p.denominator != 1:
-                    np.power(vals, float(p), out=vals)
-                elif p != 1:
-                    vals **= int(p)  # as `**` computes it: a square for p = 2
-                a *= vals
-            if self.exp_part is not None:
-                a *= np.exp(self.exp_part.eval(pts))
-                if order:
-                    g += self.exp_part.floats[0][:, None]
-            if q is not None:
-                qv = q.eval(pts)
-                np.multiply(a, qv, out=jet[0])
+                np.divide(float(p), vals, out=s)
+                nonzero = [(i, float(z)) for i, z in enumerate(aff.zeta) if z]
+                for i, z in nonzero:
+                    g[i] += np.multiply(s, z, out=tmp)
+                if order == 2:
+                    s /= vals
+                    for (i, y), (j, z) in combinations_with_replacement(nonzero, 2):
+                        dg[i, j] -= np.multiply(s, y * z, out=tmp)
+            if p.denominator != 1:
+                np.power(vals, float(p), out=vals)
+            elif p != 1:
+                vals **= int(p)  # as `**` computes it: a square for p = 2
+            a *= vals
+        if self.exp_part is not None:
+            a *= np.exp(self.exp_part.eval(pts))
             if order:
-                grad = jet[1]
-                if q is None:
-                    np.multiply(g, a, out=grad)
-                else:
-                    dq = [d.eval(pts) for d in _symmetric_partials(q, 1).values()]
-                    np.multiply(g, qv, out=grad)
-                    for row, d in zip(grad, dq):
-                        row += d
-                    grad *= a
-            if order == 2:
-                hess = jet[2]
-                ddq = {} if q is None else _symmetric_partials(q, 2)
-                for i, j in combinations_with_replacement(range(r), 2):
-                    h = np.multiply(g[i], g[j], out=hess[i, j])
-                    h += dg[i, j]
-                    if q is not None:
-                        h *= qv
-                        np.multiply(g[i], dq[j], out=tmp)
-                        tmp += np.multiply(dq[i], g[j], out=s)
-                        h += tmp
-                        h += ddq[i, j].eval(pts)
-                    h *= a
-                    hess[j, i] = h
+                g += self.exp_part.floats[0][:, None]
+        if q is not None:
+            qv = q.eval(pts)
+            np.multiply(a, qv, out=jet[0])
+        if order:
+            grad = jet[1]
+            if q is None:
+                np.multiply(g, a, out=grad)
+            else:
+                dq = [d.eval(pts) for d in _symmetric_partials(q, 1).values()]
+                np.multiply(g, qv, out=grad)
+                for row, d in zip(grad, dq):
+                    row += d
+                grad *= a
+        if order == 2:
+            hess = jet[2]
+            ddq = {} if q is None else _symmetric_partials(q, 2)
+            for i, j in combinations_with_replacement(range(r), 2):
+                h = np.multiply(g[i], g[j], out=hess[i, j])
+                h += dg[i, j]
+                if q is not None:
+                    h *= qv
+                    np.multiply(g[i], dq[j], out=tmp)
+                    tmp += np.multiply(dq[i], g[j], out=s)
+                    h += tmp
+                    h += ddq[i, j].eval(pts)
+                h *= a
+                hess[j, i] = h
         jet[1:] = [part.transpose(*axes) for part, axes in zip(jet[1:], ((1, 0), (2, 0, 1)))]
         return [out[0] for out in jet] if single else jet
 
@@ -323,17 +322,16 @@ class WeightSum:
         return self._jet(pts, 2)[2]
 
     def _jet(self, pts, order, work=None):
-        """The terms' jets added in order, into the first term's columns."""
+        """The terms' jets added in order, into the first term's columns; each term
+        takes its own columns from `work`."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             return [part[0] for part in self._jet(pts[None, :], order, work)]
-        work = work or Workspace()
         first, *rest = self._terms
         jet = first._jet(pts, order, work)
         for t in rest:
-            with work.frame():
-                for out, part in zip(jet, t._jet(pts, order, work)):
-                    out += part
+            for out, part in zip(jet, t._jet(pts, order, work)):
+                out += part
         return jet
 
     def positivity_on(self, polytope):

@@ -225,6 +225,18 @@ def test_vertex_min_attained_at_vertex(p2):
     assert p2.vertex_min(aff) == min(aff.eval_exact(v) for v in p2.vertices)
 
 
+def test_vertex_min_memo_empties_on_a_miss_only(p2):
+    # a hit on a full memo once emptied it and recomputed the minimum in Fractions
+    affs = [AffineFunction([k, 1], k) for k in range(64)]
+    for aff in affs:
+        p2.vertex_min(aff)
+    assert len(p2._vertex_mins) == 64
+    assert p2.vertex_min(affs[5]) == min(affs[5].eval_exact(v) for v in p2.vertices)
+    assert len(p2._vertex_mins) == 64
+    p2.vertex_min(AffineFunction([1, 1], 100))
+    assert list(p2._vertex_mins) == [AffineFunction([1, 1], 100)]
+
+
 _RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torickstab import invariants, quadrature, toricmetrics, workspace
+from torickstab import invariants, quadrature, toricmetrics
 from torickstab.errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
 from torickstab.exactlinalg import solve
 from torickstab.invariants import futaki_boundary
@@ -727,7 +727,7 @@ def test_futaki_numeric_of_no_direction_is_an_empty_list(p2):
     assert futaki_boundary(p2, v, w, []) == []
 
 
-class _CountedWorkspace(workspace.Workspace):
+class _CountedWorkspace(toricmetrics.Workspace):
     """A Workspace that counts the buffers it allocates, the replaced ones included."""
 
     __slots__ = ("allocations",)
@@ -743,18 +743,28 @@ class _CountedWorkspace(workspace.Workspace):
         return out
 
 
-def test_an_array_taken_in_a_frame_stays_intact_until_the_next_take():
-    # a frame hands its arrays back on exit, so the next take reuses them: v's jet takes
-    # the same buffers in every chunk of futaki_numeric's nodes
-    work = workspace.Workspace()
-    with work.frame():
-        f = work.take(2, 5)
-        f[...] = 7.0
-        with work.frame():
-            work.take(2, 5).fill(1.0)
-    assert (f == 7.0).all()
-    again = work.take(2, 5)
-    assert np.shares_memory(again, f)
+def test_a_reused_workspace_gives_the_fresh_jet_bit_for_bit():
+    # v's jet takes every column and temporary from the workspace, so a term or a temporary
+    # that overwrote another, or a buffer read before it is filled, would move an output; a
+    # large point set first, then a reset and a smaller one, which takes sliced views
+    x1, x2 = AffineFunction([1, 0], 2), AffineFunction([Fraction(1, 3), 1], 1)
+    poly = Polynomial(2, {(0, 0): 2, (1, 0): Fraction(1, 3), (1, 1): -1, (0, 2): Fraction(1, 5)})
+    term = WeightFn(2, Fraction(3, 2), [(x1, Fraction(5, 2)), (x2, -1)],
+                    AffineFunction([Fraction(3, 10), Fraction(-1, 7)], 0), poly)
+    three = WeightSum([term, WeightFn.exp_affine([Fraction(-1, 2), 1], 0),
+                       WeightFn(2, 2, [(x2, Fraction(1, 3))], None, poly)])
+    rng = np.random.default_rng(3)
+    large, small = rng.uniform(-0.5, 0.5, (1000, 2)), rng.uniform(-0.5, 0.5, (300, 2))
+    for v in (term, three):
+        work = toricmetrics.Workspace()
+        for order in range(3):
+            for x in (large, small):
+                work.reset()
+                allocated = [id(b) for b in work._buffers]
+                got = v._jet(x, order, work)
+                for part, want in zip(got, v._jet(x, order), strict=True):
+                    assert np.array_equal(part, want), (v, order, len(x))
+            assert [id(b) for b in work._buffers] == allocated  # the small set took views
 
 
 def test_futaki_numeric_estimate_bounds_its_error_and_does_not_grow_with_resolution():
@@ -775,8 +785,9 @@ def test_futaki_numeric_estimate_bounds_its_error_and_does_not_grow_with_resolut
 
 
 def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatch):
-    # v's jet takes the same workspace arrays in every chunk, so a call over 26 chunks
-    # allocates as many buffers as a call over one chunk, all of them on its first chunk
+    # the integrand resets the workspace once per chunk and v's jet takes the same arrays
+    # again, so a call over 26 chunks allocates as many buffers as a call over one chunk,
+    # all of them on its first chunk
     p = make_polytope(*P2)
     u = scaled_bump(p, Polynomial(2, {(4, 0): Fraction(1, 30), (2, 2): Fraction(1, 50)}))
     v, w = soliton_weight_pair(WeightFn.exp_affine([Fraction(3, 10), Fraction(1, 7)], 0)
