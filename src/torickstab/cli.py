@@ -26,6 +26,15 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
+def _unique_keys(path, pairs):
+    """The object of a JSON argument's key-value pairs; a repeated key is a SchemaError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise SchemaError(path, f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _load_json(arg: str, path: str):
     """Inline JSON, or else the path of a JSON file.
 
@@ -33,27 +42,25 @@ def _load_json(arg: str, path: str):
     """
     if arg is None:
         raise SchemaError(path, "argument is missing")
+    hook = functools.partial(_unique_keys, path)
     try:
-        return json.loads(arg)
+        return json.loads(arg, object_pairs_hook=hook)
     except json.JSONDecodeError as e:
         if arg.lstrip().startswith(("{", "[")):
             raise SchemaError(path, f"invalid JSON: {e}")
     try:
         with open(arg) as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=hook)
     except OSError as e:
         raise SchemaError(path, f"cannot read {arg!r}: {e}")
     except json.JSONDecodeError as e:
         raise SchemaError(path, f"invalid JSON: {e}")
 
 
-def _emit(args, command, inputs, results, normalization=None) -> None:
+def _emit(args, command, inputs, results) -> None:
     """Write the JSON report to `--out`, or print it."""
-    report = {"command": command, "version": __version__, "inputs": inputs,
-              "results": results}
-    if normalization is not None:
-        report["normalization"] = normalization
-    report["timings"] = {"seconds": round(time.monotonic() - args.started, 6)}
+    report = {"command": command, "version": __version__, "inputs": inputs, "results": results,
+              "timings": {"seconds": round(time.monotonic() - args.started, 6)}}
     text = json.dumps(report)
     if args.out:
         with open(args.out, "w") as f:
@@ -108,6 +115,8 @@ def _inputs(args, *names):
 
 def cmd_futaki(args):
     p, v, w, echo = _inputs(args, "v", "w")
+    if args.all_affine and args.direction is not None:
+        raise SchemaError("direction", "give --direction or --all-affine, not both")
     if args.all_affine:
         directions = invariants._affine_basis(p.dim)
     elif args.direction is not None:
@@ -115,16 +124,16 @@ def cmd_futaki(args):
             _load_json(args.direction, "direction"), p.dim, "direction")]
     else:
         raise SchemaError("direction", "need --direction or --all-affine")
-    rows = [{"boundary": jsonio.futaki_report_to_json(rep)} for rep in invariants.futaki_boundary(
-        p, v, w, directions, tol=args.tol, normalization=args.normalization)]
+    rows = [{"boundary": jsonio.futaki_report_to_json(rep)}
+            for rep in invariants.futaki_boundary(p, v, w, directions, tol=args.tol)]
     pair = soliton_weight_pair(v, p.dim)[1] if p.is_canonical_fano() else None
     # the closed form holds for the soliton pair only: w must be it, as polynomials or term for term
     if pair is not None and (w.to_polynomial() == pair.to_polynomial() if w.is_polynomial
                              and pair.is_polynomial else w.terms() == pair.terms()):
         for row, rep in zip(rows, invariants._futaki_fano(  # futaki_boundary certified v
-                p, v, [list(ell.zeta) for ell in directions], args.normalization, args.tol)):
+                p, v, [list(ell.zeta) for ell in directions], args.tol)):
             row["fano_closed_form"] = jsonio.futaki_report_to_json(rep)
-    _emit(args, "futaki", echo, rows, normalization=args.normalization)
+    _emit(args, "futaki", echo, rows)
     return EXIT_OK
 
 
@@ -175,7 +184,10 @@ def _parse_factor(text: str, path: str) -> fibration.BaseFactor:
     fields = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise SchemaError(path, f"duplicate key {key!r}")
+        fields[key] = value.strip()
     return jsonio._factor_from_json(fields, path)
 
 
@@ -286,7 +298,7 @@ def _suite_futaki(grid_resolution):
         grid = toricmetrics.GridSpec(resolution=grid_resolution)
         basis = invariants._affine_basis(p.dim)
         boundary = invariants.futaki_boundary(p, vv, ww, basis)  # certifies v for both
-        fano = invariants._futaki_fano(p, vv, [ell.zeta for ell in basis], "polytope", DEFAULT_TOL)
+        fano = invariants._futaki_fano(p, vv, [ell.zeta for ell in basis], DEFAULT_TOL)
         numeric = toricmetrics.futaki_numeric(p, u, vv, ww, basis, grid)
         for d, (fb, ff, fn) in enumerate(zip(boundary, fano, numeric)):
             rows.append(_check(f"{name} dir {d}: boundary vs closed form",
@@ -382,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w", required=True)
     sp.add_argument("--direction")
     sp.add_argument("--all-affine", action="store_true")
-    sp.add_argument("--normalization", choices=["polytope", "symplectic"],
-                    default="polytope")
     common(sp)
 
     sp = command(sub, "extremal", "extremal affine function", cmd_extremal)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
 
 import numpy as np
 
@@ -22,9 +21,8 @@ class FutakiReport:
     direction: AffineFunction
     value: float
     method: str  # fano_closed_form | boundary_formula | metric_numeric
-    normalization: str  # polytope | symplectic
-    exact: Fraction = None
-    error_estimate: float = 0.0
+    exact: Fraction  # None off the exact path
+    error_estimate: float
 
 
 @dataclass
@@ -35,28 +33,17 @@ class ExtremalFunction:
     gram_min_eigenvalue: float = 0.0
 
 
-def _norm_factor(normalization: str, dim: int) -> float:
-    if normalization == "polytope":
-        return 1.0
-    if normalization == "symplectic":
-        return (2.0 * pi) ** dim
-    raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def _report(direction, method, normalization, dim, *terms) -> FutakiReport:
+def _report(direction, method, *terms) -> FutakiReport:
     """The report of sum(coef * res) over (coef, QuadratureResult) terms."""
-    kappa = _norm_factor(normalization, dim)
     exact = None
     if all(res.exact is not None for _, res in terms):
         exact = sum(c * res.exact for c, res in terms)
     value = float(exact) if exact is not None else sum(c * res.value for c, res in terms)
-    return FutakiReport(direction, kappa * value, method, normalization,
-                        exact if normalization == "polytope" else None,
-                        kappa * sum(abs(c) * res.error_estimate for c, res in terms))
+    return FutakiReport(direction, value, method, exact,
+                        sum(abs(c) * res.error_estimate for c, res in terms))
 
 
-def futaki_fano(polytope: DelzantPolytope, v, zeta,
-                normalization: str = "polytope", tol=DEFAULT_TOL):
+def futaki_fano(polytope: DelzantPolytope, v, zeta, tol=DEFAULT_TOL):
     """Closed-form Futaki value on a canonical Fano polytope.
 
     Valid for the weight pair (v, 2(m + <d log v, x>) v): the invariant in the
@@ -66,21 +53,20 @@ def futaki_fano(polytope: DelzantPolytope, v, zeta,
     if not polytope.is_canonical_fano():
         raise NotCanonicalFano("closed form requires the canonical Fano presentation")
     require_positive(v, polytope, name="v")
-    return _futaki_fano(polytope, v, zeta, normalization, tol)
+    return _futaki_fano(polytope, v, zeta, tol)
 
 
-def _futaki_fano(polytope, v, zeta, normalization, tol):
+def _futaki_fano(polytope, v, zeta, tol):
     """futaki_fano for a v already certified positive on a canonical Fano polytope."""
     many = isinstance(zeta[0], (list, tuple))
     directions = [AffineFunction(z, 0) for z in (zeta if many else [zeta])]
     integrals = integrate_products(polytope, v, [(ell,) for ell in directions], tol=tol)
-    reports = [_report(ell, "fano_closed_form", normalization, polytope.dim, (2, res))
+    reports = [_report(ell, "fano_closed_form", (2, res))
                for ell, res in zip(directions, integrals)]
     return reports if many else reports[0]
 
 
-def futaki_boundary(polytope: DelzantPolytope, v, w, ell,
-                    tol=DEFAULT_TOL, normalization: str = "polytope"):
+def futaki_boundary(polytope: DelzantPolytope, v, w, ell, tol=DEFAULT_TOL):
     """Boundary-formula Futaki value: 2*int_{bd} v ell dsigma - int w ell dx.
 
     Given a list of directions it returns a list of reports, sharing one
@@ -91,7 +77,7 @@ def futaki_boundary(polytope: DelzantPolytope, v, w, ell,
     directions = [(d,) for d in (ell if many else [ell])]
     bnd = integrate_products(polytope, v, directions, boundary=True, tol=tol)
     bulk = integrate_products(polytope, w, directions, tol=tol)
-    reports = [_report(d, "boundary_formula", normalization, polytope.dim, (2, b), (-1, m))
+    reports = [_report(d, "boundary_formula", (2, b), (-1, m))
                for (d,), b, m in zip(directions, bnd, bulk)]
     return reports if many else reports[0]
 
@@ -151,7 +137,7 @@ def extremal_affine(polytope: DelzantPolytope, v, w0, extra_source=None,
     if extra_source is not None:
         w_eff = w_eff + (v * src).scale(-1)
     bulk = integrate_products(polytope, w_eff, singles, tol=tol)
-    residuals = [_report(d, "boundary_formula", "polytope", r, (2, b), (-1, m)).value
+    residuals = [_report(d, "boundary_formula", (2, b), (-1, m)).value
                  for d, b, m in zip(basis, bnd, bulk)]
     return ExtremalFunction(
         function=ell,

@@ -306,7 +306,6 @@ def futaki_report_to_json(r: FutakiReport):
         "value": r.value,
         "exact": num_to_json(r.exact) if r.exact is not None else None,
         "method": r.method,
-        "normalization": r.normalization,
         "error_estimate": r.error_estimate,
     }
 

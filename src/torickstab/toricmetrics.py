@@ -34,7 +34,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import numpy as np
 
 from .errors import NonFiniteIntegral, NotPositiveDefinite, TooCloseToBoundary
-from .invariants import FutakiReport
+from .invariants import _report
 from .polynomial import Polynomial, _symmetric_partials
 from .polytope import AffineFunction, DelzantPolytope, _bisect_all
 from .quadrature import MAX_SIMPLICES, _gauss_pair, _results, _rule_batch
@@ -444,8 +444,7 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
         return np.array([d.eval(x) for d in directions]) * scal_v
 
     results = _results(polytope.dim, *_rule_batch(verts, integrand))
-    reports = [FutakiReport(d, r.value, "metric_numeric", "polytope",
-                            error_estimate=r.error_estimate) for d, r in zip(directions, results)]
+    reports = [_report(d, "metric_numeric", (1, r)) for d, r in zip(directions, results)]
     if not np.isfinite([(r.value, r.error_estimate) for r in results]).all():
         raise NonFiniteIntegral("metric-side Futaki value is not finite", result=reports)
     return reports if many else reports[0]

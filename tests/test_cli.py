@@ -64,11 +64,54 @@ def test_futaki_all_affine(capsys):
     (["futaki", "--polytope", P2, "--v", "1", "--w", "3"],
      "SchemaError: direction: need --direction or --all-affine"),
     (["fibration", "enumerate", "--fiber", INTERVAL],
-     "SchemaError: factor: enumerate needs at least one --factor")],
-    ids=["futaki-no-direction", "enumerate-no-factor"])
+     "SchemaError: factor: enumerate needs at least one --factor"),
+    (["futaki", "--polytope", P2, "--direction", '{"zeta": [1, 0], "a": 0}', "--all-affine",
+      "--v", "1", "--w", "3"], "SchemaError: direction: give --direction or --all-affine, not both")],
+    ids=["futaki-no-direction", "enumerate-no-factor", "futaki-direction-and-all-affine"])
 def test_a_command_missing_its_one_required_choice_exits_2(capsys, argv, message):
     assert main(argv) == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err) == {"error": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["futaki", "--polytope", P2, "--all-affine", "--v", '{"scalar": 1, "scalar": 2}', "--w", "1"],
+     "SchemaError: v: duplicate key 'scalar'"),
+    (["polytope-info", "--polytope", '{"facets": [], ' + P2[1:]],
+     "SchemaError: polytope: duplicate key 'facets'"),
+    (["fibration", "enumerate", "--fiber", INTERVAL, "--factor", "n=1,k=2,n=3"],
+     "SchemaError: factor[0]: duplicate key 'n'")],
+    ids=["json-weight", "json-polytope", "factor-field"])
+def test_a_repeated_key_or_field_exits_2(capsys, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {"error": message}
+
+
+def test_a_repeated_key_in_a_json_file_is_rejected(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"facets": [{"normal": [1], "offset": 1, "offset": 2}, '
+                    '{"normal": [-1], "offset": 1}]}')
+    assert main(["polytope-info", "--polytope", str(path)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaError: polytope: duplicate key 'offset'"}
+
+
+def test_the_normalization_option_is_gone(capsys):
+    # every Futaki value is in polytope units; the symplectic one is (2 pi)^r times it
+    with pytest.raises(SystemExit) as info:
+        main(["futaki", "--polytope", P2, "--all-affine", "--v", "1", "--w", "3",
+              "--normalization", "symplectic"])
+    assert info.value.code == EXIT_VALIDATION
+
+
+def test_futaki_rows_hold_exactly_their_five_keys(capsys):
+    code, rep = _run(capsys, "futaki", "--polytope", P2, "--all-affine",
+                     "--v", '"x1/2+1"', "--w", '"3*x1+4"')
+    assert code == EXIT_OK
+    assert set(rep) == {"command", "version", "inputs", "results", "timings"}
+    reports = [report for row in rep["results"] for report in row.values()]
+    assert len(reports) == 6
+    assert all(list(report) == ["direction", "value", "exact", "method", "error_estimate"]
+               for report in reports)
 
 
 def test_verify_futaki_rejects_a_grid_past_the_simplex_cap(capsys):

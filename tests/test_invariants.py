@@ -97,19 +97,6 @@ def test_boundary_agrees_with_closed_form(interval, p2, case):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
-def test_symplectic_normalization_scales(interval):
-    v = _affine_v([1], 2)
-    base = futaki_fano(interval, v, [1])
-    sym = futaki_fano(interval, v, [1], normalization="symplectic")
-    assert sym.value == pytest.approx(2 * math.pi * base.value, rel=1e-14)
-    assert sym.exact is None
-
-
-def test_an_unknown_normalization_is_rejected(p2):
-    with pytest.raises(ValueError, match="^unknown normalization 'bogus'$"):
-        futaki_boundary(p2, 1, 3, AffineFunction([1, 0], 0), normalization="bogus")
-
-
 def test_extremal_on_a_long_interval_is_ill_conditioned():
     # on [-1, 10^7] the Gram matrix of 1 and x has condition number 1.3e14
     with pytest.raises(IllConditioned, match="^Gram matrix condition number 1.333e[+]14, "):
