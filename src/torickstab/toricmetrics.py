@@ -47,7 +47,7 @@ BUMP_HALVINGS = 60  # halvings `scaled_bump` tries before giving up
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid of `futaki_numeric`: at least resolution^r evaluated nodes."""
+    """Evaluation grid of `futaki_numeric`: >= resolution^r nodes on the fewest simplices."""
 
     resolution: int = 400
 
@@ -371,16 +371,16 @@ def _sum_products(pairs):
 
 
 def _refined(polytope: DelzantPolytope, resolution: int):
-    """The triangulation bisected uniformly to >= resolution^r pair nodes; (S, r+1, r).
-    Past MAX_SIMPLICES simplices a ValueError, before any bisection."""
+    """The fewest simplices holding resolution^r pair nodes, each k or k + 1 bisections
+    below the triangulation; (S, r+1, r). Past MAX_SIMPLICES a ValueError, before any bisection."""
     verts = np.array([s.float_vertices() for s in polytope.triangulate()])
-    nodes = len(verts) * len(_gauss_pair(polytope.dim)[0])
-    halvings = (-(-int(resolution) ** polytope.dim // nodes) - 1).bit_length()
-    if len(verts) << halvings > MAX_SIMPLICES:
-        raise ValueError(f"grid resolution {resolution} needs {len(verts) << halvings} "
-                         f"simplices, more than MAX_SIMPLICES = {MAX_SIMPLICES}")
-    for _ in range(halvings):
-        verts = _bisect_all(verts)
+    want = max(len(verts), -(-int(resolution) ** polytope.dim // len(_gauss_pair(polytope.dim)[0])))
+    if want > MAX_SIMPLICES:
+        raise ValueError(f"grid resolution {resolution} needs {want} simplices, "
+                         f"more than MAX_SIMPLICES = {MAX_SIMPLICES}")
+    while len(verts) < want:
+        split = want - len(verts)
+        verts = np.concatenate([_bisect_all(verts[:split]), verts[split:]])
     return verts
 
 
@@ -413,9 +413,9 @@ def futaki_numeric(polytope: DelzantPolytope, u: SymplecticPotential, v, w,
     """Metric-side Futaki value: integral of (Scal_v - w) * ell over the polytope.
 
     Scal_v is taken in closed form from the potential's derivatives, once at each
-    node of the Gauss pair (`quadrature._rule_batch`) on the triangulation bisected
-    uniformly to at least resolution^r nodes (`_refined`), all strictly interior,
-    so no boundary truncation is needed. A list of directions gives a list of
+    node of the Gauss pair (`quadrature._rule_batch`) on the triangulation bisected to
+    the fewest simplices that hold resolution^r nodes (`_refined`), all strictly
+    interior, so no boundary truncation is needed. A list of directions gives a list of
     reports from one Scal_v per node times one column of ell values per direction.
     Value and error estimate are the adaptive cubature's (`quadrature._results`):
     with no finite-difference truncation left, the |high - low| gap is the cubature

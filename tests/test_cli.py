@@ -115,10 +115,10 @@ def test_futaki_rows_hold_exactly_their_five_keys(capsys):
 
 
 def test_verify_futaki_rejects_a_grid_past_the_simplex_cap(capsys):
-    # resolution 10^5 on P^2 would bisect to 2^27 simplices
+    # resolution 10^5 on P^2 would bisect to 10^10 / 100 simplices
     assert main(["verify", "futaki", "--grid", "100000"]) == EXIT_VALIDATION
     assert json.loads(capsys.readouterr().err) == {"error": (
-        "ValueError: grid resolution 100000 needs 134217728 simplices, "
+        "ValueError: grid resolution 100000 needs 100000000 simplices, "
         "more than MAX_SIMPLICES = 131072")}
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from torickstab.toricmetrics import (
 )
 from torickstab.weights import WeightFn, WeightSum, as_weight, soliton_weight_pair
 
-from conftest import make_polytope, one_row
+from conftest import CANONICAL_NORMALS, POLYGONS, make_polytope, one_row
 
 P2 = ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)
 P3 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)
@@ -463,23 +464,65 @@ def test_grid_resolution_that_is_not_an_integer_is_rejected(resolution):
         GridSpec(resolution=resolution)
 
 
-@pytest.mark.parametrize("resolution, simplices", [(1, 1), (100, 128), (400, 2048), (800, 8192),
-                                                    (1000, 16384), (3620, 1 << 17)])
+@pytest.mark.parametrize("resolution, simplices", [(1, 1), (100, 100), (400, 1600), (800, 6400),
+                                                    (1000, 10000), (3620, 131044)])
 def test_refined_mesh_counts_the_evaluated_nodes(p2, resolution, simplices):
-    # the least uniform refinement on which the pair evaluates resolution^2 nodes (100 per
-    # simplex: 64 of the order-8 rule and 36 of the order-6 rule); 3620 is the largest
-    # resolution within MAX_SIMPLICES
+    # the fewest simplices on which the pair evaluates resolution^2 nodes (100 per simplex:
+    # 64 of the order-8 rule and 36 of the order-6 rule), ceil(resolution^2 / 100); 3620
+    # is the largest resolution within MAX_SIMPLICES
     from torickstab.toricmetrics import _refined
 
     assert len(_refined(p2, resolution)) == simplices
 
 
 def test_the_3d_grid_in_use_fits_and_one_past_the_simplex_cap_does_not(p2):
-    # 100 is the largest resolution in use in 3-D; on P^2, 3621 needs twice MAX_SIMPLICES
-    assert len(_refined(make_polytope(*P3), 100)) == 2048
-    with pytest.raises(ValueError, match=r"^grid resolution 3621 needs 262144 simplices, "
+    # 100 is the largest resolution in use in 3-D, ceil(100^3 / 728) simplices; on P^2,
+    # 3621 needs ceil(3621^2 / 100), 45 past MAX_SIMPLICES
+    assert len(_refined(make_polytope(*P3), 100)) == 1374
+    with pytest.raises(ValueError, match=r"^grid resolution 3621 needs 131117 simplices, "
                                          r"more than MAX_SIMPLICES = 131072$"):
         _refined(p2, 3621)
+
+
+_LARGEST_RESOLUTION = {1: 1835008, 2: 3620, 3: 456}  # per dimension, within MAX_SIMPLICES
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(("P1",) + POLYGONS + ("P3",)), st.data())
+def test_refined_is_the_least_mesh_on_the_node_floor_and_tiles_the_polytope(name, data):
+    p = make_polytope(*[(u, 1) for u in CANONICAL_NORMALS[name]])
+    r, largest = p.dim, _LARGEST_RESOLUTION[p.dim]
+    low = data.draw(st.integers(1, largest), "low")
+    high = data.draw(st.integers(low, largest), "high")
+    base = np.array([s.float_vertices() for s in p.triangulate()])
+    nodes = len(_gauss_pair(r)[0])
+    counts = []
+    for resolution in (low, high):
+        verts = _refined(p, resolution)
+        # resolution^r nodes or more, and one simplex fewer would hold fewer, unless the
+        # triangulation alone is already past the floor
+        floor, count = resolution ** r, len(verts)
+        assert count * nodes >= floor and count >= len(base)
+        assert count == len(base) or (count - 1) * nodes < floor
+        counts.append(count)
+    assert counts[0] <= counts[1]
+    with pytest.raises(ValueError, match="more than MAX_SIMPLICES"):
+        _refined(p, largest + 1)
+
+    def volumes(simplices):
+        return np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1])) / math.factorial(r)
+
+    assert math.isclose(volumes(verts).sum(), float(p.volume()), rel_tol=1e-12)
+    # the triangulation simplex holding each centroid, by its least barycentric coordinate
+    offsets = verts.mean(axis=1)[None] - base[:, None, 0]
+    edges = np.swapaxes(base[:, 1:] - base[:, :1], 1, 2)[:, None]  # columns v_k - v_0
+    inner = np.linalg.solve(edges, offsets[..., None])[..., 0]
+    least = np.minimum(inner.min(axis=2), 1 - inner.sum(axis=2))
+    owner = np.argmax(least, axis=0)
+    assert (least[owner, np.arange(len(verts))] > 0).all()
+    depth = np.log2(volumes(base)[owner] / volumes(verts))
+    assert np.allclose(depth, np.round(depth), rtol=0, atol=1e-9)
+    assert np.ptp(np.round(depth)) <= 1, (name, high, np.unique(np.round(depth)))
 
 
 @pytest.mark.parametrize("dim, resolution", [(2, 10 ** 5), (2, 10 ** 200), (1, 10 ** 200)])
@@ -786,7 +829,7 @@ def test_futaki_numeric_estimate_bounds_its_error_and_does_not_grow_with_resolut
 
 def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatch):
     # the integrand resets the workspace once per chunk and v's jet takes the same arrays
-    # again, so a call over 26 chunks allocates as many buffers as a call over one chunk,
+    # again, so a call over 20 chunks allocates as many buffers as a call over one chunk,
     # all of them on its first chunk
     p = make_polytope(*P2)
     u = scaled_bump(p, Polynomial(2, {(4, 0): Fraction(1, 30), (2, 2): Fraction(1, 50)}))
@@ -806,7 +849,7 @@ def test_futaki_numeric_allocates_its_columns_on_the_first_chunk_only(monkeypatc
         futaki_numeric(p, u, v, w, basis, GridSpec(resolution))
         counts[-(-len(_refined(p, resolution)) // step)] = made.pop().allocations
     assert not made
-    assert list(counts) == [1, 26] and counts[1] == counts[26] > 0, counts
+    assert list(counts) == [1, 20] and counts[1] == counts[20] > 0, counts
 
 
 @pytest.mark.parametrize("zeta", [[1, 0, 0], [1]])
